@@ -212,6 +212,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     )
 
     # semantic validation (argparse handles syntax; these are exit-code-2 too)
+    if cfg.window is not None and cfg.window < 0:
+        parser.error("--window must be >= 0")
     if cfg.command == "bracket":
         if cfg.n < 2 or len(cfg.indices) != cfg.n:
             parser.error(f"bracket needs exactly n = {cfg.n} indices")

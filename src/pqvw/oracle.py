@@ -292,11 +292,24 @@ def _word_vector(word: Word) -> ModVector:
 
 
 def word_act(ws: WordSum) -> ModVector:
-    """Evaluate a word sum on the symbolic basis vector |nu>."""
-    total = ModVector._raw({})
-    for word, weight in ws.entries.items():
-        total = total + _word_vector(word).scale(mod_from_scalar(weight))
-    return total
+    """Evaluate a word sum on the symbolic basis vector |nu>.
+
+    The coefficient on each shift is one ``ModScalar.sum`` streamed over the
+    words that reach that shift, each word's coefficient times its weight,
+    so it is normalized once rather than once per word.  Shifts whose
+    coefficients cancel are dropped.
+    """
+    shifts = dict.fromkeys(s for word in ws.entries for s in _word_vector(word).entries)
+    out: dict[int, ModScalar] = {}
+    for s in shifts:
+        c = ModScalar.sum(
+            _word_vector(word).entries[s] * mod_from_scalar(weight)
+            for word, weight in ws.entries.items()
+            if s in _word_vector(word).entries
+        )
+        if not c.is_zero:
+            out[s] = c
+    return ModVector._raw(out)
 
 
 def _mono(a: int, b: int, coeff: int = 1) -> Scalar:

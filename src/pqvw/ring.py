@@ -310,9 +310,11 @@ class QMPoly(Poly):
 class Localized:
     """A polynomial divided by a power of the ring's localization divisor.
 
-    Stored as (num, e) meaning num / divisor^e, eagerly normalized: while
-    e > 0 and the divisor exactly divides num, one factor is cancelled.
-    Zero always has e = 0, so equality is plain structural equality.
+    Stored as (num, e) meaning num / divisor^e, normalized once when the
+    value is built: while e > 0 and the divisor exactly divides num, one
+    factor is cancelled.  Zero always has e = 0, so equality is plain
+    structural equality.  A sum of many terms goes through ``sum``, which
+    normalizes the total once instead of every partial sum.
     """
 
     POLY: ClassVar[type[Poly]]
@@ -392,15 +394,33 @@ class Localized:
     def __neg__(self):
         return type(self)._raw(-self.num, self.e)
 
+    @classmethod
+    def sum(cls, values):
+        """Sum of an iterable of values, normalized once at the end.
+
+        One streaming pass keeps the numerator over the largest divisor
+        power seen so far, lifting the accumulated numerator when a larger
+        exponent arrives, so no partial sum is normalized and no list of
+        terms is held.  The empty sum is zero.
+        """
+        num = cls.POLY.zero()
+        e = 0
+        for v in values:
+            if type(v) is not cls:
+                raise TypeError(f"expected {cls.__name__}, got {type(v).__name__}")
+            if v.e > e:
+                num = num * cls._divisor_pow(v.e - e) + v.num
+                e = v.e
+            elif v.e < e:
+                num = num + v.num * cls._divisor_pow(e - v.e)
+            else:
+                num = num + v.num
+        return cls(num, e)
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self.e == other.e:
-            return type(self)(self.num + other.num, self.e)
-        e = max(self.e, other.e)
-        n1 = self.num * self._divisor_pow(e - self.e) if e > self.e else self.num
-        n2 = other.num * self._divisor_pow(e - other.e) if e > other.e else other.num
-        return type(self)(n1 + n2, e)
+        return type(self).sum((self, other))
 
     def __sub__(self, other):
         if type(other) is not type(self):

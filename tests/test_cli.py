@@ -58,6 +58,19 @@ class TestParsing:
                 parse_args(argv)
             assert exc.value.code == 2
 
+    def test_negative_window_exits_2(self):
+        for argv in (
+            ["oracle-check", "--window", "-1"],
+            ["verify", "skew", "--n", "3", "--window", "-1"],
+            ["verify", "sh-jacobi", "--n", "3", "--window", "-1"],
+            ["verify", "jacobi2", "--window", "-1"],
+            ["verify", "limits", "--window", "-2"],
+            ["subalgebra", "search", "--n", "3", "--window", "-1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 2, argv
+
 
 class TestRun:
     def test_bracket_payload(self):
@@ -98,6 +111,13 @@ class TestBlackBox:
             == 1
         )
         assert invoke("verify", "sh-jacobi", "--n", "3", "--indices", "0,1").returncode == 2
+        # a negative window is a usage error, not a traceback or an empty pass
+        for args in (("verify", "skew", "--n", "3", "--window", "-1"),
+                     ("verify", "limits", "--window", "-2")):
+            proc = invoke(*args)
+            assert proc.returncode == 2
+            assert "--window must be >= 0" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_json_smoke_deterministic_and_seeded(self, tmp_path):
         args = ("verify", "all", "--level", "smoke", "--seed", "42", "--format", "json")

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import permutations, product
 
 import pytest
@@ -135,6 +136,16 @@ class TestWordSums:
         ws1 = bracket2_def(0, 1)
         ws2 = bracket3_def(0, 1, 2)
         assert word_act(ws1 + ws2) == word_act(ws1) + word_act(ws2)
+        # against the fold of single-word actions, one normalization per word
+        for idx in ((-1, 0, 1, 3), (-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2, 3), (0, 1, 1, 2)):
+            ws = bracketn_def(idx)
+            per_word = reduce(
+                ModVector.__add__,
+                (word_act(WordSum({w: c})) for w, c in ws.items()),
+                ModVector(),
+            )
+            assert word_act(ws) == per_word
+        assert word_act(bracketn_def((0, 1, 1, 2))).is_zero
 
     def test_word_act_singleton(self):
         ws = WordSum({(0,): Scalar(LPoly.one(), 0)})
@@ -188,7 +199,8 @@ class TestExtraction:
             assert got == bracketn_closed(idx)
 
     def test_cross_check_bracket6_spots(self):
-        # arity 6 backs the even-arity counterexample path, so pin it too
-        for idx in ((0, 1, 2, 3, 4, 5), (-2, -1, 0, 1, 2, 3)):
+        # arity 6 backs the even-arity counterexample path, so pin it too,
+        # and reach one step further with a single arity-7 tuple
+        for idx in ((0, 1, 2, 3, 4, 5), (-2, -1, 0, 1, 2, 3), (0, 1, 2, 3, 4, 5, 6)):
             got = extract_structure_constant(bracketn_def(idx))
             assert got == bracketn_closed(idx)

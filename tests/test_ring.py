@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from pqvw.ring import (
     ModScalar,
     NotDivisible,
     PoleAtOne,
+    QModScalar,
     Scalar,
     UniScalar,
     UPoly,
@@ -179,6 +181,69 @@ class TestScalarNormalization:
         b = Scalar(D, 0)
         assert a.exact_div(b) == Scalar(LPoly.one(), 1)
         assert b.exact_div(Scalar(LPoly.one(), 1)) == Scalar(D * D, 0)
+
+
+class TestLocalizedSum:
+    RINGS = (Scalar, ModScalar, UniScalar, QModScalar)
+
+    @staticmethod
+    def rand_value(rng, cls):
+        width = len(cls.POLY.VARS)
+        terms = {}
+        for _ in range(rng.randrange(4)):
+            key = tuple(rng.randint(-2, 2) for _ in range(width))
+            terms[key] = terms.get(key, 0) + rng.randint(-5, 5)
+        # a divisor factor in the numerator makes some terms cancel on construction
+        num = cls.POLY(terms) * cls._divisor_pow(rng.randrange(2))
+        return cls(num, rng.randrange(4))
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_matches_left_fold_of_add(self, cls):
+        rng = random.Random(2016)
+        for _ in range(40):
+            values = [self.rand_value(rng, cls) for _ in range(rng.randint(1, 8))]
+            total = cls.sum(values)
+            assert total == reduce(cls.__add__, values)
+            assert cls(total.num, total.e) == total  # already normalized
+            # and the same fraction, cross-multiplied in the polynomial ring
+            top = max(v.e for v in values)
+            lifted = [v.num * cls._divisor_pow(top - v.e) for v in values]
+            assert total.num * cls._divisor_pow(top - total.e) == reduce(cls.POLY.__add__, lifted)
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_mixed_exponents_lift_and_cancel(self, cls):
+        one = cls.one()
+        inv_d = cls(cls.POLY.one(), 1)
+        inv_d2 = cls(cls.POLY.one(), 2)
+        # 1/d + 1 stays over d^1
+        total = cls.sum([inv_d, one])
+        assert (total.num, total.e) == (cls.POLY.one() + cls.DIVISOR, 1)
+        # lifted to d^2 by the second term, then both divisor factors cancel
+        values = [one, inv_d2, inv_d, -inv_d2, -inv_d]
+        total = cls.sum(values)
+        assert (total.num, total.e) == (cls.POLY.one(), 0)
+        assert total == reduce(cls.__add__, values)
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_empty_sum_is_zero(self, cls):
+        total = cls.sum([])
+        assert total.is_zero and total.e == 0
+        assert total == cls.zero()
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_cancelling_sum_is_zero(self, cls):
+        rng = random.Random(11)
+        values = [self.rand_value(rng, cls) for _ in range(6)]
+        values += [-v for v in reversed(values)]
+        values.append(cls(cls.POLY.one(), 3))
+        values.append(-cls(cls.POLY.one(), 3))
+        total = cls.sum(iter(values))
+        assert total.is_zero and total.e == 0
+        assert total == reduce(cls.__add__, values)
+
+    def test_rejects_other_ring(self):
+        with pytest.raises(TypeError):
+            Scalar.sum([Scalar.one(), UniScalar.one()])
 
 
 class TestPqNumbers:
