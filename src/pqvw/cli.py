@@ -119,7 +119,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", metavar="PATH", default=None, help="write the JSON report here (atomic)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for tuple sweeps")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; has no effect "
+                            "(every sweep runs in this process)")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
 
     p = sub.add_parser("bracket", help="evaluate one bracket of generators")
@@ -214,6 +216,10 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     # semantic validation (argparse handles syntax; these are exit-code-2 too)
     if cfg.window is not None and cfg.window < 0:
         parser.error("--window must be >= 0")
+    if cfg.samples is not None and cfg.samples < 1:
+        parser.error("--samples must be >= 1")
+    if cfg.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if cfg.command == "bracket":
         if cfg.n < 2 or len(cfg.indices) != cfg.n:
             parser.error(f"bracket needs exactly n = {cfg.n} indices")
@@ -240,6 +246,11 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         parser.error("the recursive sweep needs n >= 3")
     elif cfg.command.startswith("subalgebra") and cfg.n < 3:
         parser.error("subalgebra checks need n >= 3")
+    elif cfg.command == "subalgebra check":
+        if len(set(cfg.indices)) != len(cfg.indices):
+            parser.error("subalgebra check needs distinct indices")
+        if len(cfg.indices) < cfg.n:
+            parser.error(f"subalgebra check needs at least n = {cfg.n} indices")
     return cfg
 
 

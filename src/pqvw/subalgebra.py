@@ -14,7 +14,7 @@ and never simple), and no (n+1)-element set qualifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .algebra import (
@@ -157,24 +157,25 @@ def fi_check_span(
     """Fundamental identity over all (Y, X) picks from the span, repetition allowed.
 
     Returns (ok, witness, picks) where witness is the first (Y, X, residual)
-    with nonzero residual.  Vanishing of the residual depends only on the
-    sorted (Y, X) signature (brackets are exactly antisymmetric), so each
-    distinct signature is evaluated once.
+    in product order with nonzero residual, and picks counts the picks in
+    product order up to and including it (all k^(2n-1) on a pass, k = |S|).
+    Vanishing of the residual depends only on the sorted (Y, X) signature
+    (brackets are exactly antisymmetric), so each signature is evaluated
+    once, at its sorted pick.  The first failing pick is sorted, because
+    sorting keeps the signature and never makes a pick larger, so picks is
+    its mixed-radix rank over the sorted span, plus one.
     """
     idx = _validate_set(S)
-    verdicts: dict[tuple, bool] = {}
-    picks = 0
-    for Y in product(idx, repeat=n - 1):
-        for X in product(idx, repeat=n):
-            picks += 1
-            key = (tuple(sorted(Y)), tuple(sorted(X)))
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = fi_residual(n, Y, X).is_zero
-                verdicts[key] = ok
-            if not ok:
-                return False, (Y, X, fi_residual(n, Y, X)), picks
-    return True, None, picks
+    k = len(idx)
+    for Y in combinations_with_replacement(idx, n - 1):
+        for X in combinations_with_replacement(idx, n):
+            res = fi_residual(n, Y, X)
+            if not res.is_zero:
+                rank = 0
+                for v in Y + X:
+                    rank = rank * k + idx.index(v)
+                return False, (Y, X, res), rank + 1
+    return True, None, k ** (2 * n - 1)
 
 
 def canonical_basis(n: int) -> tuple[GenIndex, ...]:

@@ -1,10 +1,14 @@
 """Deterministic fan-out of pure tuple sweeps over a process pool.
 
-Jobs are contiguous chunks of the lexicographically enumerated work list,
-and results are merged in chunk order, so the outcome is byte-identical to
-a serial run regardless of worker count or scheduling.  Workers recompute
-their own memoization caches; duplicated work is acceptable, shared mutable
-state is not.
+No sweep in the package uses it any more: window sweeps enumerate
+signatures and sampled lists run serially, both in-process, which costs
+less than starting workers that refill their caches, and keeps reports
+independent of `--jobs` by construction.  The module stays only because
+perfbench/tracer.py imports it; it goes when the tracer stops doing so.
+
+Jobs are contiguous chunks of the work list, and results are merged in
+chunk order.  Workers recompute their own memoization caches; duplicated
+work is acceptable, shared mutable state is not.
 """
 from __future__ import annotations
 

@@ -118,6 +118,25 @@ class TestBlackBox:
             assert proc.returncode == 2
             assert "--window must be >= 0" in proc.stderr
             assert "Traceback" not in proc.stderr
+        # a non-positive sample or worker count is a usage error, not a
+        # vacuous pass or a silent full-window run
+        sh3 = ("verify", "sh-jacobi", "--n", "3", "--window", "1")
+        for args, message in (
+            (sh3 + ("--samples", "-5"), "--samples must be >= 1"),
+            (sh3 + ("--samples", "0"), "--samples must be >= 1"),
+            (sh3 + ("--jobs", "0"), "--jobs must be >= 1"),
+            (sh3 + ("--jobs", "-2"), "--jobs must be >= 1"),
+            (("verify", "all", "--level", "smoke", "--jobs", "0"), "--jobs must be >= 1"),
+        ):
+            proc = invoke(*args)
+            assert proc.returncode == 2, args
+            assert message in proc.stderr
+        # repeated or too few subalgebra indices are usage errors, not tracebacks
+        for indices, message in (("0,0,1", "distinct indices"), ("0,1", "at least n = 3")):
+            proc = invoke("subalgebra", "check", "--n", "3", "--indices", indices)
+            assert proc.returncode == 2, indices
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_json_smoke_deterministic_and_seeded(self, tmp_path):
         args = ("verify", "all", "--level", "smoke", "--seed", "42", "--format", "json")

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from pqvw import identities
 from pqvw.algebra import Term, bracketn_closed
 from pqvw.identities import (
     check_skew,
@@ -19,7 +20,7 @@ from pqvw.identities import (
     sweep_skew,
 )
 from pqvw.oracle import bracket2_def, bracketn_def, extract_structure_constant
-from pqvw.ring import classical_value
+from pqvw.ring import LPoly, Scalar, classical_value
 
 # the signed 10-term expansion of the arity-3 shuffle identity, in
 # lexicographic order of the inner block
@@ -134,11 +135,64 @@ class TestShJacobi:
         parallel = sweep_sh_jacobi(3, window=(-1, 1), jobs=3)
         assert (serial.checked, serial.failures) == (parallel.checked, parallel.failures)
 
+    def test_jobs_do_not_change_sampled_failures(self):
+        # a failing sampled sweep of more than 256 tuples: failures, and so
+        # the reported first residual, are the same for every --jobs
+        serial = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0, jobs=1)
+        parallel = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0, jobs=2)
+        assert serial.checked == 400 and not serial.ok
+        assert serial.failures == sorted(serial.failures, key=lambda f: f.indices)
+        assert (serial.checked, serial.failures) == (parallel.checked, parallel.failures)
+
     def test_sampled_sweep_deterministic(self):
         a = sample_tuples(9, (-2, 2), 50, seed=7)
         b = sample_tuples(9, (-2, 2), 50, seed=7)
         c = sample_tuples(9, (-2, 2), 50, seed=8)
         assert a == b and a != c
+
+
+class TestSignatureSweeps:
+    """Window sweeps by signature against per-tuple product-order loops."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("window", [(0, 0), (-1, 0), (-1, 1), (-1, 2)])
+    def test_checked_counts_every_tuple(self, n, window):
+        width = window[1] - window[0] + 1
+        assert sweep_sh_jacobi(n, window=window).checked == width ** (2 * n - 1)
+
+    def test_injected_failure_matches_product_reference(self, monkeypatch):
+        real = identities.sh_jacobi_residual
+        bad = {(-1, 0, 0, 1, 1), (0, 0, 1, 1, 1)}
+
+        def patched(n, indices):
+            if tuple(sorted(indices)) in bad:
+                # nonzero and dependent on the arrangement, as a real sign is
+                return Scalar(LPoly.monomial(indices[0], indices[-1], coeff=2), 0)
+            return real(n, indices)
+
+        monkeypatch.setattr(identities, "sh_jacobi_residual", patched)
+        reference = []
+        for t in product(range(-1, 2), repeat=5):
+            res = patched(3, t)
+            if not res.is_zero:
+                reference.append((t, res))
+        result = sweep_sh_jacobi(3, window=(-1, 1))
+        assert result.checked == 3**5
+        assert not result.ok
+        first, residual = reference[0]
+        assert result.failures[0].indices == first
+        assert result.failures[0].residual == residual.canonical()
+        assert [f.indices for f in result.failures] == sorted(bad)
+
+    def test_first_fi_failure_matches_product_reference(self):
+        values = range(-2, 3)
+        reference = next(
+            (Y, X, res)
+            for Y in product(values, repeat=2)
+            for X in product(values, repeat=3)
+            if not (res := fi_residual(3, Y, X)).is_zero
+        )
+        assert sweep_fi_find_nonzero(3, (-2, 2)) == reference
 
 
 def fi_residual_via_oracle(n, Y, X):

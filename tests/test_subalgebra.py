@@ -1,8 +1,9 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from pqvw.algebra import bracket_coeff, bracketn_closed
+from pqvw.identities import fi_residual
 from pqvw.ring import LPoly, Scalar, specialize_pq
 from pqvw.subalgebra import (
     SubalgebraReport,
@@ -52,6 +53,30 @@ class TestFiSpan:
         assert not ok and witness is not None
         Y, X, residual = witness
         assert not residual.is_zero
+
+
+def fi_span_reference(S, n):
+    """fi_check_span as a per-pick product loop, without signatures."""
+    idx = tuple(sorted(S))
+    picks = 0
+    for Y in product(idx, repeat=n - 1):
+        for X in product(idx, repeat=n):
+            picks += 1
+            res = fi_residual(n, Y, X)
+            if not res.is_zero:
+                return False, (Y, X, res), picks
+    return True, None, picks
+
+
+class TestFiSpanSignatures:
+    @pytest.mark.parametrize("n, size, passes", [(3, 3, True), (3, 4, False), (4, 5, False)])
+    def test_matches_product_reference(self, n, size, passes):
+        # the (n+1)-sets here all fail, which pins the witness and its pick
+        # count; the three-sets all pass
+        for S in combinations(range(-3, 4), size):
+            got = fi_check_span(S, n)
+            assert got == fi_span_reference(S, n), S
+            assert got[0] == passes
 
 
 class TestCanonical:
