@@ -60,6 +60,7 @@ from .oracle import (
     extract_structure_constant,
     fock_act,
     osc_relations_check,
+    structure_constant,
     word_act,
 )
 from .identities import (

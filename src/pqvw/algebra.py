@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import Sequence
 
 from .ring import (
@@ -229,40 +229,50 @@ def bracket3_closed(m: GenIndex, n: GenIndex, k: GenIndex) -> Term:
     return Term(Scalar._raw(num, 0), s)
 
 
-@lru_cache(maxsize=None)
-def _perms_with_sign(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        out.append((perm, -1 if inv & 1 else 1))
-    return tuple(out)
-
-
-def vandermonde_det(indices: Sequence[GenIndex]) -> LPoly:
+def vandermonde_det(
+    indices: Sequence[GenIndex], rows: Sequence[tuple[int, int]] | None = None
+) -> LPoly:
     """Generalized Vandermonde determinant behind the closed n-bracket.
 
-    The n x n matrix has entry(t, j) = p^((t - 2*floor((n-1)/2)) * i_j)
-    * q^(t * i_j) for rows t = 0..n-1.  Every entry is a monomial, so the
-    determinant is expanded exactly over permutations.
+    The n x n matrix has the monomial entry(t, j) = p^(a_t * i_j) q^(b_t * i_j)
+    with row exponents rows[t] = (a_t, b_t); by default a_t = t -
+    2*floor((n-1)/2) and b_t = t for rows t = 0..n-1.  The determinant is a
+    Laplace expansion built row by row: after row t every (t+1)-column minor
+    of the top rows is kept, keyed by its column set, and row t + 1 extends
+    each minor by one unused column, which costs O(n * 2^n) monomial shifts
+    of minors instead of n! permutation terms.
     """
     n = len(indices)
     if n < 3:
         raise BadArity(f"determinant form needs n >= 3, got {n}")
-    off = 2 * ((n - 1) // 2)
-    d: dict[tuple[int, int], int] = {}
-    for perm, sgn in _perms_with_sign(n):
-        a = 0
-        b = 0
-        for t in range(n):
-            i = indices[perm[t]]
-            a += (t - off) * i
-            b += t * i
-        c = d.get((a, b), 0) + sgn
-        if c:
-            d[(a, b)] = c
-        else:
-            del d[(a, b)]
-    return LPoly._raw(d)
+    if rows is None:
+        off = 2 * ((n - 1) // 2)
+        rows = [(t - off, t) for t in range(n)]
+    elif len(rows) != n:
+        raise ValueError(f"a square determinant needs {n} rows, got {len(rows)}")
+    # column set (bit mask) -> minor on the rows expanded so far
+    minors: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    for ra, rb in rows:
+        grown: dict[int, dict[tuple[int, int], int]] = {}
+        for cols, minor in minors.items():
+            for j, i in enumerate(indices):
+                if cols >> j & 1:
+                    continue
+                # the new row is the last row of the minor, so column j's
+                # cofactor sign counts the chosen columns to its right
+                sgn = -1 if (cols >> j).bit_count() & 1 else 1
+                da = ra * i
+                db = rb * i
+                acc = grown.setdefault(cols | 1 << j, {})
+                for (a, b), c in minor.items():
+                    key = (a + da, b + db)
+                    v = acc.get(key, 0) + sgn * c
+                    if v:
+                        acc[key] = v
+                    else:
+                        del acc[key]
+        minors = {cols: m for cols, m in grown.items() if m}
+    return LPoly._raw(minors.get((1 << n) - 1, {}))
 
 
 # Overall sign of the closed form per arity, calibrated against the
@@ -297,9 +307,9 @@ def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
     base = _signfree_closed_coeff(key)
     if base.is_zero:
         raise InconsistentSign(f"degenerate witness {key}: closed form vanishes")
-    from .oracle import bracketn_def, extract_structure_constant
+    from .oracle import structure_constant
 
-    rec = extract_structure_constant(bracketn_def(key))
+    rec = structure_constant(key)
     ratio = rec.coeff.exact_div(base)
     if ratio == SCALAR_ONE:
         sign = 1

@@ -17,8 +17,15 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Sequence
 
-from . import __version__, algebra, identities, oracle, subalgebra, suite
+from . import __version__, algebra, identities, subalgebra, suite
 from .ring import PoleAtOne, classical_value, specialize_pq
+
+
+# Largest arity `bracket` and `verify fi` accept: each calibrates the closed
+# form's sign at its arity against the defining recursion, whose cost grows
+# three- to fourfold per arity (about 1 s at n = 8 and 10 s at n = 10 on a
+# 2-vCPU machine), so larger arities would run for minutes.
+MAX_CALIBRATED_ARITY = 10
 
 
 @dataclass
@@ -125,7 +132,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
 
     p = sub.add_parser("bracket", help="evaluate one bracket of generators")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"bracket arity, 2 <= n <= {MAX_CALIBRATED_ARITY}")
     p.add_argument("--indices", type=_indices_arg, required=True)
     common(p)
 
@@ -150,7 +158,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     common(p)
 
     p = vsub.add_parser("fi", help="fundamental identity")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"bracket arity, n <= {MAX_CALIBRATED_ARITY}")
     p.add_argument("--counterexample", action="store_true",
                    help="use the built-in even-arity counterexample (passes when nonzero)")
     p.add_argument("--y", type=_indices_arg, default=None, help="n-1 derivation indices")
@@ -220,6 +229,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         parser.error("--samples must be >= 1")
     if cfg.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if cfg.command in ("bracket", "verify fi") and cfg.n > MAX_CALIBRATED_ARITY:
+        parser.error(f"{cfg.command} supports n <= {MAX_CALIBRATED_ARITY}")
     if cfg.command == "bracket":
         if cfg.n < 2 or len(cfg.indices) != cfg.n:
             parser.error(f"bracket needs exactly n = {cfg.n} indices")
@@ -242,8 +253,12 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
                 parser.error(f"fi needs |Y| = {cfg.n - 1} and |X| = {cfg.n}")
     elif cfg.command == "verify skew" and cfg.n < 2:
         parser.error("skew needs n >= 2")
-    elif cfg.command == "oracle-check" and cfg.n is not None and cfg.n < 3:
-        parser.error("the recursive sweep needs n >= 3")
+    elif cfg.command == "oracle-check" and cfg.n is not None:
+        if cfg.n < 3:
+            parser.error("the recursive sweep needs n >= 3")
+        if cfg.n > 3 and 2 * cfg.window + 1 < cfg.n:
+            parser.error(f"the recursive sweep needs n = {cfg.n} distinct indices "
+                         f"in the window, so --window >= {cfg.n // 2}")
     elif cfg.command.startswith("subalgebra") and cfg.n < 3:
         parser.error("subalgebra checks need n >= 3")
     elif cfg.command == "subalgebra check":
@@ -280,19 +295,11 @@ def _oracle_results(cfg: RunConfig) -> list[dict]:
     results = suite.check_oscillator({})
     if cfg.n:
         w = cfg.window
-        bad = None
-        count = 0
-        tuples = (
+        count, bad = suite.closed_vs_recursive(
             product(range(-w, w + 1), repeat=cfg.n)
             if cfg.n == 3
             else permutations(range(-w, w + 1), cfg.n)
         )
-        for t in tuples:
-            count += 1
-            rec = oracle.extract_structure_constant(oracle.bracketn_def(t))
-            if rec != algebra.bracketn_closed(t):
-                bad = t
-                break
         results.append(
             {
                 "kind": f"closed-vs-recursive-n{cfg.n}",

@@ -7,10 +7,17 @@ generator maps a basis vector to a single basis vector:
     L_m |nu> = -[nu]_{p,q} * p^(nu + m) |nu + m>
 
 so any product of generators acts by an exactly computable four-variable
-coefficient.  Evaluating a formal word sum this way and dividing out the
-action coefficient of the target generator recovers structure constants
+coefficient.  Dividing the action of a defining bracket on |nu> by the
+action coefficient of its target generator recovers the structure constant
 without ever touching the closed determinant form -- this module is the
 independent cross-check for everything in :mod:`pqvw.algebra`.
+
+The checks run the defining recursion directly on the module
+(:func:`structure_constant`): every word of an n-bracket shifts |nu> by the
+same amount, so the bracket acts through one coefficient, evaluated once per
+ordered sub-tuple instead of once per word.  The expansion into n! weighted
+words (:func:`bracketn_def`, :func:`extract_structure_constant`) is kept as
+its reference.
 
 Because the level is symbolic, one ring identity here certifies an operator
 identity at every level at once, not at a finite sample of levels.
@@ -53,6 +60,7 @@ __all__ = [
     "bracket3_def",
     "bracketn_def",
     "extract_structure_constant",
+    "structure_constant",
 ]
 
 
@@ -401,3 +409,43 @@ def extract_structure_constant(ws: WordSum) -> Term:
     except ValueError as exc:
         raise NotProportional(str(exc)) from None
     return Term(scalar, shift)
+
+
+@lru_cache(maxsize=None)
+def _act(idx: tuple[GenIndex, ...]) -> ModScalar:
+    # coefficient c with [L_i1, ..., L_in] |nu> = c |nu + sum(idx)>
+    if len(idx) == 3:
+        v = word_act(bracket3_def(*idx))
+        return v.entries.get(sum(idx), ModScalar.zero())
+    w = recursion_weights(len(idx))
+    total = sum(idx)
+    terms = []
+    for s0, i_s in enumerate(idx):
+        exp = w.x * i_s + w.y * (total - i_s)
+        pref = ModScalar._raw(MPoly.monomial(exp, exp, 0, 0, coeff=-1 if s0 % 2 else 1), 0)
+        # L_(i_s) acts last, on |nu + (total - i_s)>
+        terms.append(
+            pref * mod_shift(generator_multiplier(i_s), total - i_s)
+            * _act(idx[:s0] + idx[s0 + 1 :])
+        )
+    return ModScalar.sum(terms)
+
+
+def structure_constant(indices: Sequence[GenIndex]) -> Term:
+    """Structure constant of the defining n-bracket, n >= 3, on the module.
+
+    Runs the arity-lowering recursion of :func:`bracketn_def` on coefficients:
+    the n-bracket acts on |nu> as sum_s pref_s L_(i_s) [rest_s], and every
+    word of [rest_s] lands on the same shift, so each ordered sub-tuple is
+    evaluated once (memoised) instead of expanding n! words.  The 3-bracket
+    base acts through its six defining words.  The result equals
+    ``extract_structure_constant(bracketn_def(indices))``.
+    """
+    idx = tuple(indices)
+    if len(idx) < 3:
+        raise ValueError("recursive bracket needs n >= 3 (use bracket2_def)")
+    coeff = _act(idx)
+    if coeff.is_zero:
+        return Term.zero()
+    s = sum(idx)
+    return Term(mod_to_scalar(coeff.exact_div(generator_multiplier(s))), s)

@@ -22,6 +22,7 @@ from .algebra import (
     bracket_coeff,
     bracketn_closed,
     sign_of,
+    vandermonde_det,
 )
 from .identities import fi_residual
 from .ring import LPoly, Scalar
@@ -193,28 +194,6 @@ def canonical_basis(n: int) -> tuple[GenIndex, ...]:
     return tuple(range(-k, k + 1))
 
 
-def _monomial_det(columns: Sequence[GenIndex], row_exps: Sequence[tuple[int, int]]) -> LPoly:
-    # determinant of the matrix with entry(r, j) a monomial
-    # p^(row_exps[r][0] * i_j) q^(row_exps[r][1] * i_j), expanded exactly
-    from .algebra import _perms_with_sign
-
-    nn = len(columns)
-    d: dict[tuple[int, int], int] = {}
-    for perm, sgn in _perms_with_sign(nn):
-        a = 0
-        b = 0
-        for r in range(nn):
-            i = columns[perm[r]]
-            a += row_exps[r][0] * i
-            b += row_exps[r][1] * i
-        c = d.get((a, b), 0) + sgn
-        if c:
-            d[(a, b)] = c
-        else:
-            del d[(a, b)]
-    return LPoly._raw(d)
-
-
 def canonical_coeff(n: int) -> Scalar:
     """Structure constant of the full bracket on the canonical basis.
 
@@ -230,14 +209,14 @@ def canonical_coeff(n: int) -> Scalar:
         # rows p^-(2k-2)i q^0, ..., p^0 q^(2k-2)i, then the extra p^i q^(2k-1)i
         rows = [(-(2 * k - 2) + r, r) for r in range(2 * k - 1)]
         rows.append((1, 2 * k - 1))
-        det = _monomial_det(basis, rows)
+        det = vandermonde_det(basis, rows)
         w = k * k - k
         pref = LPoly.monomial(w, -w, coeff=sign_of(n))
         explicit = Scalar(det * pref, n - 1)
     else:
         # rows p^-(2k-r)i q^(r)i for r = 0..2k, no monomial prefactor
         rows = [(-(2 * k) + r, r) for r in range(2 * k + 1)]
-        det = _monomial_det(basis, rows)
+        det = vandermonde_det(basis, rows)
         explicit = Scalar(det.scale(sign_of(n)), n - 1)
     if explicit != general:
         raise ZeroCoefficient(

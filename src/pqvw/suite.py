@@ -7,7 +7,7 @@ JSON.  All checks are pure and deterministic for a fixed seed.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import algebra, identities, oracle, subalgebra
 from .ring import classical_value, pq_number, q_number, specialize_pq
@@ -83,17 +83,24 @@ def check_bracket2(cfg: dict) -> list[dict]:
     return out
 
 
+def closed_vs_recursive(tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple | None]:
+    """Compare the closed form with the defining recursion tuple by tuple.
+
+    Returns the number of tuples compared and the first mismatching tuple
+    (the comparison stops there), or None if every tuple agrees.
+    """
+    count = 0
+    for t in tuples:
+        count += 1
+        if oracle.structure_constant(t) != algebra.bracketn_closed(t):
+            return count, t
+    return count, None
+
+
 def check_closed_vs_recursive(cfg: dict) -> list[dict]:
     out = []
     w3 = cfg.get("closed_n3_window", 3)
-    bad = None
-    count = 0
-    for t in product(range(-w3, w3 + 1), repeat=3):
-        count += 1
-        rec = oracle.extract_structure_constant(oracle.bracketn_def(t))
-        if rec != algebra.bracketn_closed(t):
-            bad = t
-            break
+    count, bad = closed_vs_recursive(product(range(-w3, w3 + 1), repeat=3))
     out.append(
         _entry(
             "closed-vs-recursive-n3",
@@ -106,14 +113,7 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
     wd = cfg.get("closed_distinct_window", 2)
     values = range(-wd, wd + 1)
     for n in cfg.get("closed_arities", (4, 5)):
-        bad = None
-        count = 0
-        for t in permutations(values, n):
-            count += 1
-            rec = oracle.extract_structure_constant(oracle.bracketn_def(t))
-            if rec != algebra.bracketn_closed(t):
-                bad = t
-                break
+        count, bad = closed_vs_recursive(permutations(values, n))
         out.append(
             _entry(
                 f"closed-vs-recursive-n{n}",
@@ -214,9 +214,7 @@ def check_limits(cfg: dict) -> list[dict]:
     for n, w in cfg.get("limits_odd", {3: 2, 5: 3}).items():
         for t in combinations(range(-w, w + 1), n):
             closed = specialize_pq(algebra.bracketn_closed(t).coeff)
-            rec = specialize_pq(
-                oracle.extract_structure_constant(oracle.bracketn_def(t)).coeff
-            )
+            rec = specialize_pq(oracle.structure_constant(t).coeff)
             if closed != rec:
                 bad = (n, t)
                 break

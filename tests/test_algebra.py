@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -47,6 +47,17 @@ def closed_matrix(indices):
     ]
 
 
+def permutation_det(indices, rows):
+    """Reference determinant: the signed sum over all n! permutations."""
+    total = {}
+    for perm in permutations(range(len(indices))):
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        a = sum(r[0] * indices[c] for r, c in zip(rows, perm))
+        b = sum(r[1] * indices[c] for r, c in zip(rows, perm))
+        total[(a, b)] = total.get((a, b), 0) + (-1) ** inversions
+    return LPoly({k: v for k, v in total.items() if v})
+
+
 class TestBracket2:
     def test_examples(self):
         assert bracket2(0, 1) == Term(Scalar(LPoly.one().scale(-1), 0), 1)
@@ -85,6 +96,21 @@ class TestVandermonde:
             for _ in range(8):
                 idx = tuple(rng.sample(range(-4, 5), n))
                 assert vandermonde_det(idx) == laplace_det(closed_matrix(idx))
+
+    def test_matches_permutation_expansion(self):
+        rng = random.Random(29)
+        for n in range(3, 8):
+            off = 2 * ((n - 1) // 2)
+            closed_rows = [(t - off, t) for t in range(n)]
+            other_rows = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            for _ in range(3):
+                idx = tuple(rng.sample(range(-5, 6), n))
+                assert vandermonde_det(idx) == permutation_det(idx, closed_rows), idx
+                assert vandermonde_det(idx, other_rows) == permutation_det(idx, other_rows)
+
+    def test_row_count_must_match(self):
+        with pytest.raises(ValueError):
+            vandermonde_det((0, 1, 2), [(0, 0), (1, 1)])
 
     def test_repeated_index_vanishes(self):
         assert vandermonde_det((1, 1, 2)).is_zero

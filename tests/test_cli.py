@@ -131,6 +131,18 @@ class TestBlackBox:
             proc = invoke(*args)
             assert proc.returncode == 2, args
             assert message in proc.stderr
+        # an oracle-check window too narrow for n distinct indices and an arity
+        # beyond the calibrated range are usage errors, not an empty pass or a
+        # run of minutes
+        for args, message in (
+            (("oracle-check", "--n", "6", "--window", "2"), "--window >= 3"),
+            (("oracle-check", "--n", "4", "--window", "1"), "--window >= 2"),
+            (("bracket", "--n", "11", "--indices", "0,1,2,3,4,5,6,7,8,9,10"), "n <= 10"),
+            (("verify", "fi", "--n", "12", "--counterexample"), "n <= 10"),
+        ):
+            proc = invoke(*args)
+            assert proc.returncode == 2, args
+            assert message in proc.stderr
         # repeated or too few subalgebra indices are usage errors, not tracebacks
         for indices, message in (("0,0,1", "distinct indices"), ("0,1", "at least n = 3")):
             proc = invoke("subalgebra", "check", "--n", "3", "--indices", indices)

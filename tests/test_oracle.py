@@ -20,6 +20,7 @@ from pqvw.oracle import (
     number_weight,
     nu_bracket,
     osc_relations_check,
+    structure_constant,
     word_act,
 )
 from pqvw.ring import (
@@ -204,3 +205,31 @@ class TestExtraction:
         for idx in ((0, 1, 2, 3, 4, 5), (-2, -1, 0, 1, 2, 3), (0, 1, 2, 3, 4, 5, 6)):
             got = extract_structure_constant(bracketn_def(idx))
             assert got == bracketn_closed(idx)
+
+
+class TestStructureConstant:
+    """The module recursion against the n!-word expansion it replaces."""
+
+    def test_matches_word_sum_oracle(self):
+        tuples = [t for n in (3, 4) for t in product(range(-2, 3), repeat=n)]
+        tuples += list(permutations(range(-2, 3), 5))
+        for idx in tuples:
+            assert structure_constant(idx) == extract_structure_constant(bracketn_def(idx)), idx
+
+    def test_matches_closed_form_at_higher_arity(self):
+        for idx in (
+            (0, 1, 2, 3, 4, 5),
+            (-4, 3, -1, 2, 0, 4),
+            (-3, -1, 0, 1, 2, 4, -4),
+            (-2, 0, 1, 2, 3, 4, 6),
+            (0, 1, 2, 3, 4, 5, 6, 7),
+            (-3, 5, -1, 0, 2, 1, -2, 4),
+        ):
+            assert structure_constant(idx) == bracketn_closed(idx), idx
+
+    def test_repeated_index_vanishes(self):
+        assert structure_constant((0, 1, 1, 2, 3)).is_zero
+
+    def test_arity_guard(self):
+        with pytest.raises(ValueError):
+            structure_constant((0, 1))

@@ -104,7 +104,7 @@ class TestCanonical:
         assert canonical_coeff(3) == expected
 
     def test_coeff_nonzero_and_matches_bracket(self):
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6):
             coeff = canonical_coeff(n)
             assert not coeff.is_zero
             assert coeff == bracketn_closed(canonical_basis(n)).coeff
