@@ -37,13 +37,12 @@ from .algebra import (
     BadArity,
     GenIndex,
     InconsistentSign,
-    OpSum,
     RecursionWeights,
     Term,
+    bracket,
     bracket2,
     bracket3_closed,
     bracket_coeff,
-    bracket_multilinear,
     bracketn_closed,
     derive_sign,
     recursion_weights,
@@ -71,7 +70,6 @@ from .identities import (
     deformed_jacobi2_residual,
     fi_counterexample_even,
     fi_residual,
-    levi_civita,
     q_jacobi2_residual,
     sh_jacobi_residual,
     shuffles,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 from .ring import (
@@ -31,7 +30,6 @@ GenIndex = int
 __all__ = [
     "GenIndex",
     "Term",
-    "OpSum",
     "RecursionWeights",
     "BadArity",
     "InconsistentSign",
@@ -39,6 +37,7 @@ __all__ = [
     "bracket3_closed",
     "vandermonde_det",
     "bracketn_closed",
+    "bracket",
     "recursion_weights",
     "derive_sign",
     "sign_of",
@@ -46,7 +45,6 @@ __all__ = [
     "bracket_coeff",
     "nested_coeff",
     "sort_with_sign",
-    "bracket_multilinear",
 ]
 
 
@@ -95,68 +93,6 @@ class Term:
 
     def __repr__(self) -> str:
         return f"Term({self.canonical()})"
-
-
-class OpSum:
-    """Finite formal combination of generators: index -> Scalar coefficient."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[GenIndex, Scalar] | None = None):
-        d: dict[GenIndex, Scalar] = {}
-        if entries:
-            for i, c in entries.items():
-                if not c.is_zero:
-                    d[i] = c
-        self.entries = d
-
-    @classmethod
-    def _raw(cls, d: dict[GenIndex, Scalar]) -> "OpSum":
-        self = object.__new__(cls)
-        self.entries = d
-        return self
-
-    @classmethod
-    def generator(cls, m: GenIndex, coeff: Scalar = SCALAR_ONE) -> "OpSum":
-        return cls({m: coeff})
-
-    @classmethod
-    def from_term(cls, t: Term) -> "OpSum":
-        return cls({t.index: t.coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def items(self):
-        return self.entries.items()
-
-    def __add__(self, other: "OpSum") -> "OpSum":
-        d = dict(self.entries)
-        for i, c in other.entries.items():
-            nc = d.get(i)
-            nc = c if nc is None else nc + c
-            if nc.is_zero:
-                d.pop(i, None)
-            else:
-                d[i] = nc
-        return OpSum._raw(d)
-
-    def scale(self, c: Scalar) -> "OpSum":
-        if c.is_zero:
-            return OpSum._raw({})
-        return OpSum._raw({i: v * c for i, v in self.entries.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OpSum):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        inner = " + ".join(
-            f"({self.entries[i].canonical()})*L_{i}" for i in sorted(self.entries)
-        )
-        return f"OpSum({inner or '0'})"
 
 
 @dataclass(frozen=True)
@@ -357,12 +293,23 @@ def bracketn_closed(indices: Sequence[GenIndex]) -> Term:
     return Term(_signfree_closed_coeff(t).scale(sign_of(n)), s)
 
 
+def bracket(indices: Sequence[GenIndex]) -> Term:
+    """The bracket of generators in the given argument order, for any n >= 2.
+
+    The 2-bracket has its own weighted formula; every larger arity goes
+    through the closed form.  Nothing is cached or sorted here, so sweeps
+    that check antisymmetry can rely on it.
+    """
+    t = tuple(indices)
+    if len(t) == 2:
+        return bracket2(*t)
+    return bracketn_closed(t)
+
+
 @lru_cache(maxsize=None)
 def _sorted_coeff(t: tuple[GenIndex, ...]) -> Scalar:
     # t is strictly increasing with len >= 2
-    if len(t) == 2:
-        return bracket2(*t).coeff
-    return bracketn_closed(t).coeff
+    return bracket(t).coeff
 
 
 @lru_cache(maxsize=None)
@@ -407,26 +354,3 @@ def nested_coeff(
     so, sgn_o = sort_with_sign(outer)
     c = _sorted_pair_coeff(si, so)
     return c if sgn_i * sgn_o > 0 else -c
-
-
-def bracket_multilinear(args: Sequence[OpSum]) -> OpSum:
-    """Extend the n-bracket to formal combinations by multilinearity."""
-    n = len(args)
-    if n < 2:
-        raise BadArity("multilinear bracket needs at least two slots")
-    out: dict[GenIndex, Scalar] = {}
-    for combo in product(*(list(a.items()) for a in args)):
-        idx = tuple(i for i, _ in combo)
-        c = bracket_coeff(idx)
-        if c.is_zero:
-            continue
-        for _, w in combo:
-            c = c * w
-        s = sum(idx)
-        acc = out.get(s)
-        acc = c if acc is None else acc + c
-        if acc.is_zero:
-            out.pop(s, None)
-        else:
-            out[s] = acc
-    return OpSum._raw(out)

@@ -1,9 +1,11 @@
 """Command-line front end: brackets, identity sweeps, subalgebra search.
 
-Exit codes: 0 when every check passes, 1 when any check fails (the exact
-residual is printed), 2 on usage errors.  JSON reports are byte-identical
-for identical configurations (including seed), independent of the worker
-count; wall time is therefore reported on stderr only.
+Each command maps, through the `COMMANDS` table, to a builder that returns
+its result records (built by `suite.result`), so every command reports in
+the same shape.  Exit codes: 0 when every check passes, 1 when any check
+fails (the exact residual is printed), 2 on usage errors.  JSON reports are
+byte-identical for identical configurations (including seed); wall time is
+therefore reported on stderr only.  `--jobs` is accepted and has no effect.
 """
 from __future__ import annotations
 
@@ -15,16 +17,16 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__, algebra, identities, subalgebra, suite
 from .ring import PoleAtOne, classical_value, specialize_pq
 
 
-# Largest arity `bracket` and `verify fi` accept: each calibrates the closed
-# form's sign at its arity against the defining recursion, whose cost grows
-# three- to fourfold per arity (about 1 s at n = 8 and 10 s at n = 10 on a
-# 2-vCPU machine), so larger arities would run for minutes.
+# Largest arity any command accepts: each calibrates the closed form's sign
+# at its arity against the defining recursion, whose cost grows three- to
+# fourfold per arity (about 1 s at n = 8 and 10 s at n = 10 on a 2-vCPU
+# machine), so larger arities would run for minutes.
 MAX_CALIBRATED_ARITY = 10
 
 
@@ -42,7 +44,6 @@ class RunConfig:
     expect_nonzero: bool = False
     samples: int | None = None
     seed: int = 0
-    jobs: int = 1
     level: str = "desk"
     fmt: str = "text"
     output: str | None = None
@@ -216,7 +217,6 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         expect_nonzero=getattr(ns, "expect_nonzero", False),
         samples=getattr(ns, "samples", None),
         seed=ns.seed,
-        jobs=ns.jobs,
         level=getattr(ns, "level", "desk"),
         fmt=ns.format,
         output=ns.output,
@@ -227,9 +227,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         parser.error("--window must be >= 0")
     if cfg.samples is not None and cfg.samples < 1:
         parser.error("--samples must be >= 1")
-    if cfg.jobs < 1:
+    if ns.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if cfg.command in ("bracket", "verify fi") and cfg.n > MAX_CALIBRATED_ARITY:
+    if cfg.n is not None and cfg.n > MAX_CALIBRATED_ARITY:
         parser.error(f"{cfg.command} supports n <= {MAX_CALIBRATED_ARITY}")
     if cfg.command == "bracket":
         if cfg.n < 2 or len(cfg.indices) != cfg.n:
@@ -269,199 +269,121 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     return cfg
 
 
-def _bracket_results(cfg: RunConfig) -> list[dict]:
-    idx = cfg.indices
-    term = algebra.bracket2(*idx) if cfg.n == 2 else algebra.bracketn_closed(idx)
+def _bracket(cfg: RunConfig) -> list[dict]:
+    term = algebra.bracket(cfg.indices)
     spec = specialize_pq(term.coeff)
     try:
         classical = str(classical_value(spec))
     except PoleAtOne:
         classical = "pole at q=1"
     return [
-        {
-            "kind": "bracket",
-            "input": {"n": cfg.n, "indices": list(idx)},
-            "residual": "0",
-            "verdict": "pass",
-            "coefficient": term.coeff.canonical(),
-            "index": term.index,
-            "q_limit": spec.canonical(),
-            "classical": classical,
-         }
+        suite.result(
+            "bracket",
+            {"n": cfg.n, "indices": list(cfg.indices)},
+            "0",
+            True,
+            coefficient=term.coeff.canonical(),
+            index=term.index,
+            q_limit=spec.canonical(),
+            classical=classical,
+        )
     ]
 
 
-def _oracle_results(cfg: RunConfig) -> list[dict]:
+def _oracle_check(cfg: RunConfig) -> list[dict]:
     results = suite.check_oscillator({})
     if cfg.n:
         w = cfg.window
+        values = range(-w, w + 1)
         count, bad = suite.closed_vs_recursive(
-            product(range(-w, w + 1), repeat=cfg.n)
-            if cfg.n == 3
-            else permutations(range(-w, w + 1), cfg.n)
+            product(values, repeat=3) if cfg.n == 3 else permutations(values, cfg.n)
         )
         results.append(
-            {
-                "kind": f"closed-vs-recursive-n{cfg.n}",
-                "input": {"window": [-w, w], "tuples": count},
-                "residual": "0" if bad is None else str(bad),
-                "verdict": "pass" if bad is None else "fail",
-            }
+            suite.agreement(
+                f"closed-vs-recursive-n{cfg.n}", {"window": [-w, w], "tuples": count}, bad
+            )
         )
     return results
 
 
-def _skew_results(cfg: RunConfig) -> list[dict]:
-    sweep = identities.sweep_skew(cfg.n, (-cfg.window, cfg.window))
-    return [
-        {
-            "kind": f"skew-n{cfg.n}",
-            "input": {"window": [-cfg.window, cfg.window], "tuples": sweep.checked},
-            "residual": "0" if sweep.ok else sweep.failures[0].residual,
-            "verdict": "pass" if sweep.ok else "fail",
-        }
-    ]
+def _skew(cfg: RunConfig) -> list[dict]:
+    window = (-cfg.window, cfg.window)
+    sweep = identities.sweep_skew(cfg.n, window)
+    inp = {"window": list(window), "tuples": sweep.checked}
+    return [suite.result(f"skew-n{cfg.n}", inp, sweep.residual, sweep.ok)]
 
 
-def _sh_jacobi_results(cfg: RunConfig) -> list[dict]:
+def _sh_jacobi(cfg: RunConfig) -> list[dict]:
+    kind = f"sh-jacobi-n{cfg.n}"
     if cfg.indices is not None:
         residual = identities.sh_jacobi_residual(cfg.n, cfg.indices)
-        ok = residual.is_zero
-        return [
-            {
-                "kind": f"sh-jacobi-n{cfg.n}",
-                "input": {"indices": list(cfg.indices)},
-                "residual": residual.canonical(),
-                "verdict": "pass" if ok else "fail",
-            }
-        ]
+        inp = {"indices": list(cfg.indices)}
+        return [suite.result(kind, inp, residual.canonical(), residual.is_zero)]
     window = (-cfg.window, cfg.window)
     sweep = identities.sweep_sh_jacobi(
-        cfg.n, window=window, samples=cfg.samples, seed=cfg.seed, jobs=cfg.jobs
+        cfg.n, window=window, samples=cfg.samples, seed=cfg.seed
     )
-    inp: dict = {"window": list(window), "tuples": sweep.checked}
+    inp = {"window": list(window), "tuples": sweep.checked}
     if cfg.samples:
         inp.update({"samples": cfg.samples, "seed": cfg.seed})
-    return [
-        {
-            "kind": f"sh-jacobi-n{cfg.n}",
-            "input": inp,
-            "residual": "0" if sweep.ok else sweep.failures[0].residual,
-            "verdict": "pass" if sweep.ok else "fail",
-        }
-    ]
+    return [suite.result(kind, inp, sweep.residual, sweep.ok)]
 
 
-def _fi_results(cfg: RunConfig) -> list[dict]:
+def _fi(cfg: RunConfig) -> list[dict]:
     if cfg.counterexample:
         Y, X, res = identities.fi_counterexample_even(cfg.n)
-        return [
-            {
-                "kind": f"fi-counterexample-n{cfg.n}",
-                "input": {"Y": list(Y), "X": list(X), "expected": "nonzero"},
-                "residual": res.coeff.canonical(),
-                "verdict": "pass" if not res.is_zero else "fail",
-            }
-        ]
-    res = identities.fi_residual(cfg.n, cfg.y, cfg.x)
-    ok = (not res.is_zero) if cfg.expect_nonzero else res.is_zero
-    return [
-        {
-            "kind": f"fi-n{cfg.n}",
-            "input": {
-                "Y": list(cfg.y),
-                "X": list(cfg.x),
-                "expected": "nonzero" if cfg.expect_nonzero else "zero",
-            },
-            "residual": res.coeff.canonical(),
-            "verdict": "pass" if ok else "fail",
-        }
-    ]
+        kind, nonzero = f"fi-counterexample-n{cfg.n}", True
+    else:
+        Y, X = cfg.y, cfg.x
+        res = identities.fi_residual(cfg.n, Y, X)
+        kind, nonzero = f"fi-n{cfg.n}", cfg.expect_nonzero
+    inp = {"Y": list(Y), "X": list(X), "expected": "nonzero" if nonzero else "zero"}
+    return [suite.result(kind, inp, res.coeff.canonical(), res.is_zero != nonzero)]
 
 
-def _jacobi2_results(cfg: RunConfig) -> list[dict]:
-    window = (-cfg.window, cfg.window)
-    out = []
-    for name, sweep in (
-        ("pq-jacobi2", identities.sweep_deformed_jacobi2(window)),
-        ("q-jacobi2", identities.sweep_q_jacobi2(window)),
-    ):
-        out.append(
-            {
-                "kind": name,
-                "input": {"window": list(window), "tuples": sweep.checked},
-                "residual": "0" if sweep.ok else sweep.failures[0].residual,
-                "verdict": "pass" if sweep.ok else "fail",
-            }
-        )
-    return out
+def _subalgebra_search(cfg: RunConfig) -> list[dict]:
+    kind = f"subalgebra-search-n{cfg.n}"
+    try:
+        found = subalgebra.search(cfg.window, cfg.n)
+    except subalgebra.UnexpectedSubalgebra as exc:
+        return [suite.result(kind, {"window": cfg.window}, str(exc), False)]
+    inp = {
+        "window": cfg.window,
+        "found": [list(r.indices) for r in found.found],
+        "extra_dim_checked": found.extra_checked,
+    }
+    return [suite.result(kind, inp, "0", True)]
 
 
-def _limits_results(cfg: RunConfig) -> list[dict]:
-    return suite.check_limits({"limits_window": cfg.window})
-
-
-def _subalgebra_results(cfg: RunConfig) -> list[dict]:
-    if cfg.command == "subalgebra canonical":
-        return suite.check_subalgebras({"canonical_arities": (cfg.n,), "search_window": 0})
-    if cfg.command == "subalgebra search":
-        try:
-            result = subalgebra.search(cfg.window, cfg.n)
-        except subalgebra.UnexpectedSubalgebra as exc:
-            return [
-                {
-                    "kind": f"subalgebra-search-n{cfg.n}",
-                    "input": {"window": cfg.window},
-                    "residual": str(exc),
-                    "verdict": "fail",
-                }
-            ]
-        return [
-            {
-                "kind": f"subalgebra-search-n{cfg.n}",
-                "input": {
-                    "window": cfg.window,
-                    "found": [list(r.indices) for r in result.found],
-                    "extra_dim_checked": result.extra_checked,
-                },
-                "residual": "0",
-                "verdict": "pass",
-            }
-        ]
+def _subalgebra_check(cfg: RunConfig) -> list[dict]:
     report = subalgebra.check_candidate(cfg.indices, cfg.n)
-    return [
-        {
-            "kind": f"subalgebra-check-n{cfg.n}",
-            "input": {"indices": list(cfg.indices)},
-            "residual": "0" if report.is_subalgebra else json.dumps(report.to_json(), sort_keys=True),
-            "verdict": "pass" if report.is_subalgebra else "fail",
-        }
-    ]
+    ok = report.is_subalgebra
+    residual = "0" if ok else json.dumps(report.to_json(), sort_keys=True)
+    return [suite.result(f"subalgebra-check-n{cfg.n}", {"indices": list(cfg.indices)}, residual, ok)]
+
+
+# command -> the builder of its result records
+COMMANDS: dict[str, Callable[[RunConfig], list[dict]]] = {
+    "bracket": _bracket,
+    "oracle-check": _oracle_check,
+    "verify skew": _skew,
+    "verify sh-jacobi": _sh_jacobi,
+    "verify fi": _fi,
+    "verify jacobi2": lambda cfg: suite.check_jacobi2((-cfg.window, cfg.window)),
+    "verify limits": lambda cfg: suite.check_limits({"limits_window": cfg.window}),
+    "verify all": lambda cfg: suite.run_suite(cfg.level, seed=cfg.seed),
+    "subalgebra search": _subalgebra_search,
+    "subalgebra canonical": lambda cfg: suite.check_subalgebras(
+        {"canonical_arities": (cfg.n,), "search_window": 0}
+    ),
+    "subalgebra check": _subalgebra_check,
+}
 
 
 def run(cfg: RunConfig) -> tuple[SuiteReport, int]:
     """Execute one parsed command; returns the report and the exit code."""
     started = time.monotonic()
-    if cfg.command == "bracket":
-        results = _bracket_results(cfg)
-    elif cfg.command == "oracle-check":
-        results = _oracle_results(cfg)
-    elif cfg.command == "verify skew":
-        results = _skew_results(cfg)
-    elif cfg.command == "verify sh-jacobi":
-        results = _sh_jacobi_results(cfg)
-    elif cfg.command == "verify fi":
-        results = _fi_results(cfg)
-    elif cfg.command == "verify jacobi2":
-        results = _jacobi2_results(cfg)
-    elif cfg.command == "verify limits":
-        results = _limits_results(cfg)
-    elif cfg.command == "verify all":
-        results = suite.run_suite(cfg.level, seed=cfg.seed, jobs=cfg.jobs)
-    elif cfg.command in ("subalgebra search", "subalgebra canonical", "subalgebra check"):
-        results = _subalgebra_results(cfg)
-    else:  # pragma: no cover - argparse prevents this
-        raise ValueError(f"unknown command {cfg.command!r}")
+    results = COMMANDS[cfg.command](cfg)
     report = SuiteReport(
         command=cfg.command,
         params=cfg.params(),

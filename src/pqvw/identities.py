@@ -26,9 +26,10 @@ from typing import Iterable, Sequence
 from .algebra import (
     GenIndex,
     Term,
+    bracket,
     bracket2,
-    bracketn_closed,
     nested_coeff,
+    sort_with_sign,
 )
 from .oracle import WordSum, word_act
 from .ring import (
@@ -48,7 +49,6 @@ __all__ = [
     "SweepResult",
     "UnexpectedZero",
     "shuffles",
-    "levi_civita",
     "check_skew",
     "sh_jacobi_residual",
     "fi_residual",
@@ -80,20 +80,9 @@ class Shuffle:
 class IdentityReport:
     """Verdict for one identity instance; pass means residual exactly zero."""
 
-    identity: str
-    n: int
     indices: tuple[GenIndex, ...]
     residual: str
     verdict: bool
-
-    def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "n": self.n,
-            "tuple": list(self.indices),
-            "residual": self.residual,
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 @dataclass
@@ -106,15 +95,17 @@ class SweepResult:
     `failures[0]` is the first failing tuple in product order either way.
     """
 
-    identity: str
-    n: int
-    params: dict
     checked: int = 0
     failures: list[IdentityReport] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def residual(self) -> str:
+        """The residual of `failures[0]`, or "0" on a pass."""
+        return self.failures[0].residual if self.failures else "0"
 
 
 @lru_cache(maxsize=None)
@@ -127,32 +118,8 @@ def shuffles(n: int) -> tuple[Shuffle, ...]:
     for first in combinations(symbols, n):
         chosen = set(first)
         word = first + tuple(s for s in symbols if s not in chosen)
-        inv = sum(
-            1
-            for i in range(len(word))
-            for j in range(i + 1, len(word))
-            if word[i] > word[j]
-        )
-        out.append(Shuffle(word, -1 if inv & 1 else 1))
+        out.append(Shuffle(word, sort_with_sign(word)[1]))
     return tuple(out)
-
-
-def levi_civita(js: Sequence[int]) -> int:
-    """Sign of a sequence relative to sorted order; 0 on repeated entries."""
-    s = list(js)
-    if len(set(s)) != len(s):
-        return 0
-    inv = sum(
-        1 for i in range(len(s)) for j in range(i + 1, len(s)) if s[i] > s[j]
-    )
-    return -1 if inv & 1 else 1
-
-
-def _direct_term(indices: tuple[GenIndex, ...]) -> Term:
-    # direct evaluation in the given argument order (no antisymmetry cache)
-    if len(indices) == 2:
-        return bracket2(*indices)
-    return bracketn_closed(indices)
 
 
 def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
@@ -164,22 +131,18 @@ def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
     """
     idx = tuple(indices)
     n = len(idx)
-    base = _direct_term(idx)
+    base = bracket(idx)
     if len(set(idx)) != n:
         ok = base.is_zero
-        return IdentityReport(
-            "skew-symmetry", n, idx, base.coeff.canonical() if not ok else "0", ok
-        )
+        return IdentityReport(idx, base.coeff.canonical() if not ok else "0", ok)
     for i in range(n):
         for j in range(i + 1, n):
             swapped = list(idx)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            residual = _direct_term(tuple(swapped)).coeff + base.coeff
+            residual = bracket(swapped).coeff + base.coeff
             if not residual.is_zero:
-                return IdentityReport(
-                    "skew-symmetry", n, idx, residual.canonical(), False
-                )
-    return IdentityReport("skew-symmetry", n, idx, "0", True)
+                return IdentityReport(idx, residual.canonical(), False)
+    return IdentityReport(idx, "0", True)
 
 
 def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
@@ -327,7 +290,7 @@ def sample_tuples(
 
 def sweep_skew(n: int, window: tuple[int, int]) -> SweepResult:
     """check_skew over every n-tuple in the window."""
-    result = SweepResult("skew-symmetry", n, {"window": list(window)})
+    result = SweepResult()
     for idx in product(_window_range(window), repeat=n):
         report = check_skew(idx)
         result.checked += 1
@@ -366,14 +329,12 @@ def _sweep_sh_jacobi_signatures(n: int, window: tuple[int, int]) -> SweepResult:
     # the smallest failing tuple in product order is sorted (sorting a tuple
     # keeps its signature and never makes it larger), and signatures come in
     # lexicographic order, so failures[0] is the per-tuple sweep's first failure
-    result = SweepResult("sh-jacobi", n, {"window": list(window)})
+    result = SweepResult()
     for sig in combinations_with_replacement(_window_range(window), 2 * n - 1):
         result.checked += _arrangements(sig)
         residual = sh_jacobi_residual(n, sig)
         if not residual.is_zero:
-            result.failures.append(
-                IdentityReport("sh-jacobi", n, sig, residual.canonical(), False)
-            )
+            result.failures.append(IdentityReport(sig, residual.canonical(), False))
     return result
 
 
@@ -383,33 +344,26 @@ def sweep_sh_jacobi(
     tuples: Sequence[tuple[int, ...]] | None = None,
     samples: int | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> SweepResult:
     """Shuffle-Jacobi residuals over a window, an explicit list, or a sample.
 
     A full window is swept by signature; sampled and explicit lists are
-    swept tuple by tuple.  Everything runs in this process: `jobs` is
-    accepted and has no effect, so reports never depend on it.
+    swept tuple by tuple, all in this process.
     """
-    params: dict = {}
     if tuples is not None:
         todo: list[tuple[int, ...]] = [tuple(t) for t in tuples]
-        params["tuples"] = len(todo)
     elif window is not None and samples:
         todo = sample_tuples(2 * n - 1, window, samples, seed)
-        params.update({"window": list(window), "samples": samples, "seed": seed})
     elif window is not None:
         return _sweep_sh_jacobi_signatures(n, window)
     else:
         raise ValueError("provide a window or explicit tuples")
 
-    result = SweepResult("sh-jacobi", n, params)
+    result = SweepResult()
     result.checked, bad = _sh_jacobi_failures(n, todo)
     for idx in sorted(bad):
         result.failures.append(
-            IdentityReport(
-                "sh-jacobi", n, idx, sh_jacobi_residual(n, idx).canonical(), False
-            )
+            IdentityReport(idx, sh_jacobi_residual(n, idx).canonical(), False)
         )
     return result
 
@@ -443,25 +397,25 @@ def sweep_fi_find_nonzero(
 
 def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
     """Weighted Jacobi residuals for the 2-bracket over a window cube."""
-    result = SweepResult("pq-jacobi2", 2, {"window": list(window)})
+    result = SweepResult()
     for m, n, k in product(_window_range(window), repeat=3):
         res = deformed_jacobi2_residual(m, n, k)
         result.checked += 1
         if not res.is_zero:
             result.failures.append(
-                IdentityReport("pq-jacobi2", 2, (m, n, k), res.canonical(), False)
+                IdentityReport((m, n, k), res.canonical(), False)
             )
     return result
 
 
 def sweep_q_jacobi2(window: tuple[int, int]) -> SweepResult:
     """One-parameter Jacobi residuals over a window cube."""
-    result = SweepResult("q-jacobi2", 2, {"window": list(window)})
+    result = SweepResult()
     for m, n, k in product(_window_range(window), repeat=3):
         res = q_jacobi2_residual(m, n, k)
         result.checked += 1
         if not res.is_zero:
             result.failures.append(
-                IdentityReport("q-jacobi2", 2, (m, n, k), res.canonical(), False)
+                IdentityReport((m, n, k), res.canonical(), False)
             )
     return result

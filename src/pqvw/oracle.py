@@ -108,11 +108,6 @@ class WordSum:
                 d[w] = acc
         return WordSum._raw(d)
 
-    def scale(self, c: Scalar) -> "WordSum":
-        if c.is_zero:
-            return WordSum._raw({})
-        return WordSum._raw({w: v * c for w, v in self.entries.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WordSum):
             return NotImplemented
@@ -163,11 +158,6 @@ class ModVector:
             else:
                 d[s] = acc
         return ModVector._raw(d)
-
-    def scale(self, c: ModScalar) -> "ModVector":
-        if c.is_zero:
-            return ModVector._raw({})
-        return ModVector._raw({s: v * c for s, v in self.entries.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModVector):

@@ -123,10 +123,7 @@ class SubalgebraReport:
 class SearchResult:
     """Outcome of the bounded subalgebra search in an index window."""
 
-    n: int
-    window: int
     found: list[SubalgebraReport] = field(default_factory=list)
-    n_checked: int = 0
     extra_checked: int = 0
     extra_passing: list[SubalgebraReport] = field(default_factory=list)
 
@@ -324,9 +321,8 @@ def search(window: int, n: int, max_dim: int | None = None) -> SearchResult:
     if 2 * window + 1 < n:
         raise ValueError("window too small for the requested arity")
     values = range(-window, window + 1)
-    result = SearchResult(n=n, window=window)
+    result = SearchResult()
     for S in combinations(values, n):
-        result.n_checked += 1
         report = check_candidate(S, n)
         if report.is_subalgebra:
             result.found.append(report)

@@ -1,8 +1,9 @@
 """Named check suites driving the full desk-scale verification run.
 
-Each check returns a list of plain result dicts with the fixed shape
-{"kind", "input", "residual", "verdict"} so reports serialize to stable
-JSON.  All checks are pure and deterministic for a fixed seed.
+Every check, here and in the CLI, reports through `result`: one plain dict
+{"kind", "input", "residual", "verdict"} (plus any extra fields) per check,
+so reports serialize to stable JSON.  All checks are pure and deterministic
+for a fixed seed.
 """
 from __future__ import annotations
 
@@ -18,20 +19,27 @@ DESK_SH_WINDOWS = {3: (-2, 2), 4: (-1, 2)}
 SH_SAMPLE_COUNT = 200
 
 
-def _entry(kind: str, inp: dict, residual: str, ok: bool) -> dict:
+def result(kind: str, inp: dict, residual: str, ok: bool, **extra) -> dict:
+    """The report record of one check; `extra` fields sit beside the four fixed ones."""
     return {
         "kind": kind,
         "input": inp,
         "residual": residual,
         "verdict": "pass" if ok else "fail",
+        **extra,
     }
+
+
+def agreement(kind: str, inp: dict, bad) -> dict:
+    """Record of a comparison that passes unless it found a first mismatch `bad`."""
+    return result(kind, inp, "0" if bad is None else str(bad), bad is None)
 
 
 def check_oscillator(cfg: dict) -> list[dict]:
     report = oracle.osc_relations_check()
     worst = next((r for _, r, ok in report.entries if not ok), "0")
     return [
-        _entry("oscillator-relations", {"relations": len(report.entries)}, worst, report.ok)
+        result("oscillator-relations", {"relations": len(report.entries)}, worst, report.ok)
     ]
 
 
@@ -40,47 +48,37 @@ def check_bracket2(cfg: dict) -> list[dict]:
     jac_w = cfg.get("jacobi_window", 3)
     out = []
 
-    bad = []
+    bad = None
     for m, n in product(range(-w, w + 1), repeat=2):
         lhs = oracle.extract_structure_constant(oracle.bracket2_def(m, n))
         if lhs != algebra.bracket2(m, n):
-            bad.append((m, n))
+            bad = (m, n)
+            break
     out.append(
-        _entry(
-            "bracket2-defining-vs-closed",
-            {"window": [-w, w], "pairs": (2 * w + 1) ** 2},
-            "0" if not bad else str(bad[0]),
-            not bad,
+        agreement(
+            "bracket2-defining-vs-closed", {"window": [-w, w], "pairs": (2 * w + 1) ** 2}, bad
         )
     )
 
-    bad = []
+    bad = None
     for m, n in product(range(-w, w + 1), repeat=2):
         r = algebra.bracket2(n, m).coeff + algebra.bracket2(m, n).coeff
         if not r.is_zero:
-            bad.append(((m, n), r.canonical()))
-    out.append(
-        _entry(
-            "bracket2-skew",
-            {"window": [-w, w]},
-            "0" if not bad else bad[0][1],
-            not bad,
-        )
-    )
+            bad = r.canonical()
+            break
+    out.append(result("bracket2-skew", {"window": [-w, w]}, bad or "0", bad is None))
+    return out + check_jacobi2((-jac_w, jac_w))
 
-    for name, sweep in (
-        ("pq-jacobi2", identities.sweep_deformed_jacobi2((-jac_w, jac_w))),
-        ("q-jacobi2", identities.sweep_q_jacobi2((-jac_w, jac_w))),
-    ):
-        out.append(
-            _entry(
-                name,
-                {"window": [-jac_w, jac_w], "tuples": sweep.checked},
-                "0" if sweep.ok else sweep.failures[0].residual,
-                sweep.ok,
-            )
+
+def check_jacobi2(window: tuple[int, int]) -> list[dict]:
+    """Both weighted Jacobi sweeps of the 2-bracket over one window cube."""
+    return [
+        result(kind, {"window": list(window), "tuples": sweep.checked}, sweep.residual, sweep.ok)
+        for kind, sweep in (
+            ("pq-jacobi2", identities.sweep_deformed_jacobi2(window)),
+            ("q-jacobi2", identities.sweep_q_jacobi2(window)),
         )
-    return out
+    ]
 
 
 def closed_vs_recursive(tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple | None]:
@@ -101,25 +99,15 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
     out = []
     w3 = cfg.get("closed_n3_window", 3)
     count, bad = closed_vs_recursive(product(range(-w3, w3 + 1), repeat=3))
-    out.append(
-        _entry(
-            "closed-vs-recursive-n3",
-            {"window": [-w3, w3], "tuples": count},
-            "0" if bad is None else str(bad),
-            bad is None,
-        )
-    )
+    out.append(agreement("closed-vs-recursive-n3", {"window": [-w3, w3], "tuples": count}, bad))
 
     wd = cfg.get("closed_distinct_window", 2)
     values = range(-wd, wd + 1)
     for n in cfg.get("closed_arities", (4, 5)):
         count, bad = closed_vs_recursive(permutations(values, n))
         out.append(
-            _entry(
-                f"closed-vs-recursive-n{n}",
-                {"window": [-wd, wd], "distinct_tuples": count},
-                "0" if bad is None else str(bad),
-                bad is None,
+            agreement(
+                f"closed-vs-recursive-n{n}", {"window": [-wd, wd], "distinct_tuples": count}, bad
             )
         )
 
@@ -127,7 +115,7 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
         witnesses = [tuple(range(n)), tuple(range(-n + 1, 1)), tuple(range(-1, n - 1))]
         signs = {algebra.derive_sign(n, w) for w in witnesses}
         out.append(
-            _entry(
+            result(
                 f"sign-consistency-n{n}",
                 {"witnesses": len(witnesses)},
                 "0" if len(signs) == 1 else str(sorted(signs)),
@@ -139,14 +127,13 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
 
 def check_sh_jacobi(cfg: dict) -> list[dict]:
     out = []
-    jobs = cfg.get("jobs", 1)
     for n, window in cfg.get("sh_windows", DESK_SH_WINDOWS).items():
-        sweep = identities.sweep_sh_jacobi(n, window=window, jobs=jobs)
+        sweep = identities.sweep_sh_jacobi(n, window=window)
         out.append(
-            _entry(
+            result(
                 f"sh-jacobi-n{n}",
                 {"window": list(window), "tuples": sweep.checked},
-                "0" if sweep.ok else sweep.failures[0].residual,
+                sweep.residual,
                 sweep.ok,
             )
         )
@@ -154,14 +141,12 @@ def check_sh_jacobi(cfg: dict) -> list[dict]:
         n = cfg.get("sh_sampled_arity", 5)
         seed = cfg.get("seed", 0)
         samples = cfg.get("sh_samples", SH_SAMPLE_COUNT)
-        sweep = identities.sweep_sh_jacobi(
-            n, window=(-2, 2), samples=samples, seed=seed, jobs=jobs
-        )
+        sweep = identities.sweep_sh_jacobi(n, window=(-2, 2), samples=samples, seed=seed)
         out.append(
-            _entry(
+            result(
                 f"sh-jacobi-n{n}-sampled",
                 {"window": [-2, 2], "samples": samples, "seed": seed},
-                "0" if sweep.ok else sweep.failures[0].residual,
+                sweep.residual,
                 sweep.ok,
             )
         )
@@ -172,7 +157,7 @@ def check_not_n_lie(cfg: dict) -> list[dict]:
     out = []
     Y, X, res = identities.sweep_fi_find_nonzero(3, (-2, 2))
     out.append(
-        _entry(
+        result(
             "fi-nonzero-exists-n3",
             {"window": [-2, 2], "Y": list(Y), "X": list(X)},
             res.coeff.canonical(),
@@ -182,7 +167,7 @@ def check_not_n_lie(cfg: dict) -> list[dict]:
     for n in cfg.get("counterexample_arities", (4, 6)):
         Y, X, res = identities.fi_counterexample_even(n)
         out.append(
-            _entry(
+            result(
                 f"fi-counterexample-n{n}",
                 {"Y": list(Y), "X": list(X)},
                 res.coeff.canonical(),
@@ -201,14 +186,7 @@ def check_limits(cfg: dict) -> list[dict]:
         if spec != q_number(m - n) or classical_value(spec) != m - n:
             bad = (m, n)
             break
-    out.append(
-        _entry(
-            "limits-bracket2",
-            {"window": [-w, w]},
-            "0" if bad is None else str(bad),
-            bad is None,
-        )
-    )
+    out.append(agreement("limits-bracket2", {"window": [-w, w]}, bad))
 
     bad = None
     for n, w in cfg.get("limits_odd", {3: 2, 5: 3}).items():
@@ -221,12 +199,7 @@ def check_limits(cfg: dict) -> list[dict]:
         if bad:
             break
     out.append(
-        _entry(
-            "limits-odd-arity",
-            {"arities": sorted(cfg.get("limits_odd", {3: 2, 5: 3}))},
-            "0" if bad is None else str(bad),
-            bad is None,
-        )
+        agreement("limits-odd-arity", {"arities": sorted(cfg.get("limits_odd", {3: 2, 5: 3}))}, bad)
     )
     return out
 
@@ -245,7 +218,7 @@ def check_subalgebras(cfg: dict) -> list[dict]:
             and report.ideal_at is not None
         )
         out.append(
-            _entry(
+            result(
                 f"subalgebra-canonical-n{n}",
                 {
                     "basis": list(basis),
@@ -260,24 +233,24 @@ def check_subalgebras(cfg: dict) -> list[dict]:
     if not W:
         return out
     try:
-        result = subalgebra.search(W, 3)
+        found = subalgebra.search(W, 3)
         shape_ok = all(
-            r.iso_canonical and r.ideal_at == sum(r.indices) for r in result.found
+            r.iso_canonical and r.ideal_at == sum(r.indices) for r in found.found
         )
         out.append(
-            _entry(
+            result(
                 "subalgebra-search-n3",
                 {
                     "window": W,
-                    "found": [list(r.indices) for r in result.found],
-                    "size4_checked": result.extra_checked,
+                    "found": [list(r.indices) for r in found.found],
+                    "size4_checked": found.extra_checked,
                 },
                 "0" if shape_ok else "shape mismatch",
-                shape_ok and not result.extra_passing,
+                shape_ok and not found.extra_passing,
             )
         )
     except subalgebra.UnexpectedSubalgebra as exc:
-        out.append(_entry("subalgebra-search-n3", {"window": W}, str(exc), False))
+        out.append(result("subalgebra-search-n3", {"window": W}, str(exc), False))
     return out
 
 
@@ -287,12 +260,12 @@ def check_regression_pins(cfg: dict) -> list[dict]:
     expected = "1*p^0*q^-2 + -1*p^2*q^0"
     ok = pin.coeff.canonical() == expected and pin.index == 3
     out.append(
-        _entry("pin-bracket3-012", {"expected": expected}, pin.coeff.canonical(), ok)
+        result("pin-bracket3-012", {"expected": expected}, pin.coeff.canonical(), ok)
     )
     val = pq_number(-1)
     expected = "-1*p^1*q^-1"
     ok = val.canonical() == expected
-    out.append(_entry("pin-pq-number-minus1", {"expected": expected}, val.canonical(), ok))
+    out.append(result("pin-pq-number-minus1", {"expected": expected}, val.canonical(), ok))
     return out
 
 
@@ -323,7 +296,7 @@ SMOKE_CONFIG = {
 }
 
 
-def run_suite(level: str, seed: int = 0, jobs: int = 1) -> list[dict]:
+def run_suite(level: str, seed: int = 0) -> list[dict]:
     """Run the named check suite; returns the flat, ordered result list."""
     if level == "desk":
         cfg: dict = {}
@@ -332,7 +305,6 @@ def run_suite(level: str, seed: int = 0, jobs: int = 1) -> list[dict]:
     else:
         raise ValueError(f"unknown level {level!r}")
     cfg["seed"] = seed
-    cfg["jobs"] = jobs
     results: list[dict] = []
     for _, fn in DESK_CHECKS:
         results.extend(fn(cfg))

@@ -5,12 +5,11 @@ import pytest
 
 from pqvw.algebra import (
     BadArity,
-    OpSum,
     Term,
+    bracket,
     bracket2,
     bracket3_closed,
     bracket_coeff,
-    bracket_multilinear,
     bracketn_closed,
     derive_sign,
     known_signs,
@@ -20,7 +19,7 @@ from pqvw.algebra import (
     sort_with_sign,
     vandermonde_det,
 )
-from pqvw.ring import LPoly, Scalar, classical_value, pq_number, q_number, specialize_pq
+from pqvw.ring import LPoly, Scalar, classical_value, q_number, specialize_pq
 
 Q = LPoly.monomial(0, 1)
 PINV = LPoly.monomial(-1, 0)
@@ -258,24 +257,9 @@ class TestTermAndOpSum:
         assert Term(one, 2) == Term(one, 2)
         assert Term(one, 2) != Term(one, 3)
 
-    def test_multilinear_singletons(self):
-        args = [OpSum.generator(i) for i in (0, 1, 2)]
-        assert bracket_multilinear(args) == OpSum.from_term(bracketn_closed((0, 1, 2)))
-
-    def test_multilinear_zero_slot(self):
-        args = [OpSum.generator(0), OpSum(), OpSum.generator(2)]
-        assert bracket_multilinear(args).is_zero
-
-    def test_multilinear_scaling(self):
-        c = pq_number(2)
-        args = [OpSum.generator(0), OpSum.generator(1), OpSum.generator(2)]
-        scaled = [OpSum.generator(0, c), OpSum.generator(1), OpSum.generator(2)]
-        assert bracket_multilinear(scaled) == bracket_multilinear(args).scale(c)
-
-    def test_multilinear_expands_sums(self):
-        two_slot = [
-            OpSum({0: Scalar(LPoly.one(), 0), 1: Scalar(LPoly.one(), 0)}),
-            OpSum.generator(2),
-        ]
-        expected = OpSum.from_term(bracket2(0, 2)) + OpSum.from_term(bracket2(1, 2))
-        assert bracket_multilinear(two_slot) == expected
+    def test_bracket_follows_arity_and_argument_order(self):
+        assert bracket((3, 1)) == bracket2(3, 1)
+        assert bracket([1, 3]) == bracket2(1, 3)
+        assert bracket((2, 0, 1)) == bracketn_closed((2, 0, 1))
+        assert bracket((-1, 2, 0, 3)) == bracketn_closed((-1, 2, 0, 3))
+        assert bracket((0, 0, 1)).is_zero

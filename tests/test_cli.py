@@ -143,6 +143,19 @@ class TestBlackBox:
             proc = invoke(*args)
             assert proc.returncode == 2, args
             assert message in proc.stderr
+        # every command that takes --n refuses arities beyond the calibrated
+        # range, before it calibrates anything
+        for args in (
+            ("subalgebra", "canonical", "--n", "12"),
+            ("subalgebra", "search", "--n", "11", "--window", "6"),
+            ("subalgebra", "check", "--n", "11", "--indices", ",".join(map(str, range(11)))),
+            ("verify", "skew", "--n", "11", "--window", "6"),
+            ("verify", "sh-jacobi", "--n", "12", "--indices", ",".join(map(str, range(23)))),
+            ("oracle-check", "--n", "11", "--window", "5"),
+        ):
+            proc = invoke(*args, timeout=60)
+            assert proc.returncode == 2, args
+            assert "n <= 10" in proc.stderr
         # repeated or too few subalgebra indices are usage errors, not tracebacks
         for indices, message in (("0,0,1", "distinct indices"), ("0,1", "at least n = 3")):
             proc = invoke("subalgebra", "check", "--n", "3", "--indices", indices)
@@ -167,6 +180,17 @@ class TestBlackBox:
         parallel = invoke(*base, "--jobs", "3")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
+
+    def test_jobs_do_not_change_sampled_failures(self):
+        # a failing sampled sweep of more than 256 tuples: the report, and so
+        # the first residual in it, is the same for every --jobs
+        base = ("verify", "sh-jacobi", "--n", "2", "--window", "3", "--samples", "400",
+                "--format", "json")
+        serial = invoke(*base, "--jobs", "1")
+        parallel = invoke(*base, "--jobs", "2")
+        assert serial.returncode == parallel.returncode == 1
+        assert serial.stdout == parallel.stdout
+        assert json.loads(serial.stdout)["results"][0]["input"]["tuples"] == 400
 
     def test_output_file_atomic_write(self, tmp_path):
         target = tmp_path / "report.json"

@@ -10,7 +10,6 @@ from pqvw.identities import (
     deformed_jacobi2_residual,
     fi_counterexample_even,
     fi_residual,
-    levi_civita,
     q_jacobi2_residual,
     sample_tuples,
     sh_jacobi_residual,
@@ -54,28 +53,25 @@ class TestShuffles:
                 assert sorted(sh.sigma) == list(range(1, 2 * n))
 
     def test_parities_match_levi_civita(self):
-        for n in (2, 3, 4):
+        # the sign of a permutation of 1..k is (-1)^(k - number of cycles)
+        def cycle_parity(sigma):
+            seen, cycles = set(), 0
+            for start in range(1, len(sigma) + 1):
+                if start not in seen:
+                    cycles += 1
+                    i = start
+                    while i not in seen:
+                        seen.add(i)
+                        i = sigma[i - 1]
+            return -1 if (len(sigma) - cycles) % 2 else 1
+
+        for n in (2, 3, 4, 5):
             for sh in shuffles(n):
-                assert sh.parity == levi_civita(sh.sigma)
+                assert sh.parity == cycle_parity(sh.sigma)
 
     def test_arity3_signed_pattern(self):
         got = [(sh.sigma[:3], sh.parity) for sh in shuffles(3)]
         assert got == SHUFFLE3_PATTERN
-
-
-class TestLeviCivita:
-    def test_values(self):
-        assert levi_civita((1, 2, 3)) == 1
-        assert levi_civita((2, 1, 3)) == -1
-        assert levi_civita((1, 1, 2)) == 0
-
-
-def test_identity_report_json_fields():
-    report = check_skew((0, 1, 2))
-    payload = report.to_json()
-    assert set(payload) == {"identity", "n", "tuple", "residual", "verdict"}
-    assert payload["verdict"] == "pass"
-    assert payload["tuple"] == [0, 1, 2]
 
 
 class TestSkew:
@@ -128,21 +124,16 @@ class TestShJacobi:
 
     def test_sweep_window(self):
         result = sweep_sh_jacobi(3, window=(-1, 1))
-        assert result.checked == 3**5 and result.ok
+        assert result.checked == 3**5 and result.ok and result.residual == "0"
 
-    def test_sweep_parallel_matches_serial(self):
-        serial = sweep_sh_jacobi(3, window=(-1, 1), jobs=1)
-        parallel = sweep_sh_jacobi(3, window=(-1, 1), jobs=3)
-        assert (serial.checked, serial.failures) == (parallel.checked, parallel.failures)
-
-    def test_jobs_do_not_change_sampled_failures(self):
-        # a failing sampled sweep of more than 256 tuples: failures, and so
-        # the reported first residual, are the same for every --jobs
-        serial = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0, jobs=1)
-        parallel = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0, jobs=2)
-        assert serial.checked == 400 and not serial.ok
-        assert serial.failures == sorted(serial.failures, key=lambda f: f.indices)
-        assert (serial.checked, serial.failures) == (parallel.checked, parallel.failures)
+    def test_sampled_failures_sorted_and_first_residual_reported(self):
+        # the 2-bracket is not a shuffle-Jacobi algebra, so this sample fails
+        sweep = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0)
+        assert sweep.checked == 400 and not sweep.ok
+        assert sweep.failures == sorted(sweep.failures, key=lambda f: f.indices)
+        first = sweep.failures[0]
+        assert sweep.residual == first.residual
+        assert first.residual == sh_jacobi_residual(2, first.indices).canonical() != "0"
 
     def test_sampled_sweep_deterministic(self):
         a = sample_tuples(9, (-2, 2), 50, seed=7)
