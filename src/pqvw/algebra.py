@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .ring import (
     LPoly,
+    NotDivisible,
     SCALAR_ONE,
     SCALAR_ZERO,
     Scalar,
@@ -161,8 +162,7 @@ def bracket3_closed(m: GenIndex, n: GenIndex, k: GenIndex) -> Term:
             del det[(a, b)]
     s = m + n + k
     pref = LPoly.monomial(s, -s, coeff=-1)
-    num = (LPoly(det) * pref).exact_div(Scalar.DIVISOR**2)
-    return Term(Scalar._raw(num, 0), s)
+    return Term(_divide_closed(LPoly(det) * pref, 2), s)
 
 
 def vandermonde_det(
@@ -217,13 +217,20 @@ def vandermonde_det(
 _SIGNS: dict[int, int] = {3: -1}
 
 
+def _divide_closed(num: LPoly, k: int) -> Scalar:
+    """num / (q - p^-1)^k, which the closed form requires to be a polynomial."""
+    c = Scalar(num, k)
+    if c.e:
+        raise NotDivisible(f"(q-p^-1)^{k} does not divide {num.canonical()}")
+    return c
+
+
 def _signfree_closed_coeff(indices: tuple[GenIndex, ...]) -> Scalar:
     n = len(indices)
     s = sum(indices)
     w = ((n - 1) // 2) * s
     det = vandermonde_det(indices)
-    num = (det * LPoly.monomial(w, -w)).exact_div(Scalar._divisor_pow(n - 1))
-    return Scalar._raw(num, 0)
+    return _divide_closed(det * LPoly.monomial(w, -w), n - 1)
 
 
 def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:

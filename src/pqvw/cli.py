@@ -24,8 +24,8 @@ from .ring import PoleAtOne, classical_value, specialize_pq
 
 
 # Largest arity any command accepts: each calibrates the closed form's sign
-# at its arity against the defining recursion, whose cost grows three- to
-# fourfold per arity (about 1 s at n = 8 and 10 s at n = 10 on a 2-vCPU
+# at its arity against the defining recursion, whose cost grows two- to
+# threefold per arity (about 0.5 s at n = 8 and 3 s at n = 10 on a 2-vCPU
 # machine), so larger arities would run for minutes.
 MAX_CALIBRATED_ARITY = 10
 

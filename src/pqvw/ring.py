@@ -19,6 +19,7 @@ threads and processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import ClassVar, Mapping
 
 Rat = Fraction
@@ -310,17 +311,29 @@ class QMPoly(Poly):
 class Localized:
     """A polynomial divided by a power of the ring's localization divisor.
 
+    Every divisor here is a unit monomial times (x^STEP - 1): a subclass
+    declares the exponent tuples UNIT and STEP, and DIVISOR = x^UNIT *
+    (x^STEP - 1) is derived from them.  One synthetic division, ``_cancel``,
+    decides and performs every cancellation of divisor factors.
+
     Stored as (num, e) meaning num / divisor^e, normalized once when the
-    value is built: while e > 0 and the divisor exactly divides num, one
-    factor is cancelled.  Zero always has e = 0, so equality is plain
-    structural equality.  A sum of many terms goes through ``sum``, which
-    normalizes the total once instead of every partial sum.
+    value is built: as many divisor factors as divide num, at most e, are
+    cancelled.  Zero always has e = 0, so equality is plain structural
+    equality.  A sum of many terms goes through ``sum``, which normalizes
+    the total once instead of every partial sum.
     """
 
     POLY: ClassVar[type[Poly]]
+    UNIT: ClassVar[tuple[int, ...]]
+    STEP: ClassVar[tuple[int, ...]]
     DIVISOR: ClassVar[Poly]
     DIV_LABEL: ClassVar[str]
     __slots__ = ("num", "e")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        top = tuple(u + s for u, s in zip(cls.UNIT, cls.STEP))
+        cls.DIVISOR = cls.POLY._raw({top: 1, cls.UNIT: -1})
 
     def __init__(self, num, e: int = 0):
         if isinstance(num, (int, Fraction)):
@@ -329,23 +342,57 @@ class Localized:
             raise TypeError(f"expected {self.POLY.__name__}, got {type(num).__name__}")
         if e < 0:
             raise ValueError("localization exponent must be nonnegative")
-        while e and num.terms and self._divisor_divides(num):
-            num = num.exact_div(self.DIVISOR)
-            e -= 1
-        if not num.terms:
-            e = 0
+        if e:
+            num, removed = self._cancel(num, e)
+            e -= removed
         self.num = num
         self.e = e
 
     @classmethod
-    def _divisor_divides(cls, num: Poly) -> bool:
-        """Exact divisibility test via evaluation on the divisor's zero locus.
+    def _cancel(cls, num: Poly, k: int) -> tuple[Poly, int]:
+        """Divide num by the divisor as often as it divides, at most k times.
 
-        The divisor generates the kernel of a substitution homomorphism in
-        each ring here, so vanishing of the image decides divisibility in
-        O(terms) before any division is attempted.
+        Returns (quotient, factors removed); zero counts as divisible k
+        times.  The terms of num fall into classes along STEP, x^key *
+        x^(t*STEP) for integer positions t.  Dividing a class by (x^STEP - 1)
+        leaves at position t the negated sum of the class's coefficients up
+        to t, gaps included, and is exact precisely when the whole class
+        sums to zero; num is divisible when every class is.  The unit
+        monomial is divided out at the end.
         """
-        raise NotImplementedError
+        if not num.terms:
+            return num, k
+        # the divisor vanishes where every variable is 1, so a factor needs
+        # a zero coefficient sum; a monomial is a unit
+        if not k or len(num.terms) == 1 or sum(num.terms.values()):
+            return num, 0
+        step = cls.STEP
+        axis = next(i for i, s in enumerate(step) if s)
+        classes: dict[tuple[int, ...], list[tuple[int, Coeff]]] = {}
+        for ex, c in num.terms.items():
+            t = ex[axis] // step[axis]
+            classes.setdefault(tuple([x - t * s for x, s in zip(ex, step)]), []).append((t, c))
+        for cl in classes.values():
+            cl.sort()
+        removed = 0
+        while removed < k and not any(sum(c for _, c in cl) for cl in classes.values()):
+            for key, cl in classes.items():
+                quo: list[tuple[int, Coeff]] = []
+                run: Coeff = 0
+                for (t0, c), (t1, _) in zip(cl, cl[1:]):
+                    run = _cnorm(run - c)
+                    if run:
+                        quo += [(t, run) for t in range(t0, t1)]
+                classes[key] = quo
+            removed += 1
+        if not removed:
+            return num, 0
+        terms = {}
+        for key, cl in classes.items():
+            base = [x - removed * u for x, u in zip(key, cls.UNIT)]
+            for t, c in cl:
+                terms[tuple([x + t * s for x, s in zip(base, step)])] = c
+        return cls.POLY._raw(terms), removed
 
     @classmethod
     def _raw(cls, num: Poly, e: int) -> "Localized":
@@ -364,15 +411,9 @@ class Localized:
         return cls._raw(cls.POLY.one(), 0)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def _divisor_pow(cls, k: int) -> Poly:
-        cache = cls.__dict__.get("_dpows")
-        if cache is None:
-            cache = {}
-            setattr(cls, "_dpows", cache)
-        got = cache.get(k)
-        if got is None:
-            got = cache[k] = cls.DIVISOR**k
-        return got
+        return cls.DIVISOR**k
 
     @property
     def is_zero(self) -> bool:
@@ -457,12 +498,10 @@ class Localized:
         if self.is_zero:
             return type(self).zero()
         # strip divisor factors from the denominator's numerator (possible
-        # when other has e = 0), since the divisor is invertible here
-        j = 0
-        nb = other.num
-        while nb.terms and self._divisor_divides(nb):
-            nb = nb.exact_div(self.DIVISOR)
-            j += 1
+        # when other has e = 0), since the divisor is invertible here; a
+        # t-term polynomial vanishes to order at most t - 1 at a point off
+        # the coordinate axes, so len(terms) bounds the factors to strip
+        nb, j = self._cancel(other.num, len(other.num.terms))
         core = self.num.exact_div(nb)
         k = self.e + j - other.e
         if k >= 0:
@@ -482,93 +521,32 @@ class Scalar(Localized):
     """Element num / (q - p^-1)^e: the home of all structure constants."""
 
     POLY = LPoly
+    UNIT, STEP = (-1, 0), (1, 1)  # q - p^-1 = p^-1 (pq - 1)
     DIV_LABEL = "q-p^-1"
-
-    @classmethod
-    def _divisor_divides(cls, num: Poly) -> bool:
-        # (q - p^-1) is prime; divisibility <=> vanishing under q -> p^-1
-        img: dict[int, Coeff] = {}
-        for (a, b), c in num.terms.items():
-            k = a - b
-            nc = img.get(k, 0) + c
-            if nc:
-                img[k] = nc
-            else:
-                del img[k]
-        return not img
-
-
-Scalar.DIVISOR = LPoly._raw({(0, 1): 1, (-1, 0): -1})
 
 
 class UniScalar(Localized):
     """Element num / (q - q^-1)^e of the one-variable q ring."""
 
     POLY = UPoly
+    UNIT, STEP = (-1,), (2,)  # q - q^-1 = q^-1 (q^2 - 1)
     DIV_LABEL = "q-q^-1"
-
-    @classmethod
-    def _divisor_divides(cls, num: Poly) -> bool:
-        # q - q^-1 = q^-1 (q-1)(q+1); divisibility <=> vanishing at q = +-1
-        at_one = 0
-        at_minus_one = 0
-        for (b,), c in num.terms.items():
-            at_one += c
-            at_minus_one += -c if b & 1 else c
-        return not at_one and not at_minus_one
-
-
-UniScalar.DIVISOR = UPoly._raw({(1,): 1, (-1,): -1})
 
 
 class ModScalar(Localized):
     """Four-variable coefficient num / (q - p^-1)^e carrying a symbolic level."""
 
     POLY = MPoly
+    UNIT, STEP = (-1, 0, 0, 0), (1, 1, 0, 0)
     DIV_LABEL = "q-p^-1"
-
-    @classmethod
-    def _divisor_divides(cls, num: Poly) -> bool:
-        img: dict[tuple[int, int, int], Coeff] = {}
-        for (a, b, i, j), c in num.terms.items():
-            k = (a - b, i, j)
-            nc = img.get(k, 0) + c
-            if nc:
-                img[k] = nc
-            else:
-                del img[k]
-        return not img
-
-
-ModScalar.DIVISOR = MPoly._raw({(0, 1, 0, 0): 1, (-1, 0, 0, 0): -1})
 
 
 class QModScalar(Localized):
     """Two-variable (q, Q) coefficient num / (q - q^-1)^e."""
 
     POLY = QMPoly
+    UNIT, STEP = (-1, 0), (2, 0)
     DIV_LABEL = "q-q^-1"
-
-    @classmethod
-    def _divisor_divides(cls, num: Poly) -> bool:
-        img_one: dict[int, Coeff] = {}
-        img_minus: dict[int, Coeff] = {}
-        for (b, j), c in num.terms.items():
-            nc = img_one.get(j, 0) + c
-            if nc:
-                img_one[j] = nc
-            else:
-                del img_one[j]
-            cm = -c if b & 1 else c
-            nc = img_minus.get(j, 0) + cm
-            if nc:
-                img_minus[j] = nc
-            else:
-                del img_minus[j]
-        return not img_one and not img_minus
-
-
-QModScalar.DIVISOR = QMPoly._raw({(1, 0): 1, (-1, 0): -1})
 
 
 SCALAR_ZERO = Scalar.zero()

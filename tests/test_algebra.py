@@ -3,6 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from pqvw import algebra
 from pqvw.algebra import (
     BadArity,
     Term,
@@ -19,7 +20,7 @@ from pqvw.algebra import (
     sort_with_sign,
     vandermonde_det,
 )
-from pqvw.ring import LPoly, Scalar, classical_value, q_number, specialize_pq
+from pqvw.ring import LPoly, NotDivisible, Scalar, classical_value, q_number, specialize_pq
 
 Q = LPoly.monomial(0, 1)
 PINV = LPoly.monomial(-1, 0)
@@ -226,6 +227,36 @@ class TestBracketN:
     def test_arity_guard(self):
         with pytest.raises(BadArity):
             bracketn_closed((0, 1))
+
+
+class TestClosedFormDivisibilityGuard:
+    # a determinant with fewer divisor factors than the closed form needs
+    # must raise instead of passing as a fraction
+
+    def test_bracketn_closed(self, monkeypatch):
+        real = algebra.vandermonde_det
+
+        def short(indices, rows=None):
+            # the n = 4 determinant has three factors; adding D^2 leaves two
+            return real(indices, rows) + Scalar.DIVISOR**2
+
+        sign_of(4)  # calibrate first, so only the closed form sees the bad determinant
+        monkeypatch.setattr(algebra, "vandermonde_det", short)
+        with pytest.raises(NotDivisible):
+            bracketn_closed((0, 1, 2, 3))
+
+    def test_bracket3_closed(self, monkeypatch):
+        # bracket3_closed expands its own determinant, so perturb the LPoly it
+        # builds from the expansion: adding D leaves one factor of two
+        class OneFactorShort:
+            monomial = staticmethod(LPoly.monomial)
+
+            def __new__(cls, terms):
+                return LPoly(terms) + Scalar.DIVISOR
+
+        monkeypatch.setattr(algebra, "LPoly", OneFactorShort)
+        with pytest.raises(NotDivisible):
+            bracket3_closed(0, 1, 2)
 
 
 class TestCachedAccessors:

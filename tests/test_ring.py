@@ -107,29 +107,49 @@ class TestExactDivision:
         assert (a * d).exact_div(d) == a
 
 
-def _divides_by_division(poly, divisor):
-    try:
-        poly.exact_div(divisor)
-        return True
-    except NotDivisible:
-        return False
+def _cancel_by_division(cls, num, k):
+    # reference: long division by the divisor, repeated while it goes through
+    removed = 0
+    while removed < k:
+        try:
+            num = num.exact_div(cls.DIVISOR)
+        except NotDivisible:
+            break
+        removed += 1
+    return num, removed
 
 
-def test_divisibility_pretest_agrees_with_division():
-    # the evaluation shortcut must decide divisibility exactly as the
-    # division algorithm does, in both rings that use it
+def test_cancel_agrees_with_repeated_division():
+    # the synthetic division must find the same quotient and the same number
+    # of divisor factors as long division, in every localized ring
     rng = random.Random(314159)
-    for _ in range(300):
-        f = rand_lpoly(rng)
-        assert Scalar._divisor_divides(f) == _divides_by_division(f, Scalar.DIVISOR)
-        assert Scalar._divisor_divides(f * Scalar.DIVISOR) or f.is_zero
-    for _ in range(200):
-        terms = {
-            (rng.randint(-3, 3),): rng.randint(-6, 6) for _ in range(rng.randrange(4))
-        }
-        u = UPoly(terms)
-        assert UniScalar._divisor_divides(u) == _divides_by_division(u, UniScalar.DIVISOR)
-        assert UniScalar._divisor_divides(u * UniScalar.DIVISOR) or u.is_zero
+    for cls in (Scalar, ModScalar, UniScalar, QModScalar):
+        width = len(cls.POLY.VARS)
+
+        def mono(exps, coeff=1):
+            return cls.POLY.monomial(*exps, coeff=coeff)
+
+        cases = [cls.POLY.zero()]
+        for _ in range(150):
+            terms = {}
+            for _ in range(rng.randrange(5)):
+                key = tuple(rng.randint(-3, 3) for _ in range(width))
+                coeff = rng.choice(
+                    [rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(1, 4))]
+                )
+                terms[key] = terms.get(key, 0) + coeff
+            cases.append(cls.POLY(terms) * cls._divisor_pow(rng.randrange(4)))
+        for x in range(1, 7):
+            # gapped classes: x^(x*UNIT) (x^(x*STEP) - 1), like q^x - p^-x
+            top = tuple(x * (u + s) for u, s in zip(cls.UNIT, cls.STEP))
+            low = tuple(x * u for u in cls.UNIT)
+            shift = tuple(rng.randint(-2, 2) for _ in range(width))
+            gapped = (mono(top) - mono(low)) * mono(shift, Fraction(rng.randint(1, 5), 3))
+            # zero coefficient sum, mostly not divisible
+            cases += [gapped, gapped * cls.DIVISOR, gapped + mono(shift), mono(shift) - mono(top)]
+        for num in cases:
+            for k in range(5):
+                assert cls._cancel(num, k) == _cancel_by_division(cls, num, k), (cls, num, k)
 
 
 def test_ring_axioms_1000_random_triples():
