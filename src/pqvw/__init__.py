@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 * :mod:`pqvw.ring`       exact Laurent-polynomial coefficient rings
-* :mod:`pqvw.algebra`    closed-form n-brackets and the sign table
+* :mod:`pqvw.algebra`    closed-form n-brackets
 * :mod:`pqvw.oracle`     recursive operator brackets on a symbolic module
 * :mod:`pqvw.identities` skew / shuffle-Jacobi / fundamental-identity checks
 * :mod:`pqvw.subalgebra` n-Lie subalgebra classification in index windows
@@ -36,7 +36,6 @@ from .ring import (
 from .algebra import (
     BadArity,
     GenIndex,
-    InconsistentSign,
     RecursionWeights,
     Term,
     bracket,
@@ -44,18 +43,19 @@ from .algebra import (
     bracket3_closed,
     bracket_coeff,
     bracketn_closed,
-    derive_sign,
     recursion_weights,
     sign_of,
     vandermonde_det,
 )
 from .oracle import (
+    InconsistentSign,
     ModVector,
     NotProportional,
     WordSum,
     bracket2_def,
     bracket3_def,
     bracketn_def,
+    derive_sign,
     extract_structure_constant,
     fock_act,
     osc_relations_check,

@@ -5,11 +5,11 @@ generator with an exactly computable coefficient:
 
     [L_{i_1}, ..., L_{i_n}] = c(i_1, ..., i_n) * L_{i_1 + ... + i_n}
 
-For n = 2 the coefficient is -(q p^-1)^m [n-m]_{p,q}; for n >= 3 it is a
-signed generalized Vandermonde determinant in monomials of p and q divided
-by (q - p^-1)^(n-1).  The overall sign for n >= 4 has no closed expression
-here; it is calibrated once per arity against the recursive operator
-definition (see :mod:`pqvw.oracle`) and frozen in a table.
+For n = 2 the coefficient is -(q p^-1)^m [n-m]_{p,q}; for n >= 3 it is
+(-1)^(n(n-1)/2) times a generalized Vandermonde determinant in monomials of
+p and q divided by (q - p^-1)^(n-1).  Nothing here consults the recursive
+operator definition: :mod:`pqvw.oracle` evaluates that independently and
+checks the closed form, its sign included, against it.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from typing import Sequence
 from .ring import (
     LPoly,
     NotDivisible,
-    SCALAR_ONE,
     SCALAR_ZERO,
     Scalar,
     pq_number,
@@ -33,16 +32,13 @@ __all__ = [
     "Term",
     "RecursionWeights",
     "BadArity",
-    "InconsistentSign",
     "bracket2",
     "bracket3_closed",
     "vandermonde_det",
     "bracketn_closed",
     "bracket",
     "recursion_weights",
-    "derive_sign",
     "sign_of",
-    "known_signs",
     "bracket_coeff",
     "nested_coeff",
     "sort_with_sign",
@@ -51,10 +47,6 @@ __all__ = [
 
 class BadArity(ValueError):
     """Bracket arity outside the supported range."""
-
-
-class InconsistentSign(ArithmeticError):
-    """Recursive and closed forms disagree by something other than a sign."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,12 +203,6 @@ def vandermonde_det(
     return LPoly._raw(minors.get((1 << n) - 1, {}))
 
 
-# Overall sign of the closed form per arity, calibrated against the
-# recursive definition.  Write-once per key; plain dict assignment is
-# atomic, so concurrent readers never observe a torn value.
-_SIGNS: dict[int, int] = {3: -1}
-
-
 def _divide_closed(num: LPoly, k: int) -> Scalar:
     """num / (q - p^-1)^k, which the closed form requires to be a polynomial."""
     c = Scalar(num, k)
@@ -233,59 +219,22 @@ def _signfree_closed_coeff(indices: tuple[GenIndex, ...]) -> Scalar:
     return _divide_closed(det * LPoly.monomial(w, -w), n - 1)
 
 
-def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
-    """Calibrate sign(n) against the recursive bracket on one witness tuple.
+def sign_of(n: int) -> int:
+    """Overall sign (-1)^(n(n-1)/2) of the closed form at arity n >= 3.
 
-    The quotient of the recursively evaluated structure constant by the
-    sign-free closed form must be +1 or -1; anything else would mean the
-    determinant formula does not reproduce the recursion.
+    Checked against the defining recursion by :func:`pqvw.oracle.derive_sign`
+    for n = 3..10, the arities the command line accepts.
     """
     if n < 3:
         raise BadArity(f"sign is defined for n >= 3, got {n}")
-    if n == 3:
-        return -1
-    key = tuple(witness) if witness is not None else tuple(range(n))
-    if len(key) != n or len(set(key)) != n:
-        raise ValueError("witness must consist of n distinct indices")
-    base = _signfree_closed_coeff(key)
-    if base.is_zero:
-        raise InconsistentSign(f"degenerate witness {key}: closed form vanishes")
-    from .oracle import structure_constant
-
-    rec = structure_constant(key)
-    ratio = rec.coeff.exact_div(base)
-    if ratio == SCALAR_ONE:
-        sign = 1
-    elif ratio == -SCALAR_ONE:
-        sign = -1
-    else:
-        raise InconsistentSign(
-            f"recursive/closed ratio at {key} is {ratio.canonical()}, not +-1"
-        )
-    cached = _SIGNS.setdefault(n, sign)
-    if cached != sign:
-        raise InconsistentSign(f"sign({n}) changed between witnesses")
-    return sign
-
-
-def sign_of(n: int) -> int:
-    """Frozen closed-form sign for arity n, deriving and caching on demand."""
-    got = _SIGNS.get(n)
-    if got is None:
-        got = derive_sign(n)
-    return got
-
-
-def known_signs() -> dict[int, int]:
-    """Snapshot of the calibrated sign table."""
-    return dict(_SIGNS)
+    return (-1) ** (n * (n - 1) // 2)
 
 
 def bracketn_closed(indices: Sequence[GenIndex]) -> Term:
     """Closed-form n-bracket for n >= 3.
 
-    sign(n) / (q - p^-1)^(n-1) * (p q^-1)^(floor((n-1)/2) * sum) times the
-    generalized Vandermonde determinant, attached to L_sum.  Exact division
+    (-1)^(n(n-1)/2) / (q - p^-1)^(n-1) * (p q^-1)^(floor((n-1)/2) * sum) times
+    the generalized Vandermonde determinant, attached to L_sum.  Exact division
     by (q - p^-1)^(n-1) is performed explicitly, so a failure (impossible if
     the closed form is right) raises NotDivisible rather than passing
     silently.  Repeated indices short-circuit to the zero term.

@@ -23,11 +23,10 @@ from . import __version__, algebra, identities, subalgebra, suite
 from .ring import PoleAtOne, classical_value, specialize_pq
 
 
-# Largest arity any command accepts: each calibrates the closed form's sign
-# at its arity against the defining recursion, whose cost grows two- to
-# threefold per arity (about 0.5 s at n = 8 and 3 s at n = 10 on a 2-vCPU
-# machine), so larger arities would run for minutes.
-MAX_CALIBRATED_ARITY = 10
+# Largest arity any command accepts: the closed form's sign formula
+# (-1)^(n(n-1)/2) is verified against the defining recursion only up to
+# n = 10 (tests/test_algebra.py); a higher limit needs that check at the new n.
+MAX_VERIFIED_ARITY = 10
 
 
 @dataclass
@@ -134,7 +133,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 
     p = sub.add_parser("bracket", help="evaluate one bracket of generators")
     p.add_argument("--n", type=int, required=True,
-                   help=f"bracket arity, 2 <= n <= {MAX_CALIBRATED_ARITY}")
+                   help=f"bracket arity, 2 <= n <= {MAX_VERIFIED_ARITY} "
+                        "(the verified range of the closed form's sign)")
     p.add_argument("--indices", type=_indices_arg, required=True)
     common(p)
 
@@ -160,7 +160,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 
     p = vsub.add_parser("fi", help="fundamental identity")
     p.add_argument("--n", type=int, required=True,
-                   help=f"bracket arity, n <= {MAX_CALIBRATED_ARITY}")
+                   help=f"bracket arity, n <= {MAX_VERIFIED_ARITY} "
+                        "(the verified range of the closed form's sign)")
     p.add_argument("--counterexample", action="store_true",
                    help="use the built-in even-arity counterexample (passes when nonzero)")
     p.add_argument("--y", type=_indices_arg, default=None, help="n-1 derivation indices")
@@ -229,8 +230,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         parser.error("--samples must be >= 1")
     if ns.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if cfg.n is not None and cfg.n > MAX_CALIBRATED_ARITY:
-        parser.error(f"{cfg.command} supports n <= {MAX_CALIBRATED_ARITY}")
+    if cfg.n is not None and cfg.n > MAX_VERIFIED_ARITY:
+        parser.error(f"{cfg.command} supports n <= {MAX_VERIFIED_ARITY}")
     if cfg.command == "bracket":
         if cfg.n < 2 or len(cfg.indices) != cfg.n:
             parser.error(f"bracket needs exactly n = {cfg.n} indices")

@@ -10,7 +10,9 @@ so any product of generators acts by an exactly computable four-variable
 coefficient.  Dividing the action of a defining bracket on |nu> by the
 action coefficient of its target generator recovers the structure constant
 without ever touching the closed determinant form -- this module is the
-independent cross-check for everything in :mod:`pqvw.algebra`.
+independent cross-check for everything in :mod:`pqvw.algebra`.  Only
+:func:`derive_sign` reads the closed form, to divide it out of a recursive
+structure constant and recover the closed form's overall sign.
 
 The checks run the defining recursion directly on the module
 (:func:`structure_constant`): every word of an n-bracket shifts |nu> by the
@@ -28,12 +30,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .algebra import GenIndex, Term, recursion_weights
+from .algebra import (
+    BadArity,
+    GenIndex,
+    Term,
+    _signfree_closed_coeff,
+    recursion_weights,
+)
 from .ring import (
     LPoly,
     ModScalar,
     MPoly,
     NotDivisible,
+    SCALAR_ONE,
     Scalar,
     mod_from_scalar,
     mod_shift,
@@ -46,6 +55,7 @@ __all__ = [
     "Word",
     "WordSum",
     "ModVector",
+    "InconsistentSign",
     "NotProportional",
     "OscillatorReport",
     "nu_bracket",
@@ -61,7 +71,12 @@ __all__ = [
     "bracketn_def",
     "extract_structure_constant",
     "structure_constant",
+    "derive_sign",
 ]
+
+
+class InconsistentSign(ArithmeticError):
+    """Recursive and closed forms disagree by something other than a sign."""
 
 
 class NotProportional(ArithmeticError):
@@ -439,3 +454,30 @@ def structure_constant(indices: Sequence[GenIndex]) -> Term:
         return Term.zero()
     s = sum(idx)
     return Term(mod_to_scalar(coeff.exact_div(generator_multiplier(s))), s)
+
+
+def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
+    """Sign of the closed form at arity n, read off the defining recursion.
+
+    The quotient of the recursively evaluated structure constant on one
+    witness tuple (default 0, ..., n-1) by the sign-free closed form must be
+    +1 or -1; anything else would mean the determinant formula does not
+    reproduce the recursion.  Checks compare the result with
+    :func:`pqvw.algebra.sign_of`.
+    """
+    if n < 3:
+        raise BadArity(f"sign is defined for n >= 3, got {n}")
+    key = tuple(witness) if witness is not None else tuple(range(n))
+    if len(key) != n or len(set(key)) != n:
+        raise ValueError("witness must consist of n distinct indices")
+    base = _signfree_closed_coeff(key)
+    if base.is_zero:
+        raise InconsistentSign(f"degenerate witness {key}: closed form vanishes")
+    ratio = structure_constant(key).coeff.exact_div(base)
+    if ratio == SCALAR_ONE:
+        return 1
+    if ratio == -SCALAR_ONE:
+        return -1
+    raise InconsistentSign(
+        f"recursive/closed ratio at {key} is {ratio.canonical()}, not +-1"
+    )

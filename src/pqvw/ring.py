@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Mapping
+from typing import Callable, ClassVar, Mapping, TypeVar
 
 Rat = Fraction
 
@@ -573,17 +573,32 @@ def q_number(x: int) -> UniScalar:
     return UniScalar(num, 1)
 
 
-def specialize_pq(a: Scalar) -> UniScalar:
-    """Substitute p := q; the localization divisor becomes (q - q^-1)."""
+_L = TypeVar("_L", bound=Localized)
+
+
+def _substitute(
+    c: Localized, target: type[_L], key: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> _L:
+    """Map every exponent of c's numerator through key into target's ring.
+
+    Coefficients of colliding images are summed and zero sums dropped; the
+    target's constructor then normalizes, since a non-injective map can
+    create new divisor factors.
+    """
     d: dict[tuple[int, ...], Coeff] = {}
-    for (i, j), c in a.num.terms.items():
-        k = (i + j,)
-        nc = d.get(k, 0) + c
+    for e, v in c.num.terms.items():
+        k = key(e)
+        nc = d.get(k, 0) + v
         if nc:
             d[k] = _cnorm(nc)
         else:
             del d[k]
-    return UniScalar(UPoly._raw(d), a.e)
+    return target(target.POLY._raw(d), c.e)
+
+
+def specialize_pq(a: Scalar) -> UniScalar:
+    """Substitute p := q; the localization divisor becomes (q - q^-1)."""
+    return _substitute(a, UniScalar, lambda e: (e[0] + e[1],))
 
 
 def classical_value(u: UniScalar) -> Fraction:
@@ -611,15 +626,7 @@ def mod_shift(c: ModScalar, m: int) -> ModScalar:
 
 def mod_at_level(c: ModScalar, level: int) -> Scalar:
     """Evaluate at a concrete level: P -> p^level, Q -> q^level."""
-    d: dict[tuple[int, ...], Coeff] = {}
-    for (a, b, i, j), v in c.num.terms.items():
-        k = (a + i * level, b + j * level)
-        nc = d.get(k, 0) + v
-        if nc:
-            d[k] = _cnorm(nc)
-        else:
-            del d[k]
-    return Scalar(LPoly._raw(d), c.e)
+    return _substitute(c, Scalar, lambda e: (e[0] + e[2] * level, e[1] + e[3] * level))
 
 
 def mod_from_scalar(s: Scalar) -> ModScalar:
@@ -640,12 +647,4 @@ def mod_to_scalar(c: ModScalar) -> Scalar:
 
 def qmod_from_mod(c: ModScalar) -> QModScalar:
     """Substitute p := q (and hence P := Q) in a four-variable coefficient."""
-    d: dict[tuple[int, ...], Coeff] = {}
-    for (a, b, i, j), v in c.num.terms.items():
-        k = (a + b, i + j)
-        nc = d.get(k, 0) + v
-        if nc:
-            d[k] = _cnorm(nc)
-        else:
-            del d[k]
-    return QModScalar(QMPoly._raw(d), c.e)
+    return _substitute(c, QModScalar, lambda e: (e[0] + e[1], e[2] + e[3]))

@@ -113,13 +113,14 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
 
     for n in cfg.get("closed_arities", (4, 5)):
         witnesses = [tuple(range(n)), tuple(range(-n + 1, 1)), tuple(range(-1, n - 1))]
-        signs = {algebra.derive_sign(n, w) for w in witnesses}
+        signs = {oracle.derive_sign(n, w) for w in witnesses}
+        ok = signs == {algebra.sign_of(n)}
         out.append(
             result(
                 f"sign-consistency-n{n}",
                 {"witnesses": len(witnesses)},
-                "0" if len(signs) == 1 else str(sorted(signs)),
-                len(signs) == 1,
+                "0" if ok else str(sorted(signs)),
+                ok,
             )
         )
     return out

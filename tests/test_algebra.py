@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -12,15 +15,16 @@ from pqvw.algebra import (
     bracket3_closed,
     bracket_coeff,
     bracketn_closed,
-    derive_sign,
-    known_signs,
     nested_coeff,
     recursion_weights,
     sign_of,
     sort_with_sign,
     vandermonde_det,
 )
+from pqvw.oracle import derive_sign
 from pqvw.ring import LPoly, NotDivisible, Scalar, classical_value, q_number, specialize_pq
+
+PKG_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 Q = LPoly.monomial(0, 1)
 PINV = LPoly.monomial(-1, 0)
@@ -159,11 +163,11 @@ class TestRecursionWeights:
 
 
 class TestSignTable:
-    def test_frozen_values(self):
-        assert derive_sign(3) == -1
-        assert derive_sign(4) == 1
-        assert derive_sign(5) == 1
-        assert derive_sign(6) == -1
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_recursion_matches_formula(self, n):
+        # the defining recursion fixes the closed form's sign at every arity
+        # the command line accepts
+        assert derive_sign(n) == sign_of(n) == (-1) ** (n * (n - 1) // 2)
 
     def test_witness_independence(self):
         for witness in [(0, 1, 2, 3), (-2, -1, 1, 2), (-1, 0, 2, 3)]:
@@ -175,10 +179,31 @@ class TestSignTable:
         with pytest.raises(ValueError):
             derive_sign(4, (0, 0, 1, 2))
 
-    def test_table_snapshot(self):
-        sign_of(4)
-        assert known_signs()[3] == -1
-        assert known_signs()[4] == 1
+
+class TestIndependentOfOracle:
+    def test_closed_form_never_consults_the_oracle(self):
+        # a fresh process, so no cache filled by other tests can hide a call
+        script = """
+from pqvw import algebra, oracle, subalgebra
+
+def refuse(*args):
+    raise AssertionError("the closed form consulted the oracle")
+
+oracle.structure_constant = refuse
+oracle._act = refuse
+for n in range(3, 11):
+    assert not algebra.bracketn_closed(range(n)).is_zero
+for n in range(3, 7):
+    subalgebra.canonical_coeff(n)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(PKG_ROOT), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBracketN:
@@ -240,7 +265,6 @@ class TestClosedFormDivisibilityGuard:
             # the n = 4 determinant has three factors; adding D^2 leaves two
             return real(indices, rows) + Scalar.DIVISOR**2
 
-        sign_of(4)  # calibrate first, so only the closed form sees the bad determinant
         monkeypatch.setattr(algebra, "vandermonde_det", short)
         with pytest.raises(NotDivisible):
             bracketn_closed((0, 1, 2, 3))

@@ -132,8 +132,8 @@ class TestBlackBox:
             assert proc.returncode == 2, args
             assert message in proc.stderr
         # an oracle-check window too narrow for n distinct indices and an arity
-        # beyond the calibrated range are usage errors, not an empty pass or a
-        # run of minutes
+        # beyond the range where the closed form's sign is verified are usage
+        # errors, not an empty pass or an unchecked answer
         for args, message in (
             (("oracle-check", "--n", "6", "--window", "2"), "--window >= 3"),
             (("oracle-check", "--n", "4", "--window", "1"), "--window >= 2"),
@@ -143,8 +143,8 @@ class TestBlackBox:
             proc = invoke(*args)
             assert proc.returncode == 2, args
             assert message in proc.stderr
-        # every command that takes --n refuses arities beyond the calibrated
-        # range, before it calibrates anything
+        # every command that takes --n refuses arities beyond the verified
+        # range, before it evaluates anything
         for args in (
             ("subalgebra", "canonical", "--n", "12"),
             ("subalgebra", "search", "--n", "11", "--window", "6"),

@@ -4,7 +4,9 @@ Each case runs one pqvw invocation in this process, in both output formats,
 and compares stdout and the exit code with the report committed under
 tests/data/golden (named <case>.json and <case>.txt).  The committed files
 were captured from `python -m pqvw` before the result records and the
-command table were unified, so any drift in a report's bytes fails here.
+command table were unified, and the n = 8 and n = 10 brackets before the
+closed form's sign became a formula instead of a calibrated table, so any
+drift in a report's bytes fails here.
 """
 from pathlib import Path
 
@@ -18,6 +20,8 @@ CASES = {
     "verify-all-smoke": (["verify", "all", "--level", "smoke"], 0),
     "bracket-n2": (["bracket", "--n", "2", "--indices", "3,1"], 0),
     "bracket-n4": (["bracket", "--n", "4", "--indices", "-2,0,1,3"], 0),
+    "bracket-n8": (["bracket", "--n", "8", "--indices", "-3,-2,-1,0,1,2,3,4"], 0),
+    "bracket-n10": (["bracket", "--n", "10", "--indices", "-4,-3,-2,-1,0,1,2,3,4,5"], 0),
     "oracle-check-n4": (["oracle-check", "--n", "4", "--window", "2"], 0),
     "verify-skew": (["verify", "skew", "--n", "3", "--window", "1"], 0),
     "verify-sh-jacobi-window": (["verify", "sh-jacobi", "--n", "3", "--window", "1"], 0),
