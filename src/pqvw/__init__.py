@@ -16,6 +16,7 @@ residual identically zero, a failing one ships its nonzero residual.
 __version__ = "0.1.0"
 
 from .ring import (
+    ExponentOverflow,
     LPoly,
     ModScalar,
     NotDivisible,

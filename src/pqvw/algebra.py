@@ -18,6 +18,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ring import (
+    EXP_MAX,
+    ExponentOverflow,
     LPoly,
     NotDivisible,
     SCALAR_ZERO,
@@ -178,29 +180,33 @@ def vandermonde_det(
         rows = [(t - off, t) for t in range(n)]
     elif len(rows) != n:
         raise ValueError(f"a square determinant needs {n} rows, got {len(rows)}")
-    # column set (bit mask) -> minor on the rows expanded so far
-    minors: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    # every exponent of every minor is a sum of row exponent times index
+    bound = sum(max(abs(ra), abs(rb)) for ra, rb in rows) * max(map(abs, indices))
+    if bound > EXP_MAX:
+        raise ExponentOverflow(bound)
+    # column set (bit mask) -> minor on the rows expanded so far, keyed by
+    # packed monomial
+    minors: dict[int, dict[int, int]] = {0: {0: 1}}
     for ra, rb in rows:
-        grown: dict[int, dict[tuple[int, int], int]] = {}
+        shifts = [LPoly.pack((ra * i, rb * i)) for i in indices]
+        grown: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
-            for j, i in enumerate(indices):
+            for j, shift in enumerate(shifts):
                 if cols >> j & 1:
                     continue
                 # the new row is the last row of the minor, so column j's
                 # cofactor sign counts the chosen columns to its right
                 sgn = -1 if (cols >> j).bit_count() & 1 else 1
-                da = ra * i
-                db = rb * i
                 acc = grown.setdefault(cols | 1 << j, {})
-                for (a, b), c in minor.items():
-                    key = (a + da, b + db)
+                for key, c in minor.items():
+                    key += shift
                     v = acc.get(key, 0) + sgn * c
                     if v:
                         acc[key] = v
                     else:
                         del acc[key]
         minors = {cols: m for cols, m in grown.items() if m}
-    return LPoly._raw(minors.get((1 << n) - 1, {}))
+    return LPoly._raw(minors.get((1 << n) - 1, {}), bound)
 
 
 def _divide_closed(num: LPoly, k: int) -> Scalar:

@@ -3,7 +3,8 @@
 Each command maps, through the `COMMANDS` table, to a builder that returns
 its result records (built by `suite.result`), so every command reports in
 the same shape.  Exit codes: 0 when every check passes, 1 when any check
-fails (the exact residual is printed), 2 on usage errors.  JSON reports are
+fails (the exact residual is printed), 2 on usage errors, among them indices
+so large that an exponent leaves the ring's packed range.  JSON reports are
 byte-identical for identical configurations (including seed); wall time is
 therefore reported on stderr only.  `--jobs` is accepted and has no effect.
 """
@@ -20,7 +21,7 @@ from itertools import permutations, product
 from typing import Callable, Sequence
 
 from . import __version__, algebra, identities, subalgebra, suite
-from .ring import PoleAtOne, classical_value, specialize_pq
+from .ring import ExponentOverflow, PoleAtOne, classical_value, specialize_pq
 
 
 # Largest arity any command accepts: the closed form's sign formula
@@ -429,7 +430,12 @@ def emit(report: SuiteReport, cfg: RunConfig) -> None:
 
 def main(argv: Sequence[str] | None = None) -> None:
     cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
-    report, code = run(cfg)
+    try:
+        report, code = run(cfg)
+    except ExponentOverflow as exc:
+        # indices so large that an exponent leaves the packed range
+        print(f"pqvw: error: {exc}", file=sys.stderr)
+        sys.exit(2)
     emit(report, cfg)
     sys.exit(code)
 

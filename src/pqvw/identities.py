@@ -39,8 +39,8 @@ from .ring import (
     SCALAR_ZERO,
     Scalar,
     UniScalar,
-    UPoly,
     qmod_from_mod,
+    qmod_to_uni,
 )
 
 __all__ = [
@@ -261,13 +261,10 @@ def q_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> UniScalar:
     action = QModScalar(
         QMPoly({(shift, 0): 1}) - QMPoly({(shift, 2): 1}), 1
     )
-    quotient = spec.exact_div(action)
-    out: dict[tuple[int], int] = {}
-    for (b, j), cval in quotient.num.terms.items():
-        if j:
-            raise ArithmeticError("residual depends on the symbolic level")
-        out[(b,)] = cval
-    return UniScalar._raw(UPoly._raw(out), quotient.e)
+    try:
+        return qmod_to_uni(spec.exact_div(action))
+    except ValueError:
+        raise ArithmeticError("residual depends on the symbolic level") from None
 
 
 def _window_range(window: tuple[int, int]) -> range:

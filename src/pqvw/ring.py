@@ -15,12 +15,28 @@ integral, ``fractions.Fraction`` otherwise (the two hash and compare equal,
 so canonical forms are unaffected).  Floating point never appears.  All
 values are immutable after construction, so they are safe to share across
 threads and processes.
+
+Each monomial is stored as one int: its exponents are packed Kronecker
+style into balanced digits of ``DIGIT_BITS`` bits, the first variable most
+significant.  Packing is linear, so a product of monomials is a sum of
+keys, and int order equals lexicographic order of the exponent tuples.
+Every exponent must satisfy ``|e| <= EXP_MAX``; the digits are wider than
+that, so differences of two keys and the class keys of the synthetic
+division below still decode without aliasing.  Every value carries an
+upper bound on its exponents, and an operation whose bound would leave the
+range raises ``ExponentOverflow`` before it builds a key.
+
+Division by a binomial c * x^u * (x^s - 1), which covers every localization
+divisor and every action coefficient the oracle divides by, is one
+synthetic division over the classes of terms along s.  Only other
+divisors, such as a closed-form determinant, use long division.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, ClassVar, Mapping, TypeVar
+from typing import Callable, ClassVar, Iterator, TypeVar
 
 Rat = Fraction
 
@@ -30,6 +46,9 @@ __all__ = [
     "Rat",
     "NotDivisible",
     "PoleAtOne",
+    "ExponentOverflow",
+    "DIGIT_BITS",
+    "EXP_MAX",
     "Poly",
     "LPoly",
     "UPoly",
@@ -51,7 +70,17 @@ __all__ = [
     "mod_from_scalar",
     "mod_to_scalar",
     "qmod_from_mod",
+    "qmod_to_uni",
 ]
+
+DIGIT_BITS = 32
+# a quarter of the digit's balanced range: differences of exponents (long
+# division) and the class keys of the synthetic division (at most six times
+# an exponent) stay inside one digit
+EXP_MAX = (1 << (DIGIT_BITS - 3)) - 1
+_BASE = 1 << DIGIT_BITS
+_HALF = _BASE >> 1
+_MASK = _BASE - 1
 
 
 class NotDivisible(ArithmeticError):
@@ -60,6 +89,22 @@ class NotDivisible(ArithmeticError):
 
 class PoleAtOne(ArithmeticError):
     """The q -> 1 limit of a localized value does not exist."""
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent would leave the supported range |e| <= EXP_MAX."""
+
+    def __init__(self, bound: int):
+        super().__init__(
+            f"exponents up to {bound} in absolute value leave the supported "
+            f"range |e| <= {EXP_MAX}"
+        )
+
+
+def _checked(bound: int) -> int:
+    if bound > EXP_MAX:
+        raise ExponentOverflow(bound)
+    return bound
 
 
 def _cnorm(c: Coeff) -> Coeff:
@@ -77,46 +122,109 @@ def _cdiv(a: Coeff, b: Coeff) -> Coeff:
     return _cnorm(Fraction(a) / Fraction(b))
 
 
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Poly"):
+        self._poly = poly
+
+    def __getitem__(self, exps) -> Coeff:
+        try:
+            return self._poly._terms[self._poly.pack(exps)]
+        except (ValueError, ExponentOverflow):
+            raise KeyError(exps) from None
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(self._poly.unpack, self._poly._terms)
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class Poly:
     """Sparse Laurent polynomial with a fixed variable tuple per subclass.
 
-    Terms map an exponent tuple to a nonzero rational coefficient.  The
-    canonical text form lists terms in lexicographic exponent order.
+    ``_terms`` maps a packed monomial key (see the module docstring) to a
+    nonzero rational coefficient, and ``_bound`` bounds the absolute value
+    of every exponent.  ``terms`` is a read-only view keyed by exponent
+    tuples, decoded on access, and the public constructors take exponent
+    tuples.  The canonical text form lists terms in lexicographic exponent
+    order, which is the order of the keys.
     """
 
     VARS: ClassVar[tuple[str, ...]] = ()
-    __slots__ = ("terms", "_hash")
+    _BIAS: ClassVar[int] = 0  # HALF in every digit: makes every digit nonnegative
+    _SHIFTS: ClassVar[tuple[int, ...]] = ()
+    _FORMAT: ClassVar[str] = ""  # one term of the canonical form
+    __slots__ = ("_terms", "_bound", "_hash")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        width = len(cls.VARS)
+        cls._SHIFTS = tuple(DIGIT_BITS * (width - 1 - i) for i in range(width))
+        cls._BIAS = sum(_HALF << s for s in cls._SHIFTS)
+        cls._FORMAT = "*".join(["{}"] + [f"{v}^{{}}" for v in cls.VARS])
 
     def __init__(self, terms: Mapping[tuple[int, ...], Coeff] | None = None):
-        width = len(self.VARS)
-        d: dict[tuple[int, ...], Coeff] = {}
+        d: dict[int, Coeff] = {}
+        bound = 0
+        pack = self.pack
         if terms:
             for exps, c in terms.items():
-                e = tuple(exps)
-                if len(e) != width:
-                    raise ValueError(f"expected {width} exponents, got {e!r}")
+                key = pack(exps)
+                bound = max(bound, max(exps), -min(exps))
                 c = _cnorm(c)
                 if c:
-                    d[e] = c
-        self.terms = d
+                    d[key] = c
+        self._terms = d
+        self._bound = bound
         self._hash = None
 
     @classmethod
-    def _raw(cls, d: dict[tuple[int, ...], Coeff]) -> "Poly":
-        # internal: d must already be normalized (no zeros, right width)
+    def pack(cls, exps) -> int:
+        """The key of the monomial with these exponents."""
+        if len(exps) != len(cls.VARS):
+            raise ValueError(f"expected {len(cls.VARS)} exponents, got {tuple(exps)!r}")
+        key = 0
+        for x in exps:
+            if not -EXP_MAX <= x <= EXP_MAX:
+                raise ExponentOverflow(abs(x))
+            key = (key << DIGIT_BITS) + x
+        return key
+
+    @classmethod
+    def unpack(cls, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key (or of a difference of two keys)."""
+        k = key + cls._BIAS
+        return tuple([((k >> s) & _MASK) - _HALF for s in cls._SHIFTS])
+
+    @classmethod
+    def _raw(cls, d: dict[int, Coeff], bound: int) -> "Poly":
+        # internal: d must already be normalized (no zeros, keys in range)
+        # and bound must bound its exponents
         self = object.__new__(cls)
-        self.terms = d
+        self._terms = d
+        self._bound = bound
         self._hash = None
         return self
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Coeff]:
+        return _Terms(self)
+
     @classmethod
     def zero(cls):
-        return cls._raw({})
+        return cls._raw({}, 0)
 
     @classmethod
     def const(cls, c: Coeff):
         c = _cnorm(c)
-        return cls._raw({(0,) * len(cls.VARS): c} if c else {})
+        return cls._raw({0: c} if c else {}, 0)
 
     @classmethod
     def one(cls):
@@ -124,95 +232,114 @@ class Poly:
 
     @classmethod
     def monomial(cls, *exps: int, coeff: Coeff = 1):
-        if len(exps) != len(cls.VARS):
-            raise ValueError(f"expected {len(cls.VARS)} exponents")
+        key = cls.pack(exps)
         coeff = _cnorm(coeff)
-        return cls._raw({tuple(exps): coeff} if coeff else {})
+        bound = max(max(exps), -min(exps)) if exps else 0
+        return cls._raw({key: coeff} if coeff else {}, bound)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return type(other) is type(self) and self.terms == other.terms
+            return type(other) is type(self) and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == type(self).const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((type(self).__name__, tuple(sorted(self.terms.items()))))
+            self._hash = hash((type(self).__name__, tuple(sorted(self._terms.items()))))
         return self._hash
 
     def __neg__(self):
-        return type(self)._raw({e: -c for e, c in self.terms.items()})
+        return type(self)._raw({k: -c for k, c in self._terms.items()}, self._bound)
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        d = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = d.get(e, 0) + c
-            if nc:
-                d[e] = _cnorm(nc)
+        d = dict(self._terms)
+        for k, c in other._terms.items():
+            nc = d.get(k, 0) + c
+            if not nc:
+                del d[k]
+            elif type(nc) is int:
+                d[k] = nc
             else:
-                del d[e]
-        return type(self)._raw(d)
+                d[k] = _cnorm(nc)
+        return type(self)._raw(d, max(self._bound, other._bound))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        d = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = d.get(e, 0) - c
-            if nc:
-                d[e] = _cnorm(nc)
+        d = dict(self._terms)
+        for k, c in other._terms.items():
+            nc = d.get(k, 0) - c
+            if not nc:
+                del d[k]
+            elif type(nc) is int:
+                d[k] = nc
             else:
-                del d[e]
-        return type(self)._raw(d)
+                d[k] = _cnorm(nc)
+        return type(self)._raw(d, max(self._bound, other._bound))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if type(other) is not type(self):
+        cls = type(self)
+        if type(other) is not cls:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        a, b = self.terms, other.terms
+        bound = _checked(self._bound + other._bound)
+        a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        d: dict[tuple[int, ...], Coeff] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                nc = d.get(e, 0) + ca * cb
-                if nc:
-                    d[e] = _cnorm(nc)
-                else:
-                    del d[e]
-        return type(self)._raw(d)
+        if len(a) == 1:
+            # a monomial only shifts the keys: no two products collide
+            ((ka, ca),) = a.items()
+            if ca == 1:
+                d = {ka + kb: cb for kb, cb in b.items()}
+            else:
+                d = {ka + kb: _cnorm(ca * cb) for kb, cb in b.items()}
+        else:
+            d = {}
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    k = ka + kb
+                    nc = d.get(k, 0) + ca * cb
+                    if not nc:
+                        del d[k]
+                    elif type(nc) is int:
+                        d[k] = nc
+                    else:
+                        d[k] = _cnorm(nc)
+        return cls._raw(d, bound)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff):
         c = _cnorm(c)
         if not c:
-            return type(self)._raw({})
+            return type(self)._raw({}, 0)
         if c == 1:
             return self
-        return type(self)._raw({e: _cnorm(v * c) for e, v in self.terms.items()})
+        return type(self)._raw(
+            {k: _cnorm(v * c) for k, v in self._terms.items()}, self._bound
+        )
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if len(self.terms) == 1:
+        if len(self._terms) == 1:
             # monomials are units: any integer power is exact (int ** negative
             # would drift into float, so negative powers go through Fraction)
-            (e, c), = self.terms.items()
+            (key, c), = self._terms.items()
+            bound = _checked(self._bound * abs(k))
             coeff = Fraction(c) ** k if k < 0 else c**k
-            return type(self)._raw({tuple(x * k for x in e): _cnorm(coeff)})
+            return type(self)._raw({key * k: _cnorm(coeff)}, bound)
         if k < 0:
             raise ValueError("negative power of a non-monomial Laurent polynomial")
         result = type(self).one()
@@ -225,60 +352,160 @@ class Poly:
         return result
 
     def exact_div(self, d: "Poly") -> "Poly":
-        """Exact quotient self / d; raises NotDivisible if none exists."""
+        """Exact quotient self / d; raises NotDivisible if none exists.
+
+        A monomial divisor shifts the keys, a binomial c * x^u * (x^s - 1)
+        goes through ``_divide_binomial``, and every other divisor through
+        long division.
+        """
         if type(d) is not type(self):
             raise TypeError("mismatched rings")
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
-            return type(self)._raw({})
-        if len(d.terms) == 1:
-            (de, dc), = d.terms.items()
+            return type(self)._raw({}, 0)
+        if len(d._terms) == 1:
+            (dk, dc), = d._terms.items()
+            bound = _checked(self._bound + d._bound)
             return type(self)._raw(
-                {tuple(x - y for x, y in zip(e, de)): _cdiv(c, dc) for e, c in self.terms.items()}
+                {k - dk: _cdiv(c, dc) for k, c in self._terms.items()}, bound
             )
-        # shift both operands into the ordinary polynomial ring; Laurent
-        # divisibility is equivalent to polynomial divisibility of the
-        # shifted representatives (per-variable valuations are additive)
-        width = len(self.VARS)
-        amin = tuple(min(e[i] for e in self.terms) for i in range(width))
-        dmin = tuple(min(e[i] for e in d.terms) for i in range(width))
-        rem = {tuple(x - y for x, y in zip(e, amin)): c for e, c in self.terms.items()}
-        dd = {tuple(x - y for x, y in zip(e, dmin)): c for e, c in d.terms.items()}
-        dlead = max(dd)
-        dlc = dd[dlead]
-        quo: dict[tuple[int, ...], Coeff] = {}
+        if len(d._terms) == 2:
+            (k1, c1), (k0, c0) = d._terms.items()
+            if c0 == -c1:
+                # d = c1 x^k0 (x^(k1 - k0) - 1)
+                bound = _checked(self._bound + d._bound)
+                quo, removed = self._divide_binomial(self._terms, k0, k1 - k0, 1, c1)
+                if not removed:
+                    raise NotDivisible(f"{d.canonical()} does not divide {self.canonical()}")
+                return type(self)._raw(quo, bound)
+        return self._long_div(d)
+
+    @classmethod
+    def _divide_binomial(
+        cls, terms: dict[int, Coeff], unit: int, step: int, k: int, lead: Coeff = 1
+    ) -> tuple[dict[int, Coeff], int]:
+        """Divide terms by lead * x^unit * (x^step - 1), at most k times.
+
+        Returns (quotient terms, factors removed); with none removed the
+        terms come back as they are.  The terms fall into classes along
+        step, x^key * y^t with y = x^step and the position t read off the
+        exponent with the largest step entry.  Dividing a class by (y - 1)
+        leaves at position t the negated sum of the class's coefficients up
+        to t, gaps included, and is exact precisely when the whole class
+        sums to zero.  The unit and lead are divided out at the end.
+        """
+        # the divisor vanishes where every variable is 1, so a factor needs
+        # a zero coefficient sum; a monomial is a unit
+        if len(terms) == 1 or sum(terms.values()):
+            return terms, 0
+        shift, sa = cls._axis(step)
+        bias = cls._BIAS
+        classes: dict[int, list[tuple[int, Coeff]]] = {}
+        for key, c in terms.items():
+            t = ((((key + bias) >> shift) & _MASK) - _HALF) // sa
+            cl = classes.get(key - t * step)
+            if cl is None:
+                classes[key - t * step] = [(t, c)]
+            else:
+                cl.append((t, c))
+        for cl in classes.values():
+            cl.sort()
+        removed = 0
+        while removed < k:
+            divided: dict[int, list[tuple[int, Coeff]]] = {}
+            for ck, cl in classes.items():
+                quo: list[tuple[int, Coeff]] = []
+                run: Coeff = 0
+                last = cl[0][0]
+                for t, c in cl:
+                    # the quotient holds run from the previous term up to t
+                    if run:
+                        if t - last == 1:
+                            quo.append((last, run))
+                        else:
+                            quo += [(x, run) for x in range(last, t)]
+                    run -= c
+                    if type(run) is not int:
+                        run = _cnorm(run)
+                    last = t
+                if run:
+                    break
+                divided[ck] = quo
+            else:
+                classes = divided
+                removed += 1
+                continue
+            break
+        if not removed:
+            return terms, 0
+        lead = lead**removed
+        out: dict[int, Coeff] = {}
+        for ck, cl in classes.items():
+            base = ck - removed * unit
+            for t, c in cl:
+                out[base + t * step] = c if lead == 1 else _cdiv(c, lead)
+        return out, removed
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _axis(cls, step: int) -> tuple[int, int]:
+        # the digit of step with the largest entry: its shift and its entry
+        s = cls.unpack(step)
+        axis = max(range(len(s)), key=lambda i: abs(s[i]))
+        return cls._SHIFTS[axis], s[axis]
+
+    def _long_div(self, d: "Poly") -> "Poly":
+        """Quotient by any divisor, by long division.
+
+        Lexicographic order is compatible with multiplication, so each step
+        divides the leading term of the remainder by that of d.  An exact
+        quotient has, per variable, the exponent range of self minus that
+        of d; a quotient term outside that box proves there is none, and
+        the box keeps every remainder inside the range of self.
+        """
+        lo_a, hi_a = self._exponent_box()
+        lo_d, hi_d = d._exponent_box()
+        lo = [x - y for x, y in zip(lo_a, lo_d)]
+        hi = [x - y for x, y in zip(hi_a, hi_d)]
+        bound = _checked(max(map(abs, lo + hi)))
+        unpack = self.unpack
+        dterms = d._terms
+        dlead = max(dterms)
+        dlc = dterms[dlead]
+        rem = dict(self._terms)
+        quo: dict[int, Coeff] = {}
         while rem:
             rlead = max(rem)
-            diff = tuple(x - y for x, y in zip(rlead, dlead))
-            if any(x < 0 for x in diff):
+            diff = rlead - dlead
+            if any(not a <= x <= b for x, a, b in zip(unpack(diff), lo, hi)):
                 raise NotDivisible(f"{d.canonical()} does not divide {self.canonical()}")
             t = _cdiv(rem[rlead], dlc)
             quo[diff] = t
-            for de, dc in dd.items():
-                e = tuple(x + y for x, y in zip(diff, de))
-                nc = rem.get(e, 0) - t * dc
+            for dk, dc in dterms.items():
+                k = diff + dk
+                nc = rem.get(k, 0) - t * dc
                 if nc:
-                    rem[e] = _cnorm(nc)
+                    rem[k] = _cnorm(nc)
                 else:
-                    rem.pop(e, None)
-        off = tuple(x - y for x, y in zip(amin, dmin))
-        return type(self)._raw({tuple(x + y for x, y in zip(e, off)): c for e, c in quo.items()})
+                    rem.pop(k, None)
+        return type(self)._raw(quo, bound)
+
+    def _exponent_box(self) -> tuple[list[int], list[int]]:
+        # per-variable least and greatest exponent over the terms
+        exps = list(zip(*map(self.unpack, self._terms)))
+        return [min(e) for e in exps], [max(e) for e in exps]
 
     def value_at_one(self) -> Fraction:
         """Evaluate with every variable set to 1."""
-        return Fraction(sum(self.terms.values()))
+        return Fraction(sum(self._terms.values()))
 
     def canonical(self) -> str:
         """Deterministic text form: terms in lexicographic exponent order."""
-        if not self.terms:
+        if not self._terms:
             return "0"
-        parts = []
-        for e in sorted(self.terms):
-            factors = [str(self.terms[e])]
-            factors += [f"{v}^{k}" for v, k in zip(self.VARS, e)]
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        terms, unpack, fmt = self._terms, self.unpack, self._FORMAT
+        return " + ".join([fmt.format(terms[k], *unpack(k)) for k in sorted(terms)])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.canonical()})"
@@ -313,14 +540,19 @@ class Localized:
 
     Every divisor here is a unit monomial times (x^STEP - 1): a subclass
     declares the exponent tuples UNIT and STEP, and DIVISOR = x^UNIT *
-    (x^STEP - 1) is derived from them.  One synthetic division, ``_cancel``,
-    decides and performs every cancellation of divisor factors.
+    (x^STEP - 1) is derived from them.  One synthetic division,
+    ``Poly._divide_binomial`` on the packed keys of UNIT and STEP, decides
+    and performs every cancellation of divisor factors.  In every variable
+    one of x^UNIT and x^(UNIT + STEP) has exponent <= 0 and the other >= 0,
+    so a quotient by the divisor stays inside the numerator's exponent range
+    and keeps its bound.
 
     Stored as (num, e) meaning num / divisor^e, normalized once when the
     value is built: as many divisor factors as divide num, at most e, are
     cancelled.  Zero always has e = 0, so equality is plain structural
     equality.  A sum of many terms goes through ``sum``, which normalizes
-    the total once instead of every partial sum.
+    the total once instead of every partial sum, and a product with a
+    monomial numerator skips normalization where it cannot cancel.
     """
 
     POLY: ClassVar[type[Poly]]
@@ -328,12 +560,16 @@ class Localized:
     STEP: ClassVar[tuple[int, ...]]
     DIVISOR: ClassVar[Poly]
     DIV_LABEL: ClassVar[str]
+    _UNIT: ClassVar[int]
+    _STEP: ClassVar[int]
     __slots__ = ("num", "e")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         top = tuple(u + s for u, s in zip(cls.UNIT, cls.STEP))
-        cls.DIVISOR = cls.POLY._raw({top: 1, cls.UNIT: -1})
+        cls.DIVISOR = cls.POLY({top: 1, cls.UNIT: -1})
+        cls._UNIT = cls.POLY.pack(cls.UNIT)
+        cls._STEP = cls.POLY.pack(cls.STEP)
 
     def __init__(self, num, e: int = 0):
         if isinstance(num, (int, Fraction)):
@@ -353,46 +589,16 @@ class Localized:
         """Divide num by the divisor as often as it divides, at most k times.
 
         Returns (quotient, factors removed); zero counts as divisible k
-        times.  The terms of num fall into classes along STEP, x^key *
-        x^(t*STEP) for integer positions t.  Dividing a class by (x^STEP - 1)
-        leaves at position t the negated sum of the class's coefficients up
-        to t, gaps included, and is exact precisely when the whole class
-        sums to zero; num is divisible when every class is.  The unit
-        monomial is divided out at the end.
+        times.
         """
-        if not num.terms:
+        if not num._terms:
             return num, k
-        # the divisor vanishes where every variable is 1, so a factor needs
-        # a zero coefficient sum; a monomial is a unit
-        if not k or len(num.terms) == 1 or sum(num.terms.values()):
+        if not k:
             return num, 0
-        step = cls.STEP
-        axis = next(i for i, s in enumerate(step) if s)
-        classes: dict[tuple[int, ...], list[tuple[int, Coeff]]] = {}
-        for ex, c in num.terms.items():
-            t = ex[axis] // step[axis]
-            classes.setdefault(tuple([x - t * s for x, s in zip(ex, step)]), []).append((t, c))
-        for cl in classes.values():
-            cl.sort()
-        removed = 0
-        while removed < k and not any(sum(c for _, c in cl) for cl in classes.values()):
-            for key, cl in classes.items():
-                quo: list[tuple[int, Coeff]] = []
-                run: Coeff = 0
-                for (t0, c), (t1, _) in zip(cl, cl[1:]):
-                    run = _cnorm(run - c)
-                    if run:
-                        quo += [(t, run) for t in range(t0, t1)]
-                classes[key] = quo
-            removed += 1
+        terms, removed = num._divide_binomial(num._terms, cls._UNIT, cls._STEP, k)
         if not removed:
             return num, 0
-        terms = {}
-        for key, cl in classes.items():
-            base = [x - removed * u for x, u in zip(key, cls.UNIT)]
-            for t, c in cl:
-                terms[tuple([x + t * s for x, s in zip(base, step)])] = c
-        return cls.POLY._raw(terms), removed
+        return cls.POLY._raw(terms, num._bound), removed
 
     @classmethod
     def _raw(cls, num: Poly, e: int) -> "Localized":
@@ -417,10 +623,10 @@ class Localized:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num._terms
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.num._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Localized):
@@ -473,7 +679,12 @@ class Localized:
             return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.num * other.num, self.e + other.e)
+        num = self.num * other.num
+        # a normalized numerator over e > 0 has no divisor factor, and a
+        # monomial is a unit, so their product has none either
+        if (other.e and len(self.num._terms) == 1) or (self.e and len(other.num._terms) == 1):
+            return type(self)._raw(num, self.e + other.e)
+        return type(self)(num, self.e + other.e)
 
     __rmul__ = __mul__
 
@@ -497,11 +708,13 @@ class Localized:
             raise ZeroDivisionError("division by zero")
         if self.is_zero:
             return type(self).zero()
-        # strip divisor factors from the denominator's numerator (possible
-        # when other has e = 0), since the divisor is invertible here; a
-        # t-term polynomial vanishes to order at most t - 1 at a point off
-        # the coordinate axes, so len(terms) bounds the factors to strip
-        nb, j = self._cancel(other.num, len(other.num.terms))
+        # strip divisor factors from the denominator's numerator, since the
+        # divisor is invertible here; a normalized numerator over e > 0 has
+        # none, and a t-term polynomial vanishes to order at most t - 1 at a
+        # point off the coordinate axes, so len(terms) bounds the rest
+        nb, j = other.num, 0
+        if not other.e:
+            nb, j = self._cancel(other.num, len(other.num._terms))
         core = self.num.exact_div(nb)
         k = self.e + j - other.e
         if k >= 0:
@@ -576,29 +789,47 @@ def q_number(x: int) -> UniScalar:
 _L = TypeVar("_L", bound=Localized)
 
 
-def _substitute(
-    c: Localized, target: type[_L], key: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> _L:
-    """Map every exponent of c's numerator through key into target's ring.
+def _substitute(c: Localized, target: type[_L], key: Callable[[int], int], grow: int) -> _L:
+    """Map every key of c's numerator through key into target's ring.
 
-    Coefficients of colliding images are summed and zero sums dropped; the
-    target's constructor then normalizes, since a non-injective map can
-    create new divisor factors.
+    key is a linear substitution of exponents, so it works on the packed
+    key, and no image exponent exceeds grow times the largest exponent of
+    c.  Coefficients of colliding images are summed and zero sums dropped;
+    the target's constructor then normalizes, since a non-injective map
+    can create new divisor factors.
     """
-    d: dict[tuple[int, ...], Coeff] = {}
-    for e, v in c.num.terms.items():
-        k = key(e)
+    bound = _checked(c.num._bound * grow)
+    d: dict[int, Coeff] = {}
+    for k, v in c.num._terms.items():
+        k = key(k)
         nc = d.get(k, 0) + v
         if nc:
             d[k] = _cnorm(nc)
         else:
             del d[k]
-    return target(target.POLY._raw(d), c.e)
+    return target(target.POLY._raw(d, bound), c.e)
+
+
+# an MPoly key is the packed pair of its (p, q) digits above that of its
+# (P, Q) digits, each pair a * BASE + b
+_PAIR_BITS = 2 * DIGIT_BITS
+_PAIR_MASK = (1 << _PAIR_BITS) - 1
+_PAIR_BIAS = (_HALF << DIGIT_BITS) + _HALF
+
+
+def _split_pair(k: int) -> tuple[int, int]:
+    low = ((k + _PAIR_BIAS) & _PAIR_MASK) - _PAIR_BIAS
+    return (k - low) >> _PAIR_BITS, low
+
+
+def _pair_sum(k: int) -> int:
+    # a + b from the packed pair a * BASE + b
+    return k - ((k + _HALF) >> DIGIT_BITS) * (_BASE - 1)
 
 
 def specialize_pq(a: Scalar) -> UniScalar:
     """Substitute p := q; the localization divisor becomes (q - q^-1)."""
-    return _substitute(a, UniScalar, lambda e: (e[0] + e[1],))
+    return _substitute(a, UniScalar, _pair_sum, 2)
 
 
 def classical_value(u: UniScalar) -> Fraction:
@@ -616,35 +847,62 @@ def mod_shift(c: ModScalar, m: int) -> ModScalar:
     """Shift the symbolic level by m: substitute P -> P*p^m, Q -> Q*q^m."""
     if m == 0:
         return c
-    terms = {
-        (a + i * m, b + j * m, i, j): v for (a, b, i, j), v in c.num.terms.items()
-    }
+    # add m * (i, j) to the (p, q) digits for the level exponents (i, j)
+    terms = {}
+    level = 0
+    for k, v in c.num._terms.items():
+        ij = _split_pair(k)[1]
+        terms[k + (ij * m << _PAIR_BITS)] = v
+        i = (ij + _HALF) >> DIGIT_BITS
+        level = max(level, abs(i), abs(ij - (i << DIGIT_BITS)))
+    bound = _checked(c.num._bound + abs(m) * level)
     # the substitution is a ring automorphism fixing p and q, so it
     # preserves the normalization invariant
-    return ModScalar._raw(MPoly._raw(terms), c.e)
+    return ModScalar._raw(MPoly._raw(terms, bound), c.e)
 
 
 def mod_at_level(c: ModScalar, level: int) -> Scalar:
     """Evaluate at a concrete level: P -> p^level, Q -> q^level."""
-    return _substitute(c, Scalar, lambda e: (e[0] + e[2] * level, e[1] + e[3] * level))
+    def key(k: int) -> int:
+        pq, ij = _split_pair(k)
+        return pq + level * ij
+
+    return _substitute(c, Scalar, key, 1 + abs(level))
+
+
+def _drop_level(c: Localized, target: type[_L], digits: int) -> _L:
+    # the level variables are the low digits: zero there exactly when the
+    # key is a multiple of their base
+    bits = digits * DIGIT_BITS
+    low = (1 << bits) - 1
+    d: dict[int, Coeff] = {}
+    for k, v in c.num._terms.items():
+        if k & low:
+            raise ValueError("coefficient depends on the symbolic level")
+        d[k >> bits] = v
+    return target._raw(target.POLY._raw(d, c.num._bound), c.e)
 
 
 def mod_from_scalar(s: Scalar) -> ModScalar:
     """Embed a level-free coefficient into the four-variable ring."""
-    terms = {(a, b, 0, 0): v for (a, b), v in s.num.terms.items()}
-    return ModScalar._raw(MPoly._raw(terms), s.e)
+    terms = {k << _PAIR_BITS: v for k, v in s.num._terms.items()}
+    return ModScalar._raw(MPoly._raw(terms, s.num._bound), s.e)
 
 
 def mod_to_scalar(c: ModScalar) -> Scalar:
     """Project back to (p, q); raises ValueError if P or Q actually occurs."""
-    d: dict[tuple[int, ...], Coeff] = {}
-    for (a, b, i, j), v in c.num.terms.items():
-        if i or j:
-            raise ValueError("coefficient depends on the symbolic level")
-        d[(a, b)] = v
-    return Scalar._raw(LPoly._raw(d), c.e)
+    return _drop_level(c, Scalar, 2)
 
 
 def qmod_from_mod(c: ModScalar) -> QModScalar:
     """Substitute p := q (and hence P := Q) in a four-variable coefficient."""
-    return _substitute(c, QModScalar, lambda e: (e[0] + e[1], e[2] + e[3]))
+    def key(k: int) -> int:
+        pq, ij = _split_pair(k)
+        return (_pair_sum(pq) << DIGIT_BITS) + _pair_sum(ij)
+
+    return _substitute(c, QModScalar, key, 2)
+
+
+def qmod_to_uni(c: QModScalar) -> UniScalar:
+    """Project (q, Q) back to q; raises ValueError if Q actually occurs."""
+    return _drop_level(c, UniScalar, 1)

@@ -156,6 +156,12 @@ class TestBlackBox:
             proc = invoke(*args, timeout=60)
             assert proc.returncode == 2, args
             assert "n <= 10" in proc.stderr
+        # an index so large that an exponent leaves the ring's packed range is
+        # a usage error at once, not a long run ending in a MemoryError
+        proc = invoke("bracket", "--n", "3", "--indices", "0,1,10000000000", timeout=1)
+        assert proc.returncode == 2
+        assert "supported range |e| <= 536870911" in proc.stderr
+        assert "Traceback" not in proc.stderr
         # repeated or too few subalgebra indices are usage errors, not tracebacks
         for indices, message in (("0,0,1", "distinct indices"), ("0,1", "at least n = 3")):
             proc = invoke("subalgebra", "check", "--n", "3", "--indices", indices)

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqvw.ring import (
+    EXP_MAX,
+    ExponentOverflow,
     LPoly,
     MPoly,
     ModScalar,
     NotDivisible,
     PoleAtOne,
+    Poly,
     QModScalar,
+    QMPoly,
     Scalar,
     UniScalar,
     UPoly,
@@ -109,10 +113,11 @@ class TestExactDivision:
 
 def _cancel_by_division(cls, num, k):
     # reference: long division by the divisor, repeated while it goes through
+    # (exact_div itself would route the binomial divisor to _cancel's routine)
     removed = 0
     while removed < k:
         try:
-            num = num.exact_div(cls.DIVISOR)
+            num = num._long_div(cls.DIVISOR) if num else num
         except NotDivisible:
             break
         removed += 1
@@ -379,3 +384,188 @@ class TestModScalar:
         )  # Q - P^-1
         assert mod_at_level(nu, 0).is_zero
         assert mod_at_level(nu, 1) == Scalar(Q - PINV, 0)
+
+
+# ---- packed monomial keys against a tuple-keyed reference -------------------
+
+POLYS = (UPoly, LPoly, QMPoly, MPoly)  # one, two and four variables
+COEFFS = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def exps(width, lo=-EXP_MAX, hi=EXP_MAX):
+    return st.tuples(*[st.integers(lo, hi)] * width)
+
+
+def poly_terms(width, size=5):
+    # small exponents make products and divisions collide and cancel often
+    return st.dictionaries(exps(width, -4, 4), COEFFS, max_size=size).map(
+        lambda d: {e: c for e, c in d.items() if c}
+    )
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_div(a, d):
+    """Long division on exponent tuples; None when d does not divide a."""
+    if not a:
+        return {}
+    width = len(next(iter(d)))
+    amin = [min(e[i] for e in a) for i in range(width)]
+    dmin = [min(e[i] for e in d) for i in range(width)]
+    # shift into the polynomial ring, where lexicographic division terminates
+    rem = {tuple(x - y for x, y in zip(e, amin)): c for e, c in a.items()}
+    dd = {tuple(x - y for x, y in zip(e, dmin)): c for e, c in d.items()}
+    dlead = max(dd)
+    quo = {}
+    while rem:
+        rlead = max(rem)
+        diff = tuple(x - y for x, y in zip(rlead, dlead))
+        if min(diff) < 0:
+            return None
+        t = Fraction(rem[rlead]) / dd[dlead]
+        quo[diff] = t
+        for de, dc in dd.items():
+            e = tuple(x + y for x, y in zip(diff, de))
+            nc = rem.get(e, 0) - t * dc
+            if nc:
+                rem[e] = nc
+            else:
+                rem.pop(e, None)
+    return {tuple(x + y - z for x, y, z in zip(e, amin, dmin)): c for e, c in quo.items()}
+
+
+def _ref_cancel(num, unit, step, k):
+    divisor = {tuple(u + s for u, s in zip(unit, step)): 1, tuple(unit): -1}
+    if not num:
+        return {}, k
+    removed = 0
+    while removed < k:
+        quo = _ref_div(num, divisor)
+        if quo is None:
+            break
+        num, removed = quo, removed + 1
+    return num, removed
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("cls", POLYS, ids=lambda c: c.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_and_order(self, cls, data):
+        width = len(cls.VARS)
+        a, b = data.draw(exps(width)), data.draw(exps(width))
+        assert cls.unpack(cls.pack(a)) == a
+        assert (cls.pack(a) < cls.pack(b)) == (a < b)
+        # the difference of two keys decodes to the difference of exponents
+        assert cls.unpack(cls.pack(a) - cls.pack(b)) == tuple(x - y for x, y in zip(a, b))
+        assert cls({a: 3}).terms == {a: 3}
+
+    def test_canonical_order_with_negative_exponents(self):
+        poly = MPoly({(0, -1, 2, -3): 1, (-1, 5, 0, 0): 2, (0, -1, -2, 7): -1})
+        assert poly.canonical() == (
+            "2*p^-1*q^5*P^0*Q^0 + -1*p^0*q^-1*P^-2*Q^7 + 1*p^0*q^-1*P^2*Q^-3"
+        )
+
+    @pytest.mark.parametrize("cls", POLYS, ids=lambda c: c.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_arithmetic_matches_reference(self, cls, data):
+        width = len(cls.VARS)
+        a, b = data.draw(poly_terms(width)), data.draw(poly_terms(width))
+        pa, pb = cls(a), cls(b)
+        assert dict((pa * pb).terms) == _ref_mul(a, b)
+        assert dict((pa + pb).terms) == _ref_add(a, b)
+        assert dict((pa - pb).terms) == _ref_add(a, b, -1)
+
+    @pytest.mark.parametrize("cls", POLYS, ids=lambda c: c.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_exact_div_matches_reference(self, cls, data):
+        # monomial, binomial (synthetic division) and longer (long division)
+        # divisors, on multiples and on arbitrary dividends
+        width = len(cls.VARS)
+        d = data.draw(poly_terms(width, 3).filter(bool))
+        a, b = data.draw(poly_terms(width)), data.draw(poly_terms(width))
+        for num in (_ref_mul(a, d), b):
+            expected = _ref_div(num, d)
+            if expected is None:
+                with pytest.raises(NotDivisible):
+                    cls(num).exact_div(cls(d))
+            else:
+                assert dict(cls(num).exact_div(cls(d)).terms) == expected
+
+    @pytest.mark.parametrize("loc", (Scalar, UniScalar, ModScalar, QModScalar),
+                             ids=lambda c: c.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_cancel_matches_reference(self, loc, data):
+        width = len(loc.POLY.VARS)
+        divisor = {tuple(u + s for u, s in zip(loc.UNIT, loc.STEP)): 1, loc.UNIT: -1}
+        num = data.draw(poly_terms(width))
+        for _ in range(data.draw(st.integers(0, 3))):
+            num = _ref_mul(num, divisor)
+        k = data.draw(st.integers(0, 4))
+        quo, removed = loc._cancel(loc.POLY(num), k)
+        assert (dict(quo.terms), removed) == _ref_cancel(num, loc.UNIT, loc.STEP, k)
+
+
+@pytest.mark.parametrize("cls", POLYS, ids=lambda c: c.__name__)
+def test_exponent_overflow_at_the_digit_edge(cls):
+    width = len(cls.VARS)
+    for i in range(width):
+        for sign in (1, -1):
+            def mono(x):
+                e = [0] * width
+                e[i] = sign * x
+                return cls.monomial(*e)
+
+            assert mono(EXP_MAX - 1) * mono(1) == mono(EXP_MAX)
+            assert cls({tuple(mono(EXP_MAX).terms)[0]: 1}) == mono(EXP_MAX)
+            with pytest.raises(ExponentOverflow):
+                mono(EXP_MAX + 1)
+            with pytest.raises(ExponentOverflow):
+                cls({tuple(sign * (EXP_MAX + 1) if j == i else 0 for j in range(width)): 1})
+            with pytest.raises(ExponentOverflow):
+                mono(EXP_MAX) * mono(1)
+            with pytest.raises(ExponentOverflow):
+                mono(EXP_MAX // 2 + 1) ** 2
+    assert issubclass(ExponentOverflow, OverflowError)
+
+
+def test_binomial_divisors_never_reach_long_division(monkeypatch):
+    from pqvw import algebra, identities, oracle
+
+    class LongDivision(Exception):
+        pass
+
+    def stub(self, d):
+        raise LongDivision(d.canonical())
+
+    tuples = ((0, 1, 2), (-2, 0, 3), (-1, 0, 2, 3), (0, 1, 2, 3, 5))
+    jacobi = ((1, 2, 3), (-1, 0, 2), (2, 2, -3))
+    residuals = [identities.q_jacobi2_residual(*t) for t in jacobi]
+    monkeypatch.setattr(Poly, "_long_div", stub)
+    for idx in tuples:
+        closed = algebra.bracket(idx)
+        assert oracle.structure_constant(idx) == closed
+        assert oracle.extract_structure_constant(oracle.bracketn_def(idx)) == closed
+    assert [identities.q_jacobi2_residual(*t) for t in jacobi] == residuals
+    # the stub is live: a closed-form determinant is a divisor of many terms
+    with pytest.raises(LongDivision):
+        oracle.derive_sign(4)
