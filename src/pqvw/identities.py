@@ -12,6 +12,12 @@ evaluate each signature once, at its sorted tuple, and count the tuples it
 stands for by a multinomial; sampled and explicit tuple lists deduplicate
 by signature as they go.  Every distinct signature is still evaluated
 honestly, and the per-tuple entry points compute residuals directly.
+
+Within one shuffle-Jacobi residual, every surviving shuffle term is a sign
+times the cached product of a sorted inner and a sorted outer bracket, so
+like terms are collected per (inner, outer) signature pair as integer signs
+before any ring product: pairs whose signs cancel are never multiplied, and
+the residual is one sum normalised once.
 """
 from __future__ import annotations
 
@@ -21,11 +27,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .algebra import (
     GenIndex,
     Term,
+    _sorted_pair_coeff,
     bracket,
     bracket2,
     nested_coeff,
@@ -145,24 +153,48 @@ def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
     return IdentityReport(idx, "0", True)
 
 
+@lru_cache(maxsize=None)
+def _shuffle_slots(n: int) -> tuple[tuple[itemgetter, itemgetter, int], ...]:
+    # per shuffle: getters of its inner-block and rest indices (0-based
+    # slots) and its parity; a one-slot rest (n = 2) takes a slice, so every
+    # getter returns a tuple
+    out = []
+    for sh in shuffles(n):
+        rest = [i - 1 for i in sh.sigma[n:]]
+        rest_of = itemgetter(*rest) if len(rest) > 1 else itemgetter(slice(rest[0], rest[0] + 1))
+        out.append((itemgetter(*(i - 1 for i in sh.sigma[:n])), rest_of, sh.parity))
+    return tuple(out)
+
+
 def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
     """Signed shuffle sum of nested brackets on 2n-1 generators.
 
     All terms share the total index, so the residual is a single Scalar;
     the algebra is a shuffle-Jacobi n-algebra exactly when it vanishes.
+    A term vanishes when its inner bracket or its outer bracket
+    [[inner], rest] repeats an index; every other term is its shuffle's
+    parity times the sorting signs of both blocks times the cached product
+    of the sorted brackets.  Like terms are collected per (sorted inner,
+    sorted outer) pair as integer signs before any ring product, so only
+    pairs with a nonzero net sign are multiplied, and the residual is one
+    sum normalised once.
     """
     idx = tuple(indices)
     if len(idx) != 2 * n - 1:
         raise ValueError(f"need 2n-1 = {2 * n - 1} indices, got {len(idx)}")
-    total = SCALAR_ZERO
-    for sh in shuffles(n):
-        inner = tuple(idx[i - 1] for i in sh.sigma[:n])
-        rest = tuple(idx[i - 1] for i in sh.sigma[n:])
-        c = nested_coeff(inner, rest, 0)
-        if c.is_zero:
+    net: dict[tuple[tuple[GenIndex, ...], tuple[GenIndex, ...]], int] = {}
+    for inner_of, rest_of, parity in _shuffle_slots(n):
+        inner = inner_of(idx)
+        if len(set(inner)) != n:
             continue
-        total = total + (c if sh.parity > 0 else -c)
-    return total
+        outer = (sum(inner),) + rest_of(idx)
+        if len(set(outer)) != n:
+            continue
+        si, sgn_i = sort_with_sign(inner)
+        so, sgn_o = sort_with_sign(outer)
+        key = (si, so)
+        net[key] = net.get(key, 0) + parity * sgn_i * sgn_o
+    return Scalar.sum(_sorted_pair_coeff(si, so).scale(k) for (si, so), k in net.items() if k)
 
 
 def fi_residual(

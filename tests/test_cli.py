@@ -71,6 +71,24 @@ class TestParsing:
                 parse_args(argv)
             assert exc.value.code == 2, argv
 
+    def test_work_budgets(self):
+        # the largest sweeps inside each budget parse; the next step up is
+        # refused before anything is evaluated
+        for argv in (
+            ["verify", "sh-jacobi", "--n", "6", "--window", "2"],  # 630 630 terms
+            ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200000"],
+            ["verify", "skew", "--n", "5", "--window", "3"],  # 184 877 brackets
+        ):
+            assert parse_args(argv).n is not None
+        for argv in (
+            ["verify", "sh-jacobi", "--n", "7", "--window", "2"],  # 4 084 080 terms
+            ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200001"],
+            ["verify", "skew", "--n", "6", "--window", "3"],  # 1 882 384 brackets
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 2, argv
+
 
 class TestRun:
     def test_bracket_payload(self):
@@ -156,6 +174,18 @@ class TestBlackBox:
             proc = invoke(*args, timeout=60)
             assert proc.returncode == 2, args
             assert "n <= 10" in proc.stderr
+        # a window sweep whose closed-form work estimate exceeds its budget is
+        # a usage error at once, not a run of minutes or years
+        for args, message in (
+            (("verify", "skew", "--n", "9", "--window", "3"),
+             "1493083459 bracket evaluations, over the budget of 200000"),
+            (("verify", "sh-jacobi", "--n", "10", "--window", "3"),
+             "16360143800 shuffle terms, over the budget of 2000000"),
+        ):
+            proc = invoke(*args, timeout=1)
+            assert proc.returncode == 2, args
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
         # an index so large that an exponent leaves the ring's packed range is
         # a usage error at once, not a long run ending in a MemoryError
         proc = invoke("bracket", "--n", "3", "--indices", "0,1,10000000000", timeout=1)

@@ -5,8 +5,9 @@ and compares stdout and the exit code with the report committed under
 tests/data/golden (named <case>.json and <case>.txt).  The committed files
 were captured from `python -m pqvw` before the result records and the
 command table were unified, and the n = 8 and n = 10 brackets before the
-closed form's sign became a formula instead of a calibrated table, so any
-drift in a report's bytes fails here.
+closed form's sign became a formula instead of a calibrated table, and the
+three sh-jacobi window sweeps at n = 2, 4 and 5 before the shuffle-Jacobi
+residual collected like terms, so any drift in a report's bytes fails here.
 """
 from pathlib import Path
 
@@ -27,6 +28,9 @@ CASES = {
     "verify-sh-jacobi-window": (["verify", "sh-jacobi", "--n", "3", "--window", "1"], 0),
     "verify-sh-jacobi-indices": (
         ["verify", "sh-jacobi", "--n", "3", "--indices", "-2,1,0,2,-1"], 0),
+    "verify-sh-jacobi-n2-window3-fail": (["verify", "sh-jacobi", "--n", "2", "--window", "3"], 1),
+    "verify-sh-jacobi-n4-window3": (["verify", "sh-jacobi", "--n", "4", "--window", "3"], 0),
+    "verify-sh-jacobi-n5-window2": (["verify", "sh-jacobi", "--n", "5", "--window", "2"], 0),
     "verify-sh-jacobi-sampled-fail": (
         ["verify", "sh-jacobi", "--n", "2", "--window", "3", "--samples", "400"], 1),
     "verify-fi-counterexample": (["verify", "fi", "--n", "4", "--counterexample"], 0),

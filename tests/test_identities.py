@@ -1,10 +1,10 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from pqvw import identities
-from pqvw.algebra import Term, bracketn_closed
+from pqvw import algebra, identities
+from pqvw.algebra import Term, bracketn_closed, nested_coeff
 from pqvw.identities import (
     check_skew,
     deformed_jacobi2_residual,
@@ -140,6 +140,86 @@ class TestShJacobi:
         b = sample_tuples(9, (-2, 2), 50, seed=7)
         c = sample_tuples(9, (-2, 2), 50, seed=8)
         assert a == b and a != c
+
+
+def sh_jacobi_per_shuffle(n, indices):
+    """Reference residual: one nested coefficient per shuffle, added in order."""
+    idx = tuple(indices)
+    total = Scalar.zero()
+    for sh in shuffles(n):
+        inner = tuple(idx[i - 1] for i in sh.sigma[:n])
+        rest = tuple(idx[i - 1] for i in sh.sigma[n:])
+        c = nested_coeff(inner, rest, 0)
+        total = total + (c if sh.parity > 0 else -c)
+    return total
+
+
+def generic_sorted_coeff(t):
+    # a stand-in bracket coefficient that satisfies no shuffle identity and
+    # does not vanish on repeated indices, so every sign, key and repeat
+    # filter of the residual shows in its value
+    weight = sum((k + 1) * x for k, x in enumerate(t))
+    return Scalar(LPoly.monomial(weight, t[0]) + LPoly.const(len(t) + t[-1] ** 2), 0)
+
+
+@pytest.fixture
+def generic_brackets(monkeypatch):
+    algebra._sorted_pair_coeff.cache_clear()
+    monkeypatch.setattr(algebra, "_sorted_coeff", generic_sorted_coeff)
+    yield
+    monkeypatch.undo()
+    algebra._sorted_pair_coeff.cache_clear()
+
+
+# per arity, a window whose every signature the kernel is compared on; a
+# tuple that repeats an index has a zero residual whatever the coefficients
+# (its surviving terms cancel in pairs), so each window also holds
+# signatures of distinct indices
+KERNEL_WINDOWS = {2: (-3, 3), 3: (-2, 2), 4: (-3, 3)}
+
+
+def random_tuples(n, count, seed):
+    # unsorted; every other tuple repeats indices, the rest are distinct
+    rng = random.Random(seed)
+    pool = range(-4, 5)
+    return [
+        tuple(rng.choices(pool, k=2 * n - 1) if i % 2 else rng.sample(pool, 2 * n - 1))
+        for i in range(count)
+    ]
+
+
+class TestShJacobiKernel:
+    """The collected-terms residual against the per-shuffle reference loop."""
+
+    @pytest.mark.parametrize("n", sorted(KERNEL_WINDOWS))
+    def test_window_signatures(self, n):
+        lo, hi = KERNEL_WINDOWS[n]
+        for sig in combinations_with_replacement(range(lo, hi + 1), 2 * n - 1):
+            assert sh_jacobi_residual(n, sig) == sh_jacobi_per_shuffle(n, sig), sig
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_tuples(self, n):
+        for t in random_tuples(n, 40, seed=n):
+            assert sh_jacobi_residual(n, t) == sh_jacobi_per_shuffle(n, t), t
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_window_signatures_generic_brackets(self, n, generic_brackets):
+        lo, hi = KERNEL_WINDOWS[n]
+        nonzero = 0
+        for sig in combinations_with_replacement(range(lo, hi + 1), 2 * n - 1):
+            reference = sh_jacobi_per_shuffle(n, sig)
+            assert sh_jacobi_residual(n, sig) == reference, sig
+            nonzero += not reference.is_zero
+        assert nonzero  # the stand-in leaves residuals to compare
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_tuples_generic_brackets(self, n, generic_brackets):
+        nonzero = 0
+        for t in random_tuples(n, 40, seed=10 + n):
+            reference = sh_jacobi_per_shuffle(n, t)
+            assert sh_jacobi_residual(n, t) == reference, t
+            nonzero += not reference.is_zero
+        assert nonzero
 
 
 class TestSignatureSweeps:
