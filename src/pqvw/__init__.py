@@ -11,85 +11,58 @@ Layers, bottom up:
 
 Every check is decided in exact rational arithmetic: a passing identity has
 residual identically zero, a failing one ships its nonzero residual.
+
+The re-exported names below resolve on first access (a module
+``__getattr__``), so importing the package, or running ``python -m pqvw``,
+loads no layer until something asks for it.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .ring import (
-    ExponentOverflow,
-    LPoly,
-    ModScalar,
-    NotDivisible,
-    PoleAtOne,
-    QModScalar,
-    Rat,
-    Scalar,
-    UniScalar,
-    classical_value,
-    mod_at_level,
-    mod_from_scalar,
-    mod_shift,
-    mod_to_scalar,
-    pq_number,
-    q_number,
-    specialize_pq,
-)
-from .algebra import (
-    BadArity,
-    GenIndex,
-    RecursionWeights,
-    Term,
-    bracket,
-    bracket2,
-    bracket3_closed,
-    bracket_coeff,
-    bracketn_closed,
-    recursion_weights,
-    sign_of,
-    vandermonde_det,
-)
-from .oracle import (
-    InconsistentSign,
-    ModVector,
-    NotProportional,
-    WordSum,
-    bracket2_def,
-    bracket3_def,
-    bracketn_def,
-    derive_sign,
-    extract_structure_constant,
-    fock_act,
-    osc_relations_check,
-    structure_constant,
-    word_act,
-)
-from .identities import (
-    IdentityReport,
-    Shuffle,
-    UnexpectedZero,
-    check_skew,
-    deformed_jacobi2_residual,
-    fi_counterexample_even,
-    fi_residual,
-    q_jacobi2_residual,
-    sh_jacobi_residual,
-    shuffles,
-    sweep_sh_jacobi,
-)
-from .subalgebra import (
-    CanonicalNLie,
-    FMatrix,
-    SubalgebraReport,
-    UnexpectedSubalgebra,
-    ZeroCoefficient,
-    canonical_basis,
-    canonical_coeff,
-    closure_check,
-    fi_check_span,
-    filippov_matrix,
-    ideal_check,
-    iso_canonical_check,
-    search,
-)
+# layer -> the public names the package re-exports from it
+_EXPORTS = {
+    "ring": (
+        "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
+        "QModScalar", "Rat", "Scalar", "UniScalar", "classical_value",
+        "mod_at_level", "mod_from_scalar", "mod_shift", "mod_to_scalar",
+        "pq_number", "q_number", "specialize_pq",
+    ),
+    "algebra": (
+        "BadArity", "GenIndex", "RecursionWeights", "Term", "bracket", "bracket2",
+        "bracket3_closed", "bracket_coeff", "bracketn_closed", "recursion_weights",
+        "sign_of", "vandermonde_det",
+    ),
+    "oracle": (
+        "InconsistentSign", "ModVector", "NotProportional", "WordSum", "bracket2_def",
+        "bracket3_def", "bracketn_def", "derive_sign", "extract_structure_constant",
+        "fock_act", "osc_relations_check", "structure_constant", "word_act",
+    ),
+    "identities": (
+        "IdentityReport", "Shuffle", "UnexpectedZero", "check_skew",
+        "deformed_jacobi2_residual", "fi_counterexample_even", "fi_residual",
+        "q_jacobi2_residual", "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
+    ),
+    "subalgebra": (
+        "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",
+        "ZeroCoefficient", "canonical_basis", "canonical_coeff", "closure_check",
+        "fi_check_span", "filippov_matrix", "ideal_check", "iso_canonical_check",
+        "search",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_LAYER_OF])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _LAYER_OF:
+        return getattr(import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,9 +13,8 @@ checks the closed form, its sign included, against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ring import (
     EXP_MAX,
@@ -51,17 +50,19 @@ class BadArity(ValueError):
     """Bracket arity outside the supported range."""
 
 
-@dataclass(frozen=True, eq=False)
 class Term:
     """A structure constant attached to a generator: coeff * L_index.
 
     All zero terms compare equal regardless of their index, so functions may
     keep the grading index (sum of inputs) on vanishing brackets without
-    breaking equality tests.
+    breaking equality tests.  Terms are hashed, so they are never mutated.
     """
 
-    coeff: Scalar
-    index: GenIndex
+    __slots__ = ("coeff", "index")
+
+    def __init__(self, coeff: Scalar, index: GenIndex) -> None:
+        self.coeff = coeff
+        self.index = index
 
     @classmethod
     def zero(cls) -> "Term":
@@ -90,8 +91,7 @@ class Term:
         return f"Term({self.canonical()})"
 
 
-@dataclass(frozen=True)
-class RecursionWeights:
+class RecursionWeights(NamedTuple):
     """Exponent weights (x, y) of the arity-lowering recursion prefactor."""
 
     x: int

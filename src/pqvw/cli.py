@@ -2,13 +2,25 @@
 
 Each command maps, through the `COMMANDS` table, to a builder that returns
 its result records (built by `suite.result`), so every command reports in
-the same shape.  Exit codes: 0 when every check passes, 1 when any check
-fails (the exact residual is printed), 2 on usage errors, among them indices
-so large that an exponent leaves the ring's packed range and `verify skew`
-or `verify sh-jacobi` sweeps whose closed-form work estimate exceeds its
-budget.  JSON reports are byte-identical for identical configurations
-(including seed); wall time is therefore reported on stderr only.  `--jobs`
-is accepted and has no effect.
+the same shape.  A command imports only the layers it runs: this module
+loads ring, algebra and suite, which every command needs, and each builder
+(or suite check) imports identities, oracle or subalgebra on entry.
+
+Exit codes: 0 when every check passes, 1 when any check fails (the exact
+residual is printed), 2 on usage errors.  Usage errors include, checked
+before anything is evaluated:
+
+* an arity above `MAX_VERIFIED_ARITY`;
+* an explicit index (`--indices`, `--y`, `--x`) with |i| > `MAX_INDEX`, or
+  past the ring's packed exponent range;
+* a window or sampled sweep whose closed-form work estimate exceeds its
+  budget: `verify sh-jacobi` (`SH_JACOBI_BUDGET`), `verify skew`
+  (`SKEW_BUDGET`), `oracle-check --n` (`ORACLE_BUDGET`) and `subalgebra
+  search` (`SUBALGEBRA_BUDGET`).
+
+JSON reports are byte-identical for identical configurations (including
+seed); wall time is therefore reported on stderr only.  `--jobs` is accepted
+and has no effect.
 """
 from __future__ import annotations
 
@@ -18,13 +30,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from itertools import permutations, product
-from math import comb
+from math import comb, perm
 from typing import Callable, Sequence
 
-from . import __version__, algebra, identities, subalgebra, suite
-from .ring import ExponentOverflow, PoleAtOne, classical_value, specialize_pq
+from . import __version__, algebra, suite
+from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, specialize_pq
 
 
 # Largest arity any command accepts: the closed form's sign formula
@@ -39,25 +50,58 @@ MAX_VERIFIED_ARITY = 10
 # 9 s and `--n 6` (1.9 M) would take about 90 s.
 SH_JACOBI_BUDGET = 2_000_000  # shuffle terms
 SKEW_BUDGET = 200_000  # bracket evaluations
+# `oracle-check --n 5 --window 3` (80 640 minors) runs in about 3 s and
+# `--n 3 --window 10` (74 088) in about 4 s, while `--n 3 --window 12`
+# (125 000; larger indices make larger polynomials) takes 9 s and `--n 6
+# --window 3` (322 560) 14 s.  `subalgebra search --n 6 --window 3` (8.7 M)
+# runs in about 9 s; its estimate is an upper bound, since most candidates
+# fail closure before the FI, so `--n 5 --window 4` (22.7 M) would take 4 s.
+ORACLE_BUDGET = 100_000  # closed-form determinant minors
+SUBALGEBRA_BUDGET = 10_000_000  # bracket evaluations
+
+# Largest |index| accepted in an explicit index list: output and run time
+# grow with it (`bracket --n 3 --indices 0,5000,10000` prints 0.75 MB in
+# 0.4 s, `0,1,100000` 6.9 MB in 2 s).
+MAX_INDEX = 10_000
 
 
-@dataclass
 class RunConfig:
     """Parsed invocation: one command plus its parameters."""
 
-    command: str
-    n: int | None = None
-    window: int | None = None
-    indices: tuple[int, ...] | None = None
-    y: tuple[int, ...] | None = None
-    x: tuple[int, ...] | None = None
-    counterexample: bool = False
-    expect_nonzero: bool = False
-    samples: int | None = None
-    seed: int = 0
-    level: str = "desk"
-    fmt: str = "text"
-    output: str | None = None
+    __slots__ = (
+        "command", "n", "window", "indices", "y", "x", "counterexample",
+        "expect_nonzero", "samples", "seed", "level", "fmt", "output",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        n: int | None = None,
+        window: int | None = None,
+        indices: tuple[int, ...] | None = None,
+        y: tuple[int, ...] | None = None,
+        x: tuple[int, ...] | None = None,
+        counterexample: bool = False,
+        expect_nonzero: bool = False,
+        samples: int | None = None,
+        seed: int = 0,
+        level: str = "desk",
+        fmt: str = "text",
+        output: str | None = None,
+    ) -> None:
+        self.command = command
+        self.n = n
+        self.window = window
+        self.indices = indices
+        self.y = y
+        self.x = x
+        self.counterexample = counterexample
+        self.expect_nonzero = expect_nonzero
+        self.samples = samples
+        self.seed = seed
+        self.level = level
+        self.fmt = fmt
+        self.output = output
 
     def params(self) -> dict:
         out: dict = {"seed": self.seed}
@@ -76,14 +120,16 @@ class RunConfig:
         return out
 
 
-@dataclass
 class SuiteReport:
     """Full run outcome; `wall_time` never enters the JSON payload."""
 
-    command: str
-    params: dict
-    results: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("command", "params", "results", "wall_time")
+
+    def __init__(self, command: str, params: dict, results: list[dict], wall_time: float) -> None:
+        self.command = command
+        self.params = params
+        self.results = results
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> int:
@@ -279,6 +325,12 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             parser.error("subalgebra check needs distinct indices")
         if len(cfg.indices) < cfg.n:
             parser.error(f"subalgebra check needs at least n = {cfg.n} indices")
+    big = max((abs(i) for idx in (cfg.indices, cfg.y, cfg.x) if idx for i in idx), default=0)
+    if big > EXP_MAX:
+        # an index is itself an exponent of its bracket's coefficient
+        parser.error(str(ExponentOverflow(big)))
+    if big > MAX_INDEX:
+        parser.error(f"{cfg.command} accepts indices |i| <= {MAX_INDEX}, got {big}")
     estimate = _work_estimate(cfg)
     if estimate is not None:
         work, budget, unit = estimate
@@ -290,15 +342,28 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 
 def _work_estimate(cfg: RunConfig) -> tuple[int, int, str] | None:
     """(work, budget, unit) of a window or sampled sweep, in closed form."""
+    n, width = cfg.n, 2 * (cfg.window or 0) + 1
     if cfg.command == "verify sh-jacobi" and cfg.indices is None:
         # one residual per sample, or per index multiset of the window
-        n, width = cfg.n, 2 * cfg.window + 1
         residuals = cfg.samples or comb(width + 2 * n - 2, 2 * n - 1)
         return residuals * comb(2 * n - 1, n), SH_JACOBI_BUDGET, "shuffle terms"
     if cfg.command == "verify skew":
         # every n-tuple, with its bracket and one per transposition
-        n, width = cfg.n, 2 * cfg.window + 1
         return width**n * (1 + n * (n - 1) // 2), SKEW_BUDGET, "bracket evaluations"
+    if cfg.command == "oracle-check" and n is not None:
+        # every compared tuple's closed form expands 2^n - 1 Laplace minors
+        # (the recursive side's time per tuple doubles with n as well)
+        tuples = width**3 if n == 3 else perm(width, n)
+        return tuples * 2**n, ORACLE_BUDGET, "determinant minors"
+    if cfg.command == "subalgebra search":
+        # each k-element candidate, k = n and n + 1, costs C(k, n) closure
+        # brackets and, if it closes, one FI residual of n + 1 nested
+        # brackets per sorted (Y, X) signature over the span: an upper bound
+        work = sum(
+            comb(width, k) * (comb(k, n) + (n + 1) * comb(k + n - 2, n - 1) * comb(k + n - 1, n))
+            for k in (n, n + 1)
+        )
+        return work, SUBALGEBRA_BUDGET, "bracket evaluations"
     return None
 
 
@@ -340,6 +405,8 @@ def _oracle_check(cfg: RunConfig) -> list[dict]:
 
 
 def _skew(cfg: RunConfig) -> list[dict]:
+    from . import identities
+
     window = (-cfg.window, cfg.window)
     sweep = identities.sweep_skew(cfg.n, window)
     inp = {"window": list(window), "tuples": sweep.checked}
@@ -347,6 +414,8 @@ def _skew(cfg: RunConfig) -> list[dict]:
 
 
 def _sh_jacobi(cfg: RunConfig) -> list[dict]:
+    from . import identities
+
     kind = f"sh-jacobi-n{cfg.n}"
     if cfg.indices is not None:
         residual = identities.sh_jacobi_residual(cfg.n, cfg.indices)
@@ -363,6 +432,8 @@ def _sh_jacobi(cfg: RunConfig) -> list[dict]:
 
 
 def _fi(cfg: RunConfig) -> list[dict]:
+    from . import identities
+
     if cfg.counterexample:
         Y, X, res = identities.fi_counterexample_even(cfg.n)
         kind, nonzero = f"fi-counterexample-n{cfg.n}", True
@@ -375,6 +446,8 @@ def _fi(cfg: RunConfig) -> list[dict]:
 
 
 def _subalgebra_search(cfg: RunConfig) -> list[dict]:
+    from . import subalgebra
+
     kind = f"subalgebra-search-n{cfg.n}"
     try:
         found = subalgebra.search(cfg.window, cfg.n)
@@ -389,6 +462,8 @@ def _subalgebra_search(cfg: RunConfig) -> list[dict]:
 
 
 def _subalgebra_check(cfg: RunConfig) -> list[dict]:
+    from . import subalgebra
+
     report = subalgebra.check_candidate(cfg.indices, cfg.n)
     ok = report.is_subalgebra
     residual = "0" if ok else json.dumps(report.to_json(), sort_keys=True)

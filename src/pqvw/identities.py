@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     GenIndex,
@@ -39,7 +38,6 @@ from .algebra import (
     nested_coeff,
     sort_with_sign,
 )
-from .oracle import WordSum, word_act
 from .ring import (
     LPoly,
     QModScalar,
@@ -76,16 +74,14 @@ class UnexpectedZero(ArithmeticError):
     """A residual that must not vanish came out zero."""
 
 
-@dataclass(frozen=True)
-class Shuffle:
+class Shuffle(NamedTuple):
     """A permutation of 1..2n-1 increasing on its first n and last n-1 slots."""
 
     sigma: tuple[int, ...]
     parity: int
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Verdict for one identity instance; pass means residual exactly zero."""
 
     indices: tuple[GenIndex, ...]
@@ -93,7 +89,6 @@ class IdentityReport:
     verdict: bool
 
 
-@dataclass
 class SweepResult:
     """Aggregate outcome of an identity sweep over many index tuples.
 
@@ -103,8 +98,11 @@ class SweepResult:
     `failures[0]` is the first failing tuple in product order either way.
     """
 
-    checked: int = 0
-    failures: list[IdentityReport] = field(default_factory=list)
+    __slots__ = ("checked", "failures")
+
+    def __init__(self) -> None:
+        self.checked = 0
+        self.failures: list[IdentityReport] = []
 
     @property
     def ok(self) -> bool:
@@ -265,6 +263,8 @@ def q_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> UniScalar:
     a word sum on the symbolic module and specialized to p = q; the quotient
     by the target generator's action coefficient is the residual.
     """
+    from .oracle import WordSum, word_act  # the only use of the oracle layer here
+
     def q_mono(x: int, sign: int = 1) -> Scalar:
         return Scalar._raw(LPoly.monomial(0, x, coeff=sign), 0)
 

@@ -26,9 +26,8 @@ identity at every level at once, not at a finite sample of levels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     BadArity,
@@ -244,8 +243,7 @@ def number_weight(v: ModVector, p_exp: int = 0, q_exp: int = 0) -> ModVector:
     return ModVector._raw(out)
 
 
-@dataclass(frozen=True)
-class OscillatorReport:
+class OscillatorReport(NamedTuple):
     """Residuals of the defining oscillator relations on the symbolic module."""
 
     entries: tuple[tuple[str, str, bool], ...]

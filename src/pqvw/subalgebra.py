@@ -13,9 +13,8 @@ and never simple), and no (n+1)-element set qualifies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     GenIndex,
@@ -54,8 +53,7 @@ class UnexpectedSubalgebra(ArithmeticError):
     """A candidate of forbidden dimension passed every subalgebra test."""
 
 
-@dataclass(frozen=True)
-class CanonicalNLie:
+class CanonicalNLie(NamedTuple):
     """The abstract n-dimensional algebra with the single relation
     [B_1, ..., B_n] = B_1; every generator-basis subalgebra found here is
     isomorphic to it (rescale the bracket target onto B_1)."""
@@ -67,8 +65,7 @@ class CanonicalNLie:
         return f"[{basis}] = B_1"
 
 
-@dataclass(frozen=True)
-class FMatrix:
+class FMatrix(NamedTuple):
     """Change-of-basis matrix of the omit-one brackets over a candidate set.
 
     Column j expresses (-1)^(n+j+1) [all generators but the j-th] in the
@@ -89,19 +86,35 @@ class FMatrix:
         )
 
 
-@dataclass
 class SubalgebraReport:
     """Exact verdicts for one candidate index set."""
 
-    indices: tuple[GenIndex, ...]
-    closed: bool
-    offending: tuple[GenIndex, ...] | None = None
-    fi_pass: bool | None = None
-    fi_witness: tuple | None = None
-    iso_canonical: bool | None = None
-    coeff: Scalar | None = None
-    target: GenIndex | None = None
-    ideal_at: GenIndex | None = None
+    __slots__ = (
+        "indices", "closed", "offending", "fi_pass", "fi_witness", "iso_canonical",
+        "coeff", "target", "ideal_at",
+    )
+
+    def __init__(
+        self,
+        indices: tuple[GenIndex, ...],
+        closed: bool,
+        offending: tuple[GenIndex, ...] | None = None,
+        fi_pass: bool | None = None,
+        fi_witness: tuple | None = None,
+        iso_canonical: bool | None = None,
+        coeff: Scalar | None = None,
+        target: GenIndex | None = None,
+        ideal_at: GenIndex | None = None,
+    ) -> None:
+        self.indices = indices
+        self.closed = closed
+        self.offending = offending
+        self.fi_pass = fi_pass
+        self.fi_witness = fi_witness
+        self.iso_canonical = iso_canonical
+        self.coeff = coeff
+        self.target = target
+        self.ideal_at = ideal_at
 
     @property
     def is_subalgebra(self) -> bool:
@@ -119,13 +132,15 @@ class SubalgebraReport:
         }
 
 
-@dataclass
 class SearchResult:
     """Outcome of the bounded subalgebra search in an index window."""
 
-    found: list[SubalgebraReport] = field(default_factory=list)
-    extra_checked: int = 0
-    extra_passing: list[SubalgebraReport] = field(default_factory=list)
+    __slots__ = ("found", "extra_checked", "extra_passing")
+
+    def __init__(self) -> None:
+        self.found: list[SubalgebraReport] = []
+        self.extra_checked = 0
+        self.extra_passing: list[SubalgebraReport] = []
 
 
 def _validate_set(S: Sequence[GenIndex]) -> tuple[GenIndex, ...]:

@@ -4,13 +4,17 @@ Every check, here and in the CLI, reports through `result`: one plain dict
 {"kind", "input", "residual", "verdict"} (plus any extra fields) per check,
 so reports serialize to stable JSON.  All checks are pure and deterministic
 for a fixed seed.
+
+Every command loads this module for `result`, so it imports at its top only
+the layers every command needs (ring and algebra); each check imports the
+other layers it runs on entry.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable
 
-from . import algebra, identities, oracle, subalgebra
+from . import algebra
 from .ring import classical_value, pq_number, q_number, specialize_pq
 
 CheckFn = Callable[[dict], list[dict]]
@@ -36,6 +40,8 @@ def agreement(kind: str, inp: dict, bad) -> dict:
 
 
 def check_oscillator(cfg: dict) -> list[dict]:
+    from . import oracle
+
     report = oracle.osc_relations_check()
     worst = next((r for _, r, ok in report.entries if not ok), "0")
     return [
@@ -44,6 +50,8 @@ def check_oscillator(cfg: dict) -> list[dict]:
 
 
 def check_bracket2(cfg: dict) -> list[dict]:
+    from . import oracle
+
     w = cfg.get("bracket2_window", 4)
     jac_w = cfg.get("jacobi_window", 3)
     out = []
@@ -72,6 +80,8 @@ def check_bracket2(cfg: dict) -> list[dict]:
 
 def check_jacobi2(window: tuple[int, int]) -> list[dict]:
     """Both weighted Jacobi sweeps of the 2-bracket over one window cube."""
+    from . import identities
+
     return [
         result(kind, {"window": list(window), "tuples": sweep.checked}, sweep.residual, sweep.ok)
         for kind, sweep in (
@@ -87,6 +97,8 @@ def closed_vs_recursive(tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple |
     Returns the number of tuples compared and the first mismatching tuple
     (the comparison stops there), or None if every tuple agrees.
     """
+    from . import oracle
+
     count = 0
     for t in tuples:
         count += 1
@@ -96,6 +108,8 @@ def closed_vs_recursive(tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple |
 
 
 def check_closed_vs_recursive(cfg: dict) -> list[dict]:
+    from . import oracle
+
     out = []
     w3 = cfg.get("closed_n3_window", 3)
     count, bad = closed_vs_recursive(product(range(-w3, w3 + 1), repeat=3))
@@ -127,6 +141,8 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
 
 
 def check_sh_jacobi(cfg: dict) -> list[dict]:
+    from . import identities
+
     out = []
     for n, window in cfg.get("sh_windows", DESK_SH_WINDOWS).items():
         sweep = identities.sweep_sh_jacobi(n, window=window)
@@ -155,6 +171,8 @@ def check_sh_jacobi(cfg: dict) -> list[dict]:
 
 
 def check_not_n_lie(cfg: dict) -> list[dict]:
+    from . import identities
+
     out = []
     Y, X, res = identities.sweep_fi_find_nonzero(3, (-2, 2))
     out.append(
@@ -179,6 +197,8 @@ def check_not_n_lie(cfg: dict) -> list[dict]:
 
 
 def check_limits(cfg: dict) -> list[dict]:
+    from . import oracle
+
     out = []
     w = cfg.get("limits_window", 5)
     bad = None
@@ -206,6 +226,8 @@ def check_limits(cfg: dict) -> list[dict]:
 
 
 def check_subalgebras(cfg: dict) -> list[dict]:
+    from . import subalgebra
+
     out = []
     for n in cfg.get("canonical_arities", (3, 4, 5)):
         basis = subalgebra.canonical_basis(n)

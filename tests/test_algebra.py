@@ -156,6 +156,8 @@ class TestRecursionWeights:
         assert (recursion_weights(5).x, recursion_weights(5).y) == (2, -1)
         assert (recursion_weights(6).x, recursion_weights(6).y) == (3, 0)
         assert (recursion_weights(7).x, recursion_weights(7).y) == (3, -1)
+        x, y = recursion_weights(5)
+        assert (x, y) == (2, -1)
 
     def test_base_case_guarded(self):
         with pytest.raises(BadArity):
@@ -306,11 +308,14 @@ class TestTermAndOpSum:
     def test_zero_terms_compare_equal(self):
         assert Term(Scalar.zero(), 5) == Term.zero()
         assert Term(Scalar.zero(), 5) == Term(Scalar.zero(), -3)
+        assert hash(Term(Scalar.zero(), 5)) == hash(Term.zero())
 
     def test_nonzero_terms_compare_structurally(self):
         one = Scalar(LPoly.one(), 0)
         assert Term(one, 2) == Term(one, 2)
         assert Term(one, 2) != Term(one, 3)
+        assert hash(Term(one, 2)) == hash(Term(Scalar(LPoly.one(), 0), 2))
+        assert repr(Term(one, 2)) == f"Term(({one.canonical()}) * L_2)"
 
     def test_bracket_follows_arity_and_argument_order(self):
         assert bracket((3, 1)) == bracket2(3, 1)

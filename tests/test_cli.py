@@ -78,12 +78,26 @@ class TestParsing:
             ["verify", "sh-jacobi", "--n", "6", "--window", "2"],  # 630 630 terms
             ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200000"],
             ["verify", "skew", "--n", "5", "--window", "3"],  # 184 877 brackets
+            ["oracle-check", "--n", "5", "--window", "3"],  # 80 640 minors
+            ["oracle-check", "--n", "3", "--window", "10"],  # 74 088 minors
+            ["subalgebra", "search", "--n", "6", "--window", "3"],  # 8 693 006 brackets
+            ["bracket", "--n", "3", "--indices", "0,1,-10000"],
         ):
             assert parse_args(argv).n is not None
         for argv in (
             ["verify", "sh-jacobi", "--n", "7", "--window", "2"],  # 4 084 080 terms
             ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200001"],
             ["verify", "skew", "--n", "6", "--window", "3"],  # 1 882 384 brackets
+            ["oracle-check", "--n", "6", "--window", "3"],  # 322 560 minors
+            ["oracle-check", "--n", "3", "--window", "12"],  # 125 000 minors
+            ["subalgebra", "search", "--n", "7", "--window", "3"],  # 12 684 673 brackets
+            ["subalgebra", "search", "--n", "5", "--window", "4"],  # 22 671 558 brackets
+            # an explicit index past MAX_INDEX, in each command that takes one
+            ["bracket", "--n", "3", "--indices", "0,1,-10001"],
+            ["verify", "fi", "--n", "3", "--y", "0,10001", "--x", "0,1,2"],
+            ["verify", "fi", "--n", "3", "--y", "0,1", "--x", "0,1,10001"],
+            ["verify", "sh-jacobi", "--n", "2", "--indices", "0,1,10001"],
+            ["subalgebra", "check", "--n", "3", "--indices", "0,1,10001"],
         ):
             with pytest.raises(SystemExit) as exc:
                 parse_args(argv)
@@ -174,13 +188,21 @@ class TestBlackBox:
             proc = invoke(*args, timeout=60)
             assert proc.returncode == 2, args
             assert "n <= 10" in proc.stderr
-        # a window sweep whose closed-form work estimate exceeds its budget is
-        # a usage error at once, not a run of minutes or years
+        # a window sweep whose closed-form work estimate exceeds its budget, or
+        # an explicit index past MAX_INDEX, is a usage error at once, not a
+        # run of minutes or years
         for args, message in (
             (("verify", "skew", "--n", "9", "--window", "3"),
              "1493083459 bracket evaluations, over the budget of 200000"),
             (("verify", "sh-jacobi", "--n", "10", "--window", "3"),
              "16360143800 shuffle terms, over the budget of 2000000"),
+            (("oracle-check", "--n", "7", "--window", "3"),
+             "645120 determinant minors, over the budget of 100000"),
+            (("subalgebra", "search", "--n", "9", "--window", "6"),
+             "5617401650575 bracket evaluations, over the budget of 10000000"),
+            # about 20 s and 75 MB of output without the limit
+            (("bracket", "--n", "3", "--indices", "0,1,1000000"),
+             "bracket accepts indices |i| <= 10000, got 1000000"),
         ):
             proc = invoke(*args, timeout=1)
             assert proc.returncode == 2, args

@@ -1,0 +1,106 @@
+"""Each command imports only the pqvw layers it runs, and the package API is intact.
+
+Every verdict comes from a fresh process, so a layer a command never calls
+costs start-up time for nothing.  A child process records `sys.modules`,
+runs ``python -m pqvw ARGS`` through runpy, and reports the modules the
+command added; the exact pqvw set is pinned per command.
+"""
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pqvw
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import io, json, runpy, sys
+before = set(sys.modules)
+sys.argv = ["pqvw", *sys.argv[1:]]
+stdout, sys.stdout = sys.stdout, io.StringIO()
+try:
+    runpy.run_module("pqvw", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+sys.stdout = stdout
+print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+"""
+
+# what every command loads: the package, the front end, and the layers under
+# the record builders
+BASE = {"pqvw", "pqvw.cli", "pqvw.suite", "pqvw.algebra", "pqvw.ring"}
+
+CASES = [
+    (["--version"], BASE),
+    (["bracket", "--n", "3", "--indices", "0,1,2"], BASE),
+    (["verify", "fi", "--n", "4", "--counterexample"], BASE | {"pqvw.identities"}),
+    (["verify", "sh-jacobi", "--n", "3", "--window", "1"], BASE | {"pqvw.identities"}),
+    (["subalgebra", "canonical", "--n", "3"], BASE | {"pqvw.identities", "pqvw.subalgebra"}),
+    (["oracle-check", "--n", "3", "--window", "1"], BASE | {"pqvw.oracle"}),
+    (["verify", "all", "--level", "smoke"],
+     BASE | {"pqvw.identities", "pqvw.subalgebra", "pqvw.oracle"}),
+]
+
+
+@pytest.mark.parametrize("args,expected", CASES, ids=[" ".join(a) for a, _ in CASES])
+def test_command_imports_only_its_layers(args, expected):
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *args], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["code"] == 0
+    added = set(child["added"])
+    assert {m for m in added if m.split(".")[0] == "pqvw"} == expected
+    assert not added & {"pqvw.sweep", "dataclasses", "inspect"}
+
+
+# the package's public names, by the layer that defines them
+EXPORTS = {
+    "ring": [
+        "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
+        "QModScalar", "Rat", "Scalar", "UniScalar", "classical_value",
+        "mod_at_level", "mod_from_scalar", "mod_shift", "mod_to_scalar",
+        "pq_number", "q_number", "specialize_pq",
+    ],
+    "algebra": [
+        "BadArity", "GenIndex", "RecursionWeights", "Term", "bracket", "bracket2",
+        "bracket3_closed", "bracket_coeff", "bracketn_closed", "recursion_weights",
+        "sign_of", "vandermonde_det",
+    ],
+    "oracle": [
+        "InconsistentSign", "ModVector", "NotProportional", "WordSum", "bracket2_def",
+        "bracket3_def", "bracketn_def", "derive_sign", "extract_structure_constant",
+        "fock_act", "osc_relations_check", "structure_constant", "word_act",
+    ],
+    "identities": [
+        "IdentityReport", "Shuffle", "UnexpectedZero", "check_skew",
+        "deformed_jacobi2_residual", "fi_counterexample_even", "fi_residual",
+        "q_jacobi2_residual", "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
+    ],
+    "subalgebra": [
+        "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",
+        "ZeroCoefficient", "canonical_basis", "canonical_coeff", "closure_check",
+        "fi_check_span", "filippov_matrix", "ideal_check", "iso_canonical_check",
+        "search",
+    ],
+}
+
+
+def test_package_api():
+    assert pqvw.__all__ == sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
+    for layer, names in EXPORTS.items():
+        module = importlib.import_module(f"pqvw.{layer}")
+        assert getattr(pqvw, layer) is module
+        for name in names:
+            assert getattr(pqvw, name) is getattr(module, name), name
+    star: dict = {}
+    exec("from pqvw import *", star)
+    assert set(pqvw.__all__) <= set(star)
+    with pytest.raises(AttributeError):
+        pqvw.no_such_name
