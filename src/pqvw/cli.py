@@ -320,6 +320,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
                          f"in the window, so --window >= {cfg.n // 2}")
     elif cfg.command.startswith("subalgebra") and cfg.n < 3:
         parser.error("subalgebra checks need n >= 3")
+    elif cfg.command == "subalgebra search" and 2 * cfg.window + 1 < cfg.n:
+        parser.error(f"subalgebra search needs n = {cfg.n} distinct indices "
+                     f"in the window, so --window >= {cfg.n // 2}")
     elif cfg.command == "subalgebra check":
         if len(set(cfg.indices)) != len(cfg.indices):
             parser.error("subalgebra check needs distinct indices")
@@ -344,7 +347,8 @@ def _work_estimate(cfg: RunConfig) -> tuple[int, int, str] | None:
     """(work, budget, unit) of a window or sampled sweep, in closed form."""
     n, width = cfg.n, 2 * (cfg.window or 0) + 1
     if cfg.command == "verify sh-jacobi" and cfg.indices is None:
-        # one residual per sample, or per index multiset of the window
+        # one residual per sample, or per index multiset of the window: an
+        # upper bound, since only sets of distinct indices are evaluated
         residuals = cfg.samples or comb(width + 2 * n - 2, 2 * n - 1)
         return residuals * comb(2 * n - 1, n), SH_JACOBI_BUDGET, "shuffle terms"
     if cfg.command == "verify skew":
@@ -358,7 +362,8 @@ def _work_estimate(cfg: RunConfig) -> tuple[int, int, str] | None:
     if cfg.command == "subalgebra search":
         # each k-element candidate, k = n and n + 1, costs C(k, n) closure
         # brackets and, if it closes, one FI residual of n + 1 nested
-        # brackets per sorted (Y, X) signature over the span: an upper bound
+        # brackets per sorted (Y, X) signature over the span: an upper bound,
+        # since only signatures without a repeat in Y or in X are evaluated
         work = sum(
             comb(width, k) * (comb(k, n) + (n + 1) * comb(k + n - 2, n - 1) * comb(k + n - 1, n))
             for k in (n, n + 1)

@@ -5,13 +5,18 @@ identity reduces to an exact coefficient computation; a verdict of "pass"
 always means the residual is identically zero in the coefficient ring, not
 small.  Failing identities ship their exact residual for inspection.
 
-Sweeps work on sorted signatures: the brackets are exactly antisymmetric
-(itself verified exhaustively by the skew sweeps, which stay per tuple), so
-a residual's vanishing depends only on the index multiset.  Window sweeps
-evaluate each signature once, at its sorted tuple, and count the tuples it
-stands for by a multinomial; sampled and explicit tuple lists deduplicate
-by signature as they go.  Every distinct signature is still evaluated
-honestly, and the per-tuple entry points compute residuals directly.
+Sweeps work on sorted signatures of distinct indices.  The brackets are
+exactly antisymmetric (itself verified exhaustively by the skew sweeps,
+which stay per tuple), so a shuffle-Jacobi residual is alternating in its
+arguments: an arrangement's residual is its sorting sign times its
+signature's, and a tuple that repeats an index has a zero residual.  The
+same holds for a fundamental-identity pick that repeats an index within Y
+or within X.  So window sweeps evaluate each set of distinct indices once,
+at its sorted tuple, and count every tuple of the window; sampled and
+explicit tuple lists count every tuple, skip those that repeat an index and
+evaluate each remaining signature once.  The vanishing on repeated indices
+is checked through the kernels by the tests, not assumed by them: the
+per-tuple entry points compute every residual directly.
 
 Within one shuffle-Jacobi residual, every surviving shuffle term is a sign
 times the cached product of a sorted inner and a sorted outer bracket, so
@@ -22,10 +27,8 @@ the residual is one sum normalised once.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
-from math import factorial
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -92,10 +95,12 @@ class IdentityReport(NamedTuple):
 class SweepResult:
     """Aggregate outcome of an identity sweep over many index tuples.
 
-    `checked` counts tuples.  A window sh-jacobi sweep holds one failure per
-    failing signature, at its sorted tuple; the other sweeps hold one per
-    failing tuple.  Window sweeps list failures in lexicographic order, so
-    `failures[0]` is the first failing tuple in product order either way.
+    `checked` counts tuples, those that repeat an index included, although
+    sh-jacobi sweeps evaluate no residual for them (it is zero).  A window
+    sh-jacobi sweep holds one failure per failing set of distinct indices,
+    at its sorted tuple; the other sweeps hold one per failing tuple.
+    Window sweeps list failures in lexicographic order, so `failures[0]` is
+    the first failing tuple in product order either way.
     """
 
     __slots__ = ("checked", "failures")
@@ -330,37 +335,34 @@ def sweep_skew(n: int, window: tuple[int, int]) -> SweepResult:
 
 def _sh_jacobi_failures(
     n: int, tuples: Iterable[tuple[int, ...]]
-) -> tuple[int, list[tuple[int, ...]]]:
+) -> tuple[int, list[IdentityReport]]:
+    # a tuple that repeats an index has a zero residual; any other tuple's
+    # residual is its sorting sign times its signature's, evaluated once
     checked = 0
-    bad: list[tuple[int, ...]] = []
-    verdicts: dict[tuple[int, ...], bool] = {}
+    failures: list[IdentityReport] = []
+    residuals: dict[tuple[int, ...], Scalar] = {}
     for idx in tuples:
         checked += 1
-        key = tuple(sorted(idx))
-        ok = verdicts.get(key)
-        if ok is None:
-            ok = sh_jacobi_residual(n, idx).is_zero
-            verdicts[key] = ok
-        if not ok:
-            bad.append(idx)
-    return checked, bad
-
-
-def _arrangements(signature: tuple[int, ...]) -> int:
-    # number of distinct tuples that sort to the signature: len! / prod(mult!)
-    count = factorial(len(signature))
-    for mult in Counter(signature).values():
-        count //= factorial(mult)
-    return count
+        if len(set(idx)) != len(idx):
+            continue
+        sig, sign = sort_with_sign(idx)
+        residual = residuals.get(sig)
+        if residual is None:
+            residual = residuals[sig] = sh_jacobi_residual(n, sig)
+        if not residual.is_zero:
+            failures.append(IdentityReport(idx, residual.scale(sign).canonical(), False))
+    return checked, failures
 
 
 def _sweep_sh_jacobi_signatures(n: int, window: tuple[int, int]) -> SweepResult:
     # the smallest failing tuple in product order is sorted (sorting a tuple
-    # keeps its signature and never makes it larger), and signatures come in
-    # lexicographic order, so failures[0] is the per-tuple sweep's first failure
+    # keeps its signature and never makes it larger), and the distinct
+    # signatures come in lexicographic order, so failures[0] is the
+    # per-tuple sweep's first failure
+    values = _window_range(window)
     result = SweepResult()
-    for sig in combinations_with_replacement(_window_range(window), 2 * n - 1):
-        result.checked += _arrangements(sig)
+    result.checked = len(values) ** (2 * n - 1)
+    for sig in combinations(values, 2 * n - 1):
         residual = sh_jacobi_residual(n, sig)
         if not residual.is_zero:
             result.failures.append(IdentityReport(sig, residual.canonical(), False))
@@ -376,11 +378,15 @@ def sweep_sh_jacobi(
 ) -> SweepResult:
     """Shuffle-Jacobi residuals over a window, an explicit list, or a sample.
 
-    A full window is swept by signature; sampled and explicit lists are
-    swept tuple by tuple, all in this process.
+    A full window is swept by its sets of distinct indices; sampled and
+    explicit lists are swept tuple by tuple, each distinct signature
+    evaluated once, all in this process.
     """
     if tuples is not None:
         todo: list[tuple[int, ...]] = [tuple(t) for t in tuples]
+        if any(len(t) != 2 * n - 1 for t in todo):
+            # checked here, since a tuple that repeats an index is skipped
+            raise ValueError(f"need 2n-1 = {2 * n - 1} indices per tuple")
     elif window is not None and samples:
         todo = sample_tuples(2 * n - 1, window, samples, seed)
     elif window is not None:
@@ -389,11 +395,8 @@ def sweep_sh_jacobi(
         raise ValueError("provide a window or explicit tuples")
 
     result = SweepResult()
-    result.checked, bad = _sh_jacobi_failures(n, todo)
-    for idx in sorted(bad):
-        result.failures.append(
-            IdentityReport(idx, sh_jacobi_residual(n, idx).canonical(), False)
-        )
+    result.checked, failures = _sh_jacobi_failures(n, todo)
+    result.failures = sorted(failures, key=itemgetter(0))
     return result
 
 
@@ -414,10 +417,11 @@ def sweep_fi_find_nonzero(
     """
     rng = _window_range(window)
     # the first failing pick in product order has sorted Y and X (sorting
-    # keeps the signature and never makes a pick larger), so only sorted
-    # picks are tried, in lexicographic order
-    for Y in combinations_with_replacement(rng, n - 1):
-        for X in combinations_with_replacement(rng, n):
+    # keeps the signature and never makes a pick larger), and a pick that
+    # repeats an index within Y or within X has a zero residual, so only
+    # sorted picks of distinct indices are tried, in lexicographic order
+    for Y in combinations(rng, n - 1):
+        for X in combinations(rng, n):
             res = fi_residual(n, Y, X)
             if not res.is_zero:
                 return Y, X, res

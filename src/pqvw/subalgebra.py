@@ -13,7 +13,7 @@ and never simple), and no (n+1)-element set qualifies.
 """
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .algebra import (
@@ -172,16 +172,18 @@ def fi_check_span(
     Returns (ok, witness, picks) where witness is the first (Y, X, residual)
     in product order with nonzero residual, and picks counts the picks in
     product order up to and including it (all k^(2n-1) on a pass, k = |S|).
-    Vanishing of the residual depends only on the sorted (Y, X) signature
-    (brackets are exactly antisymmetric), so each signature is evaluated
-    once, at its sorted pick.  The first failing pick is sorted, because
-    sorting keeps the signature and never makes a pick larger, so picks is
-    its mixed-radix rank over the sorted span, plus one.
+    Only picks of sorted, distinct Y and sorted, distinct X are evaluated,
+    each once: vanishing of the residual depends only on the sorted (Y, X)
+    signature (brackets are exactly antisymmetric), and a pick that repeats
+    an index within Y or within X has a zero residual.  The first failing
+    pick is one of them, because sorting keeps the signature and never
+    makes a pick larger, so picks is its mixed-radix rank over the sorted
+    span, plus one.
     """
     idx = _validate_set(S)
     k = len(idx)
-    for Y in combinations_with_replacement(idx, n - 1):
-        for X in combinations_with_replacement(idx, n):
+    for Y in combinations(idx, n - 1):
+        for X in combinations(idx, n):
             res = fi_residual(n, Y, X)
             if not res.is_zero:
                 rank = 0

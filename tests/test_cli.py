@@ -169,12 +169,14 @@ class TestBlackBox:
         for args, message in (
             (("oracle-check", "--n", "6", "--window", "2"), "--window >= 3"),
             (("oracle-check", "--n", "4", "--window", "1"), "--window >= 2"),
+            (("subalgebra", "search", "--n", "5", "--window", "1"), "--window >= 2"),
             (("bracket", "--n", "11", "--indices", "0,1,2,3,4,5,6,7,8,9,10"), "n <= 10"),
             (("verify", "fi", "--n", "12", "--counterexample"), "n <= 10"),
         ):
             proc = invoke(*args)
             assert proc.returncode == 2, args
             assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
         # every command that takes --n refuses arities beyond the verified
         # range, before it evaluates anything
         for args in (
@@ -220,6 +222,12 @@ class TestBlackBox:
             assert proc.returncode == 2, indices
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_subalgebra_canonical_n10_finishes(self):
+        # the fundamental identity over the 10-element canonical basis
+        # evaluates only picks of distinct indices: 10 of its 10^19 picks
+        proc = invoke("subalgebra", "canonical", "--n", "10", timeout=2)
+        assert proc.returncode == 0, proc.stderr
 
     def test_json_smoke_deterministic_and_seeded(self, tmp_path):
         args = ("verify", "all", "--level", "smoke", "--seed", "42", "--format", "json")

@@ -106,6 +106,10 @@ class TestShJacobi:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             sh_jacobi_residual(3, (0, 1, 2))
+        # an explicit list is checked too, even where the tuple repeats an
+        # index and so is never evaluated
+        with pytest.raises(ValueError):
+            sweep_sh_jacobi(3, tuples=[(0, 1, 2, 3, 4), (0, 0, 1)])
 
     def test_residual_from_uncached_brackets(self):
         # recompute one shuffle sum with direct bracket evaluations only,
@@ -134,6 +138,25 @@ class TestShJacobi:
         first = sweep.failures[0]
         assert sweep.residual == first.residual
         assert first.residual == sh_jacobi_residual(2, first.indices).canonical() != "0"
+        # each failure's residual is its signature's times its sorting sign,
+        # and equals the residual computed at the tuple itself
+        for f in sweep.failures:
+            assert f.residual == sh_jacobi_residual(2, f.indices).canonical(), f.indices
+
+    def test_sampled_sweep_evaluates_each_failing_signature_once(self, monkeypatch):
+        real = identities.sh_jacobi_residual
+        calls = []
+
+        def counted(n, indices):
+            calls.append(tuple(indices))
+            return real(n, indices)
+
+        monkeypatch.setattr(identities, "sh_jacobi_residual", counted)
+        sweep = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0)
+        # one call per distinct signature of distinct indices, all failing;
+        # no call for a tuple that repeats an index or for a failing tuple
+        assert len(calls) == len(set(calls)) == 35
+        assert {tuple(sorted(f.indices)) for f in sweep.failures} == set(calls)
 
     def test_sampled_sweep_deterministic(self):
         a = sample_tuples(9, (-2, 2), 50, seed=7)
@@ -222,6 +245,51 @@ class TestShJacobiKernel:
         assert nonzero
 
 
+# per arity, a window whose every tuple the repeated-index lemma is checked
+# on; each is no wider than its KERNEL_WINDOWS entry
+LEMMA_SH_WINDOWS = {2: (-2, 2), 3: (-2, 1), 4: (-1, 1)}
+LEMMA_FI_WINDOWS = {3: (-2, 2), 4: (-1, 2)}
+# a pick of distinct indices with a nonzero residual under either set of
+# coefficients, so the zeros above are not those of a vanishing kernel
+FI_WITNESSES = {3: ((-2, -1), (-2, 0, 1)), 4: ((-2, -3, 6), (0, 1, 2, 3))}
+
+
+@pytest.fixture(params=["closed form", "stand-in"])
+def brackets(request):
+    if request.param == "stand-in":
+        request.getfixturevalue("generic_brackets")
+    return request.param
+
+
+class TestRepeatedIndexLemma:
+    """A pick that repeats an index has a zero residual, whatever the bracket
+    coefficients; the sweeps evaluate no such pick on the strength of it."""
+
+    @pytest.mark.parametrize("n", sorted(LEMMA_SH_WINDOWS))
+    def test_sh_jacobi(self, n, brackets):
+        lo, hi = LEMMA_SH_WINDOWS[n]
+        repeated = 0
+        for t in product(range(lo, hi + 1), repeat=2 * n - 1):
+            if len(set(t)) < len(t):
+                repeated += 1
+                assert sh_jacobi_residual(n, t).is_zero, t
+        assert repeated
+
+    @pytest.mark.parametrize("n", sorted(LEMMA_FI_WINDOWS))
+    def test_fi_repeat_in_y_or_x(self, n, brackets):
+        lo, hi = LEMMA_FI_WINDOWS[n]
+        values = range(lo, hi + 1)
+        in_y = in_x = 0
+        for Y in product(values, repeat=n - 1):
+            for X in product(values, repeat=n):
+                if len(set(Y)) < len(Y) or len(set(X)) < len(X):
+                    in_y += len(set(Y)) < len(Y)
+                    in_x += len(set(X)) < len(X)
+                    assert fi_residual(n, Y, X).is_zero, (Y, X)
+        assert in_y and in_x
+        assert not fi_residual(n, *FI_WITNESSES[n]).is_zero
+
+
 class TestSignatureSweeps:
     """Window sweeps by signature against per-tuple product-order loops."""
 
@@ -232,8 +300,10 @@ class TestSignatureSweeps:
         assert sweep_sh_jacobi(n, window=window).checked == width ** (2 * n - 1)
 
     def test_injected_failure_matches_product_reference(self, monkeypatch):
+        # failures are injected at signatures of distinct indices, the only
+        # ones the kernel can make fail: (-3, 2) holds six of them
         real = identities.sh_jacobi_residual
-        bad = {(-1, 0, 0, 1, 1), (0, 0, 1, 1, 1)}
+        bad = {(-3, -2, -1, 1, 2), (-2, -1, 0, 1, 2)}
 
         def patched(n, indices):
             if tuple(sorted(indices)) in bad:
@@ -243,12 +313,12 @@ class TestSignatureSweeps:
 
         monkeypatch.setattr(identities, "sh_jacobi_residual", patched)
         reference = []
-        for t in product(range(-1, 2), repeat=5):
+        for t in product(range(-3, 3), repeat=5):
             res = patched(3, t)
             if not res.is_zero:
                 reference.append((t, res))
-        result = sweep_sh_jacobi(3, window=(-1, 1))
-        assert result.checked == 3**5
+        result = sweep_sh_jacobi(3, window=(-3, 2))
+        assert result.checked == 6**5
         assert not result.ok
         first, residual = reference[0]
         assert result.failures[0].indices == first
