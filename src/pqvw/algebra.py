@@ -5,15 +5,19 @@ generator with an exactly computable coefficient:
 
     [L_{i_1}, ..., L_{i_n}] = c(i_1, ..., i_n) * L_{i_1 + ... + i_n}
 
-For n = 2 the coefficient is -(q p^-1)^m [n-m]_{p,q}; for n >= 3 it is
-(-1)^(n(n-1)/2) times a generalized Vandermonde determinant in monomials of
-p and q divided by (q - p^-1)^(n-1).  Nothing here consults the recursive
+For n = 2 the coefficient is -(q p^-1)^m [n-m]_{p,q}.  For n >= 3 the paper
+writes it as (-1)^(n(n-1)/2) times a generalized Vandermonde determinant in
+monomials of p and q over (q - p^-1)^(n-1).  That determinant is an ordinary
+Vandermonde determinant in (pq)^(i_j), so it factors, the division cancels,
+and the coefficient is a product of polynomials in z = pq, built here
+without any ring product or division.  Nothing here consults the recursive
 operator definition: :mod:`pqvw.oracle` evaluates that independently and
 checks the closed form, its sign included, against it.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .ring import (
@@ -35,7 +39,6 @@ __all__ = [
     "BadArity",
     "bracket2",
     "bracket3_closed",
-    "vandermonde_det",
     "bracketn_closed",
     "bracket",
     "recursion_weights",
@@ -134,8 +137,8 @@ def bracket3_closed(m: GenIndex, n: GenIndex, k: GenIndex) -> Term:
 
     -(p q^-1)^(m+n+k) / (q - p^-1)^2 times the 3x3 determinant with rows
     p^-2i, p^-i q^i, q^2i over the columns i in (m, n, k), attached to
-    L_{m+n+k}.  Written out explicitly as a cofactor expansion so it can
-    cross-check the generic determinant path.
+    L_{m+n+k}.  Written out explicitly as a cofactor expansion, and divided
+    explicitly, so it can cross-check the generic product form.
     """
     rows = ((-2, 0), (-1, 1), (0, 2))
     det: dict[tuple[int, int], int] = {}
@@ -155,74 +158,46 @@ def bracket3_closed(m: GenIndex, n: GenIndex, k: GenIndex) -> Term:
         else:
             del det[(a, b)]
     s = m + n + k
-    pref = LPoly.monomial(s, -s, coeff=-1)
-    return Term(_divide_closed(LPoly(det) * pref, 2), s)
+    c = Scalar(LPoly(det) * LPoly.monomial(s, -s, coeff=-1), 2)
+    if c.e:
+        raise NotDivisible(f"(q-p^-1)^2 does not divide the determinant at {(m, n, k)}")
+    return Term(c, s)
 
 
-def vandermonde_det(
-    indices: Sequence[GenIndex], rows: Sequence[tuple[int, int]] | None = None
-) -> LPoly:
-    """Generalized Vandermonde determinant behind the closed n-bracket.
+_Z = LPoly.pack((1, 1))  # key step of one factor z = pq
 
-    The n x n matrix has the monomial entry(t, j) = p^(a_t * i_j) q^(b_t * i_j)
-    with row exponents rows[t] = (a_t, b_t); by default a_t = t -
-    2*floor((n-1)/2) and b_t = t for rows t = 0..n-1.  The determinant is a
-    Laplace expansion built row by row: after row t every (t+1)-column minor
-    of the top rows is kept, keyed by its column set, and row t + 1 extends
-    each minor by one unused column, which costs O(n * 2^n) monomial shifts
-    of minors instead of n! permutation terms.
+
+def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
+    """sign * p^(n-1) z^e (z - 1)^((n-1)(n-2)/2) prod_{j<k} [s_k - s_j]_z.
+
+    Here z = pq, [d]_z = 1 + z + ... + z^(d-1), st = (s_0 < ... < s_(n-1))
+    and e = sum_j (n-1-j) s_j - floor((n-1)/2) sum(st).  Each of the
+    (n-1)(n-2)/2 pairs k >= j + 2 takes one factor z - 1 along, as
+    z^d - 1 = (z - 1)[d]_z, a shifted difference of the dense coefficient
+    list; the n - 1 adjacent pairs keep [d]_z, a sliding-window sum.  The
+    list is then placed on the keys of p^(n-1+e+k) q^(e+k); no ring product
+    or division runs.
     """
-    n = len(indices)
-    if n < 3:
-        raise BadArity(f"determinant form needs n >= 3, got {n}")
-    if rows is None:
-        off = 2 * ((n - 1) // 2)
-        rows = [(t - off, t) for t in range(n)]
-    elif len(rows) != n:
-        raise ValueError(f"a square determinant needs {n} rows, got {len(rows)}")
-    # every exponent of every minor is a sum of row exponent times index
-    bound = sum(max(abs(ra), abs(rb)) for ra, rb in rows) * max(map(abs, indices))
+    n = len(st)
+    e = sum((n - 1 - j) * s for j, s in enumerate(st)) - (n - 1) // 2 * sum(st)
+    # every exponent lies between e (q at the bottom) and e + sum of the
+    # gaps (p at the top), and the end coefficients are +-1
+    top = e + sum((2 * j - n + 1) * s for j, s in enumerate(st))
+    bound = max(abs(e), abs(top))
     if bound > EXP_MAX:
         raise ExponentOverflow(bound)
-    # column set (bit mask) -> minor on the rows expanded so far, keyed by
-    # packed monomial
-    minors: dict[int, dict[int, int]] = {0: {0: 1}}
-    for ra, rb in rows:
-        shifts = [LPoly.pack((ra * i, rb * i)) for i in indices]
-        grown: dict[int, dict[int, int]] = {}
-        for cols, minor in minors.items():
-            for j, shift in enumerate(shifts):
-                if cols >> j & 1:
-                    continue
-                # the new row is the last row of the minor, so column j's
-                # cofactor sign counts the chosen columns to its right
-                sgn = -1 if (cols >> j).bit_count() & 1 else 1
-                acc = grown.setdefault(cols | 1 << j, {})
-                for key, c in minor.items():
-                    key += shift
-                    v = acc.get(key, 0) + sgn * c
-                    if v:
-                        acc[key] = v
-                    else:
-                        del acc[key]
-        minors = {cols: m for cols, m in grown.items() if m}
-    return LPoly._raw(minors.get((1 << n) - 1, {}), bound)
-
-
-def _divide_closed(num: LPoly, k: int) -> Scalar:
-    """num / (q - p^-1)^k, which the closed form requires to be a polynomial."""
-    c = Scalar(num, k)
-    if c.e:
-        raise NotDivisible(f"(q-p^-1)^{k} does not divide {num.canonical()}")
-    return c
-
-
-def _signfree_closed_coeff(indices: tuple[GenIndex, ...]) -> Scalar:
-    n = len(indices)
-    s = sum(indices)
-    w = ((n - 1) // 2) * s
-    det = vandermonde_det(indices)
-    return _divide_closed(det * LPoly.monomial(w, -w), n - 1)
+    coeffs = [sign]
+    for j in range(n - 1):
+        for k in range(j + 1, n):
+            d = st[k] - st[j]
+            if k == j + 1:
+                run = list(accumulate(coeffs + [0] * (d - 1)))
+                coeffs = [a - b for a, b in zip(run, [0] * d + run)]
+            else:
+                coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+    base = LPoly.pack((n - 1 + e, e))
+    terms = {base + k * _Z: c for k, c in enumerate(coeffs) if c}
+    return Scalar._raw(LPoly._raw(terms, bound), 0)
 
 
 def sign_of(n: int) -> int:
@@ -237,13 +212,17 @@ def sign_of(n: int) -> int:
 
 
 def bracketn_closed(indices: Sequence[GenIndex]) -> Term:
-    """Closed-form n-bracket for n >= 3.
+    """Closed-form n-bracket for n >= 3, attached to L_sum.
 
-    (-1)^(n(n-1)/2) / (q - p^-1)^(n-1) * (p q^-1)^(floor((n-1)/2) * sum) times
-    the generalized Vandermonde determinant, attached to L_sum.  Exact division
-    by (q - p^-1)^(n-1) is performed explicitly, so a failure (impossible if
-    the closed form is right) raises NotDivisible rather than passing
-    silently.  Repeated indices short-circuit to the zero term.
+    The paper's form is (-1)^(n(n-1)/2) (p q^-1)^(floor((n-1)/2) sum) times
+    the Vandermonde determinant of the monomials p^(-off i) (pq)^(t i),
+    off = 2 floor((n-1)/2), over (q - p^-1)^(n-1) = p^-(n-1) (pq - 1)^(n-1).
+    With the indices sorted, that determinant is p^(-off sum) times
+    prod_{j<k} (pq)^(s_j) ((pq)^(s_k - s_j) - 1), so the division cancels
+    and the coefficient is the parity of the sorting times (-1)^(n(n-1)/2)
+    times the product of :func:`_closed_product`.  No factor vanishes, so
+    the bracket of distinct generators never does; repeated indices give
+    the zero term.
     """
     t = tuple(indices)
     n = len(t)
@@ -252,7 +231,8 @@ def bracketn_closed(indices: Sequence[GenIndex]) -> Term:
     s = sum(t)
     if len(set(t)) != n:
         return Term(SCALAR_ZERO, s)
-    return Term(_signfree_closed_coeff(t).scale(sign_of(n)), s)
+    st, parity = sort_with_sign(t)
+    return Term(_closed_product(st, parity * sign_of(n)), s)
 
 
 def bracket(indices: Sequence[GenIndex]) -> Term:

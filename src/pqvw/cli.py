@@ -15,8 +15,9 @@ before anything is evaluated:
   past the ring's packed exponent range;
 * a window or sampled sweep whose closed-form work estimate exceeds its
   budget: `verify sh-jacobi` (`SH_JACOBI_BUDGET`), `verify skew`
-  (`SKEW_BUDGET`), `oracle-check --n` (`ORACLE_BUDGET`) and `subalgebra
-  search` (`SUBALGEBRA_BUDGET`).
+  (`SKEW_BUDGET`), `oracle-check --n` (`ORACLE_BUDGET`), `subalgebra
+  search` (`SUBALGEBRA_BUDGET`), `verify jacobi2` (`JACOBI2_BUDGET`) and
+  `verify limits` (`LIMITS_BUDGET`).
 
 JSON reports are byte-identical for identical configurations (including
 seed); wall time is therefore reported on stderr only.  `--jobs` is accepted
@@ -44,20 +45,28 @@ from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, special
 MAX_VERIFIED_ARITY = 10
 
 # Work budgets, checked in closed form before anything is evaluated (2-vCPU
-# machine, Python 3.11): `verify sh-jacobi --n 6 --window 2` (630 630 shuffle
-# terms) runs in about 0.6 s and `--n 7` (4.1 M) would take about 4 s;
-# `verify skew --n 5 --window 3` (184 877 bracket evaluations) runs in about
-# 9 s and `--n 6` (1.9 M) would take about 90 s.
+# machine, Python 3.11).  The sh-jacobi and subalgebra estimates count index
+# multisets, so they are loose upper bounds: `verify sh-jacobi --n 6
+# --window 2` (630 630 shuffle terms) and `subalgebra search --n 6 --window
+# 3` (8.7 M) each run in about 0.1 s.  `verify skew --n 5 --window 3`
+# (184 877 bracket evaluations) runs in about 2 s and `--n 6` (1.9 M) would
+# take about 10 s.
 SH_JACOBI_BUDGET = 2_000_000  # shuffle terms
 SKEW_BUDGET = 200_000  # bracket evaluations
-# `oracle-check --n 5 --window 3` (80 640 minors) runs in about 3 s and
-# `--n 3 --window 10` (74 088) in about 4 s, while `--n 3 --window 12`
-# (125 000; larger indices make larger polynomials) takes 9 s and `--n 6
-# --window 3` (322 560) 14 s.  `subalgebra search --n 6 --window 3` (8.7 M)
-# runs in about 9 s; its estimate is an upper bound, since most candidates
-# fail closure before the FI, so `--n 5 --window 4` (22.7 M) would take 4 s.
-ORACLE_BUDGET = 100_000  # closed-form determinant minors
+# Each tuple `oracle-check` compares costs the recursion up to 2^n ordered
+# sub-brackets: `--n 5 --window 3` (80 640) runs in about 2.6 s and `--n 3
+# --window 10` (74 088) in about 5 s, while `--n 3 --window 12` (125 000;
+# larger indices make larger polynomials) would take 8 s and `--n 6
+# --window 3` (322 560) 10 s.
+ORACLE_BUDGET = 100_000  # recursive sub-brackets
 SUBALGEBRA_BUDGET = 10_000_000  # bracket evaluations
+# `verify jacobi2 --window 8` (9 826 tuples) runs in about 2.6 s and
+# `--window 9` (13 718) would take 3.5 s; `verify limits --window 99`
+# (39 601 pairs) runs in about 7 s and `--window 200` (160 801) would take
+# 39 s.  A tuple or pair costs more as the window widens, since the
+# 2-bracket [n - m]_{p,q} has |n - m| terms.
+JACOBI2_BUDGET = 10_000  # Jacobi tuples
+LIMITS_BUDGET = 40_000  # bracket pairs
 
 # Largest |index| accepted in an explicit index list: output and run time
 # grow with it (`bracket --n 3 --indices 0,5000,10000` prints 0.75 MB in
@@ -355,10 +364,10 @@ def _work_estimate(cfg: RunConfig) -> tuple[int, int, str] | None:
         # every n-tuple, with its bracket and one per transposition
         return width**n * (1 + n * (n - 1) // 2), SKEW_BUDGET, "bracket evaluations"
     if cfg.command == "oracle-check" and n is not None:
-        # every compared tuple's closed form expands 2^n - 1 Laplace minors
-        # (the recursive side's time per tuple doubles with n as well)
+        # the recursion evaluates each compared tuple through its ordered
+        # sub-tuples, at most 2^n of them
         tuples = width**3 if n == 3 else perm(width, n)
-        return tuples * 2**n, ORACLE_BUDGET, "determinant minors"
+        return tuples * 2**n, ORACLE_BUDGET, "recursive sub-brackets"
     if cfg.command == "subalgebra search":
         # each k-element candidate, k = n and n + 1, costs C(k, n) closure
         # brackets and, if it closes, one FI residual of n + 1 nested
@@ -369,6 +378,12 @@ def _work_estimate(cfg: RunConfig) -> tuple[int, int, str] | None:
             for k in (n, n + 1)
         )
         return work, SUBALGEBRA_BUDGET, "bracket evaluations"
+    if cfg.command == "verify jacobi2":
+        # both weighted Jacobi sweeps run over the window cube
+        return 2 * width**3, JACOBI2_BUDGET, "Jacobi tuples"
+    if cfg.command == "verify limits":
+        # every 2-bracket pair of the window; the odd-arity checks are fixed
+        return width**2, LIMITS_BUDGET, "bracket pairs"
     return None
 
 

@@ -11,8 +11,9 @@ coefficient.  Dividing the action of a defining bracket on |nu> by the
 action coefficient of its target generator recovers the structure constant
 without ever touching the closed determinant form -- this module is the
 independent cross-check for everything in :mod:`pqvw.algebra`.  Only
-:func:`derive_sign` reads the closed form, to divide it out of a recursive
-structure constant and recover the closed form's overall sign.
+:func:`derive_sign` reads the closed form, comparing a recursive structure
+constant with its sign-free product to recover the closed form's overall
+sign.
 
 The checks run the defining recursion directly on the module
 (:func:`structure_constant`): every word of an n-bracket shifts |nu> by the
@@ -33,15 +34,15 @@ from .algebra import (
     BadArity,
     GenIndex,
     Term,
-    _signfree_closed_coeff,
+    _closed_product,
     recursion_weights,
+    sort_with_sign,
 )
 from .ring import (
     LPoly,
     ModScalar,
     MPoly,
     NotDivisible,
-    SCALAR_ONE,
     Scalar,
     mod_from_scalar,
     mod_shift,
@@ -457,10 +458,11 @@ def structure_constant(indices: Sequence[GenIndex]) -> Term:
 def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
     """Sign of the closed form at arity n, read off the defining recursion.
 
-    The quotient of the recursively evaluated structure constant on one
-    witness tuple (default 0, ..., n-1) by the sign-free closed form must be
-    +1 or -1; anything else would mean the determinant formula does not
-    reproduce the recursion.  Checks compare the result with
+    The recursively evaluated structure constant on one witness tuple
+    (default 0, ..., n-1) must equal plus or minus the closed form's product
+    without its overall sign (the parity of the witness's sorting kept);
+    anything else would mean the closed form does not reproduce the
+    recursion.  Nothing is divided.  Checks compare the result with
     :func:`pqvw.algebra.sign_of`.
     """
     if n < 3:
@@ -468,14 +470,14 @@ def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
     key = tuple(witness) if witness is not None else tuple(range(n))
     if len(key) != n or len(set(key)) != n:
         raise ValueError("witness must consist of n distinct indices")
-    base = _signfree_closed_coeff(key)
-    if base.is_zero:
-        raise InconsistentSign(f"degenerate witness {key}: closed form vanishes")
-    ratio = structure_constant(key).coeff.exact_div(base)
-    if ratio == SCALAR_ONE:
+    st, parity = sort_with_sign(key)
+    closed = _closed_product(st, parity)
+    rec = structure_constant(key).coeff
+    if rec == closed:
         return 1
-    if ratio == -SCALAR_ONE:
+    if rec == -closed:
         return -1
     raise InconsistentSign(
-        f"recursive/closed ratio at {key} is {ratio.canonical()}, not +-1"
+        f"recursive constant at {key} is {rec.canonical()}, "
+        f"not +-({closed.canonical()})"
     )

@@ -16,18 +16,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .algebra import (
-    GenIndex,
-    bracket_coeff,
-    bracketn_closed,
-    sign_of,
-    vandermonde_det,
-)
+from .algebra import GenIndex, bracketn_closed
 from .identities import fi_residual
-from .ring import LPoly, Scalar
+from .ring import Scalar
 
 __all__ = [
-    "ZeroCoefficient",
     "UnexpectedSubalgebra",
     "CanonicalNLie",
     "FMatrix",
@@ -43,10 +36,6 @@ __all__ = [
     "check_candidate",
     "search",
 ]
-
-
-class ZeroCoefficient(ArithmeticError):
-    """A canonical-subalgebra coefficient vanished; the construction broke."""
 
 
 class UnexpectedSubalgebra(ArithmeticError):
@@ -151,14 +140,16 @@ def _validate_set(S: Sequence[GenIndex]) -> tuple[GenIndex, ...]:
 
 
 def closure_check(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
-    """Does every nonvanishing n-bracket of distinct members land in the span?"""
+    """Does every n-bracket of distinct members land in the span?
+
+    No bracket of distinct generators vanishes, so it lands on L_sum(T)
+    and closure is a question about index sums alone.
+    """
     idx = _validate_set(S)
     if len(idx) < n:
         raise ValueError(f"need at least {n} generators, got {len(idx)}")
     members = set(idx)
     for T in combinations(idx, n):
-        if bracket_coeff(T).is_zero:
-            continue
         if sum(T) not in members:
             return SubalgebraReport(idx, closed=False, offending=T)
     return SubalgebraReport(idx, closed=True)
@@ -211,41 +202,17 @@ def canonical_basis(n: int) -> tuple[GenIndex, ...]:
 def canonical_coeff(n: int) -> Scalar:
     """Structure constant of the full bracket on the canonical basis.
 
-    Assembled twice: once through the generic closed form, once from the
-    explicit even/odd determinant presentations with their own prefactors.
-    The two must agree exactly and the value must be nonzero, otherwise the
-    canonical construction would not produce an n-Lie subalgebra.
+    The closed form at :func:`canonical_basis`; it never vanishes, since no
+    bracket of distinct generators does.
     """
-    basis = canonical_basis(n)
-    general = bracketn_closed(basis).coeff
-    k = n // 2
-    if n % 2 == 0:
-        # rows p^-(2k-2)i q^0, ..., p^0 q^(2k-2)i, then the extra p^i q^(2k-1)i
-        rows = [(-(2 * k - 2) + r, r) for r in range(2 * k - 1)]
-        rows.append((1, 2 * k - 1))
-        det = vandermonde_det(basis, rows)
-        w = k * k - k
-        pref = LPoly.monomial(w, -w, coeff=sign_of(n))
-        explicit = Scalar(det * pref, n - 1)
-    else:
-        # rows p^-(2k-r)i q^(r)i for r = 0..2k, no monomial prefactor
-        rows = [(-(2 * k) + r, r) for r in range(2 * k + 1)]
-        det = vandermonde_det(basis, rows)
-        explicit = Scalar(det.scale(sign_of(n)), n - 1)
-    if explicit != general:
-        raise ZeroCoefficient(
-            f"explicit canonical form disagrees with the closed form at n={n}"
-        )
-    if general.is_zero:
-        raise ZeroCoefficient(f"canonical bracket vanishes at n={n}")
-    return general
+    return bracketn_closed(canonical_basis(n)).coeff
 
 
 def iso_canonical_check(S: Sequence[GenIndex], n: int) -> tuple[bool, GenIndex | None, Scalar]:
     """Is the span an n-dimensional algebra with one bracket onto a basis line?
 
-    For |S| = n the only bracket is [all of S] = c L_t; the span matches the
-    canonical one-relation algebra iff c != 0 and t lies in S (rescaling
+    For |S| = n the only bracket is [all of S] = c L_t with c != 0; the span
+    matches the canonical one-relation algebra iff t lies in S (rescaling
     L_t then realizes the relation exactly).
     """
     idx = _validate_set(S)
@@ -255,7 +222,7 @@ def iso_canonical_check(S: Sequence[GenIndex], n: int) -> tuple[bool, GenIndex |
     if term is None:
         raise ValueError("arity must be >= 3")
     t = term.index
-    ok = (not term.coeff.is_zero) and t in set(idx)
+    ok = t in set(idx)
     return ok, (t if ok else None), term.coeff
 
 
@@ -272,10 +239,9 @@ def filippov_matrix(S: Sequence[GenIndex], n: int) -> FMatrix:
         term = bracketn_closed(sub)
         sign = -1 if (n + j) % 2 else 1  # (-1)^(n + (j+1) + 1) with 1-based j
         col = [zero] * (n + 1)
-        if not term.coeff.is_zero:
-            target = total - omitted
-            if target in idx:
-                col[idx.index(target)] = term.coeff.scale(sign)
+        target = total - omitted
+        if target in idx:
+            col[idx.index(target)] = term.coeff.scale(sign)
         cols.append(col)
     rows = tuple(
         tuple(cols[j][r] for j in range(n + 1)) for r in range(n + 1)
@@ -287,20 +253,15 @@ def ideal_check(S: Sequence[GenIndex], n: int, t: GenIndex) -> bool:
     """Is the line spanned by L_t an ideal of the span?
 
     Every bracket with at least one argument L_t and the rest drawn from S
-    must land back on L_t (or vanish).  Repeated arguments vanish by
-    antisymmetry, so distinct picks decide the question.
+    must land back on L_t.  Repeated arguments vanish by antisymmetry and
+    distinct ones never do, so L_t is an ideal iff the other arguments of
+    every distinct pick sum to 0.
     """
     idx = _validate_set(S)
     if t not in set(idx):
         raise ValueError("t must belong to the index set")
     others = [i for i in idx if i != t]
-    for rest in combinations(others, n - 1):
-        T = (t,) + rest
-        if bracket_coeff(T).is_zero:
-            continue
-        if sum(T) != t:
-            return False
-    return True
+    return all(sum(rest) == 0 for rest in combinations(others, n - 1))
 
 
 def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:

@@ -13,7 +13,9 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 from pqvw import algebra, identities, oracle, subalgebra
-from pqvw.ring import Scalar, classical_value, pq_number, q_number, specialize_pq
+from pqvw.ring import classical_value, pq_number, q_number, specialize_pq
+
+from determinants import closed_rows, paper_coeff, permutation_det
 
 PKG_ROOT = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,8 +63,8 @@ def test_c3_closed_form():
         for t in permutations(range(-2, 3), n):
             rec = oracle.extract_structure_constant(oracle.bracketn_def(t))
             assert rec == algebra.bracketn_closed(t)
-            # divisibility of the determinant by (q - p^-1)^(n-1), explicitly
-            algebra.vandermonde_det(t).exact_div(Scalar.DIVISOR ** (n - 1))
+            # the paper's determinant, divided by (q - p^-1)^(n-1) explicitly
+            assert paper_coeff(t, permutation_det(t, closed_rows(n))) == rec.coeff
     for n, witnesses in (
         (4, [(0, 1, 2, 3), (-2, -1, 1, 2), (-3, 0, 1, 2)]),
         (5, [(0, 1, 2, 3, 4), (-2, -1, 0, 1, 2), (-2, 0, 1, 2, 3)]),

@@ -1,7 +1,8 @@
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations, product
+import tracemalloc
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -19,47 +20,25 @@ from pqvw.algebra import (
     recursion_weights,
     sign_of,
     sort_with_sign,
-    vandermonde_det,
 )
 from pqvw.oracle import derive_sign
-from pqvw.ring import LPoly, NotDivisible, Scalar, classical_value, q_number, specialize_pq
+from pqvw.ring import (
+    EXP_MAX,
+    ExponentOverflow,
+    LPoly,
+    NotDivisible,
+    Scalar,
+    classical_value,
+    q_number,
+    specialize_pq,
+)
+
+from determinants import closed_rows, laplace_det, monomial_matrix, paper_coeff, permutation_det
 
 PKG_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 Q = LPoly.monomial(0, 1)
 PINV = LPoly.monomial(-1, 0)
-
-
-def laplace_det(matrix):
-    """Independent determinant oracle: recursive cofactor expansion."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = LPoly.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        cof = matrix[0][j] * laplace_det(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
-
-
-def closed_matrix(indices):
-    n = len(indices)
-    off = 2 * ((n - 1) // 2)
-    return [
-        [LPoly.monomial((t - off) * i, t * i) for i in indices] for t in range(n)
-    ]
-
-
-def permutation_det(indices, rows):
-    """Reference determinant: the signed sum over all n! permutations."""
-    total = {}
-    for perm in permutations(range(len(indices))):
-        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
-        a = sum(r[0] * indices[c] for r, c in zip(rows, perm))
-        b = sum(r[1] * indices[c] for r, c in zip(rows, perm))
-        total[(a, b)] = total.get((a, b), 0) + (-1) ** inversions
-    return LPoly({k: v for k, v in total.items() if v})
 
 
 class TestBracket2:
@@ -84,6 +63,8 @@ class TestBracket2:
 
 
 class TestVandermonde:
+    # the product form against the paper's determinant, expanded the slow way
+
     def test_factored_form_n3(self):
         # p^-2 q (pq - 1) (q + p^-1) (q - p^-1)^2, expanded
         expected = (
@@ -92,45 +73,54 @@ class TestVandermonde:
             * (Q + PINV)
             * (Q - PINV) ** 2
         )
-        assert vandermonde_det((0, 1, 2)) == expected
+        idx = (0, 1, 2)
+        assert laplace_det(monomial_matrix(idx, closed_rows(3))) == expected
+        assert bracketn_closed(idx).coeff == paper_coeff(idx, expected)
 
     def test_matches_cofactor_oracle(self):
         rng = random.Random(11)
         for n in (3, 4, 5):
             for _ in range(8):
                 idx = tuple(rng.sample(range(-4, 5), n))
-                assert vandermonde_det(idx) == laplace_det(closed_matrix(idx))
+                det = laplace_det(monomial_matrix(idx, closed_rows(n)))
+                assert bracketn_closed(idx).coeff == paper_coeff(idx, det), idx
 
     def test_matches_permutation_expansion(self):
         rng = random.Random(29)
         for n in range(3, 8):
-            off = 2 * ((n - 1) // 2)
-            closed_rows = [(t - off, t) for t in range(n)]
-            other_rows = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
             for _ in range(3):
                 idx = tuple(rng.sample(range(-5, 6), n))
-                assert vandermonde_det(idx) == permutation_det(idx, closed_rows), idx
-                assert vandermonde_det(idx, other_rows) == permutation_det(idx, other_rows)
-
-    def test_row_count_must_match(self):
-        with pytest.raises(ValueError):
-            vandermonde_det((0, 1, 2), [(0, 0), (1, 1)])
+                det = permutation_det(idx, closed_rows(n))
+                assert bracketn_closed(idx).coeff == paper_coeff(idx, det), idx
+        # the two references agree on rows other than the closed form's too,
+        # as the explicit canonical presentations need
+        for n in (3, 4, 5):
+            rows = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            idx = tuple(rng.sample(range(-5, 6), n))
+            assert laplace_det(monomial_matrix(idx, rows)) == permutation_det(idx, rows)
 
     def test_repeated_index_vanishes(self):
-        assert vandermonde_det((1, 1, 2)).is_zero
-        assert vandermonde_det((0, -2, 3, -2)).is_zero
+        for idx in ((1, 1, 2), (0, -2, 3, -2)):
+            assert permutation_det(idx, closed_rows(len(idx))).is_zero
+            assert bracketn_closed(idx).is_zero
 
     def test_column_swap_flips_sign(self):
-        assert vandermonde_det((1, 0, 2)) == -vandermonde_det((0, 1, 2))
+        rows = closed_rows(3)
+        assert permutation_det((1, 0, 2), rows) == -permutation_det((0, 1, 2), rows)
+        assert bracketn_closed((1, 0, 2)).coeff == -bracketn_closed((0, 1, 2)).coeff
 
     def test_divisible_by_divisor_power(self):
+        # the paper's determinant is divisible by (q - p^-1)^(n-1), by long division
         for idx in [(0, 1, 2), (-2, 1, 3), (0, 1, 2, 3), (-2, -1, 0, 1, 2)]:
             n = len(idx)
-            vandermonde_det(idx).exact_div(Scalar.DIVISOR ** (n - 1))
+            permutation_det(idx, closed_rows(n)).exact_div(Scalar.DIVISOR ** (n - 1))
 
     def test_arity_guard(self):
+        # the product form's sign, and the oracle's check of it, start at n = 3
         with pytest.raises(BadArity):
-            vandermonde_det((0, 1))
+            sign_of(2)
+        with pytest.raises(BadArity):
+            derive_sign(2)
 
 
 class TestBracket3:
@@ -255,21 +245,41 @@ class TestBracketN:
         with pytest.raises(BadArity):
             bracketn_closed((0, 1))
 
+    def test_distinct_brackets_never_vanish(self):
+        # no factor of the product form vanishes, and the 2-bracket's
+        # [n - m]_{p,q} vanishes only at m = n
+        rng = random.Random(41)
+        for n in range(2, 11):
+            for _ in range(20):
+                idx = tuple(rng.sample(range(-12, 13), n))
+                assert not bracket(idx).is_zero, idx
+
+    def test_p_minus_q_exponent_is_arity_minus_one(self):
+        # every term is p^(n-1) times a power of pq
+        rng = random.Random(43)
+        for n in range(3, 11):
+            for _ in range(10):
+                idx = tuple(rng.sample(range(-12, 13), n))
+                terms = bracketn_closed(idx).coeff.num.terms
+                assert {a - b for a, b in terms} == {n - 1}, idx
+
+    def test_exponent_overflow_before_building(self):
+        # exponents past EXP_MAX raise at once, before a coefficient list of
+        # about 2^30 entries would be allocated
+        tracemalloc.start()
+        try:
+            for idx in ((0, 1, EXP_MAX + 1), (-EXP_MAX, 0, EXP_MAX), (0, 1, 2, EXP_MAX)):
+                with pytest.raises(ExponentOverflow):
+                    bracketn_closed(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestClosedFormDivisibilityGuard:
-    # a determinant with fewer divisor factors than the closed form needs
-    # must raise instead of passing as a fraction
-
-    def test_bracketn_closed(self, monkeypatch):
-        real = algebra.vandermonde_det
-
-        def short(indices, rows=None):
-            # the n = 4 determinant has three factors; adding D^2 leaves two
-            return real(indices, rows) + Scalar.DIVISOR**2
-
-        monkeypatch.setattr(algebra, "vandermonde_det", short)
-        with pytest.raises(NotDivisible):
-            bracketn_closed((0, 1, 2, 3))
+    # the explicit 3 x 3 determinant, with fewer divisor factors than the
+    # closed form needs, must raise instead of passing as a fraction
 
     def test_bracket3_closed(self, monkeypatch):
         # bracket3_closed expands its own determinant, so perturb the LPoly it

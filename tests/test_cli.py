@@ -78,18 +78,25 @@ class TestParsing:
             ["verify", "sh-jacobi", "--n", "6", "--window", "2"],  # 630 630 terms
             ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200000"],
             ["verify", "skew", "--n", "5", "--window", "3"],  # 184 877 brackets
-            ["oracle-check", "--n", "5", "--window", "3"],  # 80 640 minors
-            ["oracle-check", "--n", "3", "--window", "10"],  # 74 088 minors
+            ["oracle-check", "--n", "5", "--window", "3"],  # 80 640 sub-brackets
+            ["oracle-check", "--n", "3", "--window", "10"],  # 74 088 sub-brackets
             ["subalgebra", "search", "--n", "6", "--window", "3"],  # 8 693 006 brackets
             ["bracket", "--n", "3", "--indices", "0,1,-10000"],
         ):
             assert parse_args(argv).n is not None
         for argv in (
+            ["verify", "jacobi2", "--window", "8"],  # 9 826 tuples
+            ["verify", "limits", "--window", "99"],  # 39 601 pairs
+        ):
+            assert parse_args(argv).window is not None
+        for argv in (
             ["verify", "sh-jacobi", "--n", "7", "--window", "2"],  # 4 084 080 terms
             ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200001"],
             ["verify", "skew", "--n", "6", "--window", "3"],  # 1 882 384 brackets
-            ["oracle-check", "--n", "6", "--window", "3"],  # 322 560 minors
-            ["oracle-check", "--n", "3", "--window", "12"],  # 125 000 minors
+            ["oracle-check", "--n", "6", "--window", "3"],  # 322 560 sub-brackets
+            ["oracle-check", "--n", "3", "--window", "12"],  # 125 000 sub-brackets
+            ["verify", "jacobi2", "--window", "9"],  # 13 718 tuples
+            ["verify", "limits", "--window", "100"],  # 40 401 pairs
             ["subalgebra", "search", "--n", "7", "--window", "3"],  # 12 684 673 brackets
             ["subalgebra", "search", "--n", "5", "--window", "4"],  # 22 671 558 brackets
             # an explicit index past MAX_INDEX, in each command that takes one
@@ -199,9 +206,13 @@ class TestBlackBox:
             (("verify", "sh-jacobi", "--n", "10", "--window", "3"),
              "16360143800 shuffle terms, over the budget of 2000000"),
             (("oracle-check", "--n", "7", "--window", "3"),
-             "645120 determinant minors, over the budget of 100000"),
+             "645120 recursive sub-brackets, over the budget of 100000"),
             (("subalgebra", "search", "--n", "9", "--window", "6"),
              "5617401650575 bracket evaluations, over the budget of 10000000"),
+            (("verify", "jacobi2", "--window", "1000"),
+             "16024012002 Jacobi tuples, over the budget of 10000"),
+            (("verify", "limits", "--window", "1000"),
+             "4004001 bracket pairs, over the budget of 40000"),
             # about 20 s and 75 MB of output without the limit
             (("bracket", "--n", "3", "--indices", "0,1,1000000"),
              "bracket accepts indices |i| <= 10000, got 1000000"),

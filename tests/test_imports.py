@@ -71,7 +71,7 @@ EXPORTS = {
     "algebra": [
         "BadArity", "GenIndex", "RecursionWeights", "Term", "bracket", "bracket2",
         "bracket3_closed", "bracket_coeff", "bracketn_closed", "recursion_weights",
-        "sign_of", "vandermonde_det",
+        "sign_of",
     ],
     "oracle": [
         "InconsistentSign", "ModVector", "NotProportional", "WordSum", "bracket2_def",
@@ -85,9 +85,8 @@ EXPORTS = {
     ],
     "subalgebra": [
         "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",
-        "ZeroCoefficient", "canonical_basis", "canonical_coeff", "closure_check",
-        "fi_check_span", "filippov_matrix", "ideal_check", "iso_canonical_check",
-        "search",
+        "canonical_basis", "canonical_coeff", "closure_check", "fi_check_span",
+        "filippov_matrix", "ideal_check", "iso_canonical_check", "search",
     ],
 }
 

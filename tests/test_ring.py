@@ -566,6 +566,8 @@ def test_binomial_divisors_never_reach_long_division(monkeypatch):
         assert oracle.structure_constant(idx) == closed
         assert oracle.extract_structure_constant(oracle.bracketn_def(idx)) == closed
     assert [identities.q_jacobi2_residual(*t) for t in jacobi] == residuals
-    # the stub is live: a closed-form determinant is a divisor of many terms
+    # the sign check compares with the closed form; it does not divide by it
+    assert oracle.derive_sign(4) == 1
+    # the stub is live: a power of the divisor is a divisor of many terms
     with pytest.raises(LongDivision):
-        oracle.derive_sign(4)
+        (Scalar.DIVISOR**3).exact_div(Scalar.DIVISOR**2)

@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from pqvw.algebra import bracket_coeff, bracketn_closed
+from pqvw.algebra import bracket_coeff, bracketn_closed, sign_of
 from pqvw.identities import fi_residual
 from pqvw.ring import LPoly, Scalar, specialize_pq
 from pqvw.subalgebra import (
@@ -17,6 +17,8 @@ from pqvw.subalgebra import (
     iso_canonical_check,
     search,
 )
+
+from determinants import permutation_det
 
 
 class TestClosure:
@@ -108,6 +110,25 @@ class TestCanonical:
             coeff = canonical_coeff(n)
             assert not coeff.is_zero
             assert coeff == bracketn_closed(canonical_basis(n)).coeff
+
+    def test_coeff_matches_explicit_presentations(self):
+        # the paper's even and odd presentations of the canonical bracket:
+        # their own rows and prefactors, over (q - p^-1)^(n-1)
+        for n in range(3, 8):
+            basis, k = canonical_basis(n), n // 2
+            if n % 2 == 0:
+                # rows p^-(2k-2)i q^0, ..., p^0 q^(2k-2)i, then p^i q^(2k-1)i
+                rows = [(-(2 * k - 2) + r, r) for r in range(2 * k - 1)]
+                rows.append((1, 2 * k - 1))
+                w = k * k - k
+                pref = LPoly.monomial(w, -w, coeff=sign_of(n))
+            else:
+                # rows p^-(2k-r)i q^(r)i for r = 0..2k, no monomial prefactor
+                rows = [(-(2 * k) + r, r) for r in range(2 * k + 1)]
+                pref = LPoly.const(sign_of(n))
+            explicit = Scalar(permutation_det(basis, rows) * pref, n - 1)
+            assert explicit.e == 0
+            assert canonical_coeff(n) == explicit, n
 
     def test_q_limit_stays_nonzero(self):
         assert not specialize_pq(canonical_coeff(3)).is_zero
