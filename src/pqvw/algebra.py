@@ -27,7 +27,8 @@ from .ring import (
     NotDivisible,
     SCALAR_ZERO,
     Scalar,
-    pq_number,
+    _Z,
+    _scaled_pq_number,
 )
 
 GenIndex = int
@@ -127,9 +128,12 @@ def sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def bracket2(m: GenIndex, n: GenIndex) -> Term:
-    """Weighted 2-bracket: [L_m, L_n] = -(q p^-1)^m [n-m]_{p,q} L_{m+n}."""
-    mono = Scalar._raw(LPoly.monomial(-m, m, coeff=-1), 0)
-    return Term(mono * pq_number(n - m), m + n)
+    """Weighted 2-bracket: [L_m, L_n] = -(q p^-1)^m [n-m]_{p,q} L_{m+n}.
+
+    The coefficient is placed on its keys as a geometric sum in z = pq, like
+    the closed form for n >= 3: no ring product or division runs.
+    """
+    return Term(_scaled_pq_number(n - m, -m, m, -1), m + n)
 
 
 def bracket3_closed(m: GenIndex, n: GenIndex, k: GenIndex) -> Term:
@@ -162,9 +166,6 @@ def bracket3_closed(m: GenIndex, n: GenIndex, k: GenIndex) -> Term:
     if c.e:
         raise NotDivisible(f"(q-p^-1)^2 does not divide the determinant at {(m, n, k)}")
     return Term(c, s)
-
-
-_Z = LPoly.pack((1, 1))  # key step of one factor z = pq
 
 
 def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:

@@ -54,16 +54,16 @@ MAX_VERIFIED_ARITY = 10
 SH_JACOBI_BUDGET = 2_000_000  # shuffle terms
 SKEW_BUDGET = 200_000  # bracket evaluations
 # Each tuple `oracle-check` compares costs the recursion up to 2^n ordered
-# sub-brackets: `--n 5 --window 3` (80 640) runs in about 2.6 s and `--n 3
-# --window 10` (74 088) in about 5 s, while `--n 3 --window 12` (125 000;
-# larger indices make larger polynomials) would take 8 s and `--n 6
-# --window 3` (322 560) 10 s.
+# sub-brackets: `--n 5 --window 3` (80 640) runs in about 1.3 s and `--n 3
+# --window 10` (74 088) in about 2.5 s, while `--n 3 --window 12` (125 000;
+# larger indices make larger polynomials) would take 3.6 s and `--n 6
+# --window 3` (322 560) 3.8 s.
 ORACLE_BUDGET = 100_000  # recursive sub-brackets
 SUBALGEBRA_BUDGET = 10_000_000  # bracket evaluations
-# `verify jacobi2 --window 8` (9 826 tuples) runs in about 2.6 s and
-# `--window 9` (13 718) would take 3.5 s; `verify limits --window 99`
-# (39 601 pairs) runs in about 7 s and `--window 200` (160 801) would take
-# 39 s.  A tuple or pair costs more as the window widens, since the
+# `verify jacobi2 --window 8` (9 826 tuples) runs in about 1.4 s and
+# `--window 9` (13 718) would take 1.7 s; `verify limits --window 99`
+# (39 601 pairs) runs in about 3.9 s and `--window 200` (160 801) would take
+# 21 s.  A tuple or pair costs more as the window widens, since the
 # 2-bracket [n - m]_{p,q} has |n - m| terms.
 JACOBI2_BUDGET = 10_000  # Jacobi tuples
 LIMITS_BUDGET = 40_000  # bracket pairs
@@ -182,89 +182,128 @@ def _merge_list_flags(argv: Sequence[str]) -> list[str]:
     return out
 
 
+class _LazySubparsers(argparse._SubParsersAction):
+    """Subcommand choice that adds a parser's arguments only once it is chosen.
+
+    Every name and help line is registered up front, so usage, help and
+    invalid-choice messages read as if every parser were complete; only the
+    parser argparse selects gets its arguments, through its builder.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._builders: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
+
+    def add_parser(self, name, build=None, **kwargs):
+        parser = super().add_parser(name, **kwargs)
+        self._builders[name] = build
+        return parser
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        build = self._builders.pop(values[0], None)
+        if build is not None:
+            build(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--output", metavar="PATH", default=None, help="write the JSON report here (atomic)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect "
+                        "(every sweep runs in this process)")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
+
+
+_ARITY_HELP = f"n <= {MAX_VERIFIED_ARITY} (the verified range of the closed form's sign)"
+_N = ("--n", {"type": int, "required": True})
+
+
+def _leaf(*arguments: tuple[str, dict]) -> Callable[[argparse.ArgumentParser], None]:
+    # a command's builder: its own arguments, then the common options
+    def build(p: argparse.ArgumentParser) -> None:
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        _common(p)
+
+    return build
+
+
+def _group(dest: str, commands) -> Callable[[argparse.ArgumentParser], None]:
+    # a builder that adds a choice of subcommands, each (name, help, builder)
+    def build(p: argparse.ArgumentParser) -> None:
+        sub = p.add_subparsers(dest=dest, required=True, action=_LazySubparsers)
+        for name, help_text, child in commands:
+            sub.add_parser(name, help=help_text, build=child)
+
+    return build
+
+
+_PARSER_TREE = _group("command", (
+    ("bracket", "evaluate one bracket of generators", _leaf(
+        ("--n", {"type": int, "required": True, "help": f"bracket arity, 2 <= {_ARITY_HELP}"}),
+        ("--indices", {"type": _indices_arg, "required": True}),
+    )),
+    ("oracle-check", "oscillator relations and closed-vs-recursive sweep", _leaf(
+        ("--n", {"type": int, "default": None}),
+        ("--window", {"type": int, "default": 2}),
+    )),
+    ("verify", "identity verification", _group("verify_command", (
+        ("skew", "antisymmetry sweep", _leaf(
+            _N, ("--window", {"type": int, "required": True}),
+        )),
+        ("sh-jacobi", "shuffle Jacobi identity", _leaf(
+            _N,
+            ("--window", {"type": int, "default": None}),
+            ("--indices", {"type": _indices_arg, "default": None, "help": "explicit 2n-1 indices"}),
+            ("--samples", {"type": int, "default": None}),
+        )),
+        ("fi", "fundamental identity", _leaf(
+            ("--n", {"type": int, "required": True, "help": f"bracket arity, {_ARITY_HELP}"}),
+            ("--counterexample", {
+                "action": "store_true",
+                "help": "use the built-in even-arity counterexample (passes when nonzero)"}),
+            ("--y", {"type": _indices_arg, "default": None, "help": "n-1 derivation indices"}),
+            ("--x", {"type": _indices_arg, "default": None, "help": "n bracket indices"}),
+            ("--expect-nonzero", {
+                "action": "store_true",
+                "help": "invert the expectation: pass when the residual is nonzero"}),
+        )),
+        ("jacobi2", "weighted Jacobi identities for the 2-bracket", _leaf(
+            ("--window", {"type": int, "default": 3}),
+        )),
+        ("limits", "one-parameter and classical limits", _leaf(
+            ("--window", {"type": int, "default": 5}),
+        )),
+        ("all", "the full check suite", _leaf(
+            ("--level", {"choices": ("desk", "smoke"), "default": "desk"}),
+        )),
+    ))),
+    ("subalgebra", "subalgebra checks and search", _group("sub_command", (
+        ("search", "bounded window search", _leaf(
+            _N, ("--window", {"type": int, "required": True}),
+        )),
+        ("canonical", "the canonical n-dimensional subalgebra", _leaf(_N)),
+        ("check", "verdicts for an explicit index set", _leaf(
+            _N, ("--indices", {"type": _indices_arg, "required": True}),
+        )),
+    ))),
+))
+
+
 def parse_args(argv: Sequence[str]) -> RunConfig:
+    """Parse and validate one invocation; usage errors exit 2.
+
+    Only the chosen command's parser gets its arguments (each argument costs
+    argparse a terminal-size query), so help and error texts are those of
+    the full parser tree at a fraction of its cost.
+    """
     parser = argparse.ArgumentParser(
         prog="pqvw",
         description="Exact checks for the two-parameter deformed Virasoro-Witt n-algebra",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", metavar="PATH", default=None, help="write the JSON report here (atomic)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect "
-                            "(every sweep runs in this process)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-
-    p = sub.add_parser("bracket", help="evaluate one bracket of generators")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"bracket arity, 2 <= n <= {MAX_VERIFIED_ARITY} "
-                        "(the verified range of the closed form's sign)")
-    p.add_argument("--indices", type=_indices_arg, required=True)
-    common(p)
-
-    p = sub.add_parser("oracle-check", help="oscillator relations and closed-vs-recursive sweep")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--window", type=int, default=2)
-    common(p)
-
-    v = sub.add_parser("verify", help="identity verification")
-    vsub = v.add_subparsers(dest="verify_command", required=True)
-
-    p = vsub.add_parser("skew", help="antisymmetry sweep")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-    common(p)
-
-    p = vsub.add_parser("sh-jacobi", help="shuffle Jacobi identity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--indices", type=_indices_arg, default=None, help="explicit 2n-1 indices")
-    p.add_argument("--samples", type=int, default=None)
-    common(p)
-
-    p = vsub.add_parser("fi", help="fundamental identity")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"bracket arity, n <= {MAX_VERIFIED_ARITY} "
-                        "(the verified range of the closed form's sign)")
-    p.add_argument("--counterexample", action="store_true",
-                   help="use the built-in even-arity counterexample (passes when nonzero)")
-    p.add_argument("--y", type=_indices_arg, default=None, help="n-1 derivation indices")
-    p.add_argument("--x", type=_indices_arg, default=None, help="n bracket indices")
-    p.add_argument("--expect-nonzero", action="store_true",
-                   help="invert the expectation: pass when the residual is nonzero")
-    common(p)
-
-    p = vsub.add_parser("jacobi2", help="weighted Jacobi identities for the 2-bracket")
-    p.add_argument("--window", type=int, default=3)
-    common(p)
-
-    p = vsub.add_parser("limits", help="one-parameter and classical limits")
-    p.add_argument("--window", type=int, default=5)
-    common(p)
-
-    p = vsub.add_parser("all", help="the full check suite")
-    p.add_argument("--level", choices=("desk", "smoke"), default="desk")
-    common(p)
-
-    s = sub.add_parser("subalgebra", help="subalgebra checks and search")
-    ssub = s.add_subparsers(dest="sub_command", required=True)
-
-    p = ssub.add_parser("search", help="bounded window search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-    common(p)
-
-    p = ssub.add_parser("canonical", help="the canonical n-dimensional subalgebra")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = ssub.add_parser("check", help="verdicts for an explicit index set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--indices", type=_indices_arg, required=True)
-    common(p)
+    _PARSER_TREE(parser)
 
     ns = parser.parse_args(_merge_list_flags(argv))
 

@@ -43,9 +43,9 @@ from .algebra import (
 )
 from .ring import (
     LPoly,
+    ModScalar,
     QModScalar,
     QMPoly,
-    SCALAR_ZERO,
     Scalar,
     UniScalar,
     qmod_from_mod,
@@ -245,53 +245,41 @@ def deformed_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
     """Weighted two-parameter Jacobi residual for the 2-bracket.
 
     (q^m + p^-m) [L_m, [L_n, L_k]] + cyclic, where both brackets carry their
-    index-dependent weights and therefore collapse to structure constants.
+    index-dependent weights and therefore collapse to structure constants;
+    the three products are one sum normalised once.
     """
-    total = SCALAR_ZERO
+    rows = []
     for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
         pref = Scalar._raw(LPoly({(0, a): 1, (-a, 0): 1}) if a else LPoly.const(2), 0)
-        inner = bracket2(b, c).coeff
-        if inner.is_zero:
-            continue
-        outer = bracket2(a, b + c).coeff
-        if outer.is_zero:
-            continue
-        total = total + pref * inner * outer
-    return total
+        rows.append((pref, bracket2(b, c).coeff, bracket2(a, b + c).coeff))
+    return Scalar.sum_of_products(rows)
 
 
 def q_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> UniScalar:
     """One-parameter Jacobi residual after the p -> q limit.
 
     The outer bracket weights q^(2a-(b+c)), q^((b+c)-2a) are not those of
-    the structure-constant bracket, so the nested expression is evaluated as
-    a word sum on the symbolic module and specialized to p = q; the quotient
-    by the target generator's action coefficient is the residual.
+    the structure-constant bracket, so the nested expression is evaluated on
+    the symbolic module: every one of its twelve words lands on |nu + m + n
+    + k>, and the coefficient there is one sum over rows of a word's action
+    coefficient and its weight.  Specialized to p = q and divided by the
+    target generator's action coefficient, it gives the residual.
     """
-    from .oracle import WordSum, word_act  # the only use of the oracle layer here
+    from .oracle import _mod_mono, _word_vector  # the only use of the oracle layer here
 
-    def q_mono(x: int, sign: int = 1) -> Scalar:
-        return Scalar._raw(LPoly.monomial(0, x, coeff=sign), 0)
-
-    words = WordSum._raw({})
+    shift = m + n + k
+    rows = []
     for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
         w1o, w2o = 2 * a - (b + c), (b + c) - 2 * a
         w1i, w2i = b - c, c - b
-        # accumulate word by word: keys coincide when indices repeat
         for word, weight in (
-            ((a, b, c), q_mono(w1o + w1i)),
-            ((a, c, b), q_mono(w1o + w2i, -1)),
-            ((b, c, a), q_mono(w2o + w1i, -1)),
-            ((c, b, a), q_mono(w2o + w2i)),
+            ((a, b, c), _mod_mono(0, w1o + w1i)),
+            ((a, c, b), _mod_mono(0, w1o + w2i, -1)),
+            ((b, c, a), _mod_mono(0, w2o + w1i, -1)),
+            ((c, b, a), _mod_mono(0, w2o + w2i)),
         ):
-            words = words + WordSum._raw({word: weight})
-    v = word_act(words)
-    if v.is_zero:
-        return UniScalar.zero()
-    if len(v.entries) != 1:
-        raise ArithmeticError("graded word sum acts on several shifts")
-    (shift, coeff), = v.entries.items()
-    spec = qmod_from_mod(coeff)
+            rows.append((_word_vector(word).entries[shift], weight))
+    spec = qmod_from_mod(ModScalar.sum_of_products(rows))
     if spec.is_zero:
         return UniScalar.zero()
     # divide by the p -> q image of the L_shift action coefficient

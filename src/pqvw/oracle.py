@@ -18,9 +18,12 @@ sign.
 The checks run the defining recursion directly on the module
 (:func:`structure_constant`): every word of an n-bracket shifts |nu> by the
 same amount, so the bracket acts through one coefficient, evaluated once per
-ordered sub-tuple instead of once per word.  The expansion into n! weighted
-words (:func:`bracketn_def`, :func:`extract_structure_constant`) is kept as
-its reference.
+ordered sub-tuple instead of once per word.  Each step of the recursion, from
+the weighted commutator up, is one ``ModScalar.sum_of_products`` over rows of
+prefactor, shifted action coefficient and sub-bracket coefficient, so each
+coefficient is normalized once.  The expansion into n! weighted words
+(:func:`bracketn_def`, :func:`extract_structure_constant`) is kept as its
+reference.
 
 Because the level is symbolic, one ring identity here certifies an operator
 identity at every level at once, not at a finite sample of levels.
@@ -45,7 +48,6 @@ from .ring import (
     NotDivisible,
     Scalar,
     mod_from_scalar,
-    mod_shift,
     mod_to_scalar,
 )
 
@@ -191,9 +193,13 @@ def nu_bracket(shift: int = 0) -> ModScalar:
 
 
 @lru_cache(maxsize=None)
-def generator_multiplier(m: GenIndex) -> ModScalar:
-    """Action coefficient of L_m on |nu>: -[nu] * P * p^m, over (q - p^-1)."""
-    num = MPoly({(m, 0, 0, 0): 1}) - MPoly({(m, 0, 1, 1): 1})
+def generator_multiplier(m: GenIndex, shift: int = 0) -> ModScalar:
+    """Action coefficient of L_m on |nu + shift>: -[nu + shift] p^(nu + shift + m).
+
+    Over (q - p^-1) that is p^m (1 - (pq)^shift P Q); the numerator does not
+    vanish at pq = 1, so the value is normalized as built.
+    """
+    num = MPoly({(m, 0, 0, 0): 1, (m + shift, shift, 1, 1): -1})
     return ModScalar._raw(num, 1)
 
 
@@ -201,7 +207,7 @@ def fock_act(m: GenIndex, v: ModVector) -> ModVector:
     """Apply L_m, extending linearly: |nu + s> picks up shift m."""
     out: dict[int, ModScalar] = {}
     for s, c in v.entries.items():
-        nc = mod_shift(generator_multiplier(m), s) * c
+        nc = generator_multiplier(m, s) * c
         if nc.is_zero:
             continue
         k = s + m
@@ -306,18 +312,20 @@ def _word_vector(word: Word) -> ModVector:
 def word_act(ws: WordSum) -> ModVector:
     """Evaluate a word sum on the symbolic basis vector |nu>.
 
-    The coefficient on each shift is one ``ModScalar.sum`` streamed over the
-    words that reach that shift, each word's coefficient times its weight,
-    so it is normalized once rather than once per word.  Shifts whose
-    coefficients cancel are dropped.
+    The coefficient on each shift is one ``ModScalar.sum_of_products`` over
+    the words that reach that shift, a row of each word's coefficient and
+    its weight, so it is normalized once rather than once per word.  Shifts
+    whose coefficients cancel are dropped.
     """
-    shifts = dict.fromkeys(s for word in ws.entries for s in _word_vector(word).entries)
+    rows = [
+        (_word_vector(word).entries, mod_from_scalar(weight))
+        for word, weight in ws.entries.items()
+    ]
+    shifts = dict.fromkeys(s for entries, _ in rows for s in entries)
     out: dict[int, ModScalar] = {}
     for s in shifts:
-        c = ModScalar.sum(
-            _word_vector(word).entries[s] * mod_from_scalar(weight)
-            for word, weight in ws.entries.items()
-            if s in _word_vector(word).entries
+        c = ModScalar.sum_of_products(
+            (entries[s], weight) for entries, weight in rows if s in entries
         )
         if not c.is_zero:
             out[s] = c
@@ -330,10 +338,9 @@ def _mono(a: int, b: int, coeff: int = 1) -> Scalar:
 
 def bracket2_def(m: GenIndex, n: GenIndex) -> WordSum:
     """Defining weighted commutator: q^m p^-n L_m L_n  -  q^n p^-m L_n L_m."""
-    out = WordSum._raw({})
-    out = out + WordSum._raw({(m, n): _mono(-n, m)})
-    out = out + WordSum._raw({(n, m): _mono(-m, n, -1)})
-    return out
+    if m == n:
+        return WordSum._raw({})  # the two words coincide and cancel
+    return WordSum._raw({(m, n): _mono(-n, m), (n, m): _mono(-m, n, -1)})
 
 
 @lru_cache(maxsize=None)
@@ -416,23 +423,40 @@ def extract_structure_constant(ws: WordSum) -> Term:
 
 
 @lru_cache(maxsize=None)
+def _mod_mono(a: int, b: int, coeff: int = 1) -> ModScalar:
+    return ModScalar._raw(MPoly.monomial(a, b, 0, 0, coeff=coeff), 0)
+
+
+@lru_cache(maxsize=None)
 def _act(idx: tuple[GenIndex, ...]) -> ModScalar:
-    # coefficient c with [L_i1, ..., L_in] |nu> = c |nu + sum(idx)>
-    if len(idx) == 3:
-        v = word_act(bracket3_def(*idx))
-        return v.entries.get(sum(idx), ModScalar.zero())
-    w = recursion_weights(len(idx))
-    total = sum(idx)
-    terms = []
-    for s0, i_s in enumerate(idx):
-        exp = w.x * i_s + w.y * (total - i_s)
-        pref = ModScalar._raw(MPoly.monomial(exp, exp, 0, 0, coeff=-1 if s0 % 2 else 1), 0)
-        # L_(i_s) acts last, on |nu + (total - i_s)>
-        terms.append(
-            pref * mod_shift(generator_multiplier(i_s), total - i_s)
-            * _act(idx[:s0] + idx[s0 + 1 :])
+    # coefficient c with [L_i1, ..., L_in] |nu> = c |nu + sum(idx)>, n >= 2;
+    # a generator applied after a sub-bracket of total t acts on |nu + t>
+    n = len(idx)
+    if n == 2:
+        # q^m p^-k L_m L_k - q^k p^-m L_k L_m
+        m, k = idx
+        rows = (
+            (_mod_mono(-k, m), generator_multiplier(m, k), generator_multiplier(k)),
+            (_mod_mono(-m, k, -1), generator_multiplier(k, m), generator_multiplier(m)),
         )
-    return ModScalar.sum(terms)
+    elif n == 3:
+        # p^a q^(a-b-c) L_a [L_b, L_c] + cyclic
+        rows = tuple(
+            (_mod_mono(a, a - b - c), generator_multiplier(a, b + c), _act((b, c)))
+            for a, b, c in (idx, idx[1:] + idx[:1], idx[2:] + idx[:2])
+        )
+    else:
+        w = recursion_weights(n)
+        total = sum(idx)
+        rows = []
+        for s0, i_s in enumerate(idx):
+            exp = w.x * i_s + w.y * (total - i_s)
+            rows.append((
+                _mod_mono(exp, exp, -1 if s0 % 2 else 1),
+                generator_multiplier(i_s, total - i_s),
+                _act(idx[:s0] + idx[s0 + 1 :]),
+            ))
+    return ModScalar.sum_of_products(rows)
 
 
 def structure_constant(indices: Sequence[GenIndex]) -> Term:
@@ -442,7 +466,9 @@ def structure_constant(indices: Sequence[GenIndex]) -> Term:
     the n-bracket acts on |nu> as sum_s pref_s L_(i_s) [rest_s], and every
     word of [rest_s] lands on the same shift, so each ordered sub-tuple is
     evaluated once (memoised) instead of expanding n! words.  The 3-bracket
-    base acts through its six defining words.  The result equals
+    step applies the cyclic rule of :func:`bracket3_def` the same way, down
+    to the weighted commutator of :func:`bracket2_def`; every step is one
+    sum of products normalized once.  The result equals
     ``extract_structure_constant(bracketn_def(indices))``.
     """
     idx = tuple(indices)

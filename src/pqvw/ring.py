@@ -30,6 +30,11 @@ Division by a binomial c * x^u * (x^s - 1), which covers every localization
 divisor and every action coefficient the oracle divides by, is one
 synthetic division over the classes of terms along s.  Only other
 divisors, such as a closed-form determinant, use long division.
+
+Normalizing a localized value means trying that division, so sums of
+products, the shape of every bracket recursion and identity residual, go
+through one kernel, ``Localized.sum_of_products``: the products of all rows
+land in one key dict and only the total is normalized.
 """
 from __future__ import annotations
 
@@ -120,6 +125,25 @@ def _cdiv(a: Coeff, b: Coeff) -> Coeff:
         if r == 0:
             return q
     return _cnorm(Fraction(a) / Fraction(b))
+
+
+def _mul_into(acc: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -> None:
+    """Add the product of the term dicts a and b into acc, zero sums kept."""
+    get = acc.get
+    for ka, ca in a.items():
+        if ca == 1:
+            for kb, cb in b.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + cb
+        else:
+            for kb, cb in b.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+
+
+def _clean(acc: dict[int, Coeff]) -> dict[int, Coeff]:
+    # drop zero sums; Fractions that became integral collapse to int
+    return {k: c if type(c) is int else _cnorm(c) for k, c in acc.items() if c}
 
 
 class _Terms(Mapping):
@@ -306,16 +330,8 @@ class Poly:
                 d = {ka + kb: _cnorm(ca * cb) for kb, cb in b.items()}
         else:
             d = {}
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    nc = d.get(k, 0) + ca * cb
-                    if not nc:
-                        del d[k]
-                    elif type(nc) is int:
-                        d[k] = nc
-                    else:
-                        d[k] = _cnorm(nc)
+            _mul_into(d, a, b)
+            d = _clean(d)
         return cls._raw(d, bound)
 
     __rmul__ = __mul__
@@ -550,9 +566,12 @@ class Localized:
     Stored as (num, e) meaning num / divisor^e, normalized once when the
     value is built: as many divisor factors as divide num, at most e, are
     cancelled.  Zero always has e = 0, so equality is plain structural
-    equality.  A sum of many terms goes through ``sum``, which normalizes
-    the total once instead of every partial sum, and a product with a
-    monomial numerator skips normalization where it cannot cancel.
+    equality.  Sums go through one kernel, ``sum_of_products``: it adds the
+    products of rows of factors into one key dict over the largest divisor
+    power among the rows and normalizes the total once, so no product or
+    partial sum under it is normalized on its own.  ``sum`` and ``+`` are
+    its one-factor case.  A lone product normalizes itself, and skips that
+    where a monomial numerator means nothing can cancel.
     """
 
     POLY: ClassVar[type[Poly]]
@@ -642,32 +661,66 @@ class Localized:
         return type(self)._raw(-self.num, self.e)
 
     @classmethod
-    def sum(cls, values):
-        """Sum of an iterable of values, normalized once at the end.
+    def sum_of_products(cls, rows) -> "Localized":
+        """Sum over rows of the product of each row's factors, normalized once.
 
-        One streaming pass keeps the numerator over the largest divisor
-        power seen so far, lifting the accumulated numerator when a larger
-        exponent arrives, so no partial sum is normalized and no list of
-        terms is held.  The empty sum is zero.
+        Each row is a nonempty sequence of values of this ring.  The total
+        sits over the largest divisor power among the rows: in each row, the
+        factors other than the one with the most terms are multiplied into a
+        small polynomial, lifted by the divisor power the row lacks, and
+        multiplied with that largest factor straight into one key dict.  Only
+        the total is normalized: no row product or partial sum is built as a
+        localized value.  A row with a zero factor adds nothing, and an empty
+        or cancelling total is zero, with e = 0.
         """
-        num = cls.POLY.zero()
-        e = 0
-        for v in values:
-            if type(v) is not cls:
-                raise TypeError(f"expected {cls.__name__}, got {type(v).__name__}")
-            if v.e > e:
-                num = num * cls._divisor_pow(v.e - e) + v.num
-                e = v.e
-            elif v.e < e:
-                num = num + v.num * cls._divisor_pow(e - v.e)
+        staged: list[tuple[Poly | None, Poly, int]] = []
+        top = 0
+        for row in rows:
+            small = big = None
+            e = 0
+            for v in row:
+                if type(v) is not cls:
+                    raise TypeError(f"expected {cls.__name__}, got {type(v).__name__}")
+                num = v.num
+                e += v.e
+                if big is None:
+                    big = num
+                    continue
+                if len(num._terms) > len(big._terms):
+                    num, big = big, num
+                small = num if small is None else small * num
+            if big is None:
+                raise ValueError("a row needs at least one factor")
+            if not big._terms or (small is not None and not small._terms):
+                continue
+            staged.append((small, big, e))
+            if e > top:
+                top = e
+        acc: dict[int, Coeff] = {}
+        get = acc.get
+        bound = 0
+        for small, big, e in staged:
+            if e < top:
+                lift = cls._divisor_pow(top - e)
+                small = lift if small is None else small * lift
+            if small is None:
+                for k, c in big._terms.items():
+                    acc[k] = get(k, 0) + c
+                bound = max(bound, big._bound)
             else:
-                num = num + v.num
-        return cls(num, e)
+                _mul_into(acc, small._terms, big._terms)
+                bound = max(bound, _checked(small._bound + big._bound))
+        return cls(cls.POLY._raw(_clean(acc), bound), top)
+
+    @classmethod
+    def sum(cls, values) -> "Localized":
+        """Sum of values, normalized once: the one-factor case of ``sum_of_products``."""
+        return cls.sum_of_products((v,) for v in values)
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self).sum((self, other))
+        return type(self).sum_of_products(((self,), (other,)))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -766,16 +819,35 @@ SCALAR_ZERO = Scalar.zero()
 SCALAR_ONE = Scalar.one()
 
 
+_Z = LPoly.pack((1, 1))  # key step of one factor z = pq
+
+
+def _scaled_pq_number(x: int, a: int = 0, b: int = 0, sign: int = 1) -> Scalar:
+    """sign * p^a q^b * [x]_{p,q}, placed on its keys.
+
+    [x]_{p,q} = (q^x - p^-x) / (q - p^-1) is the geometric sum of
+    p^(k-x+1) q^k over 0 <= k < x, or minus that sum over x <= k < 0, so its
+    terms step by z = pq from the key of p^(a-x+1) q^b.  Nothing is
+    multiplied or divided, and the exponent bound is checked before any
+    term is built.
+    """
+    bound = _checked(max(abs(a), abs(b)) + abs(x))
+    if x < 0:
+        sign, ks = -sign, range(x, 0)
+    else:
+        ks = range(x)
+    # no pack: the base itself need not be a term, so it may leave the range
+    base = ((a - x + 1) << DIGIT_BITS) + b
+    return Scalar._raw(LPoly._raw({base + k * _Z: sign for k in ks}, bound), 0)
+
+
 def pq_number(x: int) -> Scalar:
     """Two-parameter integer bracket (q^x - p^-x) / (q - p^-1).
 
     Exact for every integer x; the quotient is always a Laurent polynomial,
     so the result carries localization exponent 0.
     """
-    if x == 0:
-        return SCALAR_ZERO
-    num = LPoly({(0, x): 1}) - LPoly({(-x, 0): 1})
-    return Scalar(num, 1)
+    return _scaled_pq_number(x)
 
 
 def q_number(x: int) -> UniScalar:

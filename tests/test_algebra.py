@@ -61,6 +61,29 @@ class TestBracket2:
             assert spec == q_number(m - n)
             assert classical_value(spec) == m - n
 
+    def test_matches_division_definition(self):
+        # -(q p^-1)^m (q^x - p^-x) / (q - p^-1), x = n - m, built with a ring
+        # product and a normalizing division
+        for m in range(-6, 7):
+            mono = Scalar(LPoly.monomial(-m, m, coeff=-1), 0)
+            for x in range(-30, 31):
+                number = Scalar(LPoly({(0, x): 1}) - LPoly({(-x, 0): 1}), 1)
+                assert bracket2(m, m + x) == Term(mono * number, 2 * m + x), (m, x)
+
+    def test_exponent_overflow_before_building(self):
+        tracemalloc.start()
+        try:
+            for m, n in ((0, EXP_MAX + 1), (-EXP_MAX, EXP_MAX), (EXP_MAX + 1, EXP_MAX + 1)):
+                with pytest.raises(ExponentOverflow):
+                    bracket2(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # at the edge of the range: one term, and a zero that keeps the range
+        assert bracket2(EXP_MAX - 1, EXP_MAX).coeff.num.terms == {(1 - EXP_MAX, EXP_MAX - 1): -1}
+        assert bracket2(EXP_MAX, EXP_MAX).is_zero
+
 
 class TestVandermonde:
     # the product form against the paper's determinant, expanded the slow way

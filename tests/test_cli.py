@@ -314,3 +314,53 @@ class TestBlackBox:
         assert result["coefficient"] == "1*p^-2*q^1 + 1*p^-1*q^2"
         assert result["index"] == 4
         assert result["classical"] == "2"
+
+
+HELP = Path(__file__).resolve().parent / "data" / "help"
+
+HELP_CASES = [
+    (),
+    ("bracket",),
+    ("oracle-check",),
+    ("verify",),
+    ("subalgebra",),
+    *(("verify", c) for c in ("skew", "sh-jacobi", "fi", "jacobi2", "limits", "all")),
+    *(("subalgebra", c) for c in ("search", "canonical", "check")),
+]
+
+USAGE_ERRORS = {
+    "error-no-command": (),
+    "error-bad-command": ("nope",),
+    "error-bad-verify-command": ("verify", "nope"),
+    "error-bad-int": ("verify", "skew", "--n", "x"),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the texts were captured with Python 3.11; argparse's layout differs by version",
+)
+class TestHelpText:
+    """`parse_args` adds arguments only to the chosen command's parser.
+
+    The texts under tests/data/help were captured, 80 columns wide, from the
+    parser that built all fifteen parsers on every run; help and usage-error
+    texts must read exactly as they did.
+    """
+
+    @pytest.mark.parametrize("path", HELP_CASES, ids=lambda p: " ".join(p) or "top")
+    def test_help_matches_full_parser(self, path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*path, "--help"])
+        assert exc.value.code == 0
+        expected = (HELP / ("-".join(("pqvw",) + path) + ".txt")).read_text()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+    def test_usage_errors_match_full_parser(self, name, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(list(USAGE_ERRORS[name]))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (HELP / f"{name}.txt").read_text()

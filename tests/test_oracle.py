@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from pqvw import oracle
 from pqvw.algebra import Term, bracket2, bracketn_closed
 from pqvw.oracle import (
     ModVector,
@@ -29,6 +30,7 @@ from pqvw.ring import (
     MPoly,
     Scalar,
     mod_at_level,
+    mod_shift,
 )
 
 
@@ -227,6 +229,25 @@ class TestStructureConstant:
             (-3, 5, -1, 0, 2, 1, -2, 4),
         ):
             assert structure_constant(idx) == bracketn_closed(idx), idx
+
+    def test_commutator_base_matches_word_act(self):
+        # the recursion's base, two rows of action coefficients, against the
+        # weighted commutator's two words acting on |nu>; m = n included
+        for m, n in product(range(-3, 4), repeat=2):
+            words = word_act(bracket2_def(m, n))
+            assert set(words.entries) <= {m + n}
+            assert oracle._act((m, n)) == words.entries.get(m + n, ModScalar.zero()), (m, n)
+
+    def test_cyclic_step_matches_word_act(self):
+        for idx in product(range(-2, 3), repeat=3):
+            words = word_act(bracket3_def(*idx))
+            assert oracle._act(idx) == words.entries.get(sum(idx), ModScalar.zero()), idx
+
+    def test_shifted_multiplier(self):
+        for m, s in product(range(-3, 4), repeat=2):
+            shifted = generator_multiplier(m, s)
+            assert shifted == mod_shift(generator_multiplier(m), s)
+            assert fock_act(m, ModVector._raw({s: ModScalar.one()})).entries == {m + s: shifted}
 
     def test_repeated_index_vanishes(self):
         assert structure_constant((0, 1, 1, 2, 3)).is_zero

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -271,6 +272,123 @@ class TestLocalizedSum:
             Scalar.sum([Scalar.one(), UniScalar.one()])
 
 
+def _ref_sum_of_products(cls, rows):
+    # (terms, e) of the normalized sum of row products, on exponent-tuple
+    # dicts: every row lifted to the largest divisor power, then cancelled
+    width = len(cls.UNIT)
+    divisor = {tuple(u + s for u, s in zip(cls.UNIT, cls.STEP)): 1, cls.UNIT: -1}
+    one = {(0,) * width: 1}
+    products = []
+    for row in rows:
+        prod, e = one, 0
+        for v in row:
+            prod, e = _ref_mul(prod, dict(v.num.terms)), e + v.e
+        products.append((prod, e))
+    top = max((e for _, e in products), default=0)
+    total = {}
+    for prod, e in products:
+        for _ in range(top - e):
+            prod = _ref_mul(prod, divisor)
+        total = _ref_add(total, prod)
+    total = {x: c for x, c in total.items() if c}
+    terms, removed = _ref_cancel(total, cls.UNIT, cls.STEP, top)
+    return terms, (top - removed if terms else 0)
+
+
+class TestSumOfProducts:
+    RINGS = TestLocalizedSum.RINGS
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_and_product_then_sum(self, cls, data):
+        width = len(cls.UNIT)
+        factor = st.builds(
+            lambda terms, k, e: cls(cls.POLY(terms) * cls._divisor_pow(k), e),
+            poly_terms(width, 4), st.integers(0, 1), st.integers(0, 3),
+        )
+        rows = data.draw(st.lists(st.lists(factor, min_size=1, max_size=3), max_size=4))
+        if rows and data.draw(st.booleans()):
+            rows.append([-v if i == 0 else v for i, v in enumerate(rows[0])])  # cancels row 0
+        total = cls.sum_of_products(rows)
+        assert (dict(total.num.terms), total.e) == _ref_sum_of_products(cls, rows)
+        assert total == cls.sum(reduce(cls.__mul__, row) for row in rows)
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_rows_over_different_divisor_powers(self, cls):
+        rng = random.Random(13)
+        for _ in range(30):
+            rows = [
+                [TestLocalizedSum.rand_value(rng, cls) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 5))
+            ]
+            total = cls.sum_of_products(rows)
+            assert (dict(total.num.terms), total.e) == _ref_sum_of_products(cls, rows)
+            assert total == cls.sum(reduce(cls.__mul__, row) for row in rows)
+        inv_d, inv_d2 = cls(cls.POLY.one(), 1), cls(cls.POLY.one(), 2)
+        d = cls(cls.DIVISOR, 0)
+        # 1/d^2 * d + 1/d lifts the first row to d^1 only; 2/d stays
+        total = cls.sum_of_products([(inv_d2, d), (inv_d,)])
+        assert (total.num, total.e) == (cls.POLY.const(2), 1)
+        # d * 1/d^2 * 1/d - 1/d^3 * d is zero over d^3
+        total = cls.sum_of_products([(d, inv_d2, inv_d), (-inv_d2, inv_d, d)])
+        assert total.is_zero and total.e == 0
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_zero_factor_adds_nothing(self, cls):
+        rng = random.Random(17)
+        a, b = (TestLocalizedSum.rand_value(rng, cls) for _ in range(2))
+        deep = cls(cls.POLY.one(), 5)
+        total = cls.sum_of_products([(a, b), (deep, cls.zero(), deep)])
+        assert total == a * b
+        assert (total.num, total.e) == ((a * b).num, (a * b).e)
+        assert cls.sum_of_products([(cls.zero(),)]) == cls.zero()
+        assert cls.sum_of_products([]).e == 0
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_cancelling_rows_give_zero_with_e_0(self, cls):
+        rng = random.Random(19)
+        rows = [
+            [cls(cls.POLY.one(), 3)] + [TestLocalizedSum.rand_value(rng, cls) for _ in range(2)]
+            for _ in range(3)
+        ]
+        rows += [[-row[0], *row[1:]] for row in rows]
+        total = cls.sum_of_products(rows)
+        assert total.is_zero and total.e == 0
+        assert total.num == cls.POLY.zero()
+
+    @pytest.mark.parametrize("cls", (UniScalar, QModScalar), ids=lambda c: c.__name__)
+    def test_product_of_normalized_factors_can_cancel(self, cls):
+        # the divisor q - q^-1 = q^-1 (q - 1)(q + 1) is not prime: (q - 1)/d
+        # and (q + 1)/d are normalized, but their product is q/d
+        width = len(cls.UNIT)
+        q = (1,) + (0,) * (width - 1)
+        zero = (0,) * width
+        minus, plus = cls(cls.POLY({q: 1, zero: -1}), 1), cls(cls.POLY({q: 1, zero: 1}), 1)
+        assert (minus.e, plus.e) == (1, 1)
+        total = cls.sum_of_products([(minus, plus)])
+        assert (total.num, total.e) == (cls.POLY({q: 1}), 1)
+        assert total == minus * plus
+        # in the sum of two such rows the lifted row cancels as well
+        total = cls.sum_of_products([(minus, plus), (minus,)])
+        assert (total.num, total.e) == (cls.POLY({q: 2, zero: -1}), 1)
+
+    def test_fraction_coefficients_collapse_to_int(self):
+        half = Scalar(LPoly.const(Fraction(1, 2)), 0)
+        # 1/2 * 4/d + 1/2 * 1/2 = (2 + d/4)/d: the 2 comes back as an int
+        total = Scalar.sum_of_products([(half, Scalar(LPoly.const(4), 1)), (half, half)])
+        assert total.e == 1
+        assert all(type(c) is int or c.denominator != 1 for c in total.num.terms.values())
+        assert 2 in total.num.terms.values()
+        assert total == Scalar(LPoly.const(2), 1) + Scalar(LPoly.const(Fraction(1, 4)), 0)
+
+    def test_rejects_other_ring_and_empty_row(self):
+        with pytest.raises(TypeError):
+            Scalar.sum_of_products([(Scalar.one(), UniScalar.one())])
+        with pytest.raises(ValueError):
+            Scalar.sum_of_products([()])
+
+
 class TestPqNumbers:
     def test_small_values(self):
         assert pq_number(0).is_zero
@@ -297,6 +415,23 @@ class TestPqNumbers:
         for x in range(1, 7):
             mono = Scalar(LPoly.monomial(x, -x, coeff=-1), 0)
             assert pq_number(-x) == mono * pq_number(x)
+
+    def test_matches_division_definition(self):
+        for x in range(-30, 31):
+            number = Scalar(LPoly({(0, x): 1}) - LPoly({(-x, 0): 1}), 1)
+            assert pq_number(x) == number, x
+            assert (pq_number(x).e, pq_number(x).num._bound) == (0, abs(x))
+
+    def test_exponent_overflow_before_building(self):
+        tracemalloc.start()
+        try:
+            for x in (EXP_MAX + 1, -EXP_MAX - 1, 1 << 40):
+                with pytest.raises(ExponentOverflow):
+                    pq_number(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSpecialization:
