@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ring": (
         "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
-        "QModScalar", "Rat", "Scalar", "UniScalar", "classical_value",
+        "Rat", "Scalar", "UniScalar", "classical_value",
         "mod_at_level", "mod_from_scalar", "mod_shift", "mod_to_scalar",
         "pq_number", "q_number", "specialize_pq",
     ),

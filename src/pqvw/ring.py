@@ -8,7 +8,6 @@ reduces to arithmetic in a handful of Laurent rings over the rationals:
 * ``MPoly`` / ``ModScalar``  -- four variables p, q, P, Q, where P and Q
   stand for p^nu and q^nu at a symbolic module level nu
 * ``UPoly`` / ``UniScalar``  -- one variable q, localized at (q - q^-1)
-* ``QMPoly`` / ``QModScalar``-- variables q, Q after identifying p with q
 
 Coefficients are exact rationals: plain ``int`` wherever the value is
 integral, ``fractions.Fraction`` otherwise (the two hash and compare equal,
@@ -28,8 +27,10 @@ range raises ``ExponentOverflow`` before it builds a key.
 
 Division by a binomial c * x^u * (x^s - 1), which covers every localization
 divisor and every action coefficient the oracle divides by, is one
-synthetic division over the classes of terms along s.  Only other
-divisors, such as a closed-form determinant, use long division.
+synthetic division over the classes of terms along s.  Any other divisor
+goes to long division, which no package path reaches: it stays for
+``exact_div``'s general case and as the tests' reference for the synthetic
+division.
 
 Normalizing a localized value means trying that division, so sums of
 products, the shape of every bracket recursion and identity residual, go
@@ -58,12 +59,10 @@ __all__ = [
     "LPoly",
     "UPoly",
     "MPoly",
-    "QMPoly",
     "Localized",
     "Scalar",
     "UniScalar",
     "ModScalar",
-    "QModScalar",
     "SCALAR_ZERO",
     "SCALAR_ONE",
     "pq_number",
@@ -74,8 +73,6 @@ __all__ = [
     "mod_at_level",
     "mod_from_scalar",
     "mod_to_scalar",
-    "qmod_from_mod",
-    "qmod_to_uni",
 ]
 
 DIGIT_BITS = 32
@@ -545,12 +542,6 @@ class MPoly(Poly):
     VARS = ("p", "q", "P", "Q")
 
 
-class QMPoly(Poly):
-    """Laurent polynomial in q, Q = q^nu (the p -> q image of MPoly)."""
-
-    VARS = ("q", "Q")
-
-
 class Localized:
     """A polynomial divided by a power of the ring's localization divisor.
 
@@ -807,14 +798,6 @@ class ModScalar(Localized):
     DIV_LABEL = "q-p^-1"
 
 
-class QModScalar(Localized):
-    """Two-variable (q, Q) coefficient num / (q - q^-1)^e."""
-
-    POLY = QMPoly
-    UNIT, STEP = (-1, 0), (2, 0)
-    DIV_LABEL = "q-q^-1"
-
-
 SCALAR_ZERO = Scalar.zero()
 SCALAR_ONE = Scalar.one()
 
@@ -851,11 +834,15 @@ def pq_number(x: int) -> Scalar:
 
 
 def q_number(x: int) -> UniScalar:
-    """One-parameter integer bracket (q^x - q^-x) / (q - q^-1)."""
-    if x == 0:
-        return UniScalar.zero()
-    num = UPoly({(x,): 1}) - UPoly({(-x,): 1})
-    return UniScalar(num, 1)
+    """One-parameter integer bracket (q^x - q^-x) / (q - q^-1), on its keys.
+
+    The quotient is the geometric sum of q^(a-1-2k) over 0 <= k < a = |x|,
+    negated for x < 0, and a UPoly key is its exponent, so nothing is
+    multiplied or divided.
+    """
+    bound = _checked(abs(x))
+    sign, a = (-1, -x) if x < 0 else (1, x)
+    return UniScalar._raw(UPoly._raw({a - 1 - 2 * k: sign for k in range(a)}, bound), 0)
 
 
 _L = TypeVar("_L", bound=Localized)
@@ -942,19 +929,6 @@ def mod_at_level(c: ModScalar, level: int) -> Scalar:
     return _substitute(c, Scalar, key, 1 + abs(level))
 
 
-def _drop_level(c: Localized, target: type[_L], digits: int) -> _L:
-    # the level variables are the low digits: zero there exactly when the
-    # key is a multiple of their base
-    bits = digits * DIGIT_BITS
-    low = (1 << bits) - 1
-    d: dict[int, Coeff] = {}
-    for k, v in c.num._terms.items():
-        if k & low:
-            raise ValueError("coefficient depends on the symbolic level")
-        d[k >> bits] = v
-    return target._raw(target.POLY._raw(d, c.num._bound), c.e)
-
-
 def mod_from_scalar(s: Scalar) -> ModScalar:
     """Embed a level-free coefficient into the four-variable ring."""
     terms = {k << _PAIR_BITS: v for k, v in s.num._terms.items()}
@@ -963,18 +937,11 @@ def mod_from_scalar(s: Scalar) -> ModScalar:
 
 def mod_to_scalar(c: ModScalar) -> Scalar:
     """Project back to (p, q); raises ValueError if P or Q actually occurs."""
-    return _drop_level(c, Scalar, 2)
-
-
-def qmod_from_mod(c: ModScalar) -> QModScalar:
-    """Substitute p := q (and hence P := Q) in a four-variable coefficient."""
-    def key(k: int) -> int:
-        pq, ij = _split_pair(k)
-        return (_pair_sum(pq) << DIGIT_BITS) + _pair_sum(ij)
-
-    return _substitute(c, QModScalar, key, 2)
-
-
-def qmod_to_uni(c: QModScalar) -> UniScalar:
-    """Project (q, Q) back to q; raises ValueError if Q actually occurs."""
-    return _drop_level(c, UniScalar, 1)
+    # the level variables are the low pair of digits: zero there exactly
+    # when the key is a multiple of their base
+    d: dict[int, Coeff] = {}
+    for k, v in c.num._terms.items():
+        if k & _PAIR_MASK:
+            raise ValueError("coefficient depends on the symbolic level")
+        d[k >> _PAIR_BITS] = v
+    return Scalar._raw(LPoly._raw(d, c.num._bound), c.e)

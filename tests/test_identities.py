@@ -19,7 +19,7 @@ from pqvw.identities import (
     sweep_skew,
 )
 from pqvw.oracle import bracket2_def, bracketn_def, extract_structure_constant
-from pqvw.ring import LPoly, Scalar, classical_value
+from pqvw.ring import LPoly, ModScalar, Scalar, classical_value
 
 # the signed 10-term expansion of the arity-3 shuffle identity, in
 # lexicographic order of the inner block
@@ -424,6 +424,32 @@ class TestJacobiForTwoBracket:
 
     def test_repeated_mode_still_zero(self):
         assert deformed_jacobi2_residual(2, 2, 5).is_zero
+
+    def test_two_parameter_q_total_is_zero(self):
+        # lemma: the twelve-word total vanishes on the symbolic module before
+        # any division or specialisation, so q_jacobi2_residual divides nothing
+        zero = ModScalar.zero()
+        for m, n, k in product(range(-3, 4), repeat=3):
+            total = identities._q_jacobi2_total(m, n, k)
+            assert total == zero and total.e == 0, (m, n, k)
+
+    def test_nonzero_total_is_divided_then_specialised(self, monkeypatch):
+        # the path no admitted window reaches: a total that is a multiple of
+        # the target's action coefficient gives the specialised quotient, and
+        # one that is not, or depends on the level, is refused
+        from pqvw.oracle import generator_multiplier
+        from pqvw.ring import MPoly, mod_from_scalar, pq_number, q_number
+
+        def total_is(total):
+            monkeypatch.setattr(identities, "_q_jacobi2_total", lambda m, n, k: total)
+
+        total_is(generator_multiplier(6) * mod_from_scalar(pq_number(3)))
+        assert q_jacobi2_residual(1, 2, 3) == q_number(3)
+        level = ModScalar(MPoly.monomial(0, 0, 1, 0), 0)
+        for total in (ModScalar.one(), generator_multiplier(6) * level):
+            total_is(total)
+            with pytest.raises(ArithmeticError, match="symbolic level"):
+                q_jacobi2_residual(1, 2, 3)
 
     def test_q_limit_residual_zero(self):
         for m, n, k in product(range(-2, 3), repeat=3):

@@ -64,7 +64,7 @@ def test_command_imports_only_its_layers(args, expected):
 EXPORTS = {
     "ring": [
         "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
-        "QModScalar", "Rat", "Scalar", "UniScalar", "classical_value",
+        "Rat", "Scalar", "UniScalar", "classical_value",
         "mod_at_level", "mod_from_scalar", "mod_shift", "mod_to_scalar",
         "pq_number", "q_number", "specialize_pq",
     ],
