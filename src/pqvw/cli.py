@@ -60,11 +60,11 @@ SKEW_BUDGET = 200_000  # bracket evaluations
 # --window 3` (322 560) 3.8 s.
 ORACLE_BUDGET = 100_000  # recursive sub-brackets
 SUBALGEBRA_BUDGET = 10_000_000  # bracket evaluations
-# `verify jacobi2 --window 8` (9 826 tuples) runs in about 1.4 s and
+# `verify jacobi2 --window 8` (9 826 tuples) runs in about 1.1 s and
 # `--window 9` (13 718) would take 1.7 s; `verify limits --window 99`
 # (39 601 pairs) runs in about 2.6 s on a 2-core machine with Python 3.11
-# (median of 10 fresh processes) and `--window 200` (160 801) would take
-# 21 s.  A tuple or pair costs more as the window widens, since the
+# (each a median of 10 fresh processes) and `--window 200` (160 801) would
+# take 21 s.  A tuple or pair costs more as the window widens, since the
 # 2-bracket [n - m]_{p,q} has |n - m| terms.
 JACOBI2_BUDGET = 10_000  # Jacobi tuples
 LIMITS_BUDGET = 40_000  # bracket pairs

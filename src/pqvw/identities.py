@@ -9,14 +9,13 @@ Sweeps work on sorted signatures of distinct indices.  The brackets are
 exactly antisymmetric (itself verified exhaustively by the skew sweeps,
 which stay per tuple), so a shuffle-Jacobi residual is alternating in its
 arguments: an arrangement's residual is its sorting sign times its
-signature's, and a tuple that repeats an index has a zero residual.  The
-same holds for a fundamental-identity pick that repeats an index within Y
-or within X.  So window sweeps evaluate each set of distinct indices once,
-at its sorted tuple, and count every tuple of the window; sampled and
-explicit tuple lists count every tuple, skip those that repeat an index and
-evaluate each remaining signature once.  The vanishing on repeated indices
-is checked through the kernels by the tests, not assumed by them: the
-per-tuple entry points compute every residual directly.
+signature's, and a tuple that repeats an index has a zero residual.  So
+window sweeps evaluate each set of distinct indices once, at its sorted
+tuple, and count every tuple of the window; sampled sweeps count every
+tuple, skip those that repeat an index and evaluate each remaining
+signature once.  The vanishing on repeated indices is checked through the
+kernels by the tests, not assumed by them: the per-tuple entry points
+compute every residual directly.
 
 Within one shuffle-Jacobi residual, every surviving shuffle term is a sign
 times the cached product of a sorted inner and a sorted outer bracket, so
@@ -41,15 +40,7 @@ from .algebra import (
     nested_coeff,
     sort_with_sign,
 )
-from .ring import (
-    LPoly,
-    ModScalar,
-    NotDivisible,
-    Scalar,
-    UniScalar,
-    mod_to_scalar,
-    specialize_pq,
-)
+from .ring import LPoly, Scalar, UniScalar, specialize_pq
 
 __all__ = [
     "Shuffle",
@@ -66,7 +57,6 @@ __all__ = [
     "sweep_skew",
     "sweep_sh_jacobi",
     "sample_tuples",
-    "sweep_fi_find_nonzero",
     "sweep_deformed_jacobi2",
     "sweep_q_jacobi2",
 ]
@@ -254,52 +244,43 @@ def deformed_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
     return Scalar.sum_of_products(rows)
 
 
-def _q_jacobi2_total(m: GenIndex, n: GenIndex, k: GenIndex) -> ModScalar:
-    # the twelve words of the one-parameter nested expression, each word's
-    # action coefficient on |nu + m + n + k> times its outer and inner
-    # weights, summed by one kernel call on the symbolic module
-    from .oracle import _mod_mono, _word_vector  # the only use of the oracle layer here
-
-    shift = m + n + k
-    rows = []
-    for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
-        w1o, w2o = 2 * a - (b + c), (b + c) - 2 * a
-        w1i, w2i = b - c, c - b
-        for word, weight in (
-            ((a, b, c), _mod_mono(0, w1o + w1i)),
-            ((a, c, b), _mod_mono(0, w1o + w2i, -1)),
-            ((b, c, a), _mod_mono(0, w2o + w1i, -1)),
-            ((c, b, a), _mod_mono(0, w2o + w2i)),
-        ):
-            rows.append((_word_vector(word).entries[shift], weight))
-    return ModScalar.sum_of_products(rows)
-
-
 def q_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> UniScalar:
     """One-parameter Jacobi residual after the p -> q limit.
 
     The outer bracket weights q^(2a-(b+c)), q^((b+c)-2a) are not those of
-    the structure-constant bracket, so the nested expression is evaluated on
-    the symbolic module with the two-parameter weights: every one of its
-    twelve words lands on |nu + m + n + k>, and the coefficient there is one
-    sum over rows of a word's action coefficient and its weight.  As in
-    ``oracle.structure_constant``, that total is divided by the target
-    generator's action coefficient, projected off the symbolic level and
-    specialised to p = q once.  p -> q is a ring map, so dividing first
-    gives the residual of dividing after the specialisation whenever that
-    quotient exists.  The total is identically zero on every window the CLI
-    admits, so in practice no division runs.
+    the structure-constant bracket, so the nested expression is expanded
+    with the two-parameter weights into a word sum of its twelve words (a
+    repeated index merges some of them) and collapsed by
+    ``oracle.extract_structure_constant``, like any defining bracket: every
+    word lands on |nu + m + n + k>, and the total there is divided by the
+    target generator's action coefficient and projected off the symbolic
+    level.  The quotient is specialised to p = q once.  p -> q is a ring
+    map, so dividing first gives the residual of dividing after the
+    specialisation whenever that quotient exists; a total that is no such
+    multiple raises ``oracle.NotProportional``.  In fact each arrangement of
+    (m, n, k) arises twice among the twelve words with opposite weights, so
+    the merged word sum is empty and no division runs.
     """
-    total = _q_jacobi2_total(m, n, k)
-    if total.is_zero:
-        return UniScalar.zero()
-    from .oracle import generator_multiplier
+    # imported here so that commands which never reach this residual do not
+    # load the oracle layer
+    from . import oracle
 
-    try:
-        scalar = mod_to_scalar(total.exact_div(generator_multiplier(m + n + k)))
-    except (NotDivisible, ValueError):
-        raise ArithmeticError("residual depends on the symbolic level") from None
-    return specialize_pq(scalar)
+    ws: dict[tuple[GenIndex, ...], Scalar] = {}
+    for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
+        w1o, w2o = 2 * a - (b + c), (b + c) - 2 * a
+        w1i, w2i = b - c, c - b
+        for word, e, sign in (
+            ((a, b, c), w1o + w1i, 1),
+            ((a, c, b), w1o + w2i, -1),
+            ((b, c, a), w2o + w1i, -1),
+            ((c, b, a), w2o + w2i, 1),
+        ):
+            weight = Scalar._raw(LPoly.monomial(0, e, coeff=sign), 0)
+            acc = ws.pop(word, None)
+            acc = weight if acc is None else acc + weight
+            if not acc.is_zero:
+                ws[word] = acc
+    return specialize_pq(oracle.extract_structure_constant(ws).coeff)
 
 
 def _window_range(window: tuple[int, int]) -> range:
@@ -369,31 +350,22 @@ def _sweep_sh_jacobi_signatures(n: int, window: tuple[int, int]) -> SweepResult:
 
 def sweep_sh_jacobi(
     n: int,
-    window: tuple[int, int] | None = None,
-    tuples: Sequence[tuple[int, ...]] | None = None,
+    window: tuple[int, int],
     samples: int | None = None,
     seed: int = 0,
 ) -> SweepResult:
-    """Shuffle-Jacobi residuals over a window, an explicit list, or a sample.
+    """Shuffle-Jacobi residuals over a window, or over a sample from it.
 
-    A full window is swept by its sets of distinct indices; sampled and
-    explicit lists are swept tuple by tuple, each distinct signature
-    evaluated once, all in this process.
+    A full window is swept by its sets of distinct indices; a sample is
+    swept tuple by tuple, each distinct signature evaluated once, all in
+    this process.
     """
-    if tuples is not None:
-        todo: list[tuple[int, ...]] = [tuple(t) for t in tuples]
-        if any(len(t) != 2 * n - 1 for t in todo):
-            # checked here, since a tuple that repeats an index is skipped
-            raise ValueError(f"need 2n-1 = {2 * n - 1} indices per tuple")
-    elif window is not None and samples:
-        todo = sample_tuples(2 * n - 1, window, samples, seed)
-    elif window is not None:
+    if not samples:
         return _sweep_sh_jacobi_signatures(n, window)
-    else:
-        raise ValueError("provide a window or explicit tuples")
-
     result = SweepResult()
-    result.checked, failures = _sh_jacobi_failures(n, todo)
+    result.checked, failures = _sh_jacobi_failures(
+        n, sample_tuples(2 * n - 1, window, samples, seed)
+    )
     result.failures = sorted(failures, key=itemgetter(0))
     return result
 
@@ -403,27 +375,6 @@ def _sh_jacobi_worker(args: tuple[int, list[tuple[int, ...]]]):
     # still wraps it, and it goes when the tracer stops doing so
     n, chunk = args
     return _sh_jacobi_failures(n, chunk)
-
-
-def sweep_fi_find_nonzero(
-    n: int, window: tuple[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...], Term]:
-    """First (Y, X) pick in the window with a nonzero fundamental-identity residual.
-
-    Raises UnexpectedZero if the whole window satisfies the identity, which
-    would contradict the algebra being merely a shuffle-Jacobi algebra.
-    """
-    rng = _window_range(window)
-    # the first failing pick in product order has sorted Y and X (sorting
-    # keeps the signature and never makes a pick larger), and a pick that
-    # repeats an index within Y or within X has a zero residual, so only
-    # sorted picks of distinct indices are tried, in lexicographic order
-    for Y in combinations(rng, n - 1):
-        for X in combinations(rng, n):
-            res = fi_residual(n, Y, X)
-            if not res.is_zero:
-                return Y, X, res
-    raise UnexpectedZero(f"fundamental identity held on all of {window}")
 
 
 def _sweep_cube(

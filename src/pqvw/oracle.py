@@ -23,7 +23,13 @@ the weighted commutator up, is one ``ModScalar.sum_of_products`` over rows of
 prefactor, shifted action coefficient and sub-bracket coefficient, so each
 coefficient is normalized once.  The expansion into n! weighted words
 (:func:`bracketn_def`, :func:`extract_structure_constant`) is kept as its
-reference.
+reference.  Both paths end in one step: divide the coefficient on the target
+shift by that generator's action coefficient and project off the level.
+
+A word sum is a plain ``dict[Word, Scalar]`` and a module vector a plain
+``dict[int, ModScalar]`` (shift s standing for |nu + s>); neither stores a
+zero entry.  The word sums of :func:`bracket3_def` and :func:`bracketn_def`
+are cached and shared, so callers must not change them.
 
 Because the level is symbolic, one ring identity here certifies an operator
 identity at every level at once, not at a finite sample of levels.
@@ -55,8 +61,6 @@ Word = tuple[GenIndex, ...]
 
 __all__ = [
     "Word",
-    "WordSum",
-    "ModVector",
     "InconsistentSign",
     "NotProportional",
     "OscillatorReport",
@@ -85,107 +89,6 @@ class NotProportional(ArithmeticError):
     """A word sum does not act as a multiple of a single generator."""
 
 
-class WordSum:
-    """Formal sum of generator words with Scalar weights."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[Word, Scalar] | None = None):
-        d: dict[Word, Scalar] = {}
-        if entries:
-            for w, c in entries.items():
-                if not c.is_zero:
-                    d[tuple(w)] = c
-        self.entries = d
-
-    @classmethod
-    def _raw(cls, d: dict[Word, Scalar]) -> "WordSum":
-        self = object.__new__(cls)
-        self.entries = d
-        return self
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def items(self):
-        return self.entries.items()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __add__(self, other: "WordSum") -> "WordSum":
-        d = dict(self.entries)
-        for w, c in other.entries.items():
-            acc = d.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero:
-                d.pop(w, None)
-            else:
-                d[w] = acc
-        return WordSum._raw(d)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WordSum):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        parts = [f"({c.canonical()})*L{list(w)}" for w, c in sorted(self.entries.items())]
-        return f"WordSum({' + '.join(parts) or '0'})"
-
-
-class ModVector:
-    """Module element: finite map shift -> ModScalar, i.e. sum c_s |nu + s>."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[int, ModScalar] | None = None):
-        d: dict[int, ModScalar] = {}
-        if entries:
-            for s, c in entries.items():
-                if not c.is_zero:
-                    d[s] = c
-        self.entries = d
-
-    @classmethod
-    def _raw(cls, d: dict[int, ModScalar]) -> "ModVector":
-        self = object.__new__(cls)
-        self.entries = d
-        return self
-
-    @classmethod
-    def unit(cls) -> "ModVector":
-        return cls._raw({0: ModScalar.one()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def items(self):
-        return self.entries.items()
-
-    def __add__(self, other: "ModVector") -> "ModVector":
-        d = dict(self.entries)
-        for s, c in other.entries.items():
-            acc = d.get(s)
-            acc = c if acc is None else acc + c
-            if acc.is_zero:
-                d.pop(s, None)
-            else:
-                d[s] = acc
-        return ModVector._raw(d)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        parts = [f"({self.entries[s].canonical()})|nu+{s}>" for s in sorted(self.entries)]
-        return f"ModVector({' + '.join(parts) or '0'})"
-
-
 def nu_bracket(shift: int = 0) -> ModScalar:
     """[nu + shift]_{p,q} as a symbolic-level coefficient."""
     num = MPoly({(0, shift, 0, 1): 1}) - MPoly({(-shift, 0, -1, 0): 1})
@@ -203,51 +106,36 @@ def generator_multiplier(m: GenIndex, shift: int = 0) -> ModScalar:
     return ModScalar._raw(num, 1)
 
 
-def fock_act(m: GenIndex, v: ModVector) -> ModVector:
+# The maps below move every shift by the same amount and multiply by a
+# nonzero coefficient, so no two entries collide and none becomes zero.
+
+def fock_act(m: GenIndex, v: dict[int, ModScalar]) -> dict[int, ModScalar]:
     """Apply L_m, extending linearly: |nu + s> picks up shift m."""
-    out: dict[int, ModScalar] = {}
-    for s, c in v.entries.items():
-        nc = generator_multiplier(m, s) * c
-        if nc.is_zero:
-            continue
-        k = s + m
-        acc = out.get(k)
-        acc = nc if acc is None else acc + nc
-        if acc.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    return ModVector._raw(out)
+    return {s + m: generator_multiplier(m, s) * c for s, c in v.items()}
 
 
-def ladder_down(v: ModVector) -> ModVector:
+def ladder_down(v: dict[int, ModScalar]) -> dict[int, ModScalar]:
     """Lowering operator: a |nu + s> = [nu + s] |nu + s - 1>."""
-    out: dict[int, ModScalar] = {}
-    for s, c in v.entries.items():
-        nc = nu_bracket(s) * c
-        if not nc.is_zero:
-            out[s - 1] = nc
-    return ModVector._raw(out)
+    return {s - 1: nu_bracket(s) * c for s, c in v.items()}
 
 
-def ladder_up(v: ModVector, k: int = 1) -> ModVector:
+def ladder_up(v: dict[int, ModScalar], k: int = 1) -> dict[int, ModScalar]:
     """Raising operator power: (a+)^k |nu + s> = |nu + s + k> for any integer k.
 
     Negative k is the formal inverse that makes every generator index
     meaningful on the extended module.
     """
-    return ModVector._raw({s + k: c for s, c in v.entries.items()})
+    return {s + k: c for s, c in v.items()}
 
 
-def number_weight(v: ModVector, p_exp: int = 0, q_exp: int = 0) -> ModVector:
+def number_weight(
+    v: dict[int, ModScalar], p_exp: int = 0, q_exp: int = 0
+) -> dict[int, ModScalar]:
     """Apply p^(p_exp * N) * q^(q_exp * N) diagonally."""
-    out: dict[int, ModScalar] = {}
-    for s, c in v.entries.items():
-        mono = ModScalar._raw(
-            MPoly.monomial(p_exp * s, q_exp * s, p_exp, q_exp), 0
-        )
-        out[s] = mono * c
-    return ModVector._raw(out)
+    return {
+        s: ModScalar._raw(MPoly.monomial(p_exp * s, q_exp * s, p_exp, q_exp), 0) * c
+        for s, c in v.items()
+    }
 
 
 class OscillatorReport(NamedTuple):
@@ -289,12 +177,10 @@ def osc_relations_check(shifts: Iterable[int] = (-1, 0, 1)) -> OscillatorReport:
     down_ok = True
     up_ok = True
     for s in shifts:
-        basis = ModVector._raw({s: ModScalar.one()})
-        down = ladder_down(basis)
-        if set(down.entries) - {s - 1}:
+        basis = {s: ModScalar.one()}
+        if set(ladder_down(basis)) - {s - 1}:
             down_ok = False
-        up = ladder_up(basis)
-        if set(up.entries) != {s + 1}:
+        if set(ladder_up(basis)) != {s + 1}:
             up_ok = False
     entries.append(("[N, a] = -a (shift grading)", "0" if down_ok else "shift mismatch", down_ok))
     entries.append(("[N, a+] = a+ (shift grading)", "0" if up_ok else "shift mismatch", up_ok))
@@ -302,14 +188,15 @@ def osc_relations_check(shifts: Iterable[int] = (-1, 0, 1)) -> OscillatorReport:
 
 
 @lru_cache(maxsize=None)
-def _word_vector(word: Word) -> ModVector:
-    # operator product L_{w0} L_{w1} ... acts rightmost factor first
+def _word_vector(word: Word) -> dict[int, ModScalar]:
+    # operator product L_{w0} L_{w1} ... acts rightmost factor first; the
+    # cached dict is shared, so no caller may change it
     if not word:
-        return ModVector.unit()
+        return {0: ModScalar.one()}
     return fock_act(word[0], _word_vector(word[1:]))
 
 
-def word_act(ws: WordSum) -> ModVector:
+def word_act(ws: dict[Word, Scalar]) -> dict[int, ModScalar]:
     """Evaluate a word sum on the symbolic basis vector |nu>.
 
     The coefficient on each shift is one ``ModScalar.sum_of_products`` over
@@ -317,10 +204,7 @@ def word_act(ws: WordSum) -> ModVector:
     its weight, so it is normalized once rather than once per word.  Shifts
     whose coefficients cancel are dropped.
     """
-    rows = [
-        (_word_vector(word).entries, mod_from_scalar(weight))
-        for word, weight in ws.entries.items()
-    ]
+    rows = [(_word_vector(word), mod_from_scalar(weight)) for word, weight in ws.items()]
     shifts = dict.fromkeys(s for entries, _ in rows for s in entries)
     out: dict[int, ModScalar] = {}
     for s in shifts:
@@ -329,22 +213,30 @@ def word_act(ws: WordSum) -> ModVector:
         )
         if not c.is_zero:
             out[s] = c
-    return ModVector._raw(out)
+    return out
 
 
 def _mono(a: int, b: int, coeff: int = 1) -> Scalar:
     return Scalar._raw(LPoly.monomial(a, b, coeff=coeff), 0)
 
 
-def bracket2_def(m: GenIndex, n: GenIndex) -> WordSum:
+def _add_word(out: dict[Word, Scalar], word: Word, weight: Scalar) -> None:
+    # add weight * word into a word sum, dropping the word if it cancels
+    acc = out.pop(word, None)
+    acc = weight if acc is None else acc + weight
+    if not acc.is_zero:
+        out[word] = acc
+
+
+def bracket2_def(m: GenIndex, n: GenIndex) -> dict[Word, Scalar]:
     """Defining weighted commutator: q^m p^-n L_m L_n  -  q^n p^-m L_n L_m."""
     if m == n:
-        return WordSum._raw({})  # the two words coincide and cancel
-    return WordSum._raw({(m, n): _mono(-n, m), (n, m): _mono(-m, n, -1)})
+        return {}  # the two words coincide and cancel
+    return {(m, n): _mono(-n, m), (n, m): _mono(-m, n, -1)}
 
 
 @lru_cache(maxsize=None)
-def bracket3_def(m: GenIndex, n: GenIndex, k: GenIndex) -> WordSum:
+def bracket3_def(m: GenIndex, n: GenIndex, k: GenIndex) -> dict[Word, Scalar]:
     """Defining 3-bracket: cyclic sum of single generators times commutators.
 
     p^m q^(m-(n+k)) L_m [L_n, L_k] + cyclic, expanded to six weighted words.
@@ -352,20 +244,13 @@ def bracket3_def(m: GenIndex, n: GenIndex, k: GenIndex) -> WordSum:
     out: dict[Word, Scalar] = {}
     for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
         pref = _mono(a, a - b - c)
-        for word, w in bracket2_def(b, c).entries.items():
-            key = (a,) + word
-            acc = out.get(key)
-            nc = pref * w
-            acc = nc if acc is None else acc + nc
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return WordSum._raw(out)
+        for word, w in bracket2_def(b, c).items():
+            _add_word(out, (a,) + word, pref * w)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _bracketn_def(idx: tuple[GenIndex, ...]) -> WordSum:
+def _bracketn_def(idx: tuple[GenIndex, ...]) -> dict[Word, Scalar]:
     n = len(idx)
     if n == 3:
         return bracket3_def(*idx)
@@ -377,19 +262,12 @@ def _bracketn_def(idx: tuple[GenIndex, ...]) -> WordSum:
         rest = idx[:s0] + idx[s0 + 1 :]
         exp = w.x * i_s + w.y * (total - i_s)
         pref = _mono(exp, exp, 1 if s0 % 2 == 0 else -1)  # (-1)^(s+1), s = s0+1
-        for word, wt in _bracketn_def(rest).entries.items():
-            key = (i_s,) + word
-            acc = out.get(key)
-            nc = pref * wt
-            acc = nc if acc is None else acc + nc
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return WordSum._raw(out)
+        for word, wt in _bracketn_def(rest).items():
+            _add_word(out, (i_s,) + word, pref * wt)
+    return out
 
 
-def bracketn_def(indices: Sequence[GenIndex]) -> WordSum:
+def bracketn_def(indices: Sequence[GenIndex]) -> dict[Word, Scalar]:
     """Recursive defining n-bracket as a fully expanded word sum, n >= 3."""
     idx = tuple(indices)
     if len(idx) < 3:
@@ -397,7 +275,16 @@ def bracketn_def(indices: Sequence[GenIndex]) -> WordSum:
     return _bracketn_def(idx)
 
 
-def extract_structure_constant(ws: WordSum) -> Term:
+def _divide_by_target(coeff: ModScalar, shift: int) -> Term:
+    # c |nu + shift> is c / (action coefficient of L_shift) times L_shift
+    # acting on |nu>; the quotient must exist and be free of the level
+    try:
+        return Term(mod_to_scalar(coeff.exact_div(generator_multiplier(shift))), shift)
+    except (NotDivisible, ValueError) as exc:
+        raise NotProportional(str(exc)) from None
+
+
+def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
     """Collapse a word sum to c * L_S by acting on the symbolic module.
 
     All words must share the same total index S (grading).  The evaluated
@@ -406,20 +293,12 @@ def extract_structure_constant(ws: WordSum) -> Term:
     is not a multiple of a single generator and NotProportional is raised.
     """
     v = word_act(ws)
-    if v.is_zero:
+    if not v:
         return Term.zero()
-    if len(v.entries) != 1:
-        raise NotProportional(f"acts on several shifts {sorted(v.entries)}")
-    (shift, coeff), = v.entries.items()
-    try:
-        quotient = coeff.exact_div(generator_multiplier(shift))
-    except NotDivisible as exc:
-        raise NotProportional(str(exc)) from None
-    try:
-        scalar = mod_to_scalar(quotient)
-    except ValueError as exc:
-        raise NotProportional(str(exc)) from None
-    return Term(scalar, shift)
+    if len(v) != 1:
+        raise NotProportional(f"acts on several shifts {sorted(v)}")
+    (shift, coeff), = v.items()
+    return _divide_by_target(coeff, shift)
 
 
 @lru_cache(maxsize=None)
@@ -477,8 +356,7 @@ def structure_constant(indices: Sequence[GenIndex]) -> Term:
     coeff = _act(idx)
     if coeff.is_zero:
         return Term.zero()
-    s = sum(idx)
-    return Term(mod_to_scalar(coeff.exact_div(generator_multiplier(s))), s)
+    return _divide_by_target(coeff, sum(idx))
 
 
 def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:

@@ -79,7 +79,7 @@ class SubalgebraReport:
     """Exact verdicts for one candidate index set."""
 
     __slots__ = (
-        "indices", "closed", "offending", "fi_pass", "fi_witness", "iso_canonical",
+        "indices", "closed", "offending", "fi_pass", "iso_canonical",
         "coeff", "target", "ideal_at",
     )
 
@@ -89,7 +89,6 @@ class SubalgebraReport:
         closed: bool,
         offending: tuple[GenIndex, ...] | None = None,
         fi_pass: bool | None = None,
-        fi_witness: tuple | None = None,
         iso_canonical: bool | None = None,
         coeff: Scalar | None = None,
         target: GenIndex | None = None,
@@ -99,7 +98,6 @@ class SubalgebraReport:
         self.closed = closed
         self.offending = offending
         self.fi_pass = fi_pass
-        self.fi_witness = fi_witness
         self.iso_canonical = iso_canonical
         self.coeff = coeff
         self.target = target
@@ -270,9 +268,8 @@ def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
     report = closure_check(idx, n)
     if not report.closed:
         return report
-    ok, witness, _ = fi_check_span(idx, n)
+    ok, _, _ = fi_check_span(idx, n)
     report.fi_pass = ok
-    report.fi_witness = witness if not ok else None
     if len(idx) == n:
         iso, target, coeff = iso_canonical_check(idx, n)
         report.iso_canonical = iso
@@ -283,7 +280,7 @@ def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
     return report
 
 
-def search(window: int, n: int, max_dim: int | None = None) -> SearchResult:
+def search(window: int, n: int) -> SearchResult:
     """Enumerate candidate sets of size n and n+1 inside [-window, window].
 
     Returns every size-n set that passes closure and the fundamental
@@ -292,10 +289,6 @@ def search(window: int, n: int, max_dim: int | None = None) -> SearchResult:
     symmetric-matrix criterion, and the fundamental identity, since no such
     span exists.
     """
-    if max_dim is None:
-        max_dim = n + 1
-    if max_dim not in (n, n + 1):
-        raise ValueError("max_dim must be n or n+1")
     if 2 * window + 1 < n:
         raise ValueError("window too small for the requested arity")
     values = range(-window, window + 1)
@@ -304,21 +297,19 @@ def search(window: int, n: int, max_dim: int | None = None) -> SearchResult:
         report = check_candidate(S, n)
         if report.is_subalgebra:
             result.found.append(report)
-    if max_dim == n + 1:
-        for S in combinations(values, n + 1):
-            result.extra_checked += 1
-            report = closure_check(S, n)
-            if not report.closed:
-                continue
-            matrix = filippov_matrix(S, n)
-            ok, witness, _ = fi_check_span(S, n)
-            report.fi_pass = ok
-            report.fi_witness = witness if not ok else None
-            if matrix.symmetric and ok:
-                result.extra_passing.append(report)
-        if result.extra_passing:
-            raise UnexpectedSubalgebra(
-                f"(n+1)-dimensional candidates passed: "
-                f"{[list(r.indices) for r in result.extra_passing]}"
-            )
+    for S in combinations(values, n + 1):
+        result.extra_checked += 1
+        report = closure_check(S, n)
+        if not report.closed:
+            continue
+        matrix = filippov_matrix(S, n)
+        ok, _, _ = fi_check_span(S, n)
+        report.fi_pass = ok
+        if matrix.symmetric and ok:
+            result.extra_passing.append(report)
+    if result.extra_passing:
+        raise UnexpectedSubalgebra(
+            f"(n+1)-dimensional candidates passed: "
+            f"{[list(r.indices) for r in result.extra_passing]}"
+        )
     return result

@@ -171,18 +171,17 @@ def check_sh_jacobi(cfg: dict) -> list[dict]:
 
 
 def check_not_n_lie(cfg: dict) -> list[dict]:
-    from . import identities
+    from . import identities, subalgebra
 
-    out = []
-    Y, X, res = identities.sweep_fi_find_nonzero(3, (-2, 2))
-    out.append(
-        result(
-            "fi-nonzero-exists-n3",
-            {"window": [-2, 2], "Y": list(Y), "X": list(X)},
-            res.coeff.canonical(),
-            not res.is_zero,
-        )
-    )
+    # the first (Y, X) pick of the window with a nonzero residual; a window
+    # on which the identity holds everywhere gives a failing record
+    ok, witness, _ = subalgebra.fi_check_span(range(-2, 3), 3)
+    if ok:
+        out = [result("fi-nonzero-exists-n3", {"window": [-2, 2]}, "0", False)]
+    else:
+        Y, X, res = witness
+        inp = {"window": [-2, 2], "Y": list(Y), "X": list(X)}
+        out = [result("fi-nonzero-exists-n3", inp, res.coeff.canonical(), True)]
     for n in cfg.get("counterexample_arities", (4, 6)):
         Y, X, res = identities.fi_counterexample_even(n)
         out.append(

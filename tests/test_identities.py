@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from pqvw import algebra, identities
+from pqvw import algebra, identities, oracle
 from pqvw.algebra import Term, bracketn_closed, nested_coeff
 from pqvw.identities import (
     check_skew,
@@ -14,12 +14,12 @@ from pqvw.identities import (
     sample_tuples,
     sh_jacobi_residual,
     shuffles,
-    sweep_fi_find_nonzero,
     sweep_sh_jacobi,
     sweep_skew,
 )
 from pqvw.oracle import bracket2_def, bracketn_def, extract_structure_constant
 from pqvw.ring import LPoly, ModScalar, Scalar, classical_value
+from pqvw.subalgebra import fi_check_span
 
 # the signed 10-term expansion of the arity-3 shuffle identity, in
 # lexicographic order of the inner block
@@ -106,10 +106,6 @@ class TestShJacobi:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             sh_jacobi_residual(3, (0, 1, 2))
-        # an explicit list is checked too, even where the tuple repeats an
-        # index and so is never evaluated
-        with pytest.raises(ValueError):
-            sweep_sh_jacobi(3, tuples=[(0, 1, 2, 3, 4), (0, 0, 1)])
 
     def test_residual_from_uncached_brackets(self):
         # recompute one shuffle sum with direct bracket evaluations only,
@@ -333,7 +329,7 @@ class TestSignatureSweeps:
             for X in product(values, repeat=3)
             if not (res := fi_residual(3, Y, X)).is_zero
         )
-        assert sweep_fi_find_nonzero(3, (-2, 2)) == reference
+        assert fi_check_span(values, 3)[1] == reference
 
 
 def fi_residual_via_oracle(n, Y, X):
@@ -363,7 +359,8 @@ class TestFundamentalIdentity:
         assert fi_residual(3, (0, 1), (0, 1, 2)).is_zero
 
     def test_first_nonzero_witness_pinned(self):
-        Y, X, res = sweep_fi_find_nonzero(3, (-2, 2))
+        ok, (Y, X, res), _ = fi_check_span(range(-2, 3), 3)
+        assert not ok
         assert (Y, X) == ((-2, -1), (-2, 0, 1))
         expected = (
             "1*p^-2*q^-6 + 1*p^-1*q^-5 + -1*p^1*q^-3 + -2*p^2*q^-2 "
@@ -425,31 +422,40 @@ class TestJacobiForTwoBracket:
     def test_repeated_mode_still_zero(self):
         assert deformed_jacobi2_residual(2, 2, 5).is_zero
 
-    def test_two_parameter_q_total_is_zero(self):
-        # lemma: the twelve-word total vanishes on the symbolic module before
-        # any division or specialisation, so q_jacobi2_residual divides nothing
-        zero = ModScalar.zero()
+    def test_two_parameter_q_total_is_zero(self, monkeypatch):
+        # lemma: each arrangement of (m, n, k) arises twice among the twelve
+        # words, with opposite weights, so the word sum handed to the module
+        # is already empty and q_jacobi2_residual divides nothing
+        real = oracle.word_act
+        seen = []
+
+        def recording(ws):
+            seen.append(ws)
+            return real(ws)
+
+        monkeypatch.setattr(oracle, "word_act", recording)
         for m, n, k in product(range(-3, 4), repeat=3):
-            total = identities._q_jacobi2_total(m, n, k)
-            assert total == zero and total.e == 0, (m, n, k)
+            assert q_jacobi2_residual(m, n, k).is_zero
+            assert seen.pop() == {}, (m, n, k)
 
     def test_nonzero_total_is_divided_then_specialised(self, monkeypatch):
-        # the path no admitted window reaches: a total that is a multiple of
-        # the target's action coefficient gives the specialised quotient, and
-        # one that is not, or depends on the level, is refused
-        from pqvw.oracle import generator_multiplier
+        # the path no admitted window reaches: a word sum whose total is a
+        # multiple of the target's action coefficient gives the specialised
+        # quotient, and one that is not, or depends on the level, is refused
+        from pqvw.oracle import NotProportional, generator_multiplier
         from pqvw.ring import MPoly, mod_from_scalar, pq_number, q_number
 
         def total_is(total):
-            monkeypatch.setattr(identities, "_q_jacobi2_total", lambda m, n, k: total)
+            monkeypatch.setattr(oracle, "word_act", lambda ws: {6: total})
 
         total_is(generator_multiplier(6) * mod_from_scalar(pq_number(3)))
         assert q_jacobi2_residual(1, 2, 3) == q_number(3)
-        level = ModScalar(MPoly.monomial(0, 0, 1, 0), 0)
-        for total in (ModScalar.one(), generator_multiplier(6) * level):
-            total_is(total)
-            with pytest.raises(ArithmeticError, match="symbolic level"):
-                q_jacobi2_residual(1, 2, 3)
+        total_is(ModScalar.one())
+        with pytest.raises(NotProportional):
+            q_jacobi2_residual(1, 2, 3)
+        total_is(generator_multiplier(6) * ModScalar(MPoly.monomial(0, 0, 1, 0), 0))
+        with pytest.raises(NotProportional, match="symbolic level"):
+            q_jacobi2_residual(1, 2, 3)
 
     def test_q_limit_residual_zero(self):
         for m, n, k in product(range(-2, 3), repeat=3):

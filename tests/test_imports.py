@@ -74,7 +74,7 @@ EXPORTS = {
         "sign_of",
     ],
     "oracle": [
-        "InconsistentSign", "ModVector", "NotProportional", "WordSum", "bracket2_def",
+        "InconsistentSign", "NotProportional", "bracket2_def",
         "bracket3_def", "bracketn_def", "derive_sign", "extract_structure_constant",
         "fock_act", "osc_relations_check", "structure_constant", "word_act",
     ],

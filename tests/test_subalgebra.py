@@ -232,8 +232,9 @@ class TestSearch:
         assert result.extra_passing == []
 
     def test_n4_finds_canonical(self):
-        result = search(3, 4, max_dim=4)
+        result = search(3, 4)
         assert canonical_basis(4) in [r.indices for r in result.found]
+        assert result.extra_passing == []
 
     def test_check_candidate_report_shape(self):
         report = check_candidate((-1, 0, 1), 3)
