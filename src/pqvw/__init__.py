@@ -9,8 +9,10 @@ Layers, bottom up:
 * :mod:`pqvw.subalgebra` n-Lie subalgebra classification in index windows
 * :mod:`pqvw.cli`        the ``pqvw`` command-line front end
 
-Every check is decided in exact rational arithmetic: a passing identity has
-residual identically zero, a failing one ships its nonzero residual.
+Every check is decided in exact integer arithmetic, in Laurent polynomials
+with int coefficients over a power of a localization divisor: a passing
+identity has residual identically zero, a failing one ships its nonzero
+residual.
 
 The re-exported names below resolve on first access (a module
 ``__getattr__``), so importing the package, or running ``python -m pqvw``,
@@ -25,7 +27,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ring": (
         "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
-        "Rat", "Scalar", "UniScalar", "classical_value",
+        "Scalar", "UniScalar", "classical_value",
         "mod_at_level", "mod_from_scalar", "mod_shift", "mod_to_scalar",
         "pq_number", "q_number", "specialize_pq",
     ),

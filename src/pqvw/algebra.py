@@ -45,7 +45,6 @@ __all__ = [
     "recursion_weights",
     "sign_of",
     "bracket_coeff",
-    "nested_coeff",
     "sort_with_sign",
 ]
 
@@ -255,11 +254,6 @@ def _sorted_coeff(t: tuple[GenIndex, ...]) -> Scalar:
     return bracket(t).coeff
 
 
-@lru_cache(maxsize=None)
-def _sorted_pair_coeff(inner: tuple[GenIndex, ...], outer: tuple[GenIndex, ...]) -> Scalar:
-    return _sorted_coeff(inner) * _sorted_coeff(outer)
-
-
 def bracket_coeff(indices: Sequence[GenIndex]) -> Scalar:
     """Structure constant of [L_(i1), ..., L_(in)] for any argument order.
 
@@ -277,23 +271,3 @@ def bracket_coeff(indices: Sequence[GenIndex]) -> Scalar:
     c = _sorted_coeff(st)
     return c if sign > 0 else -c
 
-
-def nested_coeff(
-    inner: Sequence[GenIndex], rest: Sequence[GenIndex], pos: int
-) -> Scalar:
-    """Coefficient of [rest[:pos], [inner], rest[pos:]] as nested brackets.
-
-    The inner bracket collapses to a single generator at index sum(inner);
-    the outer bracket then collapses again.  Products of the two cached
-    coefficients are themselves cached, which makes identity sweeps cheap.
-    """
-    inner = tuple(inner)
-    if len(set(inner)) != len(inner):
-        return SCALAR_ZERO
-    outer = tuple(rest[:pos]) + (sum(inner),) + tuple(rest[pos:])
-    if len(set(outer)) != len(outer):
-        return SCALAR_ZERO
-    si, sgn_i = sort_with_sign(inner)
-    so, sgn_o = sort_with_sign(outer)
-    c = _sorted_pair_coeff(si, so)
-    return c if sgn_i * sgn_o > 0 else -c

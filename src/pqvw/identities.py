@@ -18,10 +18,10 @@ kernels by the tests, not assumed by them: the per-tuple entry points
 compute every residual directly.
 
 Within one shuffle-Jacobi residual, every surviving shuffle term is a sign
-times the cached product of a sorted inner and a sorted outer bracket, so
-like terms are collected per (inner, outer) signature pair as integer signs
-before any ring product: pairs whose signs cancel are never multiplied, and
-the residual is one sum normalised once.
+times the product of a cached sorted inner and a cached sorted outer
+bracket, so like terms are collected per (inner, outer) signature pair as
+integer signs before any ring product: pairs whose signs cancel are never
+multiplied, and the residual is one sum of products normalised once.
 """
 from __future__ import annotations
 
@@ -34,10 +34,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .algebra import (
     GenIndex,
     Term,
-    _sorted_pair_coeff,
+    _sorted_coeff,
     bracket,
     bracket2,
-    nested_coeff,
+    bracket_coeff,
     sort_with_sign,
 )
 from .ring import LPoly, Scalar, UniScalar, specialize_pq
@@ -165,11 +165,11 @@ def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
     the algebra is a shuffle-Jacobi n-algebra exactly when it vanishes.
     A term vanishes when its inner bracket or its outer bracket
     [[inner], rest] repeats an index; every other term is its shuffle's
-    parity times the sorting signs of both blocks times the cached product
-    of the sorted brackets.  Like terms are collected per (sorted inner,
-    sorted outer) pair as integer signs before any ring product, so only
-    pairs with a nonzero net sign are multiplied, and the residual is one
-    sum normalised once.
+    parity times the sorting signs of both blocks times the product of the
+    two cached sorted brackets.  Like terms are collected per (sorted
+    inner, sorted outer) pair as integer signs before any ring product, so
+    only pairs with a nonzero net sign become rows of one
+    ``Scalar.sum_of_products``, normalised once.
     """
     idx = tuple(indices)
     if len(idx) != 2 * n - 1:
@@ -186,7 +186,9 @@ def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
         so, sgn_o = sort_with_sign(outer)
         key = (si, so)
         net[key] = net.get(key, 0) + parity * sgn_i * sgn_o
-    return Scalar.sum(_sorted_pair_coeff(si, so).scale(k) for (si, so), k in net.items() if k)
+    return Scalar.sum_of_products(
+        (_sorted_coeff(si).scale(k), _sorted_coeff(so)) for (si, so), k in net.items() if k
+    )
 
 
 def fi_residual(
@@ -195,20 +197,20 @@ def fi_residual(
     """Fundamental-identity residual [Y, [X]] - sum_k [X_1, .., [Y, X_k], .., X_n].
 
     Works for any n >= 2 (n = 2 is the plain Jacobi identity, which the
-    weighted 2-bracket does not satisfy -- expected nonzero there).
+    weighted 2-bracket does not satisfy -- expected nonzero there).  The
+    n + 1 nested products are the rows of one ``Scalar.sum_of_products``,
+    normalised once; a row whose inner or outer bracket repeats an index
+    has a zero factor and adds nothing.
     """
     ys = tuple(Y)
     xs = tuple(X)
     if len(ys) != n - 1 or len(xs) != n:
         raise ValueError(f"need |Y| = {n - 1} and |X| = {n}")
-    acc = nested_coeff(xs, ys, len(ys))
+    rows = [(bracket_coeff(xs), bracket_coeff(ys + (sum(xs),)))]
     for k in range(n):
         inner = ys + (xs[k],)
-        rest = xs[:k] + xs[k + 1 :]
-        c = nested_coeff(inner, rest, k)
-        if not c.is_zero:
-            acc = acc - c
-    return Term(acc, sum(ys) + sum(xs))
+        rows.append((-bracket_coeff(inner), bracket_coeff(xs[:k] + (sum(inner),) + xs[k + 1 :])))
+    return Term(Scalar.sum_of_products(rows), sum(ys) + sum(xs))
 
 
 def fi_counterexample_even(

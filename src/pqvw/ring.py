@@ -1,7 +1,7 @@
 """Exact coefficient arithmetic: sparse Laurent polynomials and localizations.
 
 Everything downstream (brackets, the oscillator oracle, identity sweeps)
-reduces to arithmetic in a handful of Laurent rings over the rationals:
+reduces to arithmetic in a handful of Laurent rings over the integers:
 
 * ``LPoly``                  -- polynomials in p^(+-1), q^(+-1)
 * ``Scalar``                 -- an LPoly divided by a power of (q - p^-1)
@@ -9,11 +9,11 @@ reduces to arithmetic in a handful of Laurent rings over the rationals:
   stand for p^nu and q^nu at a symbolic module level nu
 * ``UPoly`` / ``UniScalar``  -- one variable q, localized at (q - q^-1)
 
-Coefficients are exact rationals: plain ``int`` wherever the value is
-integral, ``fractions.Fraction`` otherwise (the two hash and compare equal,
-so canonical forms are unaffected).  Floating point never appears.  All
-values are immutable after construction, so they are safe to share across
-threads and processes.
+Every coefficient is a plain ``int``: the structure constants lie in
+Z[p^(+-1), q^(+-1)] over a power of the localization divisor, and a
+constructor given any other coefficient raises ``TypeError``.  Floating
+point never appears.  All values are immutable after construction, so they
+are safe to share across threads and processes.
 
 Each monomial is stored as one int: its exponents are packed Kronecker
 style into balanced digits of ``DIGIT_BITS`` bits, the first variable most
@@ -25,12 +25,12 @@ division below still decode without aliasing.  Every value carries an
 upper bound on its exponents, and an operation whose bound would leave the
 range raises ``ExponentOverflow`` before it builds a key.
 
-Division by a binomial c * x^u * (x^s - 1), which covers every localization
-divisor and every action coefficient the oracle divides by, is one
-synthetic division over the classes of terms along s.  Any other divisor
-goes to long division, which no package path reaches: it stays for
-``exact_div``'s general case and as the tests' reference for the synthetic
-division.
+Exact division takes two kinds of divisor: a monomial, and a binomial
+c * x^u * (x^s - 1), which covers every localization divisor and every
+action coefficient the oracle divides by.  The binomial case is one
+synthetic division over the classes of terms along s.  A quotient whose
+coefficients are not integers raises ``NotDivisible``; any other divisor
+raises ``ValueError``.
 
 Normalizing a localized value means trying that division, so sums of
 products, the shape of every bracket recursion and identity residual, go
@@ -40,16 +40,10 @@ land in one key dict and only the total is normalized.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, ClassVar, Iterator, TypeVar
 
-Rat = Fraction
-
-Coeff = int | Fraction
-
 __all__ = [
-    "Rat",
     "NotDivisible",
     "PoleAtOne",
     "ExponentOverflow",
@@ -76,9 +70,9 @@ __all__ = [
 ]
 
 DIGIT_BITS = 32
-# a quarter of the digit's balanced range: differences of exponents (long
-# division) and the class keys of the synthetic division (at most six times
-# an exponent) stay inside one digit
+# a quarter of the digit's balanced range: differences of two keys and the
+# class keys of the synthetic division (at most six times an exponent) stay
+# inside one digit
 EXP_MAX = (1 << (DIGIT_BITS - 3)) - 1
 _BASE = 1 << DIGIT_BITS
 _HALF = _BASE >> 1
@@ -109,22 +103,20 @@ def _checked(bound: int) -> int:
     return bound
 
 
-def _cnorm(c: Coeff) -> Coeff:
-    # ints are the fast path; Fractions that became integral collapse to int
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
+def _coeff(c: int) -> int:
+    if type(c) is not int:
+        raise TypeError(f"coefficients are ints, got {type(c).__name__}")
     return c
 
 
-def _cdiv(a: Coeff, b: Coeff) -> Coeff:
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
-    return _cnorm(Fraction(a) / Fraction(b))
+def _cdiv(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise NotDivisible(f"{b} does not divide {a}")
+    return q
 
 
-def _mul_into(acc: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -> None:
+def _mul_into(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
     """Add the product of the term dicts a and b into acc, zero sums kept."""
     get = acc.get
     for ka, ca in a.items():
@@ -138,9 +130,9 @@ def _mul_into(acc: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -
                 acc[k] = get(k, 0) + ca * cb
 
 
-def _clean(acc: dict[int, Coeff]) -> dict[int, Coeff]:
-    # drop zero sums; Fractions that became integral collapse to int
-    return {k: c if type(c) is int else _cnorm(c) for k, c in acc.items() if c}
+def _clean(acc: dict[int, int]) -> dict[int, int]:
+    # drop zero sums
+    return {k: c for k, c in acc.items() if c}
 
 
 class _Terms(Mapping):
@@ -151,7 +143,7 @@ class _Terms(Mapping):
     def __init__(self, poly: "Poly"):
         self._poly = poly
 
-    def __getitem__(self, exps) -> Coeff:
+    def __getitem__(self, exps) -> int:
         try:
             return self._poly._terms[self._poly.pack(exps)]
         except (ValueError, ExponentOverflow):
@@ -171,7 +163,7 @@ class Poly:
     """Sparse Laurent polynomial with a fixed variable tuple per subclass.
 
     ``_terms`` maps a packed monomial key (see the module docstring) to a
-    nonzero rational coefficient, and ``_bound`` bounds the absolute value
+    nonzero int coefficient, and ``_bound`` bounds the absolute value
     of every exponent.  ``terms`` is a read-only view keyed by exponent
     tuples, decoded on access, and the public constructors take exponent
     tuples.  The canonical text form lists terms in lexicographic exponent
@@ -191,16 +183,15 @@ class Poly:
         cls._BIAS = sum(_HALF << s for s in cls._SHIFTS)
         cls._FORMAT = "*".join(["{}"] + [f"{v}^{{}}" for v in cls.VARS])
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Coeff] | None = None):
-        d: dict[int, Coeff] = {}
+    def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
+        d: dict[int, int] = {}
         bound = 0
         pack = self.pack
         if terms:
             for exps, c in terms.items():
                 key = pack(exps)
                 bound = max(bound, max(exps), -min(exps))
-                c = _cnorm(c)
-                if c:
+                if _coeff(c):
                     d[key] = c
         self._terms = d
         self._bound = bound
@@ -225,7 +216,7 @@ class Poly:
         return tuple([((k >> s) & _MASK) - _HALF for s in cls._SHIFTS])
 
     @classmethod
-    def _raw(cls, d: dict[int, Coeff], bound: int) -> "Poly":
+    def _raw(cls, d: dict[int, int], bound: int) -> "Poly":
         # internal: d must already be normalized (no zeros, keys in range)
         # and bound must bound its exponents
         self = object.__new__(cls)
@@ -235,7 +226,7 @@ class Poly:
         return self
 
     @property
-    def terms(self) -> Mapping[tuple[int, ...], Coeff]:
+    def terms(self) -> Mapping[tuple[int, ...], int]:
         return _Terms(self)
 
     @classmethod
@@ -243,8 +234,8 @@ class Poly:
         return cls._raw({}, 0)
 
     @classmethod
-    def const(cls, c: Coeff):
-        c = _cnorm(c)
+    def const(cls, c: int):
+        c = _coeff(c)
         return cls._raw({0: c} if c else {}, 0)
 
     @classmethod
@@ -252,9 +243,9 @@ class Poly:
         return cls.const(1)
 
     @classmethod
-    def monomial(cls, *exps: int, coeff: Coeff = 1):
+    def monomial(cls, *exps: int, coeff: int = 1):
         key = cls.pack(exps)
-        coeff = _cnorm(coeff)
+        coeff = _coeff(coeff)
         bound = max(max(exps), -min(exps)) if exps else 0
         return cls._raw({key: coeff} if coeff else {}, bound)
 
@@ -268,7 +259,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return type(other) is type(self) and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == type(self).const(other)
         return NotImplemented
 
@@ -286,12 +277,10 @@ class Poly:
         d = dict(self._terms)
         for k, c in other._terms.items():
             nc = d.get(k, 0) + c
-            if not nc:
-                del d[k]
-            elif type(nc) is int:
+            if nc:
                 d[k] = nc
             else:
-                d[k] = _cnorm(nc)
+                del d[k]
         return type(self)._raw(d, max(self._bound, other._bound))
 
     def __sub__(self, other):
@@ -300,18 +289,16 @@ class Poly:
         d = dict(self._terms)
         for k, c in other._terms.items():
             nc = d.get(k, 0) - c
-            if not nc:
-                del d[k]
-            elif type(nc) is int:
+            if nc:
                 d[k] = nc
             else:
-                d[k] = _cnorm(nc)
+                del d[k]
         return type(self)._raw(d, max(self._bound, other._bound))
 
     def __mul__(self, other):
         cls = type(self)
         if type(other) is not cls:
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, int):
                 return self.scale(other)
             return NotImplemented
         bound = _checked(self._bound + other._bound)
@@ -324,7 +311,7 @@ class Poly:
             if ca == 1:
                 d = {ka + kb: cb for kb, cb in b.items()}
             else:
-                d = {ka + kb: _cnorm(ca * cb) for kb, cb in b.items()}
+                d = {ka + kb: ca * cb for kb, cb in b.items()}
         else:
             d = {}
             _mul_into(d, a, b)
@@ -333,26 +320,25 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Coeff):
-        c = _cnorm(c)
-        if not c:
+    def scale(self, c: int):
+        if not _coeff(c):
             return type(self)._raw({}, 0)
         if c == 1:
             return self
         return type(self)._raw(
-            {k: _cnorm(v * c) for k, v in self._terms.items()}, self._bound
+            {k: v * c for k, v in self._terms.items()}, self._bound
         )
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if len(self._terms) == 1:
-            # monomials are units: any integer power is exact (int ** negative
-            # would drift into float, so negative powers go through Fraction)
+            # a monomial is a unit exactly when its coefficient is +-1
             (key, c), = self._terms.items()
+            if k < 0 and c not in (1, -1):
+                raise NotDivisible(f"{self.canonical()} is not a unit")
             bound = _checked(self._bound * abs(k))
-            coeff = Fraction(c) ** k if k < 0 else c**k
-            return type(self)._raw({key * k: _cnorm(coeff)}, bound)
+            return type(self)._raw({key * k: c ** abs(k)}, bound)
         if k < 0:
             raise ValueError("negative power of a non-monomial Laurent polynomial")
         result = type(self).one()
@@ -367,9 +353,9 @@ class Poly:
     def exact_div(self, d: "Poly") -> "Poly":
         """Exact quotient self / d; raises NotDivisible if none exists.
 
-        A monomial divisor shifts the keys, a binomial c * x^u * (x^s - 1)
-        goes through ``_divide_binomial``, and every other divisor through
-        long division.
+        A monomial divisor shifts the keys and a binomial c * x^u * (x^s - 1)
+        goes through ``_divide_binomial``.  Any other divisor raises
+        ValueError: the package never divides by one.
         """
         if type(d) is not type(self):
             raise TypeError("mismatched rings")
@@ -392,12 +378,12 @@ class Poly:
                 if not removed:
                     raise NotDivisible(f"{d.canonical()} does not divide {self.canonical()}")
                 return type(self)._raw(quo, bound)
-        return self._long_div(d)
+        raise ValueError(f"unsupported divisor {d.canonical()}: not c*x^u*(x^s - 1)")
 
     @classmethod
     def _divide_binomial(
-        cls, terms: dict[int, Coeff], unit: int, step: int, k: int, lead: Coeff = 1
-    ) -> tuple[dict[int, Coeff], int]:
+        cls, terms: dict[int, int], unit: int, step: int, k: int, lead: int = 1
+    ) -> tuple[dict[int, int], int]:
         """Divide terms by lead * x^unit * (x^step - 1), at most k times.
 
         Returns (quotient terms, factors removed); with none removed the
@@ -414,7 +400,7 @@ class Poly:
             return terms, 0
         shift, sa = cls._axis(step)
         bias = cls._BIAS
-        classes: dict[int, list[tuple[int, Coeff]]] = {}
+        classes: dict[int, list[tuple[int, int]]] = {}
         for key, c in terms.items():
             t = ((((key + bias) >> shift) & _MASK) - _HALF) // sa
             cl = classes.get(key - t * step)
@@ -426,10 +412,10 @@ class Poly:
             cl.sort()
         removed = 0
         while removed < k:
-            divided: dict[int, list[tuple[int, Coeff]]] = {}
+            divided: dict[int, list[tuple[int, int]]] = {}
             for ck, cl in classes.items():
-                quo: list[tuple[int, Coeff]] = []
-                run: Coeff = 0
+                quo: list[tuple[int, int]] = []
+                run = 0
                 last = cl[0][0]
                 for t, c in cl:
                     # the quotient holds run from the previous term up to t
@@ -439,8 +425,6 @@ class Poly:
                         else:
                             quo += [(x, run) for x in range(last, t)]
                     run -= c
-                    if type(run) is not int:
-                        run = _cnorm(run)
                     last = t
                 if run:
                     break
@@ -453,7 +437,7 @@ class Poly:
         if not removed:
             return terms, 0
         lead = lead**removed
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for ck, cl in classes.items():
             base = ck - removed * unit
             for t, c in cl:
@@ -468,50 +452,9 @@ class Poly:
         axis = max(range(len(s)), key=lambda i: abs(s[i]))
         return cls._SHIFTS[axis], s[axis]
 
-    def _long_div(self, d: "Poly") -> "Poly":
-        """Quotient by any divisor, by long division.
-
-        Lexicographic order is compatible with multiplication, so each step
-        divides the leading term of the remainder by that of d.  An exact
-        quotient has, per variable, the exponent range of self minus that
-        of d; a quotient term outside that box proves there is none, and
-        the box keeps every remainder inside the range of self.
-        """
-        lo_a, hi_a = self._exponent_box()
-        lo_d, hi_d = d._exponent_box()
-        lo = [x - y for x, y in zip(lo_a, lo_d)]
-        hi = [x - y for x, y in zip(hi_a, hi_d)]
-        bound = _checked(max(map(abs, lo + hi)))
-        unpack = self.unpack
-        dterms = d._terms
-        dlead = max(dterms)
-        dlc = dterms[dlead]
-        rem = dict(self._terms)
-        quo: dict[int, Coeff] = {}
-        while rem:
-            rlead = max(rem)
-            diff = rlead - dlead
-            if any(not a <= x <= b for x, a, b in zip(unpack(diff), lo, hi)):
-                raise NotDivisible(f"{d.canonical()} does not divide {self.canonical()}")
-            t = _cdiv(rem[rlead], dlc)
-            quo[diff] = t
-            for dk, dc in dterms.items():
-                k = diff + dk
-                nc = rem.get(k, 0) - t * dc
-                if nc:
-                    rem[k] = _cnorm(nc)
-                else:
-                    rem.pop(k, None)
-        return type(self)._raw(quo, bound)
-
-    def _exponent_box(self) -> tuple[list[int], list[int]]:
-        # per-variable least and greatest exponent over the terms
-        exps = list(zip(*map(self.unpack, self._terms)))
-        return [min(e) for e in exps], [max(e) for e in exps]
-
-    def value_at_one(self) -> Fraction:
+    def value_at_one(self) -> int:
         """Evaluate with every variable set to 1."""
-        return Fraction(sum(self._terms.values()))
+        return sum(self._terms.values())
 
     def canonical(self) -> str:
         """Deterministic text form: terms in lexicographic exponent order."""
@@ -582,7 +525,7 @@ class Localized:
         cls._STEP = cls.POLY.pack(cls.STEP)
 
     def __init__(self, num, e: int = 0):
-        if isinstance(num, (int, Fraction)):
+        if isinstance(num, int):
             num = self.POLY.const(num)
         elif type(num) is not self.POLY:
             raise TypeError(f"expected {self.POLY.__name__}, got {type(num).__name__}")
@@ -641,7 +584,7 @@ class Localized:
     def __eq__(self, other) -> bool:
         if isinstance(other, Localized):
             return type(other) is type(self) and self.e == other.e and self.num == other.num
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.e == 0 and self.num == other
         return NotImplemented
 
@@ -687,7 +630,7 @@ class Localized:
             staged.append((small, big, e))
             if e > top:
                 top = e
-        acc: dict[int, Coeff] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         bound = 0
         for small, big, e in staged:
@@ -719,7 +662,7 @@ class Localized:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
@@ -732,8 +675,8 @@ class Localized:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Coeff):
-        if not c:
+    def scale(self, c: int):
+        if not _coeff(c):
             return type(self).zero()
         return type(self)._raw(self.num.scale(c), self.e)
 
@@ -745,7 +688,11 @@ class Localized:
         return type(self)._raw(self.num**k, self.e * k)
 
     def exact_div(self, other: "Localized") -> "Localized":
-        """Exact quotient in the localized ring; raises NotDivisible."""
+        """Exact quotient in the localized ring; raises NotDivisible.
+
+        Once its divisor factors are cancelled, other's numerator must be
+        a divisor ``Poly.exact_div`` takes, or ValueError is raised.
+        """
         if type(other) is not type(self):
             raise TypeError("mismatched rings")
         if other.is_zero:
@@ -853,17 +800,17 @@ def _substitute(c: Localized, target: type[_L], key: Callable[[int], int], grow:
 
     key is a linear substitution of exponents, so it works on the packed
     key, and no image exponent exceeds grow times the largest exponent of
-    c.  Coefficients of colliding images are summed and zero sums dropped;
+    c.  inticients of colliding images are summed and zero sums dropped;
     the target's constructor then normalizes, since a non-injective map
     can create new divisor factors.
     """
     bound = _checked(c.num._bound * grow)
-    d: dict[int, Coeff] = {}
+    d: dict[int, int] = {}
     for k, v in c.num._terms.items():
         k = key(k)
         nc = d.get(k, 0) + v
         if nc:
-            d[k] = _cnorm(nc)
+            d[k] = nc
         else:
             del d[k]
     return target(target.POLY._raw(d, bound), c.e)
@@ -891,7 +838,7 @@ def specialize_pq(a: Scalar) -> UniScalar:
     return _substitute(a, UniScalar, _pair_sum, 2)
 
 
-def classical_value(u: UniScalar) -> Fraction:
+def classical_value(u: UniScalar) -> int:
     """Evaluate the q -> 1 limit exactly; raises PoleAtOne if it has none.
 
     Construction already cancelled every available (q - q^-1) factor, so a
@@ -939,7 +886,7 @@ def mod_to_scalar(c: ModScalar) -> Scalar:
     """Project back to (p, q); raises ValueError if P or Q actually occurs."""
     # the level variables are the low pair of digits: zero there exactly
     # when the key is a multiple of their base
-    d: dict[int, Coeff] = {}
+    d: dict[int, int] = {}
     for k, v in c.num._terms.items():
         if k & _PAIR_MASK:
             raise ValueError("coefficient depends on the symbolic level")

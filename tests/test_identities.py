@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from pqvw import algebra, identities, oracle
-from pqvw.algebra import Term, bracketn_closed, nested_coeff
+from pqvw.algebra import Term, bracket_coeff, bracketn_closed
 from pqvw.identities import (
     check_skew,
     deformed_jacobi2_residual,
@@ -168,8 +168,18 @@ def sh_jacobi_per_shuffle(n, indices):
     for sh in shuffles(n):
         inner = tuple(idx[i - 1] for i in sh.sigma[:n])
         rest = tuple(idx[i - 1] for i in sh.sigma[n:])
-        c = nested_coeff(inner, rest, 0)
+        c = bracket_coeff(inner) * bracket_coeff((sum(inner),) + rest)
         total = total + (c if sh.parity > 0 else -c)
+    return total
+
+
+def fi_residual_per_term(n, Y, X):
+    """Reference residual: one nested coefficient per term, added in order."""
+    ys, xs = tuple(Y), tuple(X)
+    total = bracket_coeff(xs) * bracket_coeff(ys + (sum(xs),))
+    for k in range(n):
+        inner = ys + (xs[k],)
+        total = total - bracket_coeff(inner) * bracket_coeff(xs[:k] + (sum(inner),) + xs[k + 1 :])
     return total
 
 
@@ -183,11 +193,9 @@ def generic_sorted_coeff(t):
 
 @pytest.fixture
 def generic_brackets(monkeypatch):
-    algebra._sorted_pair_coeff.cache_clear()
+    # bracket_coeff reads the name in algebra, the sh-Jacobi kernel its own
     monkeypatch.setattr(algebra, "_sorted_coeff", generic_sorted_coeff)
-    yield
-    monkeypatch.undo()
-    algebra._sorted_pair_coeff.cache_clear()
+    monkeypatch.setattr(identities, "_sorted_coeff", generic_sorted_coeff)
 
 
 # per arity, a window whose every signature the kernel is compared on; a
@@ -368,6 +376,18 @@ class TestFundamentalIdentity:
         )
         assert res.coeff.canonical() == expected
         assert res.index == -4
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_per_term_products(self, n, brackets):
+        rng = random.Random(47 + n)
+        nonzero = 0
+        for _ in range(30):
+            Y = tuple(rng.randint(-3, 3) for _ in range(n - 1))
+            X = tuple(rng.randint(-3, 3) for _ in range(n))
+            reference = fi_residual_per_term(n, Y, X)
+            assert fi_residual(n, Y, X) == Term(reference, sum(Y) + sum(X)), (Y, X)
+            nonzero += not reference.is_zero
+        assert nonzero  # residuals to compare, under either set of coefficients
 
     def test_matches_oracle_path(self):
         rng = random.Random(41)
