@@ -33,8 +33,7 @@ _EXPORTS = {
     ),
     "algebra": (
         "BadArity", "GenIndex", "RecursionWeights", "Term", "bracket", "bracket2",
-        "bracket3_closed", "bracket_coeff", "bracketn_closed", "recursion_weights",
-        "sign_of",
+        "bracket_coeff", "bracketn_closed", "recursion_weights", "sign_of",
     ),
     "oracle": (
         "InconsistentSign", "NotProportional", "bracket2_def",

@@ -24,7 +24,6 @@ from .ring import (
     EXP_MAX,
     ExponentOverflow,
     LPoly,
-    NotDivisible,
     SCALAR_ZERO,
     Scalar,
     _Z,
@@ -39,7 +38,6 @@ __all__ = [
     "RecursionWeights",
     "BadArity",
     "bracket2",
-    "bracket3_closed",
     "bracketn_closed",
     "bracket",
     "recursion_weights",
@@ -133,38 +131,6 @@ def bracket2(m: GenIndex, n: GenIndex) -> Term:
     the closed form for n >= 3: no ring product or division runs.
     """
     return Term(_scaled_pq_number(n - m, -m, m, -1), m + n)
-
-
-def bracket3_closed(m: GenIndex, n: GenIndex, k: GenIndex) -> Term:
-    """3-bracket in determinant form.
-
-    -(p q^-1)^(m+n+k) / (q - p^-1)^2 times the 3x3 determinant with rows
-    p^-2i, p^-i q^i, q^2i over the columns i in (m, n, k), attached to
-    L_{m+n+k}.  Written out explicitly as a cofactor expansion, and divided
-    explicitly, so it can cross-check the generic product form.
-    """
-    rows = ((-2, 0), (-1, 1), (0, 2))
-    det: dict[tuple[int, int], int] = {}
-    for perm, sgn in (
-        ((m, n, k), 1),
-        ((m, k, n), -1),
-        ((n, m, k), -1),
-        ((n, k, m), 1),
-        ((k, m, n), 1),
-        ((k, n, m), -1),
-    ):
-        a = sum(r[0] * i for r, i in zip(rows, perm))
-        b = sum(r[1] * i for r, i in zip(rows, perm))
-        c = det.get((a, b), 0) + sgn
-        if c:
-            det[(a, b)] = c
-        else:
-            del det[(a, b)]
-    s = m + n + k
-    c = Scalar(LPoly(det) * LPoly.monomial(s, -s, coeff=-1), 2)
-    if c.e:
-        raise NotDivisible(f"(q-p^-1)^2 does not divide the determinant at {(m, n, k)}")
-    return Term(c, s)
 
 
 def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:

@@ -277,11 +277,7 @@ def q_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> UniScalar:
             ((b, c, a), w2o + w1i, -1),
             ((c, b, a), w2o + w2i, 1),
         ):
-            weight = Scalar._raw(LPoly.monomial(0, e, coeff=sign), 0)
-            acc = ws.pop(word, None)
-            acc = weight if acc is None else acc + weight
-            if not acc.is_zero:
-                ws[word] = acc
+            oracle._add_word(ws, word, Scalar._raw(LPoly.monomial(0, e, coeff=sign), 0))
     return specialize_pq(oracle.extract_structure_constant(ws).coeff)
 
 

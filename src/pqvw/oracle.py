@@ -15,21 +15,24 @@ independent cross-check for everything in :mod:`pqvw.algebra`.  Only
 constant with its sign-free product to recover the closed form's overall
 sign.
 
-The checks run the defining recursion directly on the module
-(:func:`structure_constant`): every word of an n-bracket shifts |nu> by the
-same amount, so the bracket acts through one coefficient, evaluated once per
-ordered sub-tuple instead of once per word.  Each step of the recursion, from
-the weighted commutator up, is one ``ModScalar.sum_of_products`` over rows of
-prefactor, shifted action coefficient and sub-bracket coefficient, so each
-coefficient is normalized once.  The expansion into n! weighted words
-(:func:`bracketn_def`, :func:`extract_structure_constant`) is kept as its
-reference.  Both paths end in one step: divide the coefficient on the target
-shift by that generator's action coefficient and project off the level.
+The defining recursion is written once, as a table: ``_expansion`` gives
+an n-bracket, n >= 2, as rows (a, b, sign, head, rest) standing for
+sign * p^a q^b * L_head [rest] -- the weighted commutator, the cyclic
+3-bracket and the arity-lowering sum.  Both evaluators read that table.  The
+checks run it directly on the module (:func:`structure_constant`): every
+word of an n-bracket shifts |nu> by the same amount, so the bracket acts
+through one coefficient, evaluated once per ordered sub-tuple instead of
+once per word, as one ``ModScalar.sum_of_products`` over rows of prefactor,
+shifted action coefficient and sub-bracket coefficient, normalized once.
+The expansion of the same rows into n! weighted words (:func:`bracketn_def`,
+:func:`extract_structure_constant`) is kept as its reference.  Both paths
+end in one step: divide the coefficient on the target shift by that
+generator's action coefficient and project off the level.
 
 A word sum is a plain ``dict[Word, Scalar]`` and a module vector a plain
 ``dict[int, ModScalar]`` (shift s standing for |nu + s>); neither stores a
-zero entry.  The word sums of :func:`bracket3_def` and :func:`bracketn_def`
-are cached and shared, so callers must not change them.
+zero entry.  The word sums of :func:`bracket2_def`, :func:`bracket3_def` and
+:func:`bracketn_def` are cached and shared, so callers must not change them.
 
 Because the level is symbolic, one ring identity here certifies an operator
 identity at every level at once, not at a finite sample of levels.
@@ -228,43 +231,58 @@ def _add_word(out: dict[Word, Scalar], word: Word, weight: Scalar) -> None:
         out[word] = acc
 
 
-def bracket2_def(m: GenIndex, n: GenIndex) -> dict[Word, Scalar]:
-    """Defining weighted commutator: q^m p^-n L_m L_n  -  q^n p^-m L_n L_m."""
-    if m == n:
-        return {}  # the two words coincide and cancel
-    return {(m, n): _mono(-n, m), (n, m): _mono(-m, n, -1)}
+def _expansion(idx: tuple[GenIndex, ...]) -> list[tuple[int, int, int, GenIndex, Word]]:
+    """The defining n-bracket, n >= 2, as rows (a, b, sign, head, rest).
+
+    A row stands for sign * p^a q^b * L_head [rest], where a one-index rest
+    is that generator.  The weighted commutator is
+    q^m p^-k L_m L_k - q^k p^-m L_k L_m, the 3-bracket is the cyclic sum of
+    p^a q^(a-b-c) L_a [L_b, L_c], and for n >= 4 the arity-lowering sum
+    runs over the slots s of (-1)^(s+1) (pq)^(x i_s + y (S - i_s))
+    L_(i_s) [rest_s], with (x, y) the recursion weights and S = sum(idx).
+    """
+    n = len(idx)
+    if n == 2:
+        m, k = idx
+        return [(-k, m, 1, m, (k,)), (-m, k, -1, k, (m,))]
+    if n == 3:
+        return [
+            (a, a - b - c, 1, a, (b, c))
+            for a, b, c in (idx, idx[1:] + idx[:1], idx[2:] + idx[:2])
+        ]
+    w = recursion_weights(n)
+    total = sum(idx)
+    rows = []
+    for s0, i_s in enumerate(idx):
+        e = w.x * i_s + w.y * (total - i_s)
+        rows.append((e, e, -1 if s0 % 2 else 1, i_s, idx[:s0] + idx[s0 + 1 :]))
+    return rows
 
 
 @lru_cache(maxsize=None)
+def _bracketn_def(idx: tuple[GenIndex, ...]) -> dict[Word, Scalar]:
+    # a lone generator is the one word (k,) of weight 1
+    if len(idx) == 1:
+        return {idx: 1}
+    out: dict[Word, Scalar] = {}
+    for a, b, sign, head, rest in _expansion(idx):
+        pref = _mono(a, b, sign)
+        for word, wt in _bracketn_def(rest).items():
+            _add_word(out, (head,) + word, pref * wt)
+    return out
+
+
+def bracket2_def(m: GenIndex, n: GenIndex) -> dict[Word, Scalar]:
+    """Defining weighted commutator: q^m p^-n L_m L_n  -  q^n p^-m L_n L_m."""
+    return _bracketn_def((m, n))
+
+
 def bracket3_def(m: GenIndex, n: GenIndex, k: GenIndex) -> dict[Word, Scalar]:
     """Defining 3-bracket: cyclic sum of single generators times commutators.
 
     p^m q^(m-(n+k)) L_m [L_n, L_k] + cyclic, expanded to six weighted words.
     """
-    out: dict[Word, Scalar] = {}
-    for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
-        pref = _mono(a, a - b - c)
-        for word, w in bracket2_def(b, c).items():
-            _add_word(out, (a,) + word, pref * w)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _bracketn_def(idx: tuple[GenIndex, ...]) -> dict[Word, Scalar]:
-    n = len(idx)
-    if n == 3:
-        return bracket3_def(*idx)
-    w = recursion_weights(n)
-    total = sum(idx)
-    out: dict[Word, Scalar] = {}
-    for s0 in range(n):
-        i_s = idx[s0]
-        rest = idx[:s0] + idx[s0 + 1 :]
-        exp = w.x * i_s + w.y * (total - i_s)
-        pref = _mono(exp, exp, 1 if s0 % 2 == 0 else -1)  # (-1)^(s+1), s = s0+1
-        for word, wt in _bracketn_def(rest).items():
-            _add_word(out, (i_s,) + word, pref * wt)
-    return out
+    return _bracketn_def((m, n, k))
 
 
 def bracketn_def(indices: Sequence[GenIndex]) -> dict[Word, Scalar]:
@@ -308,46 +326,26 @@ def _mod_mono(a: int, b: int, coeff: int = 1) -> ModScalar:
 
 @lru_cache(maxsize=None)
 def _act(idx: tuple[GenIndex, ...]) -> ModScalar:
-    # coefficient c with [L_i1, ..., L_in] |nu> = c |nu + sum(idx)>, n >= 2;
-    # a generator applied after a sub-bracket of total t acts on |nu + t>
-    n = len(idx)
-    if n == 2:
-        # q^m p^-k L_m L_k - q^k p^-m L_k L_m
-        m, k = idx
-        rows = (
-            (_mod_mono(-k, m), generator_multiplier(m, k), generator_multiplier(k)),
-            (_mod_mono(-m, k, -1), generator_multiplier(k, m), generator_multiplier(m)),
-        )
-    elif n == 3:
-        # p^a q^(a-b-c) L_a [L_b, L_c] + cyclic
-        rows = tuple(
-            (_mod_mono(a, a - b - c), generator_multiplier(a, b + c), _act((b, c)))
-            for a, b, c in (idx, idx[1:] + idx[:1], idx[2:] + idx[:2])
-        )
-    else:
-        w = recursion_weights(n)
-        total = sum(idx)
-        rows = []
-        for s0, i_s in enumerate(idx):
-            exp = w.x * i_s + w.y * (total - i_s)
-            rows.append((
-                _mod_mono(exp, exp, -1 if s0 % 2 else 1),
-                generator_multiplier(i_s, total - i_s),
-                _act(idx[:s0] + idx[s0 + 1 :]),
-            ))
-    return ModScalar.sum_of_products(rows)
+    # coefficient c with [L_i1, ..., L_in] |nu> = c |nu + sum(idx)>; the
+    # head of a row acts after its rest, on |nu + sum(rest)>
+    if len(idx) == 1:
+        return generator_multiplier(idx[0])
+    return ModScalar.sum_of_products([
+        (_mod_mono(a, b, sign), generator_multiplier(head, sum(rest)), _act(rest))
+        for a, b, sign, head, rest in _expansion(idx)
+    ])
 
 
 def structure_constant(indices: Sequence[GenIndex]) -> Term:
     """Structure constant of the defining n-bracket, n >= 3, on the module.
 
-    Runs the arity-lowering recursion of :func:`bracketn_def` on coefficients:
-    the n-bracket acts on |nu> as sum_s pref_s L_(i_s) [rest_s], and every
-    word of [rest_s] lands on the same shift, so each ordered sub-tuple is
-    evaluated once (memoised) instead of expanding n! words.  The 3-bracket
-    step applies the cyclic rule of :func:`bracket3_def` the same way, down
-    to the weighted commutator of :func:`bracket2_def`; every step is one
-    sum of products normalized once.  The result equals
+    Runs the rows of :func:`_expansion`, the table :func:`bracketn_def`
+    expands into words, on coefficients instead: the bracket acts on |nu> as
+    the sum of its rows sign p^a q^b L_head [rest], and every word of [rest]
+    lands on the same shift, so each ordered sub-tuple is evaluated once
+    (memoised) instead of expanding n! words.  The same table carries the
+    arity-lowering step, the cyclic 3-bracket and the weighted commutator,
+    and each step is one sum of products normalized once.  The result equals
     ``extract_structure_constant(bracketn_def(indices))``.
     """
     idx = tuple(indices)

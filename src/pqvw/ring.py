@@ -503,9 +503,9 @@ class Localized:
     equality.  Sums go through one kernel, ``sum_of_products``: it adds the
     products of rows of factors into one key dict over the largest divisor
     power among the rows and normalizes the total once, so no product or
-    partial sum under it is normalized on its own.  ``sum`` and ``+`` are
-    its one-factor case.  A lone product normalizes itself, and skips that
-    where a monomial numerator means nothing can cancel.
+    partial sum under it is normalized on its own.  ``+`` is its two-row
+    case.  A lone product normalizes itself, and skips that where a
+    monomial numerator means nothing can cancel.
     """
 
     POLY: ClassVar[type[Poly]]
@@ -645,11 +645,6 @@ class Localized:
                 _mul_into(acc, small._terms, big._terms)
                 bound = max(bound, _checked(small._bound + big._bound))
         return cls(cls.POLY._raw(_clean(acc), bound), top)
-
-    @classmethod
-    def sum(cls, values) -> "Localized":
-        """Sum of values, normalized once: the one-factor case of ``sum_of_products``."""
-        return cls.sum_of_products((v,) for v in values)
 
     def __add__(self, other):
         if type(other) is not type(self):

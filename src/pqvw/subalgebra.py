@@ -216,9 +216,7 @@ def iso_canonical_check(S: Sequence[GenIndex], n: int) -> tuple[bool, GenIndex |
     idx = _validate_set(S)
     if len(idx) != n:
         raise ValueError(f"isomorphism check needs |S| = {n}")
-    term = bracketn_closed(idx) if n >= 3 else None
-    if term is None:
-        raise ValueError("arity must be >= 3")
+    term = bracketn_closed(idx)
     t = term.index
     ok = t in set(idx)
     return ok, (t if ok else None), term.coeff

@@ -21,6 +21,7 @@ CheckFn = Callable[[dict], list[dict]]
 
 DESK_SH_WINDOWS = {3: (-2, 2), 4: (-1, 2)}
 SH_SAMPLE_COUNT = 200
+CLOSED_DISTINCT_WINDOW = 2
 
 
 def result(kind: str, inp: dict, residual: str, ok: bool, **extra) -> dict:
@@ -115,7 +116,7 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
     count, bad = closed_vs_recursive(product(range(-w3, w3 + 1), repeat=3))
     out.append(agreement("closed-vs-recursive-n3", {"window": [-w3, w3], "tuples": count}, bad))
 
-    wd = cfg.get("closed_distinct_window", 2)
+    wd = CLOSED_DISTINCT_WINDOW
     values = range(-wd, wd + 1)
     for n in cfg.get("closed_arities", (4, 5)):
         count, bad = closed_vs_recursive(permutations(values, n))
@@ -157,12 +158,13 @@ def check_sh_jacobi(cfg: dict) -> list[dict]:
     if cfg.get("sh_sampled_arity", 5):
         n = cfg.get("sh_sampled_arity", 5)
         seed = cfg.get("seed", 0)
-        samples = cfg.get("sh_samples", SH_SAMPLE_COUNT)
-        sweep = identities.sweep_sh_jacobi(n, window=(-2, 2), samples=samples, seed=seed)
+        sweep = identities.sweep_sh_jacobi(
+            n, window=(-2, 2), samples=SH_SAMPLE_COUNT, seed=seed
+        )
         out.append(
             result(
                 f"sh-jacobi-n{n}-sampled",
-                {"window": [-2, 2], "samples": samples, "seed": seed},
+                {"window": [-2, 2], "samples": SH_SAMPLE_COUNT, "seed": seed},
                 sweep.residual,
                 sweep.ok,
             )
@@ -278,7 +280,7 @@ def check_subalgebras(cfg: dict) -> list[dict]:
 
 def check_regression_pins(cfg: dict) -> list[dict]:
     out = []
-    pin = algebra.bracket3_closed(0, 1, 2)
+    pin = algebra.bracketn_closed((0, 1, 2))
     expected = "1*p^0*q^-2 + -1*p^2*q^0"
     ok = pin.coeff.canonical() == expected and pin.index == 3
     out.append(
@@ -306,7 +308,6 @@ SMOKE_CONFIG = {
     "bracket2_window": 2,
     "jacobi_window": 2,
     "closed_n3_window": 1,
-    "closed_distinct_window": 2,
     "closed_arities": (4,),
     "sh_windows": {3: (-1, 1)},
     "sh_sampled_arity": 0,

@@ -10,14 +10,12 @@ import subprocess
 import sys
 import time
 from itertools import combinations, permutations, product
-from pathlib import Path
 
 from pqvw import algebra, identities, oracle, subalgebra
 from pqvw.ring import classical_value, pq_number, q_number, specialize_pq
 
+from childenv import child_env
 from determinants import closed_rows, paper_coeff, permutation_det
-
-PKG_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 
 def criterion(num: int, name: str, budget_s: float):
@@ -57,7 +55,8 @@ def test_c2_two_bracket():
 def test_c3_closed_form():
     for t in product(range(-3, 4), repeat=3):
         closed = algebra.bracketn_closed(t)
-        assert algebra.bracket3_closed(*t) == closed
+        # the paper's determinant, divided by (q - p^-1)^2 explicitly
+        assert paper_coeff(t, permutation_det(t, closed_rows(3))) == closed.coeff
         assert oracle.extract_structure_constant(oracle.bracket3_def(*t)) == closed
     for n in (4, 5):
         for t in permutations(range(-2, 3), n):
@@ -127,20 +126,19 @@ def test_c7_subalgebras():
 
 @criterion(8, "regression pins", 10.0)
 def test_c8_regression_pins():
-    term = algebra.bracket3_closed(0, 1, 2)
+    term = algebra.bracketn_closed((0, 1, 2))
     assert term.coeff.canonical() == "1*p^0*q^-2 + -1*p^2*q^0"
     assert term.index == 3
     assert pq_number(-1).canonical() == "-1*p^1*q^-1"
 
 
 def _invoke(*args: str) -> subprocess.CompletedProcess:
-    env = {"PYTHONPATH": str(PKG_ROOT), "PATH": "/usr/bin:/bin"}
     return subprocess.run(
         [sys.executable, "-m", "pqvw", *args],
         capture_output=True,
         text=True,
         timeout=590,
-        env=env,
+        env=child_env(),
     )
 
 

@@ -3,17 +3,14 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 
-from pqvw import algebra
 from pqvw.algebra import (
     BadArity,
     Term,
     bracket,
     bracket2,
-    bracket3_closed,
     bracket_coeff,
     bracketn_closed,
     recursion_weights,
@@ -25,13 +22,13 @@ from pqvw.ring import (
     EXP_MAX,
     ExponentOverflow,
     LPoly,
-    NotDivisible,
     Scalar,
     classical_value,
     q_number,
     specialize_pq,
 )
 
+from childenv import child_env
 from determinants import (
     closed_rows,
     laplace_det,
@@ -40,8 +37,6 @@ from determinants import (
     permutation_det,
     ref_div,
 )
-
-PKG_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 Q = LPoly.monomial(0, 1)
 PINV = LPoly.monomial(-1, 0)
@@ -155,19 +150,16 @@ class TestVandermonde:
 
 class TestBracket3:
     def test_regression_pin(self):
-        term = bracket3_closed(0, 1, 2)
+        term = bracketn_closed((0, 1, 2))
         assert term.coeff.canonical() == "1*p^0*q^-2 + -1*p^2*q^0"
         assert term.index == 3
 
-    def test_repeated_zero(self):
-        assert bracket3_closed(1, 1, 4).is_zero
-
-    def test_swap_negates(self):
-        assert bracket3_closed(1, 0, 2).coeff == -bracket3_closed(0, 1, 2).coeff
-
-    def test_agrees_with_general_form(self):
+    def test_matches_paper_determinant_on_cube(self):
+        # every tuple of the cube, repeated indices included, against the
+        # 3 x 3 determinant divided by (q - p^-1)^2 the slow way
         for idx in product(range(-2, 3), repeat=3):
-            assert bracket3_closed(*idx) == bracketn_closed(idx)
+            det = permutation_det(idx, closed_rows(3))
+            assert bracketn_closed(idx).coeff == paper_coeff(idx, det), idx
 
 
 class TestRecursionWeights:
@@ -223,7 +215,7 @@ for n in range(3, 7):
             capture_output=True,
             text=True,
             timeout=120,
-            env={"PYTHONPATH": str(PKG_ROOT), "PATH": "/usr/bin:/bin"},
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -305,24 +297,6 @@ class TestBracketN:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-
-class TestClosedFormDivisibilityGuard:
-    # the explicit 3 x 3 determinant, with fewer divisor factors than the
-    # closed form needs, must raise instead of passing as a fraction
-
-    def test_bracket3_closed(self, monkeypatch):
-        # bracket3_closed expands its own determinant, so perturb the LPoly it
-        # builds from the expansion: adding D leaves one factor of two
-        class OneFactorShort:
-            monomial = staticmethod(LPoly.monomial)
-
-            def __new__(cls, terms):
-                return LPoly(terms) + Scalar.DIVISOR
-
-        monkeypatch.setattr(algebra, "LPoly", OneFactorShort)
-        with pytest.raises(NotDivisible):
-            bracket3_closed(0, 1, 2)
 
 
 class TestCachedAccessors:

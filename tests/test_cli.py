@@ -7,17 +7,16 @@ import pytest
 
 from pqvw.cli import parse_args, run
 
-PKG_ROOT = Path(__file__).resolve().parents[1] / "src"
+from childenv import child_env
 
 
 def invoke(*args: str, timeout: int = 300) -> subprocess.CompletedProcess:
-    env = {"PYTHONPATH": str(PKG_ROOT), "PATH": "/usr/bin:/bin"}
     return subprocess.run(
         [sys.executable, "-m", "pqvw", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=child_env(),
     )
 
 

@@ -9,13 +9,12 @@ import importlib
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import pqvw
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from childenv import child_env
 
 CHILD = """
 import io, json, runpy, sys
@@ -48,9 +47,9 @@ CASES = [
 
 @pytest.mark.parametrize("args,expected", CASES, ids=[" ".join(a) for a, _ in CASES])
 def test_command_imports_only_its_layers(args, expected):
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *args], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", CHILD, *args],
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
@@ -58,6 +57,18 @@ def test_command_imports_only_its_layers(args, expected):
     added = set(child["added"])
     assert {m for m in added if m.split(".")[0] == "pqvw"} == expected
     assert not added & {"pqvw.sweep", "dataclasses", "inspect", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("parent", [False, True])
+def test_children_keep_the_bytecode_setting(monkeypatch, parent):
+    # a test run that writes no bytecode must not have its children write any
+    monkeypatch.setattr(sys, "dont_write_bytecode", parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(parent)
 
 
 # the package's public names, by the layer that defines them
@@ -70,8 +81,7 @@ EXPORTS = {
     ],
     "algebra": [
         "BadArity", "GenIndex", "RecursionWeights", "Term", "bracket", "bracket2",
-        "bracket3_closed", "bracket_coeff", "bracketn_closed", "recursion_weights",
-        "sign_of",
+        "bracket_coeff", "bracketn_closed", "recursion_weights", "sign_of",
     ],
     "oracle": [
         "InconsistentSign", "NotProportional", "bracket2_def",

@@ -118,6 +118,7 @@ class TestWordSums:
             (0, 1): mono(-1, 0),
             (1, 0): mono(0, 1, -1),
         }
+        assert bracket2_def(0, 1) is ws  # cached and shared, like every word sum
 
     def test_bracket2_def_cancels_on_equal_modes(self):
         assert bracket2_def(2, 2) == {}

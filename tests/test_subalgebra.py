@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from pqvw.algebra import bracket_coeff, bracketn_closed, sign_of
+from pqvw.algebra import BadArity, bracket_coeff, bracketn_closed, sign_of
 from pqvw.identities import fi_residual
 from pqvw.ring import LPoly, Scalar, specialize_pq
 from pqvw.subalgebra import (
@@ -146,6 +146,12 @@ class TestIsoCanonical:
     def test_open_triple_fails(self):
         ok, target, _ = iso_canonical_check((0, 1, 2), 3)
         assert not ok and target is None
+
+    def test_arity_below_three_rejected(self):
+        # the closed form's own guard, a usage error like any bad arity
+        with pytest.raises(BadArity):
+            iso_canonical_check((0, 1), 2)
+        assert issubclass(BadArity, ValueError)
 
 
 class TestFilippovMatrix:

@@ -13,8 +13,10 @@ import sys
 import threading
 from pathlib import Path
 
+from childenv import child_env
+
 ROOT = Path(__file__).resolve().parents[1]
-ENV = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+ENV = child_env()
 ARGS = ("verify", "all", "--level", "smoke", "--format", "json")
 
 
