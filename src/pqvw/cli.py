@@ -1,10 +1,12 @@
 """Command-line front end: brackets, identity sweeps, subalgebra search.
 
-Each command maps, through the `COMMANDS` table, to a builder that returns
-its result records (built by `suite.result`), so every command reports in
-the same shape.  A command imports only the layers it runs: this module
-loads ring, algebra and suite, which every command needs, and each builder
-(or suite check) imports identities, oracle or subalgebra on entry.
+The parsed `argparse.Namespace` is the run's configuration, and a report's
+params are the chosen command's own arguments.  Each command maps, through
+the `COMMANDS` table, to a builder that returns its result records (built by
+`suite.result`), so every command reports in the same shape.  A command
+imports only the layers it runs: this module loads ring, algebra and suite,
+which every command needs, and each builder (or suite check) imports
+identities, oracle or subalgebra on entry.
 
 Exit codes: 0 when every check passes, 1 when any check fails (the exact
 residual is printed), 2 on usage errors.  Usage errors include, checked
@@ -73,61 +75,6 @@ LIMITS_BUDGET = 40_000  # bracket pairs
 # grow with it (`bracket --n 3 --indices 0,5000,10000` prints 0.75 MB in
 # 0.4 s, `0,1,100000` 6.9 MB in 2 s).
 MAX_INDEX = 10_000
-
-
-class RunConfig:
-    """Parsed invocation: one command plus its parameters."""
-
-    __slots__ = (
-        "command", "n", "window", "indices", "y", "x", "counterexample",
-        "expect_nonzero", "samples", "seed", "level", "fmt", "output",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        n: int | None = None,
-        window: int | None = None,
-        indices: tuple[int, ...] | None = None,
-        y: tuple[int, ...] | None = None,
-        x: tuple[int, ...] | None = None,
-        counterexample: bool = False,
-        expect_nonzero: bool = False,
-        samples: int | None = None,
-        seed: int = 0,
-        level: str = "desk",
-        fmt: str = "text",
-        output: str | None = None,
-    ) -> None:
-        self.command = command
-        self.n = n
-        self.window = window
-        self.indices = indices
-        self.y = y
-        self.x = x
-        self.counterexample = counterexample
-        self.expect_nonzero = expect_nonzero
-        self.samples = samples
-        self.seed = seed
-        self.level = level
-        self.fmt = fmt
-        self.output = output
-
-    def params(self) -> dict:
-        out: dict = {"seed": self.seed}
-        for key in ("n", "window", "samples", "level"):
-            val = getattr(self, key)
-            if val is not None and (key != "level" or self.command == "verify all"):
-                out[key] = val
-        for key in ("indices", "y", "x"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = list(val)
-        if self.counterexample:
-            out["counterexample"] = True
-        if self.expect_nonzero:
-            out["expect_nonzero"] = True
-        return out
 
 
 class SuiteReport:
@@ -277,7 +224,7 @@ _PARSER_TREE = _group("command", (
             ("--window", {"type": int, "default": 5}),
         )),
         ("all", "the full check suite", _leaf(
-            ("--level", {"choices": ("desk", "smoke"), "default": "desk"}),
+            ("--level", {"choices": tuple(suite.LEVELS), "default": "desk"}),
         )),
     ))),
     ("subalgebra", "subalgebra checks and search", _group("sub_command", (
@@ -292,9 +239,12 @@ _PARSER_TREE = _group("command", (
 ))
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse and validate one invocation; usage errors exit 2.
 
+    The namespace is the run's configuration: `command` is the full command
+    name ("verify skew"), and the fields that shared code reads whatever the
+    command (`n`, `window`, `indices`, `y`, `x`, `samples`) default to None.
     Only the chosen command's parser gets its arguments (each argument costs
     argparse a terminal-size query), so help and error texts are those of
     the full parser tree at a fraction of its cost.
@@ -306,36 +256,20 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--version", action="version", version=__version__)
     _PARSER_TREE(parser)
 
-    ns = parser.parse_args(_merge_list_flags(argv))
-
-    command = ns.command
-    if command == "verify":
-        command = f"verify {ns.verify_command}"
-    elif command == "subalgebra":
-        command = f"subalgebra {ns.sub_command}"
-
-    cfg = RunConfig(
-        command=command,
-        n=getattr(ns, "n", None),
-        window=getattr(ns, "window", None),
-        indices=getattr(ns, "indices", None),
-        y=getattr(ns, "y", None),
-        x=getattr(ns, "x", None),
-        counterexample=getattr(ns, "counterexample", False),
-        expect_nonzero=getattr(ns, "expect_nonzero", False),
-        samples=getattr(ns, "samples", None),
-        seed=ns.seed,
-        level=getattr(ns, "level", "desk"),
-        fmt=ns.format,
-        output=ns.output,
-    )
+    cfg = parser.parse_args(_merge_list_flags(argv))
+    if cfg.command == "verify":
+        cfg.command = f"verify {cfg.verify_command}"
+    elif cfg.command == "subalgebra":
+        cfg.command = f"subalgebra {cfg.sub_command}"
+    for key in ("n", "window", "indices", "y", "x", "samples"):
+        vars(cfg).setdefault(key, None)
 
     # semantic validation (argparse handles syntax; these are exit-code-2 too)
     if cfg.window is not None and cfg.window < 0:
         parser.error("--window must be >= 0")
     if cfg.samples is not None and cfg.samples < 1:
         parser.error("--samples must be >= 1")
-    if ns.jobs < 1:
+    if cfg.jobs < 1:
         parser.error("--jobs must be >= 1")
     if cfg.n is not None and cfg.n > MAX_VERIFIED_ARITY:
         parser.error(f"{cfg.command} supports n <= {MAX_VERIFIED_ARITY}")
@@ -392,7 +326,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     return cfg
 
 
-def _work_estimate(cfg: RunConfig) -> tuple[int, int, str] | None:
+def _work_estimate(cfg: argparse.Namespace) -> tuple[int, int, str] | None:
     """(work, budget, unit) of a window or sampled sweep, in closed form."""
     n, width = cfg.n, 2 * (cfg.window or 0) + 1
     if cfg.command == "verify sh-jacobi" and cfg.indices is None:
@@ -427,7 +361,7 @@ def _work_estimate(cfg: RunConfig) -> tuple[int, int, str] | None:
     return None
 
 
-def _bracket(cfg: RunConfig) -> list[dict]:
+def _bracket(cfg: argparse.Namespace) -> list[dict]:
     term = algebra.bracket(cfg.indices)
     spec = specialize_pq(term.coeff)
     try:
@@ -448,8 +382,8 @@ def _bracket(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def _oracle_check(cfg: RunConfig) -> list[dict]:
-    results = suite.check_oscillator({})
+def _oracle_check(cfg: argparse.Namespace) -> list[dict]:
+    results = suite.check_oscillator(suite.DESK_CONFIG)
     if cfg.n:
         w = cfg.window
         values = range(-w, w + 1)
@@ -464,7 +398,7 @@ def _oracle_check(cfg: RunConfig) -> list[dict]:
     return results
 
 
-def _skew(cfg: RunConfig) -> list[dict]:
+def _skew(cfg: argparse.Namespace) -> list[dict]:
     from . import identities
 
     window = (-cfg.window, cfg.window)
@@ -473,7 +407,7 @@ def _skew(cfg: RunConfig) -> list[dict]:
     return [suite.result(f"skew-n{cfg.n}", inp, sweep.residual, sweep.ok)]
 
 
-def _sh_jacobi(cfg: RunConfig) -> list[dict]:
+def _sh_jacobi(cfg: argparse.Namespace) -> list[dict]:
     from . import identities
 
     kind = f"sh-jacobi-n{cfg.n}"
@@ -491,7 +425,7 @@ def _sh_jacobi(cfg: RunConfig) -> list[dict]:
     return [suite.result(kind, inp, sweep.residual, sweep.ok)]
 
 
-def _fi(cfg: RunConfig) -> list[dict]:
+def _fi(cfg: argparse.Namespace) -> list[dict]:
     from . import identities
 
     if cfg.counterexample:
@@ -505,7 +439,7 @@ def _fi(cfg: RunConfig) -> list[dict]:
     return [suite.result(kind, inp, res.coeff.canonical(), res.is_zero != nonzero)]
 
 
-def _subalgebra_search(cfg: RunConfig) -> list[dict]:
+def _subalgebra_search(cfg: argparse.Namespace) -> list[dict]:
     from . import subalgebra
 
     kind = f"subalgebra-search-n{cfg.n}"
@@ -521,7 +455,7 @@ def _subalgebra_search(cfg: RunConfig) -> list[dict]:
     return [suite.result(kind, inp, "0", True)]
 
 
-def _subalgebra_check(cfg: RunConfig) -> list[dict]:
+def _subalgebra_check(cfg: argparse.Namespace) -> list[dict]:
     from . import subalgebra
 
     report = subalgebra.check_candidate(cfg.indices, cfg.n)
@@ -531,30 +465,44 @@ def _subalgebra_check(cfg: RunConfig) -> list[dict]:
 
 
 # command -> the builder of its result records
-COMMANDS: dict[str, Callable[[RunConfig], list[dict]]] = {
+COMMANDS: dict[str, Callable[[argparse.Namespace], list[dict]]] = {
     "bracket": _bracket,
     "oracle-check": _oracle_check,
     "verify skew": _skew,
     "verify sh-jacobi": _sh_jacobi,
     "verify fi": _fi,
     "verify jacobi2": lambda cfg: suite.check_jacobi2((-cfg.window, cfg.window)),
-    "verify limits": lambda cfg: suite.check_limits({"limits_window": cfg.window}),
-    "verify all": lambda cfg: suite.run_suite(cfg.level, seed=cfg.seed),
+    "verify limits": lambda cfg: suite.check_limits(
+        {**suite.DESK_CONFIG, "limits_window": cfg.window}
+    ),
+    "verify all": lambda cfg: suite.run_suite(suite.LEVELS[cfg.level], seed=cfg.seed),
     "subalgebra search": _subalgebra_search,
     "subalgebra canonical": lambda cfg: suite.check_subalgebras(
-        {"canonical_arities": (cfg.n,), "search_window": 0}
+        {**suite.DESK_CONFIG, "canonical_arities": (cfg.n,), "search_window": 0}
     ),
     "subalgebra check": _subalgebra_check,
 }
 
+# arguments that choose a command or shape its output, not its checks
+_NOT_PARAMS = {"command", "verify_command", "sub_command", "format", "output", "jobs"}
 
-def run(cfg: RunConfig) -> tuple[SuiteReport, int]:
+
+def _params(cfg: argparse.Namespace) -> dict:
+    # the report's params: every set argument of the command, lists as lists
+    return {
+        key: list(val) if isinstance(val, tuple) else val
+        for key, val in vars(cfg).items()
+        if key not in _NOT_PARAMS and val is not None and val is not False
+    }
+
+
+def run(cfg: argparse.Namespace) -> tuple[SuiteReport, int]:
     """Execute one parsed command; returns the report and the exit code."""
     started = time.monotonic()
     results = COMMANDS[cfg.command](cfg)
     report = SuiteReport(
         command=cfg.command,
-        params=cfg.params(),
+        params=_params(cfg),
         results=results,
         wall_time=time.monotonic() - started,
     )
@@ -573,11 +521,11 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def emit(report: SuiteReport, cfg: RunConfig) -> None:
+def emit(report: SuiteReport, cfg: argparse.Namespace) -> None:
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if cfg.output:
         _atomic_write(cfg.output, payload)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         if not cfg.output:
             sys.stdout.write(payload)
     else:

@@ -337,7 +337,7 @@ def _act(idx: tuple[GenIndex, ...]) -> ModScalar:
 
 
 def structure_constant(indices: Sequence[GenIndex]) -> Term:
-    """Structure constant of the defining n-bracket, n >= 3, on the module.
+    """Structure constant of the defining n-bracket, n >= 2, on the module.
 
     Runs the rows of :func:`_expansion`, the table :func:`bracketn_def`
     expands into words, on coefficients instead: the bracket acts on |nu> as
@@ -346,11 +346,12 @@ def structure_constant(indices: Sequence[GenIndex]) -> Term:
     (memoised) instead of expanding n! words.  The same table carries the
     arity-lowering step, the cyclic 3-bracket and the weighted commutator,
     and each step is one sum of products normalized once.  The result equals
-    ``extract_structure_constant(bracketn_def(indices))``.
+    ``extract_structure_constant(bracketn_def(indices))`` (of
+    ``bracket2_def(m, n)`` at n = 2).
     """
     idx = tuple(indices)
-    if len(idx) < 3:
-        raise ValueError("recursive bracket needs n >= 3 (use bracket2_def)")
+    if len(idx) < 2:
+        raise ValueError("a bracket needs n >= 2 indices")
     coeff = _act(idx)
     if coeff.is_zero:
         return Term.zero()

@@ -795,7 +795,7 @@ def _substitute(c: Localized, target: type[_L], key: Callable[[int], int], grow:
 
     key is a linear substitution of exponents, so it works on the packed
     key, and no image exponent exceeds grow times the largest exponent of
-    c.  inticients of colliding images are summed and zero sums dropped;
+    c.  Coefficients of colliding images are summed and zero sums dropped;
     the target's constructor then normalizes, since a non-injective map
     can create new divisor factors.
     """

@@ -5,6 +5,11 @@ Every check, here and in the CLI, reports through `result`: one plain dict
 so reports serialize to stable JSON.  All checks are pure and deterministic
 for a fixed seed.
 
+A check takes one config dict.  Each suite level is one explicit config:
+`DESK_CONFIG` holds every key a check reads, and `SMOKE_CONFIG` the same keys
+at smaller sizes.  Checks read `cfg[key]`, so a missing key is an error, never
+a second default.
+
 Every command loads this module for `result`, so it imports at its top only
 the layers every command needs (ring and algebra); each check imports the
 other layers it runs on entry.
@@ -19,7 +24,6 @@ from .ring import classical_value, pq_number, q_number, specialize_pq
 
 CheckFn = Callable[[dict], list[dict]]
 
-DESK_SH_WINDOWS = {3: (-2, 2), 4: (-1, 2)}
 SH_SAMPLE_COUNT = 200
 CLOSED_DISTINCT_WINDOW = 2
 
@@ -53,14 +57,13 @@ def check_oscillator(cfg: dict) -> list[dict]:
 def check_bracket2(cfg: dict) -> list[dict]:
     from . import oracle
 
-    w = cfg.get("bracket2_window", 4)
-    jac_w = cfg.get("jacobi_window", 3)
+    w = cfg["bracket2_window"]
+    jac_w = cfg["jacobi_window"]
     out = []
 
     bad = None
     for m, n in product(range(-w, w + 1), repeat=2):
-        lhs = oracle.extract_structure_constant(oracle.bracket2_def(m, n))
-        if lhs != algebra.bracket2(m, n):
+        if oracle.structure_constant((m, n)) != algebra.bracket2(m, n):
             bad = (m, n)
             break
     out.append(
@@ -112,13 +115,13 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
     from . import oracle
 
     out = []
-    w3 = cfg.get("closed_n3_window", 3)
+    w3 = cfg["closed_n3_window"]
     count, bad = closed_vs_recursive(product(range(-w3, w3 + 1), repeat=3))
     out.append(agreement("closed-vs-recursive-n3", {"window": [-w3, w3], "tuples": count}, bad))
 
     wd = CLOSED_DISTINCT_WINDOW
     values = range(-wd, wd + 1)
-    for n in cfg.get("closed_arities", (4, 5)):
+    for n in cfg["closed_arities"]:
         count, bad = closed_vs_recursive(permutations(values, n))
         out.append(
             agreement(
@@ -126,7 +129,7 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
             )
         )
 
-    for n in cfg.get("closed_arities", (4, 5)):
+    for n in cfg["closed_arities"]:
         witnesses = [tuple(range(n)), tuple(range(-n + 1, 1)), tuple(range(-1, n - 1))]
         signs = {oracle.derive_sign(n, w) for w in witnesses}
         ok = signs == {algebra.sign_of(n)}
@@ -145,7 +148,7 @@ def check_sh_jacobi(cfg: dict) -> list[dict]:
     from . import identities
 
     out = []
-    for n, window in cfg.get("sh_windows", DESK_SH_WINDOWS).items():
+    for n, window in cfg["sh_windows"].items():
         sweep = identities.sweep_sh_jacobi(n, window=window)
         out.append(
             result(
@@ -155,9 +158,9 @@ def check_sh_jacobi(cfg: dict) -> list[dict]:
                 sweep.ok,
             )
         )
-    if cfg.get("sh_sampled_arity", 5):
-        n = cfg.get("sh_sampled_arity", 5)
-        seed = cfg.get("seed", 0)
+    n = cfg["sh_sampled_arity"]
+    if n:
+        seed = cfg["seed"]
         sweep = identities.sweep_sh_jacobi(
             n, window=(-2, 2), samples=SH_SAMPLE_COUNT, seed=seed
         )
@@ -184,7 +187,7 @@ def check_not_n_lie(cfg: dict) -> list[dict]:
         Y, X, res = witness
         inp = {"window": [-2, 2], "Y": list(Y), "X": list(X)}
         out = [result("fi-nonzero-exists-n3", inp, res.coeff.canonical(), True)]
-    for n in cfg.get("counterexample_arities", (4, 6)):
+    for n in cfg["counterexample_arities"]:
         Y, X, res = identities.fi_counterexample_even(n)
         out.append(
             result(
@@ -201,7 +204,7 @@ def check_limits(cfg: dict) -> list[dict]:
     from . import oracle
 
     out = []
-    w = cfg.get("limits_window", 5)
+    w = cfg["limits_window"]
     bad = None
     for m, n in product(range(-w, w + 1), repeat=2):
         spec = specialize_pq(algebra.bracket2(m, n).coeff)
@@ -211,7 +214,7 @@ def check_limits(cfg: dict) -> list[dict]:
     out.append(agreement("limits-bracket2", {"window": [-w, w]}, bad))
 
     bad = None
-    for n, w in cfg.get("limits_odd", {3: 2, 5: 3}).items():
+    for n, w in cfg["limits_odd"].items():
         for t in combinations(range(-w, w + 1), n):
             closed = specialize_pq(algebra.bracketn_closed(t).coeff)
             rec = specialize_pq(oracle.structure_constant(t).coeff)
@@ -221,7 +224,7 @@ def check_limits(cfg: dict) -> list[dict]:
         if bad:
             break
     out.append(
-        agreement("limits-odd-arity", {"arities": sorted(cfg.get("limits_odd", {3: 2, 5: 3}))}, bad)
+        agreement("limits-odd-arity", {"arities": sorted(cfg["limits_odd"])}, bad)
     )
     return out
 
@@ -230,7 +233,7 @@ def check_subalgebras(cfg: dict) -> list[dict]:
     from . import subalgebra
 
     out = []
-    for n in cfg.get("canonical_arities", (3, 4, 5)):
+    for n in cfg["canonical_arities"]:
         basis = subalgebra.canonical_basis(n)
         report = subalgebra.check_candidate(basis, n)
         coeff = subalgebra.canonical_coeff(n)
@@ -253,7 +256,7 @@ def check_subalgebras(cfg: dict) -> list[dict]:
             )
         )
 
-    W = cfg.get("search_window", 3)
+    W = cfg["search_window"]
     if not W:
         return out
     try:
@@ -304,7 +307,23 @@ DESK_CHECKS: tuple[tuple[str, CheckFn], ...] = (
     ("pins", check_regression_pins),
 )
 
+# every key a check reads, at the desk level; `run_suite` adds "seed"
+DESK_CONFIG = {
+    "bracket2_window": 4,
+    "jacobi_window": 3,
+    "closed_n3_window": 3,
+    "closed_arities": (4, 5),
+    "sh_windows": {3: (-2, 2), 4: (-1, 2)},
+    "sh_sampled_arity": 5,
+    "counterexample_arities": (4, 6),
+    "limits_window": 5,
+    "limits_odd": {3: 2, 5: 3},
+    "canonical_arities": (3, 4, 5),
+    "search_window": 3,
+}
+
 SMOKE_CONFIG = {
+    **DESK_CONFIG,
     "bracket2_window": 2,
     "jacobi_window": 2,
     "closed_n3_window": 1,
@@ -318,16 +337,12 @@ SMOKE_CONFIG = {
     "search_window": 2,
 }
 
+LEVELS = {"desk": DESK_CONFIG, "smoke": SMOKE_CONFIG}
 
-def run_suite(level: str, seed: int = 0) -> list[dict]:
-    """Run the named check suite; returns the flat, ordered result list."""
-    if level == "desk":
-        cfg: dict = {}
-    elif level == "smoke":
-        cfg = dict(SMOKE_CONFIG)
-    else:
-        raise ValueError(f"unknown level {level!r}")
-    cfg["seed"] = seed
+
+def run_suite(cfg: dict, seed: int = 0) -> list[dict]:
+    """Run every check on one level's config; returns the flat, ordered result list."""
+    cfg = {**cfg, "seed": seed}
     results: list[dict] = []
     for _, fn in DESK_CHECKS:
         results.extend(fn(cfg))

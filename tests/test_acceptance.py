@@ -79,6 +79,12 @@ def test_c4_sh_jacobi():
     assert sweep.checked == 4**7 and sweep.ok
     sweep = identities.sweep_sh_jacobi(5, window=(-2, 2), samples=200, seed=0)
     assert sweep.checked == 200 and sweep.ok
+    # the windows above hold one set of distinct indices in all, so only one
+    # residual is evaluated; these hold 36 and 10 such sets
+    sweep = identities.sweep_sh_jacobi(4, window=(-4, 4))
+    assert sweep.checked == 9**7 and sweep.ok
+    sweep = identities.sweep_sh_jacobi(5, window=(-4, 5))
+    assert sweep.checked == 10**9 and sweep.ok
 
 
 @criterion(5, "not an n-Lie algebra", 60.0)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pqvw import suite
 from pqvw.cli import parse_args, run
 
 from childenv import child_env
@@ -31,7 +32,7 @@ class TestParsing:
             ["verify", "sh-jacobi", "--n", "3", "--window", "2", "--format", "json"]
         )
         assert cfg.command == "verify sh-jacobi"
-        assert (cfg.n, cfg.window, cfg.fmt) == (3, 2, "json")
+        assert (cfg.n, cfg.window, cfg.format) == (3, 2, "json")
 
     def test_negative_indices_accepted(self):
         cfg = parse_args(["bracket", "--n", "3", "--indices", "-2,0,2"])
@@ -139,6 +140,18 @@ class TestRun:
         payload = json.dumps(report.to_json())
         assert report.wall_time >= 0.0
         assert "wall_time" not in payload
+
+
+    def test_params_beyond_the_goldens(self):
+        # a default the command fills in is a param; --level is one of
+        # `verify all` only, since no other command has it
+        report, _ = run(parse_args(["oracle-check"]))
+        assert report.params == {"seed": 0, "window": 2}
+        report, _ = run(parse_args(["verify", "all", "--level", "desk", "--seed", "3"]))
+        assert report.params == {"level": "desk", "seed": 3}
+
+    def test_levels_set_the_same_keys(self):
+        assert set(suite.SMOKE_CONFIG) == set(suite.DESK_CONFIG)
 
 
 class TestBlackBox:

@@ -40,6 +40,11 @@ CASES = [
     (["verify", "sh-jacobi", "--n", "3", "--window", "1"], BASE | {"pqvw.identities"}),
     (["subalgebra", "canonical", "--n", "3"], BASE | {"pqvw.identities", "pqvw.subalgebra"}),
     (["oracle-check", "--n", "3", "--window", "1"], BASE | {"pqvw.oracle"}),
+    (["verify", "jacobi2", "--window", "1"], BASE | {"pqvw.identities", "pqvw.oracle"}),
+    (["verify", "limits", "--window", "1"], BASE | {"pqvw.oracle"}),
+    (["verify", "skew", "--n", "3", "--window", "1"], BASE | {"pqvw.identities"}),
+    (["subalgebra", "search", "--n", "3", "--window", "2"],
+     BASE | {"pqvw.identities", "pqvw.subalgebra"}),
     (["verify", "all", "--level", "smoke"],
      BASE | {"pqvw.identities", "pqvw.subalgebra", "pqvw.oracle"}),
 ]

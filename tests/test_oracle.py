@@ -263,5 +263,7 @@ class TestStructureConstant:
         assert structure_constant((0, 1, 1, 2, 3)).is_zero
 
     def test_arity_guard(self):
+        # the 2-bracket runs through the same rows; one index is no bracket
         with pytest.raises(ValueError):
-            structure_constant((0, 1))
+            structure_constant((0,))
+        assert structure_constant((0, 1)) == bracket2(0, 1)
