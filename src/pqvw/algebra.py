@@ -133,6 +133,7 @@ def bracket2(m: GenIndex, n: GenIndex) -> Term:
     return Term(_scaled_pq_number(n - m, -m, m, -1), m + n)
 
 
+@lru_cache(maxsize=None)
 def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
     """sign * p^(n-1) z^e (z - 1)^((n-1)(n-2)/2) prod_{j<k} [s_k - s_j]_z.
 
@@ -142,7 +143,7 @@ def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
     z^d - 1 = (z - 1)[d]_z, a shifted difference of the dense coefficient
     list; the n - 1 adjacent pairs keep [d]_z, a sliding-window sum.  The
     list is then placed on the keys of p^(n-1+e+k) q^(e+k); no ring product
-    or division runs.
+    or division runs.  Memoised: a sweep meets each sorted tuple many times.
     """
     n = len(st)
     e = sum((n - 1 - j) * s for j, s in enumerate(st)) - (n - 1) // 2 * sum(st)
@@ -205,8 +206,10 @@ def bracket(indices: Sequence[GenIndex]) -> Term:
     """The bracket of generators in the given argument order, for any n >= 2.
 
     The 2-bracket has its own weighted formula; every larger arity goes
-    through the closed form.  Nothing is cached or sorted here, so sweeps
-    that check antisymmetry can rely on it.
+    through the closed form, which sorts the indices itself and reads the
+    memoised product of the sorted tuple.  ``bracket_coeff``'s
+    sorted-signature cache is not consulted, so sweeps that check
+    antisymmetry can rely on it.
     """
     t = tuple(indices)
     if len(t) == 2:

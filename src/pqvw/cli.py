@@ -56,18 +56,21 @@ MAX_VERIFIED_ARITY = 10
 SH_JACOBI_BUDGET = 2_000_000  # shuffle terms
 SKEW_BUDGET = 200_000  # bracket evaluations
 # Each tuple `oracle-check` compares costs the recursion up to 2^n ordered
-# sub-brackets: `--n 5 --window 3` (80 640) runs in about 1.3 s and `--n 3
-# --window 10` (74 088) in about 2.5 s, while `--n 3 --window 12` (125 000;
-# larger indices make larger polynomials) would take 3.6 s and `--n 6
-# --window 3` (322 560) 3.8 s.
+# sub-brackets: `--n 5 --window 3` (80 640) runs in about 0.5 s and `--n 3
+# --window 10` (74 088) in about 1 s, while `--n 3 --window 12` (125 000;
+# larger indices make larger polynomials) would take 1.7 s and `--n 6
+# --window 3` (322 560) 1.6 s (medians of 7 fresh processes, or one run).
 ORACLE_BUDGET = 100_000  # recursive sub-brackets
 SUBALGEBRA_BUDGET = 10_000_000  # bracket evaluations
-# `verify jacobi2 --window 8` (9 826 tuples) runs in about 1.1 s and
-# `--window 9` (13 718) would take 1.7 s; `verify limits --window 99`
+# `verify jacobi2 --window 8` (9 826 tuples) runs in about 0.3 s and
+# `--window 9` (13 718) would take 0.4 s (a median of 7 fresh processes, and
+# one run); the estimate is an upper bound, since the one-parameter sweep
+# evaluates no tuple when its words cancel formally and the two-parameter
+# sweep evaluates one tuple per rotation class.  `verify limits --window 99`
 # (39 601 pairs) runs in about 2.6 s on a 2-core machine with Python 3.11
-# (each a median of 10 fresh processes) and `--window 200` (160 801) would
-# take 21 s.  A tuple or pair costs more as the window widens, since the
-# 2-bracket [n - m]_{p,q} has |n - m| terms.
+# (a median of 10 fresh processes) and `--window 200` (160 801) would take
+# 21 s.  A tuple or pair costs more as the window widens, since the 2-bracket
+# [n - m]_{p,q} has |n - m| terms.
 JACOBI2_BUDGET = 10_000  # Jacobi tuples
 LIMITS_BUDGET = 40_000  # bracket pairs
 
@@ -353,7 +356,8 @@ def _work_estimate(cfg: argparse.Namespace) -> tuple[int, int, str] | None:
         )
         return work, SUBALGEBRA_BUDGET, "bracket evaluations"
     if cfg.command == "verify jacobi2":
-        # both weighted Jacobi sweeps run over the window cube
+        # both weighted Jacobi sweeps run over the window cube: an upper
+        # bound, since neither evaluates every tuple
         return 2 * width**3, JACOBI2_BUDGET, "Jacobi tuples"
     if cfg.command == "verify limits":
         # every 2-bracket pair of the window; the odd-arity checks are fixed

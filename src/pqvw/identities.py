@@ -246,38 +246,72 @@ def deformed_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
     return Scalar.sum_of_products(rows)
 
 
+def _q_jacobi2_table() -> tuple[tuple[tuple[int, ...], tuple[int, int, int], int], ...]:
+    # the twelve words of the one-parameter residual over the symbols
+    # (m, n, k), as rows (word, q-exponent, sign): a word is a tuple of
+    # slots of (m, n, k) and an exponent the coefficients of a linear form
+    # in them.  Per cyclic arrangement (a, b, c) the outer bracket weighs
+    # q^(+-(2a - (b + c))) and the inner q^(+-(b - c)).
+    rows = []
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for word, outer, inner, sign in (
+            ((a, b, c), 1, 1, 1),
+            ((a, c, b), 1, -1, -1),
+            ((b, c, a), -1, 1, -1),
+            ((c, b, a), -1, -1, 1),
+        ):
+            form = [0, 0, 0]
+            form[a], form[b], form[c] = 2 * outer, inner - outer, -inner - outer
+            rows.append((word, tuple(form), sign))
+    return tuple(rows)
+
+
+_Q_JACOBI2_WORDS = _q_jacobi2_table()
+
+
+def _q_jacobi2_formal_sum() -> dict[tuple[tuple[int, ...], tuple[int, int, int]], int]:
+    """The one-parameter residual's twelve words merged over the symbols (m, n, k).
+
+    Keys are (word of slots, q-exponent as a linear form), values the net
+    signs; cancelled words are dropped.  Substituting integers for the
+    symbols is linear, so an empty formal sum is empty at every triple,
+    coinciding indices included.
+    """
+    net: dict[tuple[tuple[int, ...], tuple[int, int, int]], int] = {}
+    for word, form, sign in _Q_JACOBI2_WORDS:
+        net[word, form] = net.get((word, form), 0) + sign
+    return {key: c for key, c in net.items() if c}
+
+
 def q_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> UniScalar:
     """One-parameter Jacobi residual after the p -> q limit.
 
     The outer bracket weights q^(2a-(b+c)), q^((b+c)-2a) are not those of
-    the structure-constant bracket, so the nested expression is expanded
-    with the two-parameter weights into a word sum of its twelve words (a
-    repeated index merges some of them) and collapsed by
-    ``oracle.extract_structure_constant``, like any defining bracket: every
+    the structure-constant bracket, so the nested expression is the word sum
+    of the twelve words of ``_Q_JACOBI2_WORDS`` at (m, n, k) (a repeated
+    index merges some of them), collapsed by
+    ``oracle.extract_structure_constant`` like any defining bracket: every
     word lands on |nu + m + n + k>, and the total there is divided by the
     target generator's action coefficient and projected off the symbolic
     level.  The quotient is specialised to p = q once.  p -> q is a ring
     map, so dividing first gives the residual of dividing after the
     specialisation whenever that quotient exists; a total that is no such
     multiple raises ``oracle.NotProportional``.  In fact each arrangement of
-    (m, n, k) arises twice among the twelve words with opposite weights, so
-    the merged word sum is empty and no division runs.
+    (m, n, k) arises twice among the twelve words with opposite weights
+    (``_q_jacobi2_formal_sum`` is empty), so the merged word sum is empty
+    and no division runs.
     """
     # imported here so that commands which never reach this residual do not
     # load the oracle layer
     from . import oracle
 
+    idx = (m, n, k)
     ws: dict[tuple[GenIndex, ...], Scalar] = {}
-    for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
-        w1o, w2o = 2 * a - (b + c), (b + c) - 2 * a
-        w1i, w2i = b - c, c - b
-        for word, e, sign in (
-            ((a, b, c), w1o + w1i, 1),
-            ((a, c, b), w1o + w2i, -1),
-            ((b, c, a), w2o + w1i, -1),
-            ((c, b, a), w2o + w2i, 1),
-        ):
-            oracle._add_word(ws, word, Scalar._raw(LPoly.monomial(0, e, coeff=sign), 0))
+    for word, form, sign in _Q_JACOBI2_WORDS:
+        e = sum(f * i for f, i in zip(form, idx))
+        oracle._add_word(
+            ws, tuple(idx[s] for s in word), Scalar._raw(LPoly.monomial(0, e, coeff=sign), 0)
+        )
     return specialize_pq(oracle.extract_structure_constant(ws).coeff)
 
 
@@ -389,10 +423,35 @@ def _sweep_cube(
 
 
 def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
-    """Weighted Jacobi residuals for the 2-bracket over a window cube."""
-    return _sweep_cube(window, deformed_jacobi2_residual)
+    """Weighted Jacobi residuals for the 2-bracket over a window cube.
+
+    The residual at (n, k, m) is the sum of the same three row products as
+    at (m, n, k), so it is evaluated once per rotation class, at the class's
+    first triple in product order (its smallest rotation); every triple is
+    still counted and reported in product order.
+    """
+    residuals: dict[tuple[GenIndex, GenIndex, GenIndex], Scalar] = {}
+
+    def residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
+        key = min((m, n, k), (n, k, m), (k, m, n))
+        res = residuals.get(key)
+        if res is None:
+            res = residuals[key] = deformed_jacobi2_residual(*key)
+        return res
+
+    return _sweep_cube(window, residual)
 
 
 def sweep_q_jacobi2(window: tuple[int, int]) -> SweepResult:
-    """One-parameter Jacobi residuals over a window cube."""
-    return _sweep_cube(window, q_jacobi2_residual)
+    """One-parameter Jacobi residuals over a window cube.
+
+    The twelve words cancel over the symbols (m, n, k), so every triple's
+    residual is zero and none is evaluated; the result still counts every
+    triple.  Should the formal sum not be empty, every triple is evaluated
+    in product order.
+    """
+    if _q_jacobi2_formal_sum():
+        return _sweep_cube(window, q_jacobi2_residual)
+    result = SweepResult()
+    result.checked = len(_window_range(window)) ** 3
+    return result

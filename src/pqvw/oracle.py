@@ -18,16 +18,31 @@ sign.
 The defining recursion is written once, as a table: ``_expansion`` gives
 an n-bracket, n >= 2, as rows (a, b, sign, head, rest) standing for
 sign * p^a q^b * L_head [rest] -- the weighted commutator, the cyclic
-3-bracket and the arity-lowering sum.  Both evaluators read that table.  The
-checks run it directly on the module (:func:`structure_constant`): every
-word of an n-bracket shifts |nu> by the same amount, so the bracket acts
-through one coefficient, evaluated once per ordered sub-tuple instead of
-once per word, as one ``ModScalar.sum_of_products`` over rows of prefactor,
-shifted action coefficient and sub-bracket coefficient, normalized once.
-The expansion of the same rows into n! weighted words (:func:`bracketn_def`,
-:func:`extract_structure_constant`) is kept as its reference.  Both paths
-end in one step: divide the coefficient on the target shift by that
-generator's action coefficient and project off the level.
+3-bracket and the arity-lowering sum.  Two evaluators read that table.
+
+The checks run it on coefficients (:func:`structure_constant`).  Write
+g(m, s) = p^m (1 - z^s W) / D for the action coefficient of L_m on
+|nu + s>, with z = pq, W = PQ and D = q - p^-1, and S_r = sum(rest).  Every
+word of [rest] lands on the same shift, and by induction [rest] acts on
+|nu> as c_rest g(S_r, 0), with c = 1 for a lone generator.  Since
+head + S_r = S, a row then acts as sign p^a q^b c_rest g(head, S_r)
+g(S_r, 0) = sign p^a q^b c_rest p^S (1 - W)(1 - z^S_r W) / D^2, and the
+rows sum to g(S, 0) (A - W B) / D with
+
+    A = sum of sign p^a q^b c_rest,   B = sum of sign p^(a+S_r) q^(b+S_r) c_rest.
+
+The quotient by g(S, 0) is free of the level exactly when B = 0, and then
+the structure constant is A / D.  So each ordered sub-tuple costs two sums
+of products in p and q alone (memoised), a nonzero B raises
+NotProportional, and no four-variable coefficient is built or divided.
+
+The full-module reference expands the same rows into n! weighted words
+(:func:`bracketn_def`), acts with them on |nu> (:func:`word_act`) and
+divides the total by the target's action coefficient, projecting off the
+level (:func:`extract_structure_constant`).  The chain of trust: the tests
+check the coefficient recursion against the word expansion, which uses no
+induction hypothesis, and both against the closed form of
+:mod:`pqvw.algebra`.
 
 A word sum is a plain ``dict[Word, Scalar]`` and a module vector a plain
 ``dict[int, ModScalar]`` (shift s standing for |nu + s>); neither stores a
@@ -51,6 +66,7 @@ from .algebra import (
     sort_with_sign,
 )
 from .ring import (
+    SCALAR_ONE,
     LPoly,
     ModScalar,
     MPoly,
@@ -293,15 +309,6 @@ def bracketn_def(indices: Sequence[GenIndex]) -> dict[Word, Scalar]:
     return _bracketn_def(idx)
 
 
-def _divide_by_target(coeff: ModScalar, shift: int) -> Term:
-    # c |nu + shift> is c / (action coefficient of L_shift) times L_shift
-    # acting on |nu>; the quotient must exist and be free of the level
-    try:
-        return Term(mod_to_scalar(coeff.exact_div(generator_multiplier(shift))), shift)
-    except (NotDivisible, ValueError) as exc:
-        raise NotProportional(str(exc)) from None
-
-
 def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
     """Collapse a word sum to c * L_S by acting on the symbolic module.
 
@@ -316,46 +323,52 @@ def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
     if len(v) != 1:
         raise NotProportional(f"acts on several shifts {sorted(v)}")
     (shift, coeff), = v.items()
-    return _divide_by_target(coeff, shift)
+    # c |nu + shift> is c / (action coefficient of L_shift) times L_shift
+    # acting on |nu>; the quotient must exist and be free of the level
+    try:
+        return Term(mod_to_scalar(coeff.exact_div(generator_multiplier(shift))), shift)
+    except (NotDivisible, ValueError) as exc:
+        raise NotProportional(str(exc)) from None
 
 
 @lru_cache(maxsize=None)
-def _mod_mono(a: int, b: int, coeff: int = 1) -> ModScalar:
-    return ModScalar._raw(MPoly.monomial(a, b, 0, 0, coeff=coeff), 0)
+def _over_divisor(a: int, b: int, sign: int) -> Scalar:
+    # sign * p^a q^b / (q - p^-1): a monomial is a unit, so this is normalized
+    return Scalar._raw(LPoly.monomial(a, b, coeff=sign), 1)
 
 
 @lru_cache(maxsize=None)
-def _act(idx: tuple[GenIndex, ...]) -> ModScalar:
-    # coefficient c with [L_i1, ..., L_in] |nu> = c |nu + sum(idx)>; the
-    # head of a row acts after its rest, on |nu + sum(rest)>
+def _constant(idx: tuple[GenIndex, ...]) -> Scalar:
+    # the structure constant of [idx], 1 for a lone generator: the module
+    # docstring's sums B and A, each over one more divisor power, so that
+    # B / D vanishes with B and A / D is the constant
     if len(idx) == 1:
-        return generator_multiplier(idx[0])
-    return ModScalar.sum_of_products([
-        (_mod_mono(a, b, sign), generator_multiplier(head, sum(rest)), _act(rest))
-        for a, b, sign, head, rest in _expansion(idx)
-    ])
+        return SCALAR_ONE
+    rows = [(a, b, sign, sum(rest), _constant(rest)) for a, b, sign, _, rest in _expansion(idx)]
+    level = Scalar.sum_of_products(
+        (_over_divisor(a + s, b + s, sign), c) for a, b, sign, s, c in rows
+    )
+    if not level.is_zero:
+        raise NotProportional(f"the rows of {idx} act with a level-dependent coefficient")
+    return Scalar.sum_of_products((_over_divisor(a, b, sign), c) for a, b, sign, _, c in rows)
 
 
 def structure_constant(indices: Sequence[GenIndex]) -> Term:
     """Structure constant of the defining n-bracket, n >= 2, on the module.
 
-    Runs the rows of :func:`_expansion`, the table :func:`bracketn_def`
-    expands into words, on coefficients instead: the bracket acts on |nu> as
-    the sum of its rows sign p^a q^b L_head [rest], and every word of [rest]
-    lands on the same shift, so each ordered sub-tuple is evaluated once
-    (memoised) instead of expanding n! words.  The same table carries the
-    arity-lowering step, the cyclic 3-bracket and the weighted commutator,
-    and each step is one sum of products normalized once.  The result equals
-    ``extract_structure_constant(bracketn_def(indices))`` (of
+    Runs the rows of :func:`_expansion` on level-free coefficients, as the
+    module docstring derives: per ordered sub-tuple (memoised), A / D when
+    the level-dependent sum B vanishes, NotProportional otherwise.  The
+    result equals ``extract_structure_constant(bracketn_def(indices))`` (of
     ``bracket2_def(m, n)`` at n = 2).
     """
     idx = tuple(indices)
     if len(idx) < 2:
         raise ValueError("a bracket needs n >= 2 indices")
-    coeff = _act(idx)
+    coeff = _constant(idx)
     if coeff.is_zero:
         return Term.zero()
-    return _divide_by_target(coeff, sum(idx))
+    return Term(coeff, sum(idx))
 
 
 def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:

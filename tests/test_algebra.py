@@ -204,7 +204,7 @@ def refuse(*args):
     raise AssertionError("the closed form consulted the oracle")
 
 oracle.structure_constant = refuse
-oracle._act = refuse
+oracle._constant = refuse
 for n in range(3, 11):
     assert not algebra.bracketn_closed(range(n)).is_zero
 for n in range(3, 7):

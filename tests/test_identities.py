@@ -14,6 +14,8 @@ from pqvw.identities import (
     sample_tuples,
     sh_jacobi_residual,
     shuffles,
+    sweep_deformed_jacobi2,
+    sweep_q_jacobi2,
     sweep_sh_jacobi,
     sweep_skew,
 )
@@ -189,6 +191,11 @@ def generic_sorted_coeff(t):
     # filter of the residual shows in its value
     weight = sum((k + 1) * x for k, x in enumerate(t))
     return Scalar(LPoly.monomial(weight, t[0]) + LPoly.const(len(t) + t[-1] ** 2), 0)
+
+
+def generic_bracket2(m, n):
+    # a stand-in 2-bracket that satisfies no Jacobi identity
+    return Term(Scalar(LPoly.monomial(m + 2 * n, m) + LPoly.const(1 + n * n), 0), m + n)
 
 
 @pytest.fixture
@@ -476,6 +483,83 @@ class TestJacobiForTwoBracket:
         total_is(generator_multiplier(6) * ModScalar(MPoly.monomial(0, 0, 1, 0), 0))
         with pytest.raises(NotProportional, match="symbolic level"):
             q_jacobi2_residual(1, 2, 3)
+
+    def test_q_words_cancel_formally(self):
+        # twelve words, three arrangements of four, and each symbolic word
+        # arises twice with equal q-exponent forms and opposite signs
+        assert len(identities._Q_JACOBI2_WORDS) == 12
+        assert identities._q_jacobi2_formal_sum() == {}
+
+    def test_q_sweep_evaluates_no_triple(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(identities, "q_jacobi2_residual", lambda *t: calls.append(t))
+        sweep = sweep_q_jacobi2((-3, 3))
+        assert (sweep.checked, sweep.failures, sweep.residual) == (7**3, [], "0")
+        assert calls == []
+        with pytest.raises(ValueError):
+            sweep_q_jacobi2((1, 0))
+
+    def test_mutated_q_table_falls_back_to_every_triple(self, monkeypatch):
+        # one flipped sign leaves words over at every triple; a stand-in
+        # extraction (weights summed over word-dependent monomials) turns
+        # them into residuals, and the sweep must report the per-triple
+        # reference's failures, in product order
+        (word, form, sign), *rest = identities._Q_JACOBI2_WORDS
+        monkeypatch.setattr(identities, "_Q_JACOBI2_WORDS", ((word, form, -sign), *rest))
+        assert identities._q_jacobi2_formal_sum()
+
+        def stand_in(ws):
+            rows = [
+                (Scalar(LPoly.monomial(sum((j + 1) * i for j, i in enumerate(w)), 0), 0), c)
+                for w, c in ws.items()
+            ]
+            return Term(Scalar.sum_of_products(rows), 0)
+
+        monkeypatch.setattr(oracle, "extract_structure_constant", stand_in)
+        reference = [
+            (t, res.canonical())
+            for t in product(range(-2, 3), repeat=3)
+            if not (res := q_jacobi2_residual(*t)).is_zero
+        ]
+        sweep = sweep_q_jacobi2((-2, 2))
+        assert sweep.checked == 5**3
+        assert reference
+        assert [(f.indices, f.residual) for f in sweep.failures] == reference
+
+    def test_pq_residual_is_rotation_invariant(self, monkeypatch):
+        for m, n, k in product(range(-3, 4), repeat=3):
+            assert deformed_jacobi2_residual(m, n, k) == deformed_jacobi2_residual(n, k, m)
+        # and under a stand-in 2-bracket that satisfies no Jacobi identity
+        monkeypatch.setattr(identities, "bracket2", generic_bracket2)
+        nonzero = 0
+        for m, n, k in product(range(-3, 4), repeat=3):
+            res = deformed_jacobi2_residual(m, n, k)
+            assert res.canonical() == deformed_jacobi2_residual(n, k, m).canonical(), (m, n, k)
+            nonzero += not res.is_zero
+        assert nonzero
+
+    def test_pq_sweep_matches_per_triple_reference(self, monkeypatch):
+        # a failing kernel: every failure's tuple, order and residual string
+        # as the per-triple loop gives them, from one evaluation per class
+        monkeypatch.setattr(identities, "bracket2", generic_bracket2)
+        reference = [
+            (t, res.canonical())
+            for t in product(range(-3, 4), repeat=3)
+            if not (res := deformed_jacobi2_residual(*t)).is_zero
+        ]
+        calls = []
+        real = identities.deformed_jacobi2_residual
+
+        def counted(*t):
+            calls.append(t)
+            return real(*t)
+
+        monkeypatch.setattr(identities, "deformed_jacobi2_residual", counted)
+        sweep = sweep_deformed_jacobi2((-3, 3))
+        assert sweep.checked == 7**3
+        assert reference
+        assert [(f.indices, f.residual) for f in sweep.failures] == reference
+        assert len(calls) == len(set(calls)) == (7**3 + 2 * 7) // 3
 
     def test_q_limit_residual_zero(self):
         for m, n, k in product(range(-2, 3), repeat=3):

@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 from functools import reduce
 from itertools import permutations, product
 
 import pytest
 
+from childenv import child_env
 from pqvw import oracle
 from pqvw.algebra import Term, bracket2, bracketn_closed
 from pqvw.oracle import (
@@ -28,6 +31,7 @@ from pqvw.ring import (
     MPoly,
     Scalar,
     mod_at_level,
+    mod_from_scalar,
     mod_shift,
 )
 
@@ -246,12 +250,73 @@ class TestStructureConstant:
         for m, n in product(range(-3, 4), repeat=2):
             words = word_act(bracket2_def(m, n))
             assert set(words) <= {m + n}
-            assert oracle._act((m, n)) == words.get(m + n, ModScalar.zero()), (m, n)
+            acting = mod_from_scalar(oracle._constant((m, n))) * generator_multiplier(m + n)
+            assert acting == words.get(m + n, ModScalar.zero()), (m, n)
 
     def test_cyclic_step_matches_word_act(self):
         for idx in product(range(-2, 3), repeat=3):
             words = word_act(bracket3_def(*idx))
-            assert oracle._act(idx) == words.get(sum(idx), ModScalar.zero()), idx
+            s = sum(idx)
+            acting = mod_from_scalar(oracle._constant(idx)) * generator_multiplier(s)
+            assert acting == words.get(s, ModScalar.zero()), idx
+
+    def test_matches_closed_form_at_arity_nine_and_ten(self):
+        for idx in ((-4, 2, 0, 5, -1, 3, -3, 1, 4), (3, -5, 0, 6, -2, 1, 4, -1, 2, -4)):
+            assert structure_constant(idx) == bracketn_closed(idx), idx
+
+    def test_level_dependent_rows_are_not_proportional(self, monkeypatch):
+        # raising the q exponent of one 3-bracket row leaves its rows a
+        # level-dependent multiple of the target's action coefficient
+        real = oracle._expansion
+
+        def mutated(idx):
+            rows = real(idx)
+            if len(idx) == 3:
+                a, b, sign, head, rest = rows[0]
+                rows = [(a, b + 1, sign, head, rest)] + rows[1:]
+            return rows
+
+        monkeypatch.setattr(oracle, "_expansion", mutated)
+        oracle._constant.cache_clear()
+        try:
+            with pytest.raises(NotProportional):
+                structure_constant((0, 1, 2))
+        finally:
+            oracle._constant.cache_clear()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_wrong_recursion_weight_disagrees_with_closed_form(self, monkeypatch, n):
+        real = oracle.recursion_weights
+        monkeypatch.setattr(
+            oracle, "recursion_weights", lambda k: real(k)._replace(y=real(k).y + 1)
+        )
+        oracle._constant.cache_clear()
+        try:
+            idx = tuple(range(-2, n - 2))
+            assert structure_constant(idx) != bracketn_closed(idx)
+        finally:
+            oracle._constant.cache_clear()
+
+    def test_needs_no_symbolic_level_ring(self):
+        # a fresh process, so no cache filled by other tests can hide a call
+        script = """
+from pqvw import algebra, oracle
+from pqvw.ring import ModScalar
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the recursion built a symbolic-level coefficient")
+
+ModScalar.sum_of_products = refuse
+assert oracle.structure_constant((0, 1)) == algebra.bracket2(0, 1)
+for n in range(3, 7):
+    idx = tuple(range(-2, n - 2))
+    assert oracle.structure_constant(idx) == algebra.bracketn_closed(idx)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_shifted_multiplier(self):
         for m, s in product(range(-3, 4), repeat=2):
