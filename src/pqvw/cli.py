@@ -51,8 +51,8 @@ MAX_VERIFIED_ARITY = 10
 # multisets, so they are loose upper bounds: `verify sh-jacobi --n 6
 # --window 2` (630 630 shuffle terms) and `subalgebra search --n 6 --window
 # 3` (8.7 M) each run in about 0.1 s.  `verify skew --n 5 --window 3`
-# (184 877 bracket evaluations) runs in about 2 s and `--n 6` (1.9 M) would
-# take about 10 s.
+# (184 877 bracket evaluations) runs in about 0.5 s (a median of 5 fresh
+# processes) and `--n 6` (1.9 M) would take 1.2 s in process.
 SH_JACOBI_BUDGET = 2_000_000  # shuffle terms
 SKEW_BUDGET = 200_000  # bracket evaluations
 # Each tuple `oracle-check` compares costs the recursion up to 2^n ordered
@@ -62,16 +62,15 @@ SKEW_BUDGET = 200_000  # bracket evaluations
 # --window 3` (322 560) 1.6 s (medians of 7 fresh processes, or one run).
 ORACLE_BUDGET = 100_000  # recursive sub-brackets
 SUBALGEBRA_BUDGET = 10_000_000  # bracket evaluations
-# `verify jacobi2 --window 8` (9 826 tuples) runs in about 0.3 s and
-# `--window 9` (13 718) would take 0.4 s (a median of 7 fresh processes, and
-# one run); the estimate is an upper bound, since the one-parameter sweep
-# evaluates no tuple when its words cancel formally and the two-parameter
-# sweep evaluates one tuple per rotation class.  `verify limits --window 99`
-# (39 601 pairs) runs in about 2.6 s on a 2-core machine with Python 3.11
-# (a median of 10 fresh processes) and `--window 200` (160 801) would take
-# 21 s.  A tuple or pair costs more as the window widens, since the 2-bracket
-# [n - m]_{p,q} has |n - m| terms.
-JACOBI2_BUDGET = 10_000  # Jacobi tuples
+# `verify jacobi2` evaluates one two-parameter residual per rotation class
+# of the window cube and decides the one-parameter identity formally:
+# `--window 16` (12 001 rotation classes) runs in about 2 s and `--window
+# 17` (14 315) would take 2 to 3 s (medians of batches of fresh processes,
+# as the machine's load varied).  `verify limits --window 99` (39 601
+# pairs) runs in about 2.6 s (a median of 10 fresh processes) and `--window
+# 200` (160 801) would take 21 s.  A class or pair costs more as the window
+# widens, since the 2-bracket [n - m]_{p,q} has |n - m| terms.
+JACOBI2_BUDGET = 12_500  # rotation classes
 LIMITS_BUDGET = 40_000  # bracket pairs
 
 # Largest |index| accepted in an explicit index list: output and run time
@@ -356,9 +355,9 @@ def _work_estimate(cfg: argparse.Namespace) -> tuple[int, int, str] | None:
         )
         return work, SUBALGEBRA_BUDGET, "bracket evaluations"
     if cfg.command == "verify jacobi2":
-        # both weighted Jacobi sweeps run over the window cube: an upper
-        # bound, since neither evaluates every tuple
-        return 2 * width**3, JACOBI2_BUDGET, "Jacobi tuples"
+        # one residual per rotation class of the window cube: w classes of
+        # one triple and (w^3 - w) / 3 of three
+        return (width**3 + 2 * width) // 3, JACOBI2_BUDGET, "rotation classes"
     if cfg.command == "verify limits":
         # every 2-bracket pair of the window; the odd-arity checks are fixed
         return width**2, LIMITS_BUDGET, "bracket pairs"

@@ -22,6 +22,13 @@ times the product of a cached sorted inner and a cached sorted outer
 bracket, so like terms are collected per (inner, outer) signature pair as
 integer signs before any ring product: pairs whose signs cancel are never
 multiplied, and the residual is one sum of products normalised once.
+
+The 2-bracket's two weighted Jacobi identities are swept over a window
+cube.  The two-parameter residual is evaluated once per rotation class.
+The one-parameter residual is decided formally and only formally: its
+twelve words cancel over the symbols (m, n, k), which holds at every
+triple, so its sweep evaluates none and no verdict here needs the oracle's
+word expansion.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     GenIndex,
@@ -40,7 +47,7 @@ from .algebra import (
     bracket_coeff,
     sort_with_sign,
 )
-from .ring import LPoly, Scalar, UniScalar, specialize_pq
+from .ring import LPoly, Scalar
 
 __all__ = [
     "Shuffle",
@@ -53,7 +60,6 @@ __all__ = [
     "fi_residual",
     "fi_counterexample_even",
     "deformed_jacobi2_residual",
-    "q_jacobi2_residual",
     "sweep_skew",
     "sweep_sh_jacobi",
     "sample_tuples",
@@ -87,7 +93,8 @@ class SweepResult:
     `checked` counts tuples, those that repeat an index included, although
     sh-jacobi sweeps evaluate no residual for them (it is zero).  A window
     sh-jacobi sweep holds one failure per failing set of distinct indices,
-    at its sorted tuple; the other sweeps hold one per failing tuple.
+    at its sorted tuple; the one-parameter Jacobi sweep at most one, at the
+    window's first triple; the other sweeps hold one per failing tuple.
     Window sweeps list failures in lexicographic order, so `failures[0]` is
     the first failing tuple in product order either way.
     """
@@ -272,6 +279,9 @@ _Q_JACOBI2_WORDS = _q_jacobi2_table()
 def _q_jacobi2_formal_sum() -> dict[tuple[tuple[int, ...], tuple[int, int, int]], int]:
     """The one-parameter residual's twelve words merged over the symbols (m, n, k).
 
+    The outer bracket weights q^(2a-(b+c)), q^((b+c)-2a) of the p -> q
+    limit are not those of the structure-constant bracket, so the nested
+    expression is a sum of words, not a product of structure constants.
     Keys are (word of slots, q-exponent as a linear form), values the net
     signs; cancelled words are dropped.  Substituting integers for the
     symbols is linear, so an empty formal sum is empty at every triple,
@@ -281,38 +291,6 @@ def _q_jacobi2_formal_sum() -> dict[tuple[tuple[int, ...], tuple[int, int, int]]
     for word, form, sign in _Q_JACOBI2_WORDS:
         net[word, form] = net.get((word, form), 0) + sign
     return {key: c for key, c in net.items() if c}
-
-
-def q_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> UniScalar:
-    """One-parameter Jacobi residual after the p -> q limit.
-
-    The outer bracket weights q^(2a-(b+c)), q^((b+c)-2a) are not those of
-    the structure-constant bracket, so the nested expression is the word sum
-    of the twelve words of ``_Q_JACOBI2_WORDS`` at (m, n, k) (a repeated
-    index merges some of them), collapsed by
-    ``oracle.extract_structure_constant`` like any defining bracket: every
-    word lands on |nu + m + n + k>, and the total there is divided by the
-    target generator's action coefficient and projected off the symbolic
-    level.  The quotient is specialised to p = q once.  p -> q is a ring
-    map, so dividing first gives the residual of dividing after the
-    specialisation whenever that quotient exists; a total that is no such
-    multiple raises ``oracle.NotProportional``.  In fact each arrangement of
-    (m, n, k) arises twice among the twelve words with opposite weights
-    (``_q_jacobi2_formal_sum`` is empty), so the merged word sum is empty
-    and no division runs.
-    """
-    # imported here so that commands which never reach this residual do not
-    # load the oracle layer
-    from . import oracle
-
-    idx = (m, n, k)
-    ws: dict[tuple[GenIndex, ...], Scalar] = {}
-    for word, form, sign in _Q_JACOBI2_WORDS:
-        e = sum(f * i for f, i in zip(form, idx))
-        oracle._add_word(
-            ws, tuple(idx[s] for s in word), Scalar._raw(LPoly.monomial(0, e, coeff=sign), 0)
-        )
-    return specialize_pq(oracle.extract_structure_constant(ws).coeff)
 
 
 def _window_range(window: tuple[int, int]) -> range:
@@ -409,19 +387,6 @@ def _sh_jacobi_worker(args: tuple[int, list[tuple[int, ...]]]):
     return _sh_jacobi_failures(n, chunk)
 
 
-def _sweep_cube(
-    window: tuple[int, int], residual: Callable[[GenIndex, GenIndex, GenIndex], Scalar | UniScalar]
-) -> SweepResult:
-    # one residual per triple of the window cube, in product order
-    result = SweepResult()
-    for m, n, k in product(_window_range(window), repeat=3):
-        res = residual(m, n, k)
-        result.checked += 1
-        if not res.is_zero:
-            result.failures.append(IdentityReport((m, n, k), res.canonical(), False))
-    return result
-
-
 def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
     """Weighted Jacobi residuals for the 2-bracket over a window cube.
 
@@ -431,27 +396,42 @@ def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
     still counted and reported in product order.
     """
     residuals: dict[tuple[GenIndex, GenIndex, GenIndex], Scalar] = {}
-
-    def residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
+    result = SweepResult()
+    for m, n, k in product(_window_range(window), repeat=3):
         key = min((m, n, k), (n, k, m), (k, m, n))
         res = residuals.get(key)
         if res is None:
             res = residuals[key] = deformed_jacobi2_residual(*key)
-        return res
+        result.checked += 1
+        if not res.is_zero:
+            result.failures.append(IdentityReport((m, n, k), res.canonical(), False))
+    return result
 
-    return _sweep_cube(window, residual)
+
+def _q_jacobi2_text(words: dict[tuple[tuple[int, ...], tuple[int, int, int]], int]) -> str:
+    # the uncancelled words of the formal sum in sorted order, each as its
+    # net sign, q-exponent and word, e.g. "-2*q^(2*m + -2*k)*L_m*L_n*L_k"
+    def exponent(form: tuple[int, int, int]) -> str:
+        return " + ".join(f"{c}*{s}" for c, s in zip(form, "mnk") if c) or "0"
+
+    return " + ".join(
+        f"{c}*q^({exponent(form)})*" + "*".join(f"L_{'mnk'[s]}" for s in word)
+        for (word, form), c in sorted(words.items())
+    )
 
 
 def sweep_q_jacobi2(window: tuple[int, int]) -> SweepResult:
-    """One-parameter Jacobi residuals over a window cube.
+    """One-parameter Jacobi residuals over a window cube, decided formally.
 
     The twelve words cancel over the symbols (m, n, k), so every triple's
-    residual is zero and none is evaluated; the result still counts every
-    triple.  Should the formal sum not be empty, every triple is evaluated
-    in product order.
+    residual is zero and none is evaluated; the result counts every triple.
+    Should words be left over, the formal check fails: the sweep reports one
+    failure, at the window's first triple, whose residual lists them.
     """
-    if _q_jacobi2_formal_sum():
-        return _sweep_cube(window, q_jacobi2_residual)
+    values = _window_range(window)
     result = SweepResult()
-    result.checked = len(_window_range(window)) ** 3
+    result.checked = len(values) ** 3
+    words = _q_jacobi2_formal_sum()
+    if words:
+        result.failures.append(IdentityReport((values[0],) * 3, _q_jacobi2_text(words), False))
     return result

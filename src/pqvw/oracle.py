@@ -36,18 +36,20 @@ the structure constant is A / D.  So each ordered sub-tuple costs two sums
 of products in p and q alone (memoised), a nonzero B raises
 NotProportional, and no four-variable coefficient is built or divided.
 
-The full-module reference expands the same rows into n! weighted words
-(:func:`bracketn_def`), acts with them on |nu> (:func:`word_act`) and
-divides the total by the target's action coefficient, projecting off the
-level (:func:`extract_structure_constant`).  The chain of trust: the tests
-check the coefficient recursion against the word expansion, which uses no
-induction hypothesis, and both against the closed form of
+The full-module reference has one entry,
+``extract_structure_constant(bracketn_def(idx))``: :func:`bracketn_def`
+expands the same rows into n! weighted words, :func:`word_act` acts with
+them on |nu>, and :func:`extract_structure_constant` divides the total by
+the target's action coefficient, projecting off the level.  No check calls
+it; the tests and the benchmark's arity gate do.  The chain of trust: the
+tests check the coefficient recursion against the word expansion, which
+uses no induction hypothesis, and both against the closed form of
 :mod:`pqvw.algebra`.
 
 A word sum is a plain ``dict[Word, Scalar]`` and a module vector a plain
 ``dict[int, ModScalar]`` (shift s standing for |nu + s>); neither stores a
-zero entry.  The word sums of :func:`bracket2_def`, :func:`bracket3_def` and
-:func:`bracketn_def` are cached and shared, so callers must not change them.
+zero entry.  The word sums of :func:`bracketn_def` are cached and shared,
+so callers must not change them.
 
 Because the level is symbolic, one ring identity here certifies an operator
 identity at every level at once, not at a finite sample of levels.
@@ -67,7 +69,6 @@ from .algebra import (
 )
 from .ring import (
     SCALAR_ONE,
-    LPoly,
     ModScalar,
     MPoly,
     NotDivisible,
@@ -91,8 +92,6 @@ __all__ = [
     "number_weight",
     "osc_relations_check",
     "word_act",
-    "bracket2_def",
-    "bracket3_def",
     "bracketn_def",
     "extract_structure_constant",
     "structure_constant",
@@ -152,7 +151,7 @@ def number_weight(
 ) -> dict[int, ModScalar]:
     """Apply p^(p_exp * N) * q^(q_exp * N) diagonally."""
     return {
-        s: ModScalar._raw(MPoly.monomial(p_exp * s, q_exp * s, p_exp, q_exp), 0) * c
+        s: ModScalar.monomial(p_exp * s, q_exp * s, p_exp, q_exp) * c
         for s, c in v.items()
     }
 
@@ -176,15 +175,15 @@ def osc_relations_check(shifts: Iterable[int] = (-1, 0, 1)) -> OscillatorReport:
     structurally on a window of shifted basis vectors.
     """
     entries: list[tuple[str, str, bool]] = []
-    q_mono = ModScalar._raw(MPoly.monomial(0, 1, 0, 0), 0)
-    pinv_mono = ModScalar._raw(MPoly.monomial(-1, 0, 0, 0), 0)
+    q_mono = ModScalar.monomial(0, 1, 0, 0)
+    pinv_mono = ModScalar.monomial(-1, 0, 0, 0)
 
     for s in shifts:
         # a a+ |nu+s> = [nu+s+1] |nu+s>, a+ a |nu+s> = [nu+s] |nu+s>
         up_down = nu_bracket(s + 1)
         down_up = nu_bracket(s)
-        p_n_inv = ModScalar._raw(MPoly.monomial(-s, 0, -1, 0), 0)  # p^-N at nu+s
-        q_n = ModScalar._raw(MPoly.monomial(0, s, 0, 1), 0)  # q^N at nu+s
+        p_n_inv = ModScalar.monomial(-s, 0, -1, 0)  # p^-N at nu+s
+        q_n = ModScalar.monomial(0, s, 0, 1)  # q^N at nu+s
 
         r1 = up_down - q_mono * down_up - p_n_inv
         entries.append((f"a a+ - q a+ a = p^-N @ nu+{s}", r1.canonical(), r1.is_zero))
@@ -235,10 +234,6 @@ def word_act(ws: dict[Word, Scalar]) -> dict[int, ModScalar]:
     return out
 
 
-def _mono(a: int, b: int, coeff: int = 1) -> Scalar:
-    return Scalar._raw(LPoly.monomial(a, b, coeff=coeff), 0)
-
-
 def _add_word(out: dict[Word, Scalar], word: Word, weight: Scalar) -> None:
     # add weight * word into a word sum, dropping the word if it cancels
     acc = out.pop(word, None)
@@ -282,30 +277,22 @@ def _bracketn_def(idx: tuple[GenIndex, ...]) -> dict[Word, Scalar]:
         return {idx: 1}
     out: dict[Word, Scalar] = {}
     for a, b, sign, head, rest in _expansion(idx):
-        pref = _mono(a, b, sign)
+        pref = Scalar.monomial(a, b, coeff=sign)
         for word, wt in _bracketn_def(rest).items():
             _add_word(out, (head,) + word, pref * wt)
     return out
 
 
-def bracket2_def(m: GenIndex, n: GenIndex) -> dict[Word, Scalar]:
-    """Defining weighted commutator: q^m p^-n L_m L_n  -  q^n p^-m L_n L_m."""
-    return _bracketn_def((m, n))
-
-
-def bracket3_def(m: GenIndex, n: GenIndex, k: GenIndex) -> dict[Word, Scalar]:
-    """Defining 3-bracket: cyclic sum of single generators times commutators.
-
-    p^m q^(m-(n+k)) L_m [L_n, L_k] + cyclic, expanded to six weighted words.
-    """
-    return _bracketn_def((m, n, k))
-
-
 def bracketn_def(indices: Sequence[GenIndex]) -> dict[Word, Scalar]:
-    """Recursive defining n-bracket as a fully expanded word sum, n >= 3."""
+    """Defining n-bracket, n >= 2, as a fully expanded word sum.
+
+    The rows of :func:`_expansion`, expanded down to single generators: the
+    weighted commutator's two words at n = 2, the cyclic 3-bracket's six at
+    n = 3, and n! words in general (fewer where a repeated index cancels).
+    """
     idx = tuple(indices)
-    if len(idx) < 3:
-        raise ValueError("recursive word form needs n >= 3 (use bracket2_def)")
+    if len(idx) < 2:
+        raise ValueError("a bracket needs n >= 2 indices")
     return _bracketn_def(idx)
 
 
@@ -333,8 +320,8 @@ def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
 
 @lru_cache(maxsize=None)
 def _over_divisor(a: int, b: int, sign: int) -> Scalar:
-    # sign * p^a q^b / (q - p^-1): a monomial is a unit, so this is normalized
-    return Scalar._raw(LPoly.monomial(a, b, coeff=sign), 1)
+    # sign * p^a q^b / (q - p^-1)
+    return Scalar.monomial(a, b, coeff=sign, e=1)
 
 
 @lru_cache(maxsize=None)
@@ -359,8 +346,7 @@ def structure_constant(indices: Sequence[GenIndex]) -> Term:
     Runs the rows of :func:`_expansion` on level-free coefficients, as the
     module docstring derives: per ordered sub-tuple (memoised), A / D when
     the level-dependent sum B vanishes, NotProportional otherwise.  The
-    result equals ``extract_structure_constant(bracketn_def(indices))`` (of
-    ``bracket2_def(m, n)`` at n = 2).
+    result equals ``extract_structure_constant(bracketn_def(indices))``.
     """
     idx = tuple(indices)
     if len(idx) < 2:

@@ -570,6 +570,18 @@ class Localized:
         return cls._raw(cls.POLY.one(), 0)
 
     @classmethod
+    def monomial(cls, *exps: int, coeff: int = 1, e: int = 0):
+        """coeff * x^exps / divisor^e; zero has e = 0.
+
+        The divisor has two terms, so it divides no monomial and the value
+        is normalized as built.
+        """
+        if e < 0:
+            raise ValueError("localization exponent must be nonnegative")
+        num = cls.POLY.monomial(*exps, coeff=coeff)
+        return cls._raw(num, e if num._terms else 0)
+
+    @classmethod
     @lru_cache(maxsize=None)
     def _divisor_pow(cls, k: int) -> Poly:
         return cls.DIVISOR**k

@@ -44,7 +44,7 @@ def test_c1_oscillator_relations():
 def test_c2_two_bracket():
     for m, n in product(range(-4, 5), repeat=2):
         assert oracle.extract_structure_constant(
-            oracle.bracket2_def(m, n)
+            oracle.bracketn_def((m, n))
         ) == algebra.bracket2(m, n)
         assert algebra.bracket2(n, m).coeff == -algebra.bracket2(m, n).coeff
     for m, n, k in product(range(-3, 4), repeat=3):
@@ -57,7 +57,7 @@ def test_c3_closed_form():
         closed = algebra.bracketn_closed(t)
         # the paper's determinant, divided by (q - p^-1)^2 explicitly
         assert paper_coeff(t, permutation_det(t, closed_rows(3))) == closed.coeff
-        assert oracle.extract_structure_constant(oracle.bracket3_def(*t)) == closed
+        assert oracle.extract_structure_constant(oracle.bracketn_def(t)) == closed
     for n in (4, 5):
         for t in permutations(range(-2, 3), n):
             rec = oracle.extract_structure_constant(oracle.bracketn_def(t))

@@ -85,7 +85,7 @@ class TestParsing:
         ):
             assert parse_args(argv).n is not None
         for argv in (
-            ["verify", "jacobi2", "--window", "8"],  # 9 826 tuples
+            ["verify", "jacobi2", "--window", "16"],  # 12 001 rotation classes
             ["verify", "limits", "--window", "99"],  # 39 601 pairs
         ):
             assert parse_args(argv).window is not None
@@ -95,7 +95,7 @@ class TestParsing:
             ["verify", "skew", "--n", "6", "--window", "3"],  # 1 882 384 brackets
             ["oracle-check", "--n", "6", "--window", "3"],  # 322 560 sub-brackets
             ["oracle-check", "--n", "3", "--window", "12"],  # 125 000 sub-brackets
-            ["verify", "jacobi2", "--window", "9"],  # 13 718 tuples
+            ["verify", "jacobi2", "--window", "17"],  # 14 315 rotation classes
             ["verify", "limits", "--window", "100"],  # 40 401 pairs
             ["subalgebra", "search", "--n", "7", "--window", "3"],  # 12 684 673 brackets
             ["subalgebra", "search", "--n", "5", "--window", "4"],  # 22 671 558 brackets
@@ -222,7 +222,7 @@ class TestBlackBox:
             (("subalgebra", "search", "--n", "9", "--window", "6"),
              "5617401650575 bracket evaluations, over the budget of 10000000"),
             (("verify", "jacobi2", "--window", "1000"),
-             "16024012002 Jacobi tuples, over the budget of 10000"),
+             "2670670001 rotation classes, over the budget of 12500"),
             (("verify", "limits", "--window", "1000"),
              "4004001 bracket pairs, over the budget of 40000"),
             # about 20 s and 75 MB of output without the limit

@@ -10,7 +10,6 @@ from pqvw.identities import (
     deformed_jacobi2_residual,
     fi_counterexample_even,
     fi_residual,
-    q_jacobi2_residual,
     sample_tuples,
     sh_jacobi_residual,
     shuffles,
@@ -19,9 +18,11 @@ from pqvw.identities import (
     sweep_sh_jacobi,
     sweep_skew,
 )
-from pqvw.oracle import bracket2_def, bracketn_def, extract_structure_constant
+from pqvw.oracle import NotProportional, bracketn_def, extract_structure_constant
 from pqvw.ring import LPoly, ModScalar, Scalar, classical_value
 from pqvw.subalgebra import fi_check_span
+
+from words import q_jacobi2_residual
 
 # the signed 10-term expansion of the arity-3 shuffle identity, in
 # lexicographic order of the inner block
@@ -352,8 +353,6 @@ def fi_residual_via_oracle(n, Y, X):
     through the operator realization instead of the closed form."""
 
     def coeff(indices):
-        if len(indices) == 2:
-            return extract_structure_constant(bracket2_def(*indices))
         return extract_structure_constant(bracketn_def(indices))
 
     inner = coeff(tuple(X))
@@ -450,9 +449,9 @@ class TestJacobiForTwoBracket:
         assert deformed_jacobi2_residual(2, 2, 5).is_zero
 
     def test_two_parameter_q_total_is_zero(self, monkeypatch):
-        # lemma: each arrangement of (m, n, k) arises twice among the twelve
-        # words, with opposite weights, so the word sum handed to the module
-        # is already empty and q_jacobi2_residual divides nothing
+        # the per-triple reference: each arrangement of (m, n, k) arises
+        # twice among the twelve words, with opposite weights, so the word
+        # sum handed to the module is already empty and nothing is divided
         real = oracle.word_act
         seen = []
 
@@ -466,10 +465,10 @@ class TestJacobiForTwoBracket:
             assert seen.pop() == {}, (m, n, k)
 
     def test_nonzero_total_is_divided_then_specialised(self, monkeypatch):
-        # the path no admitted window reaches: a word sum whose total is a
+        # the per-triple reference on totals no real triple produces: a
         # multiple of the target's action coefficient gives the specialised
         # quotient, and one that is not, or depends on the level, is refused
-        from pqvw.oracle import NotProportional, generator_multiplier
+        from pqvw.oracle import generator_multiplier
         from pqvw.ring import MPoly, mod_from_scalar, pq_number, q_number
 
         def total_is(total):
@@ -492,39 +491,30 @@ class TestJacobiForTwoBracket:
 
     def test_q_sweep_evaluates_no_triple(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(identities, "q_jacobi2_residual", lambda *t: calls.append(t))
+        monkeypatch.setattr(oracle, "word_act", lambda ws: calls.append(ws))
         sweep = sweep_q_jacobi2((-3, 3))
         assert (sweep.checked, sweep.failures, sweep.residual) == (7**3, [], "0")
         assert calls == []
         with pytest.raises(ValueError):
             sweep_q_jacobi2((1, 0))
 
-    def test_mutated_q_table_falls_back_to_every_triple(self, monkeypatch):
-        # one flipped sign leaves words over at every triple; a stand-in
-        # extraction (weights summed over word-dependent monomials) turns
-        # them into residuals, and the sweep must report the per-triple
-        # reference's failures, in product order
+    def test_mutated_q_table_gives_one_failure(self, monkeypatch):
+        # one flipped sign leaves its word and its partner uncancelled: the
+        # formal verdict fails once, at the window's first triple, with the
+        # words left over as its residual, and every triple is still counted
         (word, form, sign), *rest = identities._Q_JACOBI2_WORDS
         monkeypatch.setattr(identities, "_Q_JACOBI2_WORDS", ((word, form, -sign), *rest))
-        assert identities._q_jacobi2_formal_sum()
-
-        def stand_in(ws):
-            rows = [
-                (Scalar(LPoly.monomial(sum((j + 1) * i for j, i in enumerate(w)), 0), 0), c)
-                for w, c in ws.items()
-            ]
-            return Term(Scalar.sum_of_products(rows), 0)
-
-        monkeypatch.setattr(oracle, "extract_structure_constant", stand_in)
-        reference = [
-            (t, res.canonical())
-            for t in product(range(-2, 3), repeat=3)
-            if not (res := q_jacobi2_residual(*t)).is_zero
-        ]
+        assert identities._q_jacobi2_formal_sum() == {(word, form): -2 * sign}
         sweep = sweep_q_jacobi2((-2, 2))
         assert sweep.checked == 5**3
-        assert reference
-        assert [(f.indices, f.residual) for f in sweep.failures] == reference
+        assert sweep.failures == [
+            identities.IdentityReport((-2, -2, -2), "-2*q^(2*m + -2*k)*L_m*L_n*L_k", False)
+        ]
+        assert sweep.residual == sweep.failures[0].residual
+        # the per-triple reference fails too: one word does not act as a
+        # multiple of a generator
+        with pytest.raises(NotProportional):
+            q_jacobi2_residual(0, 1, 2)
 
     def test_pq_residual_is_rotation_invariant(self, monkeypatch):
         for m, n, k in product(range(-3, 4), repeat=3):

@@ -89,14 +89,14 @@ EXPORTS = {
         "bracket_coeff", "bracketn_closed", "recursion_weights", "sign_of",
     ],
     "oracle": [
-        "InconsistentSign", "NotProportional", "bracket2_def",
-        "bracket3_def", "bracketn_def", "derive_sign", "extract_structure_constant",
-        "fock_act", "osc_relations_check", "structure_constant", "word_act",
+        "InconsistentSign", "NotProportional", "bracketn_def", "derive_sign",
+        "extract_structure_constant", "fock_act", "osc_relations_check",
+        "structure_constant", "word_act",
     ],
     "identities": [
         "IdentityReport", "Shuffle", "UnexpectedZero", "check_skew",
         "deformed_jacobi2_residual", "fi_counterexample_even", "fi_residual",
-        "q_jacobi2_residual", "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
+        "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
     ],
     "subalgebra": [
         "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",

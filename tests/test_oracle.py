@@ -11,8 +11,6 @@ from pqvw import oracle
 from pqvw.algebra import Term, bracket2, bracketn_closed
 from pqvw.oracle import (
     NotProportional,
-    bracket2_def,
-    bracket3_def,
     bracketn_def,
     extract_structure_constant,
     fock_act,
@@ -117,27 +115,36 @@ class TestOscillatorRelations:
 
 class TestWordSums:
     def test_bracket2_def_weights(self):
-        ws = bracket2_def(0, 1)
+        ws = bracketn_def((0, 1))
         assert ws == {
             (0, 1): mono(-1, 0),
             (1, 0): mono(0, 1, -1),
         }
-        assert bracket2_def(0, 1) is ws  # cached and shared, like every word sum
+        assert bracketn_def((0, 1)) is ws  # cached and shared, like every word sum
 
     def test_bracket2_def_cancels_on_equal_modes(self):
-        assert bracket2_def(2, 2) == {}
+        assert bracketn_def((2, 2)) == {}
 
     def test_bracket2_def_negative_transpose(self):
-        a = bracket2_def(0, 1)
-        b = bracket2_def(1, 0)
+        a = bracketn_def((0, 1))
+        b = bracketn_def((1, 0))
         assert b == {w: -c for w, c in a.items()}
 
     def test_bracket3_def_word_count_and_weights(self):
-        ws = bracket3_def(0, 1, 2)
+        ws = bracketn_def((0, 1, 2))
         assert len(ws) == 6
         # leading cyclic term: p^0 q^(0-3) L_0 [L_1, L_2] contributes
         # q^-3 * q^1 p^-2 on the word (0, 1, 2)
         assert ws[(0, 1, 2)] == mono(-2, -2)
+
+    def test_bracketn_def_takes_two_indices(self):
+        # the weighted commutator: q^m p^-n on (m, n), -q^n p^-m on (n, m)
+        for m, n in product(range(-3, 4), repeat=2):
+            if m != n:
+                assert bracketn_def((m, n)) == {(m, n): mono(-n, m), (n, m): mono(-m, n, -1)}
+        for short in ((), (3,)):
+            with pytest.raises(ValueError):
+                bracketn_def(short)
 
     def test_bracketn_def_word_count(self):
         assert len(bracketn_def((0, 1, 2, 3))) == 24
@@ -146,7 +153,7 @@ class TestWordSums:
     def test_recursion_prefactor_spot_checks(self):
         # arity 4, first slot: (pq)^(2*i_1 + 0*(rest)) = (pq)^0 = 1
         ws4 = bracketn_def((0, 1, 2, 3))
-        inner = bracket3_def(1, 2, 3)
+        inner = bracketn_def((1, 2, 3))
         for word, weight in inner.items():
             assert ws4[(0,) + word] == weight
         # arity 5, first slot: (pq)^(2*0 - 1*10) = (pq)^-10
@@ -157,8 +164,8 @@ class TestWordSums:
             assert ws5[(0,) + word] == pref * weight
 
     def test_word_act_linearity(self):
-        ws1 = bracket2_def(0, 1)
-        ws2 = bracket3_def(0, 1, 2)
+        ws1 = bracketn_def((0, 1))
+        ws2 = bracketn_def((0, 1, 2))
         assert word_act(add(ws1, ws2)) == add(word_act(ws1), word_act(ws2))
         # against the fold of single-word actions, one normalization per word
         for idx in ((-1, 0, 1, 3), (-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2, 3), (0, 1, 1, 2)):
@@ -181,7 +188,7 @@ class TestWordSums:
 
 class TestExtraction:
     def test_two_bracket(self):
-        assert extract_structure_constant(bracket2_def(0, 1)) == Term(
+        assert extract_structure_constant(bracketn_def((0, 1))) == Term(
             Scalar(LPoly.one().scale(-1), 0), 1
         )
 
@@ -197,18 +204,18 @@ class TestExtraction:
 
     def test_zero_word_sum(self):
         assert extract_structure_constant({}) == Term.zero()
-        assert extract_structure_constant(bracket2_def(3, 3)) == bracket2(3, 3)
+        assert extract_structure_constant(bracketn_def((3, 3))) == bracket2(3, 3)
 
     def test_repeated_modes_collapse_to_zero(self):
         # with a repeated mode the six words already cancel formally, and
         # extraction agrees
-        ws = bracket3_def(1, 1, 2)
+        ws = bracketn_def((1, 1, 2))
         assert ws == {}
         assert extract_structure_constant(ws) == Term.zero()
 
     def test_cross_check_bracket3(self):
         for idx in product(range(-2, 3), repeat=3):
-            got = extract_structure_constant(bracket3_def(*idx))
+            got = extract_structure_constant(bracketn_def(idx))
             assert got == bracketn_closed(idx)
 
     def test_cross_check_bracket4_distinct(self):
@@ -248,14 +255,14 @@ class TestStructureConstant:
         # the recursion's base, two rows of action coefficients, against the
         # weighted commutator's two words acting on |nu>; m = n included
         for m, n in product(range(-3, 4), repeat=2):
-            words = word_act(bracket2_def(m, n))
+            words = word_act(bracketn_def((m, n)))
             assert set(words) <= {m + n}
             acting = mod_from_scalar(oracle._constant((m, n))) * generator_multiplier(m + n)
             assert acting == words.get(m + n, ModScalar.zero()), (m, n)
 
     def test_cyclic_step_matches_word_act(self):
         for idx in product(range(-2, 3), repeat=3):
-            words = word_act(bracket3_def(*idx))
+            words = word_act(bracketn_def(idx))
             s = sum(idx)
             acting = mod_from_scalar(oracle._constant(idx)) * generator_multiplier(s)
             assert acting == words.get(s, ModScalar.zero()), idx

@@ -244,6 +244,23 @@ class TestScalarNormalization:
         assert a.exact_div(b) == Scalar(LPoly.one(), 1)
         assert b.exact_div(Scalar(LPoly.one(), 1)) == Scalar(D * D, 0)
 
+    @pytest.mark.parametrize("cls", [Scalar, UniScalar, ModScalar])
+    def test_monomial_matches_normalizing_constructor(self, cls):
+        # a monomial numerator is already normal; a zero one has e = 0
+        rng = random.Random(13)
+        width = len(cls.POLY.VARS)
+        for e in range(4):
+            zero = cls.monomial(*(1,) * width, coeff=0, e=e)
+            assert zero.is_zero and zero.e == 0 and zero == cls.zero()
+            for _ in range(20):
+                exps = tuple(rng.randint(-5, 5) for _ in range(width))
+                coeff = rng.choice([-3, -1, 1, 2])
+                got = cls.monomial(*exps, coeff=coeff, e=e)
+                assert got == cls(cls.POLY.monomial(*exps, coeff=coeff), e), (exps, e)
+                assert got.e == e
+        with pytest.raises(ValueError):
+            cls.monomial(*(0,) * width, e=-1)
+
 
 class TestLocalizedSum:
     RINGS = (Scalar, ModScalar, UniScalar)
@@ -702,7 +719,8 @@ def test_binomial_divisors_never_reach_long_division():
     # every division on these package paths is by a monomial or a binomial
     # c * x^u * (x^s - 1); any other divisor would raise ValueError, which
     # the oracle reports as NotProportional
-    from pqvw import algebra, identities, oracle
+    from pqvw import algebra, oracle
+    from words import q_jacobi2_residual
 
     tuples = ((0, 1, 2), (-2, 0, 3), (-1, 0, 2, 3), (0, 1, 2, 3, 5))
     for idx in tuples:
@@ -710,7 +728,7 @@ def test_binomial_divisors_never_reach_long_division():
         assert oracle.structure_constant(idx) == closed
         assert oracle.extract_structure_constant(oracle.bracketn_def(idx)) == closed
     for t in ((1, 2, 3), (-1, 0, 2), (2, 2, -3)):
-        assert identities.q_jacobi2_residual(*t).is_zero
+        assert q_jacobi2_residual(*t).is_zero
     # the sign check compares with the closed form; it does not divide by it
     assert oracle.derive_sign(4) == 1
     # the guard is live: a power of the divisor has more than two terms
