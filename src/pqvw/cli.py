@@ -15,11 +15,12 @@ before anything is evaluated:
 * an arity above `MAX_VERIFIED_ARITY`;
 * an explicit index (`--indices`, `--y`, `--x`) with |i| > `MAX_INDEX`, or
   past the ring's packed exponent range;
-* a window or sampled sweep whose closed-form work estimate exceeds its
-  budget: `verify sh-jacobi` (`SH_JACOBI_BUDGET`), `verify skew`
-  (`SKEW_BUDGET`), `oracle-check --n` (`ORACLE_BUDGET`), `subalgebra
-  search` (`SUBALGEBRA_BUDGET`), `verify jacobi2` (`JACOBI2_BUDGET`) and
-  `verify limits` (`LIMITS_BUDGET`).
+* a window or sampled sweep (`verify sh-jacobi`, `verify skew`,
+  `oracle-check --n`, `subalgebra search`, `verify jacobi2`, `verify
+  limits`) whose closed-form work estimate, in coefficient-term operations,
+  exceeds `WORK_BUDGET`.
+
+A report that `--output` cannot write is an error with exit 2 as well.
 
 JSON reports are byte-identical for identical configurations (including
 seed); wall time is therefore reported on stderr only.  `--jobs` is accepted
@@ -35,7 +36,7 @@ import tempfile
 import time
 from itertools import permutations, product
 from math import comb, perm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__, algebra, suite
 from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, specialize_pq
@@ -46,32 +47,19 @@ from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, special
 # n = 10 (tests/test_algebra.py); a higher limit needs that check at the new n.
 MAX_VERIFIED_ARITY = 10
 
-# Work budgets, checked in closed form before anything is evaluated (2-vCPU
-# machine, Python 3.11).  The sh-jacobi and subalgebra estimates count index
-# multisets, so they are loose upper bounds: `verify sh-jacobi --n 6
-# --window 2` (630 630 shuffle terms) and `subalgebra search --n 6 --window
-# 3` (8.7 M) each run in about 0.1 s.  `verify skew --n 5 --window 3`
-# (184 877 bracket evaluations) runs in about 0.5 s (a median of 5 fresh
-# processes) and `--n 6` (1.9 M) would take 1.2 s in process.
-SH_JACOBI_BUDGET = 2_000_000  # shuffle terms
-SKEW_BUDGET = 200_000  # bracket evaluations
-# Each tuple `oracle-check` compares costs the recursion up to 2^n ordered
-# sub-brackets: `--n 5 --window 3` (80 640) runs in about 0.5 s and `--n 3
-# --window 10` (74 088) in about 1 s, while `--n 3 --window 12` (125 000;
-# larger indices make larger polynomials) would take 1.7 s and `--n 6
-# --window 3` (322 560) 1.6 s (medians of 7 fresh processes, or one run).
-ORACLE_BUDGET = 100_000  # recursive sub-brackets
-SUBALGEBRA_BUDGET = 10_000_000  # bracket evaluations
-# `verify jacobi2` evaluates one two-parameter residual per rotation class
-# of the window cube and decides the one-parameter identity formally:
-# `--window 16` (12 001 rotation classes) runs in about 2 s and `--window
-# 17` (14 315) would take 2 to 3 s (medians of batches of fresh processes,
-# as the machine's load varied).  `verify limits --window 99` (39 601
-# pairs) runs in about 2.6 s (a median of 10 fresh processes) and `--window
-# 200` (160 801) would take 21 s.  A class or pair costs more as the window
-# widens, since the 2-bracket [n - m]_{p,q} has |n - m| terms.
-JACOBI2_BUDGET = 12_500  # rotation classes
-LIMITS_BUDGET = 40_000  # bracket pairs
+# One work budget for every window and sampled sweep, in coefficient-term
+# operations, checked in closed form before anything is evaluated: the
+# tuples a sweep enumerates cost VISIT_COST each, and each evaluation it
+# performs costs EVAL_COST plus the coefficient terms it multiplies
+# (`_work_estimate`).  On a 2-core machine with Python 3.11 one term product
+# of the largest sweeps costs 15 to 30 ns; a visit costs up to about 1 000
+# terms' time (a failing sample formats its residual), and an evaluation up
+# to about 7 000 besides its products (a step of the defining recursion).
+# README's exit-code section tabulates each command's largest admitted case
+# with its estimate, fresh-process time and peak RSS.
+VISIT_COST = 1_000
+EVAL_COST = 7_000
+WORK_BUDGET = 350_000_000
 
 # Largest |index| accepted in an explicit index list: output and run time
 # grow with it (`bracket --n 3 --indices 0,5000,10000` prints 0.75 MB in
@@ -287,6 +275,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         elif cfg.window is None:
             parser.error("sh-jacobi needs --window or --indices")
     elif cfg.command == "verify fi":
+        if cfg.n < 2:
+            parser.error("fi needs n >= 2")
         if cfg.counterexample:
             if cfg.n < 4 or cfg.n % 2:
                 parser.error("--counterexample needs even n >= 4")
@@ -319,48 +309,95 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         parser.error(str(ExponentOverflow(big)))
     if big > MAX_INDEX:
         parser.error(f"{cfg.command} accepts indices |i| <= {MAX_INDEX}, got {big}")
-    estimate = _work_estimate(cfg)
-    if estimate is not None:
-        work, budget, unit = estimate
-        if work > budget:
-            parser.error(f"{cfg.command} would evaluate {work} {unit}, over the "
-                         f"budget of {budget}; lower --n, --window or --samples")
+    work = _work_estimate(cfg)
+    if work is not None and work.total > WORK_BUDGET:
+        parser.error(f"{cfg.command} would evaluate {work.total} coefficient terms, over "
+                     f"the budget of {WORK_BUDGET}; lower --n, --window or --samples")
     return cfg
 
 
-def _work_estimate(cfg: argparse.Namespace) -> tuple[int, int, str] | None:
-    """(work, budget, unit) of a window or sampled sweep, in closed form."""
-    n, width = cfg.n, 2 * (cfg.window or 0) + 1
+class Work(NamedTuple):
+    """A sweep's work in closed form: what it enumerates and evaluates."""
+
+    visits: int  # tuples enumerated
+    evaluations: int  # kernel calls: residuals, brackets, recursion steps
+    terms: int  # coefficient terms those evaluations multiply
+
+    @property
+    def total(self) -> int:
+        """The estimate in coefficient-term operations."""
+        return VISIT_COST * self.visits + EVAL_COST * self.evaluations + self.terms
+
+
+def _spread(n: int, width: int) -> int:
+    # the largest sum_{j<k} (s_k - s_j) of n sorted indices among `width`
+    # consecutive values: half of them at each end
+    return n // 2 * ((n + 1) // 2) * (width - 1)
+
+
+def _terms(n: int, spread: int) -> int:
+    # the most terms of an n-bracket coefficient whose sorted indices have
+    # sum_{j<k} (s_k - s_j) <= spread: the closed product's degree in z = pq
+    # plus one (a 2-bracket [m - k] has |m - k| terms, a lone generator 1)
+    return max(spread - n + 2, 1)
+
+
+def _nested_terms(n: int, window: int) -> int:
+    # the terms of one product [inner] * [[inner], rest] of n-brackets of
+    # window indices: the outer bracket's first index, a sum of n of them,
+    # reaches n * window, so each of its n - 1 gaps spans (n + 1) * window
+    width = 2 * window + 1
+    inner = _terms(n, _spread(n, width))
+    return inner * _terms(n, _spread(n - 1, width) + (n - 1) * (n + 1) * window)
+
+
+def _work_estimate(cfg: argparse.Namespace) -> Work | None:
+    """The work of a window or sampled sweep, before anything runs."""
+    n, window = cfg.n, cfg.window or 0
+    width = 2 * window + 1
     if cfg.command == "verify sh-jacobi" and cfg.indices is None:
-        # one residual per sample, or per index multiset of the window: an
-        # upper bound, since only sets of distinct indices are evaluated
-        residuals = cfg.samples or comb(width + 2 * n - 2, 2 * n - 1)
-        return residuals * comb(2 * n - 1, n), SH_JACOBI_BUDGET, "shuffle terms"
+        # one residual of C(2n - 1, n) shuffle products per set of 2n - 1
+        # distinct indices; every sample counts as an evaluation, since it
+        # looks up its signature's residual, and rescales and formats it
+        # should it fail
+        sets = comb(width, 2 * n - 1)
+        products = comb(2 * n - 1, n) * _nested_terms(n, window)
+        if cfg.samples:
+            return Work(cfg.samples, cfg.samples, min(cfg.samples, sets) * products)
+        return Work(sets, sets, sets * products)
     if cfg.command == "verify skew":
-        # every n-tuple, with its bracket and one per transposition
-        return width**n * (1 + n * (n - 1) // 2), SKEW_BUDGET, "bracket evaluations"
+        # every n-tuple; one of distinct indices evaluates its bracket and one
+        # per transposition, adding each to the first
+        evaluations = perm(width, n) * (1 + n * (n - 1) // 2)
+        return Work(width**n, evaluations, evaluations * _terms(n, _spread(n, width)))
     if cfg.command == "oracle-check" and n is not None:
-        # the recursion evaluates each compared tuple through its ordered
-        # sub-tuples, at most 2^n of them
-        tuples = width**3 if n == 3 else perm(width, n)
-        return tuples * 2**n, ORACLE_BUDGET, "recursive sub-brackets"
+        # each compared tuple (every one at n = 3, distinct ones above) and
+        # each of its ordered sub-tuples of j >= 2 indices is evaluated once:
+        # two sums of j rows, each a monomial times a (j - 1)-bracket constant
+        tuples = {j: width**j if n == 3 else perm(width, j) for j in range(2, n + 1)}
+        terms = sum(k * 2 * j * _terms(j - 1, _spread(j - 1, width)) for j, k in tuples.items())
+        return Work(tuples[n], sum(tuples.values()), terms)
     if cfg.command == "subalgebra search":
-        # each k-element candidate, k = n and n + 1, costs C(k, n) closure
-        # brackets and, if it closes, one FI residual of n + 1 nested
-        # brackets per sorted (Y, X) signature over the span: an upper bound,
-        # since only signatures without a repeat in Y or in X are evaluated
-        work = sum(
-            comb(width, k) * (comb(k, n) + (n + 1) * comb(k + n - 2, n - 1) * comb(k + n - 1, n))
-            for k in (n, n + 1)
-        )
-        return work, SUBALGEBRA_BUDGET, "bracket evaluations"
+        # each candidate of k = n and n + 1 indices sums its C(k, n) n-subsets
+        # and, should it close, evaluates a residual of n + 1 nested products
+        # per distinct FI signature, C(k, n - 1) * C(k, n) of them: an upper
+        # bound, since few candidates close
+        visits = sum(comb(width, k) * comb(k, n) for k in (n, n + 1))
+        residuals = sum(comb(width, k) * comb(k, n - 1) * comb(k, n) for k in (n, n + 1))
+        return Work(visits, residuals, residuals * (n + 1) * _nested_terms(n, window))
     if cfg.command == "verify jacobi2":
-        # one residual per rotation class of the window cube: w classes of
-        # one triple and (w^3 - w) / 3 of three
-        return (width**3 + 2 * width) // 3, JACOBI2_BUDGET, "rotation classes"
+        # one two-parameter residual per rotation class of the window cube,
+        # (w^3 + 2w) / 3 of them, each three rows of a two-term prefactor
+        # times 2-brackets of |k - n| <= 2 * window and |n + k - m| <= 3 *
+        # window terms; the one-parameter identity is decided formally
+        classes = (width**3 + 2 * width) // 3
+        row = 2 * _terms(2, 2 * window) * _terms(2, 3 * window)
+        return Work(width**3, classes, classes * 3 * row)
     if cfg.command == "verify limits":
-        # every 2-bracket pair of the window; the odd-arity checks are fixed
-        return width**2, LIMITS_BUDGET, "bracket pairs"
+        # every 2-bracket of the window, taken to both limits term by term;
+        # the odd-arity checks are fixed
+        pairs = width**2
+        return Work(pairs, pairs, pairs * _terms(2, 2 * window))
     return None
 
 
@@ -524,10 +561,19 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _usage_error(message: str) -> NoReturn:
+    # an error found while running: one line on stderr, and exit 2
+    print(f"pqvw: error: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def emit(report: SuiteReport, cfg: argparse.Namespace) -> None:
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if cfg.output:
-        _atomic_write(cfg.output, payload)
+        try:
+            _atomic_write(cfg.output, payload)
+        except OSError as exc:
+            _usage_error(f"cannot write report to {cfg.output}: {exc.strerror or exc}")
     if cfg.format == "json":
         if not cfg.output:
             sys.stdout.write(payload)
@@ -551,8 +597,7 @@ def main(argv: Sequence[str] | None = None) -> None:
         report, code = run(cfg)
     except ExponentOverflow as exc:
         # indices so large that an exponent leaves the packed range
-        print(f"pqvw: error: {exc}", file=sys.stderr)
-        sys.exit(2)
+        _usage_error(str(exc))
     emit(report, cfg)
     sys.exit(code)
 

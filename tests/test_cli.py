@@ -1,12 +1,14 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pqvw import suite
-from pqvw.cli import parse_args, run
+from pqvw import algebra, identities, oracle, subalgebra, suite
+from pqvw.cli import WORK_BUDGET, _work_estimate, parse_args, run
 
 from childenv import child_env
 
@@ -19,6 +21,40 @@ def invoke(*args: str, timeout: int = 300) -> subprocess.CompletedProcess:
         timeout=timeout,
         env=child_env(),
     )
+
+
+# per command, its largest sweep inside WORK_BUDGET (the rows of README's
+# calibration table) and the next step up
+BUDGET_EDGES = [
+    ("verify sh-jacobi --n 2 --window 24", "verify sh-jacobi --n 2 --window 25"),
+    ("verify sh-jacobi --n 2 --window 50 --samples 6603",
+     "verify sh-jacobi --n 2 --window 50 --samples 6604"),
+    ("verify skew --n 2 --window 75", "verify skew --n 2 --window 76"),
+    ("oracle-check --n 3 --window 16", "oracle-check --n 3 --window 17"),
+    ("subalgebra search --n 5 --window 4", "subalgebra search --n 5 --window 5"),
+    ("verify jacobi2 --window 17", "verify jacobi2 --window 18"),
+    ("verify limits --window 102", "verify limits --window 103"),
+]
+
+# per sweep, a small command and the kernel each of its evaluations calls;
+# the estimate's evaluation count must equal the calls where marked exact
+# (sets of distinct indices, rotation classes) and cover them elsewhere
+COUNTED = [
+    ("verify sh-jacobi --n 3 --window 3", identities, "sh_jacobi_residual", True),
+    ("verify sh-jacobi --n 2 --window 2", identities, "sh_jacobi_residual", True),
+    ("verify sh-jacobi --n 4 --window 2", identities, "sh_jacobi_residual", True),
+    ("verify sh-jacobi --n 3 --window 2 --samples 300", identities, "sh_jacobi_residual", False),
+    ("verify skew --n 3 --window 2", identities, "bracket", False),
+    ("verify skew --n 2 --window 3", identities, "bracket", False),
+    ("oracle-check --n 3 --window 1", oracle, "_expansion", False),
+    ("oracle-check --n 4 --window 2", oracle, "_expansion", False),
+    ("verify jacobi2 --window 2", identities, "deformed_jacobi2_residual", True),
+    ("verify limits --window 2", algebra, "bracket2", False),
+    ("subalgebra search --n 3 --window 2", subalgebra, "fi_residual", False),
+    ("subalgebra search --n 4 --window 3", subalgebra, "fi_residual", False),
+]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParsing:
@@ -72,34 +108,19 @@ class TestParsing:
             assert exc.value.code == 2, argv
 
     def test_work_budgets(self):
-        # the largest sweeps inside each budget parse; the next step up is
-        # refused before anything is evaluated
+        # the largest sweep of each command inside WORK_BUDGET parses, and
+        # the next step up is refused before anything is evaluated; so is an
+        # explicit index past MAX_INDEX, in each command that takes one
+        for admitted, _ in BUDGET_EDGES:
+            assert _work_estimate(parse_args(admitted.split())).total <= WORK_BUDGET, admitted
+        # the scale runs the benchmark's candidate scale workload would take
+        for command in ("verify sh-jacobi --n 4 --window 5", "verify skew --n 5 --window 3",
+                        "oracle-check --n 5 --window 3", "oracle-check --n 3 --window 10",
+                        "verify jacobi2 --window 16", "verify limits --window 99"):
+            assert parse_args(command.split()).command in command
+        assert parse_args(["bracket", "--n", "3", "--indices", "0,1,-10000"]).n == 3
         for argv in (
-            ["verify", "sh-jacobi", "--n", "6", "--window", "2"],  # 630 630 terms
-            ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200000"],
-            ["verify", "skew", "--n", "5", "--window", "3"],  # 184 877 brackets
-            ["oracle-check", "--n", "5", "--window", "3"],  # 80 640 sub-brackets
-            ["oracle-check", "--n", "3", "--window", "10"],  # 74 088 sub-brackets
-            ["subalgebra", "search", "--n", "6", "--window", "3"],  # 8 693 006 brackets
-            ["bracket", "--n", "3", "--indices", "0,1,-10000"],
-        ):
-            assert parse_args(argv).n is not None
-        for argv in (
-            ["verify", "jacobi2", "--window", "16"],  # 12 001 rotation classes
-            ["verify", "limits", "--window", "99"],  # 39 601 pairs
-        ):
-            assert parse_args(argv).window is not None
-        for argv in (
-            ["verify", "sh-jacobi", "--n", "7", "--window", "2"],  # 4 084 080 terms
-            ["verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "200001"],
-            ["verify", "skew", "--n", "6", "--window", "3"],  # 1 882 384 brackets
-            ["oracle-check", "--n", "6", "--window", "3"],  # 322 560 sub-brackets
-            ["oracle-check", "--n", "3", "--window", "12"],  # 125 000 sub-brackets
-            ["verify", "jacobi2", "--window", "17"],  # 14 315 rotation classes
-            ["verify", "limits", "--window", "100"],  # 40 401 pairs
-            ["subalgebra", "search", "--n", "7", "--window", "3"],  # 12 684 673 brackets
-            ["subalgebra", "search", "--n", "5", "--window", "4"],  # 22 671 558 brackets
-            # an explicit index past MAX_INDEX, in each command that takes one
+            *(refused.split() for _, refused in BUDGET_EDGES),
             ["bracket", "--n", "3", "--indices", "0,1,-10001"],
             ["verify", "fi", "--n", "3", "--y", "0,10001", "--x", "0,1,2"],
             ["verify", "fi", "--n", "3", "--y", "0,1", "--x", "0,1,10001"],
@@ -109,6 +130,44 @@ class TestParsing:
             with pytest.raises(SystemExit) as exc:
                 parse_args(argv)
             assert exc.value.code == 2, argv
+
+    @pytest.mark.parametrize("command, module, kernel, exact", COUNTED, ids=[c[0] for c in COUNTED])
+    def test_estimate_counts_kernel_calls(self, command, module, kernel, exact, monkeypatch):
+        calls = []
+        real = getattr(module, kernel)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, kernel, counted)
+        oracle._constant.cache_clear()  # each recursion step evaluated here
+        cfg = parse_args(command.split())
+        run(cfg)
+        if kernel == "bracket":
+            # a skew tuple that repeats an index is a visit, not an evaluation
+            calls = [(idx,) for idx, in calls if len(set(idx)) == len(idx)]
+        evaluations = _work_estimate(cfg).evaluations
+        assert len(calls) == evaluations if exact else len(calls) <= evaluations
+
+    def test_readme_commands(self):
+        # every command of README's CLI block parses, so a budget change
+        # cannot silently refuse one; the calibration table's rows are the
+        # largest admitted sweeps above, with the estimates stated
+        text = README.read_text()
+        block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert lines and all(argv[0] == "pqvw" for argv in lines)
+        for argv in lines:
+            try:
+                parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README's CLI block has a refused command: {shlex.join(argv)}")
+        rows = re.findall(r"^\| `([^`]+)` \| ([\d ]+) \|", text, re.MULTILINE)
+        assert {command for command, _ in rows} == {admitted for admitted, _ in BUDGET_EDGES}
+        for command, estimate in rows:
+            total = _work_estimate(parse_args(command.split())).total
+            assert total == int(estimate.replace(" ", "")), command
 
 
 class TestRun:
@@ -155,7 +214,7 @@ class TestRun:
 
 
 class TestBlackBox:
-    def test_exit_codes(self):
+    def test_exit_codes(self, tmp_path):
         assert invoke("bracket", "--n", "3", "--indices", "0,1,2").returncode == 0
         assert (
             invoke("verify", "fi", "--n", "3", "--y", "-2,-1", "--x", "-2,0,1").returncode
@@ -209,22 +268,20 @@ class TestBlackBox:
             proc = invoke(*args, timeout=60)
             assert proc.returncode == 2, args
             assert "n <= 10" in proc.stderr
-        # a window sweep whose closed-form work estimate exceeds its budget, or
-        # an explicit index past MAX_INDEX, is a usage error at once, not a
-        # run of minutes or years
+        # a window sweep whose closed-form work estimate exceeds the budget,
+        # or an explicit index past MAX_INDEX, is a usage error at once, not
+        # a run of seconds, minutes or years
+        over = "coefficient terms, over the budget of 350000000"
         for args, message in (
-            (("verify", "skew", "--n", "9", "--window", "3"),
-             "1493083459 bracket evaluations, over the budget of 200000"),
-            (("verify", "sh-jacobi", "--n", "10", "--window", "3"),
-             "16360143800 shuffle terms, over the budget of 2000000"),
-            (("oracle-check", "--n", "7", "--window", "3"),
-             "645120 recursive sub-brackets, over the budget of 100000"),
-            (("subalgebra", "search", "--n", "9", "--window", "6"),
-             "5617401650575 bracket evaluations, over the budget of 10000000"),
-            (("verify", "jacobi2", "--window", "1000"),
-             "2670670001 rotation classes, over the budget of 12500"),
-            (("verify", "limits", "--window", "1000"),
-             "4004001 bracket pairs, over the budget of 40000"),
+            (("verify", "skew", "--n", "9", "--window", "3"), f"40353607000 {over}"),
+            # about 15 s without the budget
+            (("verify", "sh-jacobi", "--n", "3", "--window", "10"), f"948466890 {over}"),
+            (("verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "10000000"),
+             f"80000066990 {over}"),
+            (("oracle-check", "--n", "8", "--window", "4"), f"5466186720 {over}"),
+            (("subalgebra", "search", "--n", "9", "--window", "6"), f"210334445750 {over}"),
+            (("verify", "jacobi2", "--window", "1000"), f"96170826732008000 {over}"),
+            (("verify", "limits", "--window", "1000"), f"40040010000 {over}"),
             # about 20 s and 75 MB of output without the limit
             (("bracket", "--n", "3", "--indices", "0,1,1000000"),
              "bracket accepts indices |i| <= 10000, got 1000000"),
@@ -245,6 +302,27 @@ class TestBlackBox:
             assert proc.returncode == 2, indices
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+        # the fundamental identity needs brackets of n >= 2 generators
+        for args in (("--n", "1", "--y=", "--x", "0"), ("--n", "0", "--y=", "--x="),
+                     ("--n", "-1", "--y=", "--x=")):
+            proc = invoke("verify", "fi", *args)
+            assert proc.returncode == 2, args
+            assert "fi needs n >= 2" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        # sweeps that evaluate little are admitted: a 5-wide window holds no
+        # 13 distinct indices, and a 7-wide one a single 7-element candidate
+        for args in (("verify", "sh-jacobi", "--n", "7", "--window", "2"),
+                     ("subalgebra", "search", "--n", "7", "--window", "3")):
+            proc = invoke(*args, timeout=2)
+            assert proc.returncode == 0, (args, proc.stderr)
+        # a report --output cannot write is one error line, and leaves no
+        # temporary file behind
+        for target in (tmp_path / "missing" / "report.json", tmp_path):
+            proc = invoke("bracket", "--n", "3", "--indices", "0,1,2", "--output", str(target))
+            assert proc.returncode == 2, target
+            assert proc.stderr.startswith(f"pqvw: error: cannot write report to {target}: ")
+            assert proc.stderr.count("\n") == 1
+        assert not list(tmp_path.rglob(".pqvw-report-*"))
 
     def test_subalgebra_canonical_n10_finishes(self):
         # the fundamental identity over the 10-element canonical basis
