@@ -52,9 +52,10 @@ MAX_VERIFIED_ARITY = 10
 # tuples a sweep enumerates cost VISIT_COST each, and each evaluation it
 # performs costs EVAL_COST plus the coefficient terms it multiplies
 # (`_work_estimate`).  On a 2-core machine with Python 3.11 one term product
-# of the largest sweeps costs 15 to 30 ns; a visit costs up to about 1 000
-# terms' time (a failing sample formats its residual), and an evaluation up
-# to about 7 000 besides its products (a step of the defining recursion).
+# of the largest sweeps costs 15 to 30 ns; a visit is charged 1 000 terms'
+# time, more than a sample's draw, sort and signature lookup take (5 to
+# 10 us), and an evaluation up to about 7 000 besides its products (a step
+# of the defining recursion).
 # README's exit-code section tabulates each command's largest admitted case
 # with its estimate, fresh-process time and peak RSS.
 VISIT_COST = 1_000
@@ -358,8 +359,8 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
     if cfg.command == "verify sh-jacobi" and cfg.indices is None:
         # one residual of C(2n - 1, n) shuffle products per set of 2n - 1
         # distinct indices; every sample counts as an evaluation, since it
-        # looks up its signature's residual, and rescales and formats it
-        # should it fail
+        # may look up its signature among those that passed.  A failing
+        # sweep stops at its first failure, so this bounds it from above
         sets = comb(width, 2 * n - 1)
         products = comb(2 * n - 1, n) * _nested_terms(n, window)
         if cfg.samples:

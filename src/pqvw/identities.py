@@ -5,17 +5,18 @@ identity reduces to an exact coefficient computation; a verdict of "pass"
 always means the residual is identically zero in the coefficient ring, not
 small.  Failing identities ship their exact residual for inspection.
 
-Sweeps work on sorted signatures of distinct indices.  The brackets are
-exactly antisymmetric (itself verified exhaustively by the skew sweeps,
-which stay per tuple), so a shuffle-Jacobi residual is alternating in its
-arguments: an arrangement's residual is its sorting sign times its
-signature's, and a tuple that repeats an index has a zero residual.  So
-window sweeps evaluate each set of distinct indices once, at its sorted
-tuple, and count every tuple of the window; sampled sweeps count every
-tuple, skip those that repeat an index and evaluate each remaining
-signature once.  The vanishing on repeated indices is checked through the
-kernels by the tests, not assumed by them: the per-tuple entry points
-compute every residual directly.
+Every sweep stops at its first failure and reports it with its tuple
+count; a report reads nothing else.  Sweeps work on sorted signatures of
+distinct indices.  The brackets are exactly antisymmetric (itself verified
+exhaustively by the skew sweeps, which stay per tuple), so a shuffle-Jacobi
+residual is alternating in its arguments: an arrangement's residual is its
+sorting sign times its signature's, and a tuple that repeats an index has a
+zero residual.  So window sweeps evaluate each set of distinct indices once,
+at its sorted tuple, and count every tuple of the window; sampled sweeps
+count every tuple, walk the sample in sorted order, skip tuples that repeat
+an index and evaluate each remaining signature once.  The vanishing on
+repeated indices is checked through the kernels by the tests, not assumed
+by them: the per-tuple entry points compute every residual directly.
 
 Within one shuffle-Jacobi residual, every surviving shuffle term is a sign
 times the product of a cached sorted inner and a cached sorted outer
@@ -87,32 +88,28 @@ class IdentityReport(NamedTuple):
     verdict: bool
 
 
-class SweepResult:
-    """Aggregate outcome of an identity sweep over many index tuples.
+class SweepResult(NamedTuple):
+    """Outcome of an identity sweep: its tuple count and first failure.
 
     `checked` counts tuples, those that repeat an index included, although
-    sh-jacobi sweeps evaluate no residual for them (it is zero).  A window
-    sh-jacobi sweep holds one failure per failing set of distinct indices,
-    at its sorted tuple; the one-parameter Jacobi sweep at most one, at the
-    window's first triple; the other sweeps hold one per failing tuple.
-    Window sweeps list failures in lexicographic order, so `failures[0]` is
-    the first failing tuple in product order either way.
+    sh-jacobi sweeps evaluate no residual for them (it is zero): width^k
+    for a window, the sample size for a sample.  `failure` is the first
+    failing tuple in product order for a window sweep, or the smallest
+    failing sample for a sampled one; the one-parameter Jacobi sweep fails,
+    if at all, at the window's first triple.  None on a pass.
     """
 
-    __slots__ = ("checked", "failures")
-
-    def __init__(self) -> None:
-        self.checked = 0
-        self.failures: list[IdentityReport] = []
+    checked: int
+    failure: IdentityReport | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.failure is None
 
     @property
     def residual(self) -> str:
-        """The residual of `failures[0]`, or "0" on a pass."""
-        return self.failures[0].residual if self.failures else "0"
+        """The residual of `failure`, or "0" on a pass."""
+        return "0" if self.failure is None else self.failure.residual
 
 
 @lru_cache(maxsize=None)
@@ -312,50 +309,30 @@ def sample_tuples(
 
 
 def sweep_skew(n: int, window: tuple[int, int]) -> SweepResult:
-    """check_skew over every n-tuple in the window."""
-    result = SweepResult()
-    for idx in product(_window_range(window), repeat=n):
-        report = check_skew(idx)
-        result.checked += 1
-        if not report.verdict:
-            result.failures.append(report)
-    return result
+    """check_skew over every n-tuple in the window, up to the first failure."""
+    values = _window_range(window)
+    failure = next(
+        (r for idx in product(values, repeat=n) if not (r := check_skew(idx)).verdict), None
+    )
+    return SweepResult(len(values) ** n, failure)
 
 
-def _sh_jacobi_failures(
-    n: int, tuples: Iterable[tuple[int, ...]]
-) -> tuple[int, list[IdentityReport]]:
+def _first_sh_jacobi_failure(n: int, tuples: Iterable[tuple[int, ...]]) -> IdentityReport | None:
     # a tuple that repeats an index has a zero residual; any other tuple's
-    # residual is its sorting sign times its signature's, evaluated once
-    checked = 0
-    failures: list[IdentityReport] = []
-    residuals: dict[tuple[int, ...], Scalar] = {}
+    # residual is its sorting sign times its signature's, evaluated once:
+    # a signature seen before passed, or the walk would have stopped there
+    passed: set[tuple[int, ...]] = set()
     for idx in tuples:
-        checked += 1
         if len(set(idx)) != len(idx):
             continue
         sig, sign = sort_with_sign(idx)
-        residual = residuals.get(sig)
-        if residual is None:
-            residual = residuals[sig] = sh_jacobi_residual(n, sig)
-        if not residual.is_zero:
-            failures.append(IdentityReport(idx, residual.scale(sign).canonical(), False))
-    return checked, failures
-
-
-def _sweep_sh_jacobi_signatures(n: int, window: tuple[int, int]) -> SweepResult:
-    # the smallest failing tuple in product order is sorted (sorting a tuple
-    # keeps its signature and never makes it larger), and the distinct
-    # signatures come in lexicographic order, so failures[0] is the
-    # per-tuple sweep's first failure
-    values = _window_range(window)
-    result = SweepResult()
-    result.checked = len(values) ** (2 * n - 1)
-    for sig in combinations(values, 2 * n - 1):
+        if sig in passed:
+            continue
         residual = sh_jacobi_residual(n, sig)
         if not residual.is_zero:
-            result.failures.append(IdentityReport(sig, residual.canonical(), False))
-    return result
+            return IdentityReport(idx, residual.scale(sign).canonical(), False)
+        passed.add(sig)
+    return None
 
 
 def sweep_sh_jacobi(
@@ -366,25 +343,25 @@ def sweep_sh_jacobi(
 ) -> SweepResult:
     """Shuffle-Jacobi residuals over a window, or over a sample from it.
 
-    A full window is swept by its sets of distinct indices; a sample is
-    swept tuple by tuple, each distinct signature evaluated once, all in
-    this process.
+    A full window is swept by its sets of distinct indices in lexicographic
+    order: the smallest failing tuple in product order is sorted (sorting
+    keeps a tuple's signature and never makes it larger), so the first
+    failing set is the per-tuple sweep's first failure.  A sample is walked
+    in sorted order, each distinct signature evaluated once, so the failure
+    is the smallest failing sample.  All in this process.
     """
-    if not samples:
-        return _sweep_sh_jacobi_signatures(n, window)
-    result = SweepResult()
-    result.checked, failures = _sh_jacobi_failures(
-        n, sample_tuples(2 * n - 1, window, samples, seed)
-    )
-    result.failures = sorted(failures, key=itemgetter(0))
-    return result
+    if samples:
+        checked, tuples = samples, sorted(sample_tuples(2 * n - 1, window, samples, seed))
+    else:
+        values = _window_range(window)
+        checked, tuples = len(values) ** (2 * n - 1), combinations(values, 2 * n - 1)
+    return SweepResult(checked, _first_sh_jacobi_failure(n, tuples))
 
 
 def _sh_jacobi_worker(args: tuple[int, list[tuple[int, ...]]]):
     # pool entry point with no caller in the package; perfbench/tracer.py
     # still wraps it, and it goes when the tracer stops doing so
-    n, chunk = args
-    return _sh_jacobi_failures(n, chunk)
+    return _first_sh_jacobi_failure(*args)
 
 
 def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
@@ -393,19 +370,21 @@ def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
     The residual at (n, k, m) is the sum of the same three row products as
     at (m, n, k), so it is evaluated once per rotation class, at the class's
     first triple in product order (its smallest rotation); every triple is
-    still counted and reported in product order.
+    counted, and the sweep stops at the first failing one in product order.
     """
-    residuals: dict[tuple[GenIndex, GenIndex, GenIndex], Scalar] = {}
-    result = SweepResult()
-    for m, n, k in product(_window_range(window), repeat=3):
-        key = min((m, n, k), (n, k, m), (k, m, n))
-        res = residuals.get(key)
-        if res is None:
-            res = residuals[key] = deformed_jacobi2_residual(*key)
-        result.checked += 1
-        if not res.is_zero:
-            result.failures.append(IdentityReport((m, n, k), res.canonical(), False))
-    return result
+    values = _window_range(window)
+    # a triple's smallest rotation comes no later in product order, so the
+    # sweep has passed it unless the triple is that rotation itself
+    failure = next(
+        (
+            IdentityReport(t, res.canonical(), False)
+            for t in product(values, repeat=3)
+            if t == min(t, t[1:] + t[:1], t[2:] + t[:2])
+            and not (res := deformed_jacobi2_residual(*t)).is_zero
+        ),
+        None,
+    )
+    return SweepResult(len(values) ** 3, failure)
 
 
 def _q_jacobi2_text(words: dict[tuple[tuple[int, ...], tuple[int, int, int]], int]) -> str:
@@ -429,9 +408,6 @@ def sweep_q_jacobi2(window: tuple[int, int]) -> SweepResult:
     failure, at the window's first triple, whose residual lists them.
     """
     values = _window_range(window)
-    result = SweepResult()
-    result.checked = len(values) ** 3
     words = _q_jacobi2_formal_sum()
-    if words:
-        result.failures.append(IdentityReport((values[0],) * 3, _q_jacobi2_text(words), False))
-    return result
+    failure = IdentityReport((values[0],) * 3, _q_jacobi2_text(words), False) if words else None
+    return SweepResult(len(values) ** 3, failure)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -38,6 +38,9 @@ SHUFFLE3_PATTERN = [
     ((2, 4, 5), -1),
     ((3, 4, 5), 1),
 ]
+
+# the failing n = 2 sample that the sampled-sweep tests walk
+SAMPLE_400 = sample_tuples(3, (-3, 3), 400, seed=0)
 
 
 class TestShuffles:
@@ -89,6 +92,30 @@ class TestSkew:
         result = sweep_skew(3, (-2, 2))
         assert result.checked == 125 and result.ok
 
+    def test_sweep_stops_at_first_failure(self, monkeypatch):
+        # a stand-in bracket that is not antisymmetric (doubled whenever its
+        # first two indices are 2, 1): the sweep reports the per-tuple
+        # reference's first failure and makes no check_skew call after it
+        real = identities.bracket
+
+        def lopsided(idx):
+            term = real(idx)
+            return Term(term.coeff.scale(2), term.index) if tuple(idx[:2]) == (2, 1) else term
+
+        monkeypatch.setattr(identities, "bracket", lopsided)
+        tuples = list(product(range(-2, 3), repeat=3))
+        first = next(t for t in tuples if not check_skew(t).verdict)
+        calls = []
+
+        def counted(idx):
+            calls.append(idx)
+            return check_skew(idx)
+
+        monkeypatch.setattr(identities, "check_skew", counted)
+        sweep = sweep_skew(3, (-2, 2))
+        assert sweep == (125, check_skew(first)) and not sweep.ok
+        assert calls == tuples[: tuples.index(first) + 1] and first != tuples[0]
+
     def test_sweep_random_n5(self):
         rng = random.Random(31)
         for _ in range(20):
@@ -129,20 +156,31 @@ class TestShJacobi:
         result = sweep_sh_jacobi(3, window=(-1, 1))
         assert result.checked == 3**5 and result.ok and result.residual == "0"
 
-    def test_sampled_failures_sorted_and_first_residual_reported(self):
-        # the 2-bracket is not a shuffle-Jacobi algebra, so this sample fails
+    def test_sampled_first_failure_reported(self):
+        # the 2-bracket is not a shuffle-Jacobi algebra, so this sample fails;
+        # the failure is the per-tuple reference's smallest failing sample,
+        # with the residual computed at that tuple itself
         sweep = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0)
         assert sweep.checked == 400 and not sweep.ok
-        assert sweep.failures == sorted(sweep.failures, key=lambda f: f.indices)
-        first = sweep.failures[0]
+        first = sweep.failure
+        assert first.indices == min(t for t in SAMPLE_400 if not sh_jacobi_residual(2, t).is_zero)
         assert sweep.residual == first.residual
         assert first.residual == sh_jacobi_residual(2, first.indices).canonical() != "0"
-        # each failure's residual is its signature's times its sorting sign,
-        # and equals the residual computed at the tuple itself
-        for f in sweep.failures:
-            assert f.residual == sh_jacobi_residual(2, f.indices).canonical(), f.indices
 
-    def test_sampled_sweep_evaluates_each_failing_signature_once(self, monkeypatch):
+    def test_sampled_residuals_alternate(self):
+        # the lemma the sampled sweep rests on, over the same 400 samples:
+        # every arrangement of distinct indices has its sorting sign times
+        # the residual at its sorted tuple, all of them nonzero at n = 2
+        distinct = 0
+        for t in SAMPLE_400:
+            if len(set(t)) == len(t):
+                sig, sign = algebra.sort_with_sign(t)
+                residual = sh_jacobi_residual(2, t)
+                assert residual == sh_jacobi_residual(2, sig).scale(sign) != Scalar.zero(), t
+                distinct += 1
+        assert distinct > 1
+
+    def test_sampled_sweep_stops_at_smallest_failing_sample(self, monkeypatch):
         real = identities.sh_jacobi_residual
         calls = []
 
@@ -152,10 +190,9 @@ class TestShJacobi:
 
         monkeypatch.setattr(identities, "sh_jacobi_residual", counted)
         sweep = sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0)
-        # one call per distinct signature of distinct indices, all failing;
-        # no call for a tuple that repeats an index or for a failing tuple
-        assert len(calls) == len(set(calls)) == 35
-        assert {tuple(sorted(f.indices)) for f in sweep.failures} == set(calls)
+        # every signature fails at n = 2, so the one call is at the smallest
+        # sample of distinct indices, and none follows it
+        assert calls == [tuple(sorted(sweep.failure.indices))]
 
     def test_sampled_sweep_deterministic(self):
         a = sample_tuples(9, (-2, 2), 50, seed=7)
@@ -323,19 +360,27 @@ class TestSignatureSweeps:
                 return Scalar(LPoly.monomial(indices[0], indices[-1], coeff=2), 0)
             return real(n, indices)
 
-        monkeypatch.setattr(identities, "sh_jacobi_residual", patched)
         reference = []
         for t in product(range(-3, 3), repeat=5):
             res = patched(3, t)
             if not res.is_zero:
                 reference.append((t, res))
+        calls = []
+
+        def counted(n, indices):
+            calls.append(tuple(indices))
+            return patched(n, indices)
+
+        monkeypatch.setattr(identities, "sh_jacobi_residual", counted)
         result = sweep_sh_jacobi(3, window=(-3, 2))
         assert result.checked == 6**5
         assert not result.ok
         first, residual = reference[0]
-        assert result.failures[0].indices == first
-        assert result.failures[0].residual == residual.canonical()
-        assert [f.indices for f in result.failures] == sorted(bad)
+        assert result.failure == (first, residual.canonical(), False)
+        # the signatures in lexicographic order up to the first failing one,
+        # and no call after it
+        assert calls == [c for c in combinations(range(-3, 3), 5) if c <= first]
+        assert calls[-1] == min(bad)
 
     def test_first_fi_failure_matches_product_reference(self):
         values = range(-2, 3)
@@ -493,7 +538,7 @@ class TestJacobiForTwoBracket:
         calls = []
         monkeypatch.setattr(oracle, "word_act", lambda ws: calls.append(ws))
         sweep = sweep_q_jacobi2((-3, 3))
-        assert (sweep.checked, sweep.failures, sweep.residual) == (7**3, [], "0")
+        assert (sweep.checked, sweep.failure, sweep.residual) == (7**3, None, "0")
         assert calls == []
         with pytest.raises(ValueError):
             sweep_q_jacobi2((1, 0))
@@ -507,10 +552,10 @@ class TestJacobiForTwoBracket:
         assert identities._q_jacobi2_formal_sum() == {(word, form): -2 * sign}
         sweep = sweep_q_jacobi2((-2, 2))
         assert sweep.checked == 5**3
-        assert sweep.failures == [
-            identities.IdentityReport((-2, -2, -2), "-2*q^(2*m + -2*k)*L_m*L_n*L_k", False)
-        ]
-        assert sweep.residual == sweep.failures[0].residual
+        assert sweep.failure == identities.IdentityReport(
+            (-2, -2, -2), "-2*q^(2*m + -2*k)*L_m*L_n*L_k", False
+        )
+        assert sweep.residual == sweep.failure.residual
         # the per-triple reference fails too: one word does not act as a
         # multiple of a generator
         with pytest.raises(NotProportional):
@@ -529,8 +574,9 @@ class TestJacobiForTwoBracket:
         assert nonzero
 
     def test_pq_sweep_matches_per_triple_reference(self, monkeypatch):
-        # a failing kernel: every failure's tuple, order and residual string
-        # as the per-triple loop gives them, from one evaluation per class
+        # a failing kernel: the first failure's tuple and residual string as
+        # the per-triple loop gives them, from one evaluation per class up to
+        # it and none after it
         monkeypatch.setattr(identities, "bracket2", generic_bracket2)
         reference = [
             (t, res.canonical())
@@ -547,9 +593,13 @@ class TestJacobiForTwoBracket:
         monkeypatch.setattr(identities, "deformed_jacobi2_residual", counted)
         sweep = sweep_deformed_jacobi2((-3, 3))
         assert sweep.checked == 7**3
-        assert reference
-        assert [(f.indices, f.residual) for f in sweep.failures] == reference
-        assert len(calls) == len(set(calls)) == (7**3 + 2 * 7) // 3
+        first, residual = reference[0]
+        assert sweep.failure == (first, residual, False)
+        # each call is a class's first triple in product order, up to the
+        # first failing one
+        classes = {min(t, t[1:] + t[:1], t[2:] + t[:2]) for t in product(range(-3, 4), repeat=3)}
+        assert calls == sorted(c for c in classes if c <= first)
+        assert calls[-1] == first
 
     def test_q_limit_residual_zero(self):
         for m, n, k in product(range(-2, 3), repeat=3):
