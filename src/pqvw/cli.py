@@ -352,19 +352,39 @@ def _nested_terms(n: int, window: int) -> int:
     return inner * _terms(n, _spread(n - 1, width) + (n - 1) * (n + 1) * window)
 
 
+def _closing_sets(n: int, window: int) -> tuple[int, int]:
+    """The n- and (n + 1)-sets of the window that pass the closure check.
+
+    An n-set closes when its sum t lies in it, so it is t and an (n - 1)-set
+    of the other window values that sums to 0.  An (n + 1)-set closes when
+    its sum minus each member lies in it, which makes it symmetric about 0:
+    (n + 1) // 2 pairs -a, a, and 0 when n is even.
+    """
+    # ways[j][s]: the j-subsets of the values so far that sum to s
+    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
+    for v in range(-window, window + 1):
+        for j in range(n - 1, 0, -1):
+            into = ways[j]
+            for s, c in ways[j - 1].items():
+                into[s + v] = into.get(s + v, 0) + c
+    return ways[n - 1].get(0, 0) * (2 * window + 2 - n), comb(window, (n + 1) // 2)
+
+
 def _work_estimate(cfg: argparse.Namespace) -> Work | None:
     """The work of a window or sampled sweep, before anything runs."""
     n, window = cfg.n, cfg.window or 0
     width = 2 * window + 1
     if cfg.command == "verify sh-jacobi" and cfg.indices is None:
         # one residual of C(2n - 1, n) shuffle products per set of 2n - 1
-        # distinct indices; every sample counts as an evaluation, since it
-        # may look up its signature among those that passed.  A failing
-        # sweep stops at its first failure, so this bounds it from above
+        # distinct indices; a sample is a visit (its draw, sort and signature
+        # lookup), and the samples evaluate at most every set once.  A
+        # failing sweep stops at its first failure, so this bounds it from
+        # above
         sets = comb(width, 2 * n - 1)
         products = comb(2 * n - 1, n) * _nested_terms(n, window)
         if cfg.samples:
-            return Work(cfg.samples, cfg.samples, min(cfg.samples, sets) * products)
+            sets = min(cfg.samples, sets)
+            return Work(cfg.samples, sets, sets * products)
         return Work(sets, sets, sets * products)
     if cfg.command == "verify skew":
         # every n-tuple; one of distinct indices evaluates its bracket and one
@@ -380,11 +400,16 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
         return Work(tuples[n], sum(tuples.values()), terms)
     if cfg.command == "subalgebra search":
         # each candidate of k = n and n + 1 indices sums its C(k, n) n-subsets
-        # and, should it close, evaluates a residual of n + 1 nested products
+        # and, if it closes, evaluates a residual of n + 1 nested products
         # per distinct FI signature, C(k, n - 1) * C(k, n) of them: an upper
-        # bound, since few candidates close
+        # bound, since a failing span stops at its first nonzero residual.
+        # A search refused on its visits alone is not charged its residuals,
+        # whose count takes time quadratic in the width
         visits = sum(comb(width, k) * comb(k, n) for k in (n, n + 1))
-        residuals = sum(comb(width, k) * comb(k, n - 1) * comb(k, n) for k in (n, n + 1))
+        if VISIT_COST * visits > WORK_BUDGET:
+            return Work(visits, 0, 0)
+        closing = _closing_sets(n, window)
+        residuals = closing[0] * n + closing[1] * comb(n + 1, 2) * (n + 1)
         return Work(visits, residuals, residuals * (n + 1) * _nested_terms(n, window))
     if cfg.command == "verify jacobi2":
         # one two-parameter residual per rotation class of the window cube,

@@ -89,7 +89,6 @@ __all__ = [
     "fock_act",
     "ladder_down",
     "ladder_up",
-    "number_weight",
     "osc_relations_check",
     "word_act",
     "bracketn_def",
@@ -144,16 +143,6 @@ def ladder_up(v: dict[int, ModScalar], k: int = 1) -> dict[int, ModScalar]:
     meaningful on the extended module.
     """
     return {s + k: c for s, c in v.items()}
-
-
-def number_weight(
-    v: dict[int, ModScalar], p_exp: int = 0, q_exp: int = 0
-) -> dict[int, ModScalar]:
-    """Apply p^(p_exp * N) * q^(q_exp * N) diagonally."""
-    return {
-        s: ModScalar.monomial(p_exp * s, q_exp * s, p_exp, q_exp) * c
-        for s, c in v.items()
-    }
 
 
 class OscillatorReport(NamedTuple):

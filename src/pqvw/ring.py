@@ -5,9 +5,18 @@ reduces to arithmetic in a handful of Laurent rings over the integers:
 
 * ``LPoly``                  -- polynomials in p^(+-1), q^(+-1)
 * ``Scalar``                 -- an LPoly divided by a power of (q - p^-1)
-* ``MPoly`` / ``ModScalar``  -- four variables p, q, P, Q, where P and Q
-  stand for p^nu and q^nu at a symbolic module level nu
+* ``MPoly`` / ``ModScalar``  -- four variables p, q, P, Q, localized at
+  (q - p^-1), where P and Q stand for p^nu and q^nu at a symbolic module
+  level nu; ``Scalar`` embeds in it as the level-free values
 * ``UPoly`` / ``UniScalar``  -- one variable q, localized at (q - q^-1)
+
+Values move between these rings by one exponent substitution,
+``_substitute``: p := q onto ``UniScalar`` (``specialize_pq``), P, Q :=
+p^nu, q^nu at a concrete level (``mod_at_level``), and the embedding of
+``Scalar`` into the four variables and its projection back
+(``mod_from_scalar``, ``mod_to_scalar``).  Each maps variables to monomials,
+so it is a ring map, and each takes the source's localization divisor to
+the target's.
 
 Every coefficient is a plain ``int``: the structure constants lie in
 Z[p^(+-1), q^(+-1)] over a power of the localization divisor, and a
@@ -39,9 +48,10 @@ land in one key dict and only the total is normalized.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterator, TypeVar
+from operator import mul
+from typing import ClassVar, Iterator, TypeVar
 
 __all__ = [
     "NotDivisible",
@@ -63,7 +73,6 @@ __all__ = [
     "q_number",
     "specialize_pq",
     "classical_value",
-    "mod_shift",
     "mod_at_level",
     "mod_from_scalar",
     "mod_to_scalar",
@@ -687,13 +696,6 @@ class Localized:
             return type(self).zero()
         return type(self)._raw(self.num.scale(c), self.e)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("power must be a nonnegative integer")
-        if k == 0:
-            return type(self).one()
-        return type(self)._raw(self.num**k, self.e * k)
-
     def exact_div(self, other: "Localized") -> "Localized":
         """Exact quotient in the localized ring; raises NotDivisible.
 
@@ -802,19 +804,36 @@ def q_number(x: int) -> UniScalar:
 _L = TypeVar("_L", bound=Localized)
 
 
-def _substitute(c: Localized, target: type[_L], key: Callable[[int], int], grow: int) -> _L:
-    """Map every key of c's numerator through key into target's ring.
+def _substitute(
+    c: Localized, target: type[_L], images: Sequence[tuple[int, ...] | None]
+) -> _L:
+    """The image of c under an exponent substitution into target's ring.
 
-    key is a linear substitution of exponents, so it works on the packed
-    key, and no image exponent exceeds grow times the largest exponent of
-    c.  Coefficients of colliding images are summed and zero sums dropped;
-    the target's constructor then normalizes, since a non-injective map
-    can create new divisor factors.
+    images gives, for each variable of c's ring in order, the exponent
+    tuple in target's variables that it maps to; None marks a level
+    variable, which must not occur.  Packing is linear, so a term's image
+    key is the sum of its exponents times the packed images, and no image
+    exponent exceeds c's bound times the largest column sum of |images|,
+    which is checked before any key is built.  Coefficients of colliding
+    images are summed and zero sums dropped; the target's constructor then
+    normalizes, since a map that is not injective can create divisor
+    factors.
     """
+    shifts = target.POLY._SHIFTS
+    grow = max(
+        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
+    )
     bound = _checked(c.num._bound * grow)
+    # linear in exact ints: an image alone may leave the exponent range
+    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
+    absent = [i for i, img in enumerate(images) if img is None]
+    unpack = c.POLY.unpack
     d: dict[int, int] = {}
     for k, v in c.num._terms.items():
-        k = key(k)
+        exps = unpack(k)
+        if any(exps[i] for i in absent):
+            raise ValueError("coefficient depends on the symbolic level")
+        k = sum(map(mul, exps, steps))
         nc = d.get(k, 0) + v
         if nc:
             d[k] = nc
@@ -823,26 +842,9 @@ def _substitute(c: Localized, target: type[_L], key: Callable[[int], int], grow:
     return target(target.POLY._raw(d, bound), c.e)
 
 
-# an MPoly key is the packed pair of its (p, q) digits above that of its
-# (P, Q) digits, each pair a * BASE + b
-_PAIR_BITS = 2 * DIGIT_BITS
-_PAIR_MASK = (1 << _PAIR_BITS) - 1
-_PAIR_BIAS = (_HALF << DIGIT_BITS) + _HALF
-
-
-def _split_pair(k: int) -> tuple[int, int]:
-    low = ((k + _PAIR_BIAS) & _PAIR_MASK) - _PAIR_BIAS
-    return (k - low) >> _PAIR_BITS, low
-
-
-def _pair_sum(k: int) -> int:
-    # a + b from the packed pair a * BASE + b
-    return k - ((k + _HALF) >> DIGIT_BITS) * (_BASE - 1)
-
-
 def specialize_pq(a: Scalar) -> UniScalar:
     """Substitute p := q; the localization divisor becomes (q - q^-1)."""
-    return _substitute(a, UniScalar, _pair_sum, 2)
+    return _substitute(a, UniScalar, ((1,), (1,)))
 
 
 def classical_value(u: UniScalar) -> int:
@@ -856,46 +858,16 @@ def classical_value(u: UniScalar) -> int:
     return u.num.value_at_one()
 
 
-def mod_shift(c: ModScalar, m: int) -> ModScalar:
-    """Shift the symbolic level by m: substitute P -> P*p^m, Q -> Q*q^m."""
-    if m == 0:
-        return c
-    # add m * (i, j) to the (p, q) digits for the level exponents (i, j)
-    terms = {}
-    level = 0
-    for k, v in c.num._terms.items():
-        ij = _split_pair(k)[1]
-        terms[k + (ij * m << _PAIR_BITS)] = v
-        i = (ij + _HALF) >> DIGIT_BITS
-        level = max(level, abs(i), abs(ij - (i << DIGIT_BITS)))
-    bound = _checked(c.num._bound + abs(m) * level)
-    # the substitution is a ring automorphism fixing p and q, so it
-    # preserves the normalization invariant
-    return ModScalar._raw(MPoly._raw(terms, bound), c.e)
-
-
 def mod_at_level(c: ModScalar, level: int) -> Scalar:
     """Evaluate at a concrete level: P -> p^level, Q -> q^level."""
-    def key(k: int) -> int:
-        pq, ij = _split_pair(k)
-        return pq + level * ij
-
-    return _substitute(c, Scalar, key, 1 + abs(level))
+    return _substitute(c, Scalar, ((1, 0), (0, 1), (level, 0), (0, level)))
 
 
 def mod_from_scalar(s: Scalar) -> ModScalar:
     """Embed a level-free coefficient into the four-variable ring."""
-    terms = {k << _PAIR_BITS: v for k, v in s.num._terms.items()}
-    return ModScalar._raw(MPoly._raw(terms, s.num._bound), s.e)
+    return _substitute(s, ModScalar, ((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
 def mod_to_scalar(c: ModScalar) -> Scalar:
     """Project back to (p, q); raises ValueError if P or Q actually occurs."""
-    # the level variables are the low pair of digits: zero there exactly
-    # when the key is a multiple of their base
-    d: dict[int, int] = {}
-    for k, v in c.num._terms.items():
-        if k & _PAIR_MASK:
-            raise ValueError("coefficient depends on the symbolic level")
-        d[k >> _PAIR_BITS] = v
-    return Scalar._raw(LPoly._raw(d, c.num._bound), c.e)
+    return _substitute(c, Scalar, ((1, 0), (0, 1), None, None))

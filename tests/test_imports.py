@@ -81,7 +81,7 @@ EXPORTS = {
     "ring": [
         "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
         "Scalar", "UniScalar", "classical_value",
-        "mod_at_level", "mod_from_scalar", "mod_shift", "mod_to_scalar",
+        "mod_at_level", "mod_from_scalar", "mod_to_scalar",
         "pq_number", "q_number", "specialize_pq",
     ],
     "algebra": [

@@ -17,7 +17,6 @@ from pqvw.oracle import (
     generator_multiplier,
     ladder_down,
     ladder_up,
-    number_weight,
     nu_bracket,
     osc_relations_check,
     structure_constant,
@@ -30,8 +29,9 @@ from pqvw.ring import (
     Scalar,
     mod_at_level,
     mod_from_scalar,
-    mod_shift,
+    pq_number,
 )
+from words import mod_shift, number_weight
 
 
 def mono(a, b, coeff=1):
@@ -68,6 +68,13 @@ class TestFockAction:
         coeff = vec[1]
         # L_1 |1> = -[1] p^(1+1) |2> = -p^2 |2>
         assert mod_at_level(coeff, 1) == Scalar(LPoly.monomial(2, 0, coeff=-1), 0)
+
+    def test_multiplier_at_concrete_levels(self):
+        # the formal action coefficient, substituted at a level nu, is the
+        # concrete one: -[nu + s] p^(nu + s + m)
+        for m, s, level in product(range(-4, 5), repeat=3):
+            expected = -pq_number(level + s) * mono(level + s + m, 0)
+            assert mod_at_level(generator_multiplier(m, s), level) == expected, (m, s, level)
 
     def test_symbolic_multiplier_at_zero_mode(self):
         # L_0 |nu> = -[nu] P |nu>, i.e. (1 - QP) / (q - p^-1)

@@ -17,10 +17,10 @@ from pqvw.ring import (
     Scalar,
     UniScalar,
     UPoly,
+    _substitute,
     classical_value,
     mod_at_level,
     mod_from_scalar,
-    mod_shift,
     mod_to_scalar,
     pq_number,
     q_number,
@@ -28,6 +28,7 @@ from pqvw.ring import (
 )
 
 from determinants import ref_div
+from words import mod_shift
 
 P = LPoly.monomial(1, 0)
 Q = LPoly.monomial(0, 1)
@@ -690,6 +691,55 @@ class TestPackedKeys:
         k = data.draw(st.integers(0, 4))
         quo, removed = loc._cancel(loc.POLY(num), k)
         assert (dict(quo.terms), removed) == _ref_cancel(num, loc.UNIT, loc.STEP, k)
+
+
+# ---- exponent substitutions between the rings ------------------------------
+
+def mod_scalars(data):
+    # small numerators, some of them multiples of the divisor, over e <= 2
+    num = data.draw(poly_terms(4))
+    divisor = {(0, 1, 0, 0): 1, (-1, 0, 0, 0): -1}
+    for _ in range(data.draw(st.integers(0, 2))):
+        num = _ref_mul(num, divisor)
+    return ModScalar(MPoly(num), data.draw(st.integers(0, 2)))
+
+
+class TestSubstitution:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), level=st.integers(-6, 6))
+    def test_mod_at_level_is_a_ring_map(self, data, level):
+        x, y = mod_scalars(data), mod_scalars(data)
+        assert mod_at_level(x + y, level) == mod_at_level(x, level) + mod_at_level(y, level)
+        assert mod_at_level(x * y, level) == mod_at_level(x, level) * mod_at_level(y, level)
+
+    def test_bound_times_column_sum(self):
+        # the check reads the value's bound, not the image terms: p^b q^-b
+        # specialises to 1, yet overflows once 2b leaves the range
+        half = EXP_MAX // 2
+        assert specialize_pq(Scalar.monomial(half, -half)) == UniScalar.one()
+        with pytest.raises(ExponentOverflow):
+            specialize_pq(Scalar.monomial(half + 1, -half - 1))
+        # P at level nu has column sum 1 + |nu|
+        p_sym = ModScalar.monomial(0, 0, 1, 0)
+        assert mod_at_level(p_sym, EXP_MAX - 1) == Scalar.monomial(EXP_MAX - 1, 0)
+        with pytest.raises(ExponentOverflow):
+            mod_at_level(p_sym, -EXP_MAX)
+        # a column sum of 5 in the first target variable
+        fifth = EXP_MAX // 5
+        images = ((2,), (3,))
+        assert _substitute(Scalar.monomial(fifth, fifth), UniScalar, images) == (
+            UniScalar.monomial(5 * fifth)
+        )
+        with pytest.raises(ExponentOverflow):
+            _substitute(Scalar.monomial(0, fifth + 1), UniScalar, images)
+        # a constant has bound 0, so an image out of range never enters a key
+        assert mod_at_level(ModScalar.one(), 10**12) == Scalar.one()
+
+    def test_projection_refuses_the_level(self):
+        for exps in ((0, 0, 1, 0), (0, 0, 0, -1), (2, 1, 1, 1)):
+            c = ModScalar.one() + ModScalar.monomial(*exps, e=1)
+            with pytest.raises(ValueError, match="depends on the symbolic level"):
+                mod_to_scalar(c)
 
 
 @pytest.mark.parametrize("cls", POLYS, ids=lambda c: c.__name__)

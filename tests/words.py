@@ -1,14 +1,18 @@
-"""The one-parameter Jacobi residual evaluated per triple, through the oracle.
+"""References the tests compare the package against, kept out of ``src/``.
 
-``pqvw.identities`` decides this identity formally: the twelve words of
-``identities._Q_JACOBI2_WORDS`` cancel over the symbols (m, n, k), so its
-sweep evaluates no triple.  ``q_jacobi2_residual`` substitutes one triple
-into the same twelve words and collapses the word sum through the oracle's
-word expansion, as the reference the tests compare the formal verdict
-against.
+``pqvw.identities`` decides the one-parameter Jacobi identity formally: the
+twelve words of ``identities._Q_JACOBI2_WORDS`` cancel over the symbols
+(m, n, k), so its sweep evaluates no triple.  ``q_jacobi2_residual``
+substitutes one triple into the same twelve words and collapses the word sum
+through the oracle's word expansion, as the reference the tests compare the
+formal verdict against.
+
+``mod_shift`` and ``number_weight`` are the level shift and the diagonal
+number-operator weight of the oscillator module, which only the tests use
+to check the oracle's generator action.
 """
 from pqvw import identities, oracle
-from pqvw.ring import Scalar, UniScalar, specialize_pq
+from pqvw.ring import ModScalar, Scalar, UniScalar, _substitute, specialize_pq
 
 
 def q_jacobi2_residual(m: int, n: int, k: int) -> UniScalar:
@@ -33,3 +37,18 @@ def q_jacobi2_residual(m: int, n: int, k: int) -> UniScalar:
         if not acc.is_zero:
             ws[key] = acc
     return specialize_pq(oracle.extract_structure_constant(ws).coeff)
+
+
+def mod_shift(c: ModScalar, m: int) -> ModScalar:
+    """Shift the symbolic level by m: substitute P -> P*p^m, Q -> Q*q^m."""
+    return _substitute(c, ModScalar, ((1, 0, 0, 0), (0, 1, 0, 0), (m, 0, 1, 0), (0, m, 0, 1)))
+
+
+def number_weight(
+    v: dict[int, ModScalar], p_exp: int = 0, q_exp: int = 0
+) -> dict[int, ModScalar]:
+    """Apply p^(p_exp * N) * q^(q_exp * N) diagonally."""
+    return {
+        s: ModScalar.monomial(p_exp * s, q_exp * s, p_exp, q_exp) * c
+        for s, c in v.items()
+    }
