@@ -32,8 +32,8 @@ _EXPORTS = {
         "pq_number", "q_number", "specialize_pq",
     ),
     "algebra": (
-        "BadArity", "GenIndex", "RecursionWeights", "Term", "bracket", "bracket2",
-        "bracket_coeff", "bracketn_closed", "recursion_weights", "sign_of",
+        "BadArity", "GenIndex", "Term", "bracket", "bracket2",
+        "bracket_coeff", "bracketn_closed", "sign_of",
     ),
     "oracle": (
         "InconsistentSign", "NotProportional", "bracketn_def", "derive_sign",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .ring import (
     EXP_MAX,
@@ -35,12 +35,10 @@ GenIndex = int
 __all__ = [
     "GenIndex",
     "Term",
-    "RecursionWeights",
     "BadArity",
     "bracket2",
     "bracketn_closed",
     "bracket",
-    "recursion_weights",
     "sign_of",
     "bracket_coeff",
     "sort_with_sign",
@@ -90,26 +88,6 @@ class Term:
 
     def __repr__(self) -> str:
         return f"Term({self.canonical()})"
-
-
-class RecursionWeights(NamedTuple):
-    """Exponent weights (x, y) of the arity-lowering recursion prefactor."""
-
-    x: int
-    y: int
-
-
-def recursion_weights(n: int) -> RecursionWeights:
-    """Weights for reducing an n-bracket to (n-1)-brackets, n >= 4.
-
-    Even n uses (n/2, 0); odd n uses ((n-1)/2, -1).  The 3-bracket is the
-    recursion base and has its own cyclic definition.
-    """
-    if n < 4:
-        raise BadArity(f"recursion weights need n >= 4, got {n}")
-    if n % 2 == 0:
-        return RecursionWeights(n // 2, 0)
-    return RecursionWeights((n - 1) // 2, -1)
 
 
 def sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -505,22 +505,6 @@ def _fi(cfg: argparse.Namespace) -> list[dict]:
     return [suite.result(kind, inp, res.coeff.canonical(), res.is_zero != nonzero)]
 
 
-def _subalgebra_search(cfg: argparse.Namespace) -> list[dict]:
-    from . import subalgebra
-
-    kind = f"subalgebra-search-n{cfg.n}"
-    try:
-        found = subalgebra.search(cfg.window, cfg.n)
-    except subalgebra.UnexpectedSubalgebra as exc:
-        return [suite.result(kind, {"window": cfg.window}, str(exc), False)]
-    inp = {
-        "window": cfg.window,
-        "found": [list(r.indices) for r in found.found],
-        "extra_dim_checked": found.extra_checked,
-    }
-    return [suite.result(kind, inp, "0", True)]
-
-
 def _subalgebra_check(cfg: argparse.Namespace) -> list[dict]:
     from . import subalgebra
 
@@ -542,7 +526,9 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], list[dict]]] = {
         {**suite.DESK_CONFIG, "limits_window": cfg.window}
     ),
     "verify all": lambda cfg: suite.run_suite(suite.LEVELS[cfg.level], seed=cfg.seed),
-    "subalgebra search": _subalgebra_search,
+    "subalgebra search": lambda cfg: [
+        suite.subalgebra_search(cfg.n, cfg.window, "extra_dim_checked")
+    ],
     "subalgebra canonical": lambda cfg: suite.check_subalgebras(
         {**suite.DESK_CONFIG, "canonical_arities": (cfg.n,), "search_window": 0}
     ),

@@ -13,10 +13,11 @@ residual is alternating in its arguments: an arrangement's residual is its
 sorting sign times its signature's, and a tuple that repeats an index has a
 zero residual.  So window sweeps evaluate each set of distinct indices once,
 at its sorted tuple, and count every tuple of the window; sampled sweeps
-count every tuple, walk the sample in sorted order, skip tuples that repeat
-an index and evaluate each remaining signature once.  The vanishing on
-repeated indices is checked through the kernels by the tests, not assumed
-by them: the per-tuple entry points compute every residual directly.
+count every tuple, drop the draws that repeat an index as they are drawn,
+walk the rest in sorted order and evaluate each signature once.  The
+vanishing on repeated indices is checked through the kernels by the tests,
+not assumed by them: the per-tuple entry points compute every residual
+directly.
 
 Within one shuffle-Jacobi residual, every surviving shuffle term is a sign
 times the product of a cached sorted inner and a cached sorted outer
@@ -37,7 +38,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     GenIndex,
@@ -299,13 +300,12 @@ def _window_range(window: tuple[int, int]) -> range:
 
 def sample_tuples(
     length: int, window: tuple[int, int], count: int, seed: int
-) -> list[tuple[int, ...]]:
-    """Deterministic seeded sample of index tuples from a window."""
+) -> Iterator[tuple[int, ...]]:
+    """Deterministic seeded sample of index tuples from a window, drawn lazily."""
     rng = random.Random(seed)
     lo, hi = window
-    return [
-        tuple(rng.randrange(lo, hi + 1) for _ in range(length)) for _ in range(count)
-    ]
+    for _ in range(count):
+        yield tuple(rng.randrange(lo, hi + 1) for _ in range(length))
 
 
 def sweep_skew(n: int, window: tuple[int, int]) -> SweepResult:
@@ -318,13 +318,11 @@ def sweep_skew(n: int, window: tuple[int, int]) -> SweepResult:
 
 
 def _first_sh_jacobi_failure(n: int, tuples: Iterable[tuple[int, ...]]) -> IdentityReport | None:
-    # a tuple that repeats an index has a zero residual; any other tuple's
-    # residual is its sorting sign times its signature's, evaluated once:
-    # a signature seen before passed, or the walk would have stopped there
+    # every tuple holds distinct indices, and its residual is its sorting
+    # sign times its signature's, evaluated once: a signature seen before
+    # passed, or the walk would have stopped there
     passed: set[tuple[int, ...]] = set()
     for idx in tuples:
-        if len(set(idx)) != len(idx):
-            continue
         sig, sign = sort_with_sign(idx)
         if sig in passed:
             continue
@@ -346,12 +344,15 @@ def sweep_sh_jacobi(
     A full window is swept by its sets of distinct indices in lexicographic
     order: the smallest failing tuple in product order is sorted (sorting
     keeps a tuple's signature and never makes it larger), so the first
-    failing set is the per-tuple sweep's first failure.  A sample is walked
-    in sorted order, each distinct signature evaluated once, so the failure
-    is the smallest failing sample.  All in this process.
+    failing set is the per-tuple sweep's first failure.  A sample drops each
+    draw that repeats an index (its residual is zero) as it is drawn, and
+    the rest is walked in sorted order, each distinct signature evaluated
+    once, so the failure is the smallest failing sample.  All in this
+    process.
     """
     if samples:
-        checked, tuples = samples, sorted(sample_tuples(2 * n - 1, window, samples, seed))
+        drawn = sample_tuples(2 * n - 1, window, samples, seed)
+        checked, tuples = samples, sorted(t for t in drawn if len(set(t)) == len(t))
     else:
         values = _window_range(window)
         checked, tuples = len(values) ** (2 * n - 1), combinations(values, 2 * n - 1)

@@ -64,7 +64,6 @@ from .algebra import (
     GenIndex,
     Term,
     _closed_product,
-    recursion_weights,
     sort_with_sign,
 )
 from .ring import (
@@ -239,7 +238,8 @@ def _expansion(idx: tuple[GenIndex, ...]) -> list[tuple[int, int, int, GenIndex,
     q^m p^-k L_m L_k - q^k p^-m L_k L_m, the 3-bracket is the cyclic sum of
     p^a q^(a-b-c) L_a [L_b, L_c], and for n >= 4 the arity-lowering sum
     runs over the slots s of (-1)^(s+1) (pq)^(x i_s + y (S - i_s))
-    L_(i_s) [rest_s], with (x, y) the recursion weights and S = sum(idx).
+    L_(i_s) [rest_s], with S = sum(idx) and the weights (x, y) = (n/2, 0)
+    for even n and ((n-1)/2, -1) for odd n.
     """
     n = len(idx)
     if n == 2:
@@ -250,11 +250,11 @@ def _expansion(idx: tuple[GenIndex, ...]) -> list[tuple[int, int, int, GenIndex,
             (a, a - b - c, 1, a, (b, c))
             for a, b, c in (idx, idx[1:] + idx[:1], idx[2:] + idx[:2])
         ]
-    w = recursion_weights(n)
+    x, y = n // 2, -(n % 2)
     total = sum(idx)
     rows = []
     for s0, i_s in enumerate(idx):
-        e = w.x * i_s + w.y * (total - i_s)
+        e = x * i_s + y * (total - i_s)
         rows.append((e, e, -1 if s0 % 2 else 1, i_s, idx[:s0] + idx[s0 + 1 :]))
     return rows
 

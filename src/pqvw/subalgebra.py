@@ -14,6 +14,7 @@ and never simple), and no (n+1)-element set qualifies.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .algebra import GenIndex, bracketn_closed
@@ -75,37 +76,40 @@ class FMatrix(NamedTuple):
         )
 
 
-class SubalgebraReport:
-    """Exact verdicts for one candidate index set."""
+class SubalgebraReport(NamedTuple):
+    """Exact verdicts for one candidate index set, built once.
 
-    __slots__ = (
-        "indices", "closed", "offending", "fi_pass", "iso_canonical",
-        "coeff", "target", "ideal_at",
-    )
+    Fields a check did not reach stay None: `offending` is set only on a
+    failed closure, and the shape fields (`iso_canonical`, `coeff`,
+    `target`, `ideal_at`) only on a closed n-element candidate.
+    """
 
-    def __init__(
-        self,
-        indices: tuple[GenIndex, ...],
-        closed: bool,
-        offending: tuple[GenIndex, ...] | None = None,
-        fi_pass: bool | None = None,
-        iso_canonical: bool | None = None,
-        coeff: Scalar | None = None,
-        target: GenIndex | None = None,
-        ideal_at: GenIndex | None = None,
-    ) -> None:
-        self.indices = indices
-        self.closed = closed
-        self.offending = offending
-        self.fi_pass = fi_pass
-        self.iso_canonical = iso_canonical
-        self.coeff = coeff
-        self.target = target
-        self.ideal_at = ideal_at
+    indices: tuple[GenIndex, ...]
+    closed: bool
+    offending: tuple[GenIndex, ...] | None = None
+    fi_pass: bool | None = None
+    iso_canonical: bool | None = None
+    coeff: Scalar | None = None
+    target: GenIndex | None = None
+    ideal_at: GenIndex | None = None
 
     @property
     def is_subalgebra(self) -> bool:
         return self.closed and bool(self.fi_pass)
+
+    @property
+    def has_classified_shape(self) -> bool:
+        """Is this the shape the classification states for an n-set?
+
+        A subalgebra isomorphic to the canonical algebra, with a nonzero
+        bracket coefficient, whose ideal is the line of its index sum.
+        """
+        return (
+            self.is_subalgebra
+            and bool(self.iso_canonical)
+            and not self.coeff.is_zero
+            and self.ideal_at == sum(self.indices)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -119,15 +123,16 @@ class SubalgebraReport:
         }
 
 
-class SearchResult:
-    """Outcome of the bounded subalgebra search in an index window."""
+class SearchResult(NamedTuple):
+    """Outcome of a passing subalgebra search in an index window.
 
-    __slots__ = ("found", "extra_checked", "extra_passing")
+    `found` holds the reports of the n-element subalgebras in
+    lexicographic order, and `extra_checked` counts the (n+1)-element
+    candidates, every one of which was ruled out.
+    """
 
-    def __init__(self) -> None:
-        self.found: list[SubalgebraReport] = []
-        self.extra_checked = 0
-        self.extra_passing: list[SubalgebraReport] = []
+    found: tuple[SubalgebraReport, ...]
+    extra_checked: int
 
 
 def _validate_set(S: Sequence[GenIndex]) -> tuple[GenIndex, ...]:
@@ -261,53 +266,60 @@ def ideal_check(S: Sequence[GenIndex], n: int, t: GenIndex) -> bool:
 
 
 def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
-    """Full verdict chain for one candidate set: closure, FI, shape, ideal."""
+    """Full verdict chain for one candidate set: closure, FI, shape, ideal.
+
+    The report is built once.  An open set stops at closure; a closed one
+    gets its FI verdict, and an n-element one its canonical shape besides:
+    the bracket target and coefficient, and the ideal at the target when
+    the span is a subalgebra isomorphic to the canonical algebra.
+    """
     idx = _validate_set(S)
     report = closure_check(idx, n)
     if not report.closed:
         return report
     ok, _, _ = fi_check_span(idx, n)
-    report.fi_pass = ok
-    if len(idx) == n:
-        iso, target, coeff = iso_canonical_check(idx, n)
-        report.iso_canonical = iso
-        report.coeff = coeff
-        report.target = target
-        if iso and ok and target is not None and ideal_check(idx, n, target):
-            report.ideal_at = target
-    return report
+    if len(idx) != n:
+        return report._replace(fi_pass=ok)
+    iso, target, coeff = iso_canonical_check(idx, n)
+    ideal = iso and ok and ideal_check(idx, n, target)
+    return report._replace(
+        fi_pass=ok,
+        iso_canonical=iso,
+        coeff=coeff,
+        target=target,
+        ideal_at=target if ideal else None,
+    )
 
 
 def search(window: int, n: int) -> SearchResult:
-    """Enumerate candidate sets of size n and n+1 inside [-window, window].
+    """Decide the classification on the index window [-window, window].
 
-    Returns every size-n set that passes closure and the fundamental
-    identity (each annotated with its canonical shape and ideal); raises
-    UnexpectedSubalgebra if any size-(n+1) candidate passes closure, the
-    symmetric-matrix criterion, and the fundamental identity, since no such
-    span exists.
+    Every n-element subalgebra must have the classified shape
+    (:attr:`SubalgebraReport.has_classified_shape`), and no
+    (n+1)-element candidate may pass closure, the symmetric-matrix
+    criterion and the fundamental identity.  Either failure raises
+    UnexpectedSubalgebra naming the offending sets; otherwise the result
+    holds the n-element subalgebras found and the C(2 window + 1, n + 1)
+    (n+1)-element candidates ruled out.
     """
     if 2 * window + 1 < n:
         raise ValueError("window too small for the requested arity")
     values = range(-window, window + 1)
-    result = SearchResult()
-    for S in combinations(values, n):
-        report = check_candidate(S, n)
-        if report.is_subalgebra:
-            result.found.append(report)
-    for S in combinations(values, n + 1):
-        result.extra_checked += 1
-        report = closure_check(S, n)
-        if not report.closed:
-            continue
-        matrix = filippov_matrix(S, n)
-        ok, _, _ = fi_check_span(S, n)
-        report.fi_pass = ok
-        if matrix.symmetric and ok:
-            result.extra_passing.append(report)
-    if result.extra_passing:
-        raise UnexpectedSubalgebra(
-            f"(n+1)-dimensional candidates passed: "
-            f"{[list(r.indices) for r in result.extra_passing]}"
-        )
-    return result
+    found = tuple(
+        report
+        for S in combinations(values, n)
+        if (report := check_candidate(S, n)).is_subalgebra
+    )
+    misshapen = [list(r.indices) for r in found if not r.has_classified_shape]
+    if misshapen:
+        raise UnexpectedSubalgebra(f"n-dimensional subalgebras of the wrong shape: {misshapen}")
+    passing = [
+        list(S)
+        for S in combinations(values, n + 1)
+        if closure_check(S, n).closed
+        and filippov_matrix(S, n).symmetric
+        and fi_check_span(S, n)[0]
+    ]
+    if passing:
+        raise UnexpectedSubalgebra(f"(n+1)-dimensional candidates passed: {passing}")
+    return SearchResult(found, comb(len(values), n + 1))

@@ -55,31 +55,19 @@ def check_oscillator(cfg: dict) -> list[dict]:
 
 
 def check_bracket2(cfg: dict) -> list[dict]:
-    from . import oracle
+    from . import identities
 
     w = cfg["bracket2_window"]
     jac_w = cfg["jacobi_window"]
-    out = []
-
-    bad = None
-    for m, n in product(range(-w, w + 1), repeat=2):
-        if oracle.structure_constant((m, n)) != algebra.bracket2(m, n):
-            bad = (m, n)
-            break
-    out.append(
+    _, bad = closed_vs_recursive(product(range(-w, w + 1), repeat=2))
+    skew = identities.sweep_skew(2, (-w, w))
+    return [
         agreement(
             "bracket2-defining-vs-closed", {"window": [-w, w], "pairs": (2 * w + 1) ** 2}, bad
-        )
-    )
-
-    bad = None
-    for m, n in product(range(-w, w + 1), repeat=2):
-        r = algebra.bracket2(n, m).coeff + algebra.bracket2(m, n).coeff
-        if not r.is_zero:
-            bad = r.canonical()
-            break
-    out.append(result("bracket2-skew", {"window": [-w, w]}, bad or "0", bad is None))
-    return out + check_jacobi2((-jac_w, jac_w))
+        ),
+        result("bracket2-skew", {"window": [-w, w]}, skew.residual, skew.ok),
+        *check_jacobi2((-jac_w, jac_w)),
+    ]
 
 
 def check_jacobi2(window: tuple[int, int]) -> list[dict]:
@@ -98,6 +86,9 @@ def check_jacobi2(window: tuple[int, int]) -> list[dict]:
 def closed_vs_recursive(tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple | None]:
     """Compare the closed form with the defining recursion tuple by tuple.
 
+    The closed form is `algebra.bracket`, so a tuple may have any arity
+    n >= 2: the weighted 2-bracket or the closed n-bracket.
+
     Returns the number of tuples compared and the first mismatching tuple
     (the comparison stops there), or None if every tuple agrees.
     """
@@ -106,7 +97,7 @@ def closed_vs_recursive(tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple |
     count = 0
     for t in tuples:
         count += 1
-        if oracle.structure_constant(t) != algebra.bracketn_closed(t):
+        if oracle.structure_constant(t) != algebra.bracket(t):
             return count, t
     return count, None
 
@@ -229,21 +220,34 @@ def check_limits(cfg: dict) -> list[dict]:
     return out
 
 
+def subalgebra_search(n: int, window: int, checked: str) -> dict:
+    """The record of one subalgebra search, whose verdict `search` decides.
+
+    `checked` names the input field that counts the (n+1)-element
+    candidates ruled out.
+    """
+    from . import subalgebra
+
+    kind = f"subalgebra-search-n{n}"
+    try:
+        found = subalgebra.search(window, n)
+    except subalgebra.UnexpectedSubalgebra as exc:
+        return result(kind, {"window": window}, str(exc), False)
+    inp = {
+        "window": window,
+        "found": [list(r.indices) for r in found.found],
+        checked: found.extra_checked,
+    }
+    return result(kind, inp, "0", True)
+
+
 def check_subalgebras(cfg: dict) -> list[dict]:
     from . import subalgebra
 
     out = []
     for n in cfg["canonical_arities"]:
         basis = subalgebra.canonical_basis(n)
-        report = subalgebra.check_candidate(basis, n)
-        coeff = subalgebra.canonical_coeff(n)
-        ok = (
-            report.closed
-            and bool(report.fi_pass)
-            and bool(report.iso_canonical)
-            and not coeff.is_zero
-            and report.ideal_at is not None
-        )
+        ok = subalgebra.check_candidate(basis, n).has_classified_shape
         out.append(
             result(
                 f"subalgebra-canonical-n{n}",
@@ -255,29 +259,9 @@ def check_subalgebras(cfg: dict) -> list[dict]:
                 ok,
             )
         )
-
     W = cfg["search_window"]
-    if not W:
-        return out
-    try:
-        found = subalgebra.search(W, 3)
-        shape_ok = all(
-            r.iso_canonical and r.ideal_at == sum(r.indices) for r in found.found
-        )
-        out.append(
-            result(
-                "subalgebra-search-n3",
-                {
-                    "window": W,
-                    "found": [list(r.indices) for r in found.found],
-                    "size4_checked": found.extra_checked,
-                },
-                "0" if shape_ok else "shape mismatch",
-                shape_ok and not found.extra_passing,
-            )
-        )
-    except subalgebra.UnexpectedSubalgebra as exc:
-        out.append(result("subalgebra-search-n3", {"window": W}, str(exc), False))
+    if W:
+        out.append(subalgebra_search(3, W, "size4_checked"))
     return out
 
 

@@ -13,7 +13,6 @@ from pqvw.algebra import (
     bracket2,
     bracket_coeff,
     bracketn_closed,
-    recursion_weights,
     sign_of,
     sort_with_sign,
 )
@@ -160,20 +159,6 @@ class TestBracket3:
         for idx in product(range(-2, 3), repeat=3):
             det = permutation_det(idx, closed_rows(3))
             assert bracketn_closed(idx).coeff == paper_coeff(idx, det), idx
-
-
-class TestRecursionWeights:
-    def test_values(self):
-        assert (recursion_weights(4).x, recursion_weights(4).y) == (2, 0)
-        assert (recursion_weights(5).x, recursion_weights(5).y) == (2, -1)
-        assert (recursion_weights(6).x, recursion_weights(6).y) == (3, 0)
-        assert (recursion_weights(7).x, recursion_weights(7).y) == (3, -1)
-        x, y = recursion_weights(5)
-        assert (x, y) == (2, -1)
-
-    def test_base_case_guarded(self):
-        with pytest.raises(BadArity):
-            recursion_weights(3)
 
 
 class TestSignTable:

@@ -231,6 +231,16 @@ class TestRun:
     def test_levels_set_the_same_keys(self):
         assert set(suite.SMOKE_CONFIG) == set(suite.DESK_CONFIG)
 
+    def test_search_verdict_shared_by_cli_and_desk(self, monkeypatch):
+        # a found 3-set whose ideal check fails lacks the classified shape,
+        # and the command and the desk's search record both fail on it
+        monkeypatch.setattr(subalgebra, "ideal_check", lambda S, n, t: False)
+        report, code = run(parse_args(["subalgebra", "search", "--n", "3", "--window", "3"]))
+        assert code == 1
+        assert "wrong shape" in report.results[0]["residual"]
+        desk = {r["kind"]: r for r in suite.check_subalgebras(suite.DESK_CONFIG)}
+        assert desk["subalgebra-search-n3"]["verdict"] == "fail"
+
 
 class TestBlackBox:
     def test_exit_codes(self, tmp_path):

@@ -40,7 +40,7 @@ SHUFFLE3_PATTERN = [
 ]
 
 # the failing n = 2 sample that the sampled-sweep tests walk
-SAMPLE_400 = sample_tuples(3, (-3, 3), 400, seed=0)
+SAMPLE_400 = list(sample_tuples(3, (-3, 3), 400, seed=0))
 
 
 class TestShuffles:
@@ -194,10 +194,28 @@ class TestShJacobi:
         # sample of distinct indices, and none follows it
         assert calls == [tuple(sorted(sweep.failure.indices))]
 
+    def test_sampled_sweep_hands_kernel_distinct_samples_only(self, monkeypatch):
+        real = identities._first_sh_jacobi_failure
+        handed = []
+
+        def spy(n, tuples):
+            tuples = list(tuples)
+            handed.extend(tuples)
+            return real(n, tuples)
+
+        monkeypatch.setattr(identities, "_first_sh_jacobi_failure", spy)
+        # 2n - 1 = 19 indices from a window of 17 always repeat one, so the
+        # kernel gets no tuple, and the record still counts every sample
+        sweep = sweep_sh_jacobi(10, window=(-8, 8), samples=1000, seed=0)
+        assert sweep.checked == 1000 and sweep.ok
+        assert handed == []
+        sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0)
+        assert handed == sorted(t for t in SAMPLE_400 if len(set(t)) == 3)
+
     def test_sampled_sweep_deterministic(self):
-        a = sample_tuples(9, (-2, 2), 50, seed=7)
-        b = sample_tuples(9, (-2, 2), 50, seed=7)
-        c = sample_tuples(9, (-2, 2), 50, seed=8)
+        a = list(sample_tuples(9, (-2, 2), 50, seed=7))
+        b = list(sample_tuples(9, (-2, 2), 50, seed=7))
+        c = list(sample_tuples(9, (-2, 2), 50, seed=8))
         assert a == b and a != c
 
 

@@ -300,10 +300,21 @@ class TestStructureConstant:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_wrong_recursion_weight_disagrees_with_closed_form(self, monkeypatch, n):
-        real = oracle.recursion_weights
-        monkeypatch.setattr(
-            oracle, "recursion_weights", lambda k: real(k)._replace(y=real(k).y + 1)
-        )
+        # every arity-lowering row with its y weight one too large: the
+        # exponent x i_s + y (S - i_s) of (pq) grows by S - i_s
+        real = oracle._expansion
+
+        def mutated(idx):
+            rows = real(idx)
+            if len(idx) >= 4:
+                total = sum(idx)
+                rows = [
+                    (a + total - h, b + total - h, sign, h, rest)
+                    for a, b, sign, h, rest in rows
+                ]
+            return rows
+
+        monkeypatch.setattr(oracle, "_expansion", mutated)
         oracle._constant.cache_clear()
         try:
             idx = tuple(range(-2, n - 2))

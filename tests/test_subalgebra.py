@@ -4,9 +4,11 @@ import pytest
 
 from pqvw.algebra import BadArity, bracket_coeff, bracketn_closed, sign_of
 from pqvw.identities import fi_residual
+from pqvw import subalgebra
 from pqvw.ring import LPoly, Scalar, specialize_pq
 from pqvw.subalgebra import (
     SubalgebraReport,
+    UnexpectedSubalgebra,
     canonical_basis,
     canonical_coeff,
     check_candidate,
@@ -222,7 +224,6 @@ class TestSearch:
             if closes and not bracket_coeff(S).is_zero:
                 expected.append(tuple(sorted(S)))
         assert [r.indices for r in result.found] == expected
-        assert not result.extra_passing
 
     def test_found_sets_have_classification_shape(self):
         result = search(3, 3)
@@ -235,12 +236,30 @@ class TestSearch:
     def test_no_four_dimensional_passes(self):
         result = search(3, 3)
         assert result.extra_checked == 35
-        assert result.extra_passing == []
 
     def test_n4_finds_canonical(self):
         result = search(3, 4)
         assert canonical_basis(4) in [r.indices for r in result.found]
-        assert result.extra_passing == []
+        assert result.extra_checked == 21  # C(7, 5)
+
+    def test_found_set_of_wrong_shape_raises(self, monkeypatch):
+        # without its ideal a found 3-set lacks the classified shape
+        monkeypatch.setattr(subalgebra, "ideal_check", lambda S, n, t: False)
+        with pytest.raises(UnexpectedSubalgebra, match="wrong shape"):
+            search(3, 3)
+
+    def test_classified_shape(self):
+        assert check_candidate((-1, 0, 1), 3).has_classified_shape
+        assert check_candidate((-2, 2, 5), 3).has_classified_shape
+        assert not check_candidate((0, 1, 2), 3).has_classified_shape
+        # a closed 4-set has no canonical shape to check
+        assert not check_candidate((-2, -1, 1, 2), 3).has_classified_shape
+
+    def test_report_is_immutable(self):
+        report = check_candidate((-1, 0, 1), 3)
+        with pytest.raises(AttributeError):
+            report.ideal_at = None
+        assert report.ideal_at == 0
 
     def test_check_candidate_report_shape(self):
         report = check_candidate((-1, 0, 1), 3)
