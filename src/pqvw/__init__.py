@@ -47,8 +47,8 @@ _EXPORTS = {
     ),
     "subalgebra": (
         "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",
-        "canonical_basis", "canonical_coeff", "closure_check", "fi_check_span",
-        "filippov_matrix", "ideal_check", "iso_canonical_check", "search",
+        "canonical_basis", "closure_check", "fi_check_span", "filippov_matrix",
+        "ideal_check", "iso_canonical_check", "search",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -122,26 +122,23 @@ def _merge_list_flags(argv: Sequence[str]) -> list[str]:
 
 
 class _LazySubparsers(argparse._SubParsersAction):
-    """Subcommand choice that adds a parser's arguments only once it is chosen.
+    """Subcommand choice that constructs only the parser argparse selects.
 
     Every name and help line is registered up front, so usage, help and
-    invalid-choice messages read as if every parser were complete; only the
-    parser argparse selects gets its arguments, through its builder.
+    invalid-choice messages read as if every parser existed; a name's
+    builder stands in for its parser until argparse selects that name, and
+    only then is the parser constructed and given its arguments.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._builders: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
-
-    def add_parser(self, name, build=None, **kwargs):
-        parser = super().add_parser(name, **kwargs)
-        self._builders[name] = build
-        return parser
+    def add_parser(self, name, build, help):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build
 
     def __call__(self, parser, namespace, values, option_string=None):
-        build = self._builders.pop(values[0], None)
-        if build is not None:
-            build(self._name_parser_map[values[0]])
+        name = values[0]
+        chosen = self._parser_class(prog=f"{self._prog_prefix} {name}")
+        self._name_parser_map[name](chosen)
+        self._name_parser_map[name] = chosen
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -236,8 +233,9 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     The namespace is the run's configuration: `command` is the full command
     name ("verify skew"), and the fields that shared code reads whatever the
     command (`n`, `window`, `indices`, `y`, `x`, `samples`) default to None.
-    Only the chosen command's parser gets its arguments (each argument costs
-    argparse a terminal-size query), so help and error texts are those of
+    Only the parsers on the chosen command's path are constructed and given
+    their arguments (each parser costs argparse gettext lookups and each
+    argument a terminal-size query), so help and error texts are those of
     the full parser tree at a fraction of its cost.
     """
     parser = argparse.ArgumentParser(

@@ -237,6 +237,12 @@ def fi_counterexample_even(
     return Y, X, res
 
 
+@lru_cache(maxsize=None)
+def _jacobi2_prefactor(a: GenIndex) -> Scalar:
+    # q^a + p^-a, which is 2 at a = 0
+    return Scalar._raw(LPoly({(0, a): 1, (-a, 0): 1}) if a else LPoly.const(2), 0)
+
+
 def deformed_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
     """Weighted two-parameter Jacobi residual for the 2-bracket.
 
@@ -244,11 +250,10 @@ def deformed_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
     index-dependent weights and therefore collapse to structure constants;
     the three products are one sum normalised once.
     """
-    rows = []
-    for a, b, c in ((m, n, k), (n, k, m), (k, m, n)):
-        pref = Scalar._raw(LPoly({(0, a): 1, (-a, 0): 1}) if a else LPoly.const(2), 0)
-        rows.append((pref, bracket2(b, c).coeff, bracket2(a, b + c).coeff))
-    return Scalar.sum_of_products(rows)
+    return Scalar.sum_of_products(
+        (_jacobi2_prefactor(a), bracket2(b, c).coeff, bracket2(a, b + c).coeff)
+        for a, b, c in ((m, n, k), (n, k, m), (k, m, n))
+    )
 
 
 def _q_jacobi2_table() -> tuple[tuple[tuple[int, ...], tuple[int, int, int], int], ...]:

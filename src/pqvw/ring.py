@@ -29,17 +29,18 @@ style into balanced digits of ``DIGIT_BITS`` bits, the first variable most
 significant.  Packing is linear, so a product of monomials is a sum of
 keys, and int order equals lexicographic order of the exponent tuples.
 Every exponent must satisfy ``|e| <= EXP_MAX``; the digits are wider than
-that, so differences of two keys and the class keys of the synthetic
-division below still decode without aliasing.  Every value carries an
-upper bound on its exponents, and an operation whose bound would leave the
-range raises ``ExponentOverflow`` before it builds a key.
+that, so a difference of two keys still decodes without aliasing.  Every
+value carries an upper bound on its exponents, and an operation whose bound
+would leave the range raises ``ExponentOverflow`` before it builds a key.
 
 Exact division takes two kinds of divisor: a monomial, and a binomial
 c * x^u * (x^s - 1), which covers every localization divisor and every
 action coefficient the oracle divides by.  The binomial case is one
-synthetic division over the classes of terms along s.  A quotient whose
-coefficients are not integers raises ``NotDivisible``; any other divisor
-raises ``ValueError``.
+synthetic division over the classes of terms along s.  Packing is linear,
+so a class is a residue of the keys modulo the key of x^s, and the
+quotient is a term's position in its class: no key is decoded.  A quotient
+whose coefficients are not integers raises ``NotDivisible``; any other
+divisor raises ``ValueError``.
 
 Normalizing a localized value means trying that division, so sums of
 products, the shape of every bracket recursion and identity residual, go
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from operator import mul
 from typing import ClassVar, Iterator, TypeVar
 
 __all__ = [
@@ -79,9 +79,8 @@ __all__ = [
 ]
 
 DIGIT_BITS = 32
-# a quarter of the digit's balanced range: differences of two keys and the
-# class keys of the synthetic division (at most six times an exponent) stay
-# inside one digit
+# a quarter of the digit's balanced range, so that a difference of two keys
+# stays inside one digit with room to spare
 EXP_MAX = (1 << (DIGIT_BITS - 3)) - 1
 _BASE = 1 << DIGIT_BITS
 _HALF = _BASE >> 1
@@ -396,25 +395,25 @@ class Poly:
         """Divide terms by lead * x^unit * (x^step - 1), at most k times.
 
         Returns (quotient terms, factors removed); with none removed the
-        terms come back as they are.  The terms fall into classes along
-        step, x^key * y^t with y = x^step and the position t read off the
-        exponent with the largest step entry.  Dividing a class by (y - 1)
-        leaves at position t the negated sum of the class's coefficients up
-        to t, gaps included, and is exact precisely when the whole class
-        sums to zero.  The unit and lead are divided out at the end.
+        terms come back as they are.  Packing is linear, so the terms fall
+        into classes along step by their keys alone: divmod(key, step) gives
+        the residue that names a term's class and its position t in it, the
+        power of y = x^step, for either sign of step.  Dividing a class by
+        (y - 1) leaves at position t the negated sum of the class's
+        coefficients up to t, gaps included, and is exact precisely when the
+        whole class sums to zero.  The unit and lead are divided out at the
+        end.
         """
         # the divisor vanishes where every variable is 1, so a factor needs
         # a zero coefficient sum; a monomial is a unit
         if len(terms) == 1 or sum(terms.values()):
             return terms, 0
-        shift, sa = cls._axis(step)
-        bias = cls._BIAS
         classes: dict[int, list[tuple[int, int]]] = {}
         for key, c in terms.items():
-            t = ((((key + bias) >> shift) & _MASK) - _HALF) // sa
-            cl = classes.get(key - t * step)
+            t, r = divmod(key, step)
+            cl = classes.get(r)
             if cl is None:
-                classes[key - t * step] = [(t, c)]
+                classes[r] = [(t, c)]
             else:
                 cl.append((t, c))
         for cl in classes.values():
@@ -422,7 +421,7 @@ class Poly:
         removed = 0
         while removed < k:
             divided: dict[int, list[tuple[int, int]]] = {}
-            for ck, cl in classes.items():
+            for r, cl in classes.items():
                 quo: list[tuple[int, int]] = []
                 run = 0
                 last = cl[0][0]
@@ -437,7 +436,7 @@ class Poly:
                     last = t
                 if run:
                     break
-                divided[ck] = quo
+                divided[r] = quo
             else:
                 classes = divided
                 removed += 1
@@ -447,19 +446,11 @@ class Poly:
             return terms, 0
         lead = lead**removed
         out: dict[int, int] = {}
-        for ck, cl in classes.items():
-            base = ck - removed * unit
+        for r, cl in classes.items():
+            base = r - removed * unit
             for t, c in cl:
                 out[base + t * step] = c if lead == 1 else _cdiv(c, lead)
         return out, removed
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def _axis(cls, step: int) -> tuple[int, int]:
-        # the digit of step with the largest entry: its shift and its entry
-        s = cls.unpack(step)
-        axis = max(range(len(s)), key=lambda i: abs(s[i]))
-        return cls._SHIFTS[axis], s[axis]
 
     def value_at_one(self) -> int:
         """Evaluate with every variable set to 1."""
@@ -811,13 +802,16 @@ def _substitute(
 
     images gives, for each variable of c's ring in order, the exponent
     tuple in target's variables that it maps to; None marks a level
-    variable, which must not occur.  Packing is linear, so a term's image
-    key is the sum of its exponents times the packed images, and no image
-    exponent exceeds c's bound times the largest column sum of |images|,
-    which is checked before any key is built.  Coefficients of colliding
-    images are summed and zero sums dropped; the target's constructor then
-    normalizes, since a map that is not injective can create divisor
-    factors.
+    variable, which must not occur.  No image exponent exceeds c's bound
+    times the largest column sum of |images|, which is checked before any
+    key is built.  Packing is linear, so a term's image key is the sum of
+    its exponents times the packed images, and with place values v_i (the
+    last 1) that is its key times the last image plus each higher exponent
+    times (its image - v_i * the last image): only the digits with a
+    nonzero factor are read, and only a map with a level variable unpacks
+    a key, to check that variable.  Coefficients of colliding images are
+    summed and zero sums dropped; the target's constructor then normalizes,
+    since a map that is not injective can create divisor factors.
     """
     shifts = target.POLY._SHIFTS
     grow = max(
@@ -826,19 +820,29 @@ def _substitute(
     bound = _checked(c.num._bound * grow)
     # linear in exact ints: an image alone may leave the exponent range
     steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
+    last = steps[-1]
+    bias = c.POLY._BIAS
+    higher = [
+        (s, f) for s, step in zip(c.POLY._SHIFTS, steps[:-1]) if (f := step - (last << s))
+    ]
+    terms = c.num._terms
     absent = [i for i, img in enumerate(images) if img is None]
-    unpack = c.POLY.unpack
-    d: dict[int, int] = {}
-    for k, v in c.num._terms.items():
-        exps = unpack(k)
-        if any(exps[i] for i in absent):
+    if absent:
+        unpack = c.POLY.unpack
+        if any(exps[i] for exps in map(unpack, terms) for i in absent):
             raise ValueError("coefficient depends on the symbolic level")
-        k = sum(map(mul, exps, steps))
-        nc = d.get(k, 0) + v
-        if nc:
-            d[k] = nc
-        else:
-            del d[k]
+    keys = [k * last for k in terms]
+    for s, f in higher:
+        keys = [
+            img + ((((k + bias) >> s) & _MASK) - _HALF) * f for img, k in zip(keys, terms)
+        ]
+    d = dict(zip(keys, terms.values()))
+    if len(d) < len(terms):
+        # colliding images: sum their coefficients
+        d = {}
+        for k, v in zip(keys, terms.values()):
+            d[k] = d.get(k, 0) + v
+        d = _clean(d)
     return target(target.POLY._raw(d, bound), c.e)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "closure_check",
     "fi_check_span",
     "canonical_basis",
-    "canonical_coeff",
     "iso_canonical_check",
     "filippov_matrix",
     "ideal_check",
@@ -81,7 +80,7 @@ class SubalgebraReport(NamedTuple):
 
     Fields a check did not reach stay None: `offending` is set only on a
     failed closure, and the shape fields (`iso_canonical`, `coeff`,
-    `target`, `ideal_at`) only on a closed n-element candidate.
+    `ideal_at`) only on a closed n-element candidate.
     """
 
     indices: tuple[GenIndex, ...]
@@ -90,7 +89,6 @@ class SubalgebraReport(NamedTuple):
     fi_pass: bool | None = None
     iso_canonical: bool | None = None
     coeff: Scalar | None = None
-    target: GenIndex | None = None
     ideal_at: GenIndex | None = None
 
     @property
@@ -202,15 +200,6 @@ def canonical_basis(n: int) -> tuple[GenIndex, ...]:
     return tuple(range(-k, k + 1))
 
 
-def canonical_coeff(n: int) -> Scalar:
-    """Structure constant of the full bracket on the canonical basis.
-
-    The closed form at :func:`canonical_basis`; it never vanishes, since no
-    bracket of distinct generators does.
-    """
-    return bracketn_closed(canonical_basis(n)).coeff
-
-
 def iso_canonical_check(S: Sequence[GenIndex], n: int) -> tuple[bool, GenIndex | None, Scalar]:
     """Is the span an n-dimensional algebra with one bracket onto a basis line?
 
@@ -286,7 +275,6 @@ def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
         fi_pass=ok,
         iso_canonical=iso,
         coeff=coeff,
-        target=target,
         ideal_at=target if ideal else None,
     )
 

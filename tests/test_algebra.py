@@ -193,7 +193,7 @@ oracle._constant = refuse
 for n in range(3, 11):
     assert not algebra.bracketn_closed(range(n)).is_zero
 for n in range(3, 7):
-    subalgebra.canonical_coeff(n)
+    algebra.bracketn_closed(subalgebra.canonical_basis(n))
 """
         proc = subprocess.run(
             [sys.executable, "-c", script],

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -76,6 +77,23 @@ class TestParsing:
         )
         assert cfg.command == "verify sh-jacobi"
         assert (cfg.n, cfg.window, cfg.format) == (3, 2, "json")
+
+    @pytest.mark.parametrize("argv, progs", [
+        ("verify sh-jacobi --n 3 --window 1", ["pqvw", "pqvw verify", "pqvw verify sh-jacobi"]),
+        ("verify all", ["pqvw", "pqvw verify", "pqvw verify all"]),
+        ("bracket --n 3 --indices 0,1,2", ["pqvw", "pqvw bracket"]),
+    ])
+    def test_constructs_only_the_chosen_path(self, argv, progs, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        parse_args(argv.split())
+        assert built == progs
 
     def test_negative_indices_accepted(self):
         cfg = parse_args(["bracket", "--n", "3", "--indices", "-2,0,2"])
@@ -462,7 +480,7 @@ USAGE_ERRORS = {
     reason="the texts were captured with Python 3.11; argparse's layout differs by version",
 )
 class TestHelpText:
-    """`parse_args` adds arguments only to the chosen command's parser.
+    """`parse_args` constructs only the parsers on the chosen command's path.
 
     The texts under tests/data/help were captured, 80 columns wide, from the
     parser that built all fifteen parsers on every run; help and usage-error

@@ -100,8 +100,8 @@ EXPORTS = {
     ],
     "subalgebra": [
         "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",
-        "canonical_basis", "canonical_coeff", "closure_check", "fi_check_span",
-        "filippov_matrix", "ideal_check", "iso_canonical_check", "search",
+        "canonical_basis", "closure_check", "fi_check_span", "filippov_matrix",
+        "ideal_check", "iso_canonical_check", "search",
     ],
 }
 

@@ -9,6 +9,7 @@ import pytest
 from childenv import child_env
 from pqvw import oracle
 from pqvw.algebra import Term, bracket2, bracketn_closed
+from pqvw.cli import main
 from pqvw.oracle import (
     NotProportional,
     bracketn_def,
@@ -23,6 +24,8 @@ from pqvw.oracle import (
     word_act,
 )
 from pqvw.ring import (
+    EXP_MAX,
+    ExponentOverflow,
     LPoly,
     ModScalar,
     MPoly,
@@ -297,6 +300,75 @@ class TestStructureConstant:
                 structure_constant((0, 1, 2))
         finally:
             oracle._constant.cache_clear()
+
+    def test_flipped_row_sign_is_not_proportional(self, monkeypatch):
+        # the commutator's second row with the wrong sign: its rows then add
+        # up to B = 2 q^(m+k), not to 0
+        real = oracle._expansion
+
+        def mutated(idx):
+            rows = real(idx)
+            if len(idx) == 2:
+                a, b, sign, head, rest = rows[1]
+                rows = [rows[0], (a, b, -sign, head, rest)]
+            return rows
+
+        monkeypatch.setattr(oracle, "_expansion", mutated)
+        with pytest.raises(NotProportional, match="level-dependent"):
+            oracle._constant.__wrapped__((1, 3))
+
+    def test_rests_over_different_divisor_powers(self, monkeypatch):
+        # the recursion's own rests are Laurent polynomials, so the lift of a
+        # rest over fewer divisor powers is reached through stand-in rests:
+        # 1, 1 / D and c3 / D, with c3 chosen so that the level sum cancels
+        rows = [(0, 0, 1, 0, (1,)), (1, 0, -1, 0, (2, 3)), (0, 2, 1, 0, (4, 5))]
+        shifted = [Scalar.monomial(a + sum(r), b + sum(r), coeff=s) for a, b, s, _, r in rows]
+        c2 = Scalar.monomial(0, 0, e=1)
+        a, b, sign, _, rest = rows[2]
+        c3 = -(shifted[0] + shifted[1] * c2) * Scalar.monomial(
+            -a - sum(rest), -b - sum(rest), coeff=sign
+        )
+        assert c3.e == 1
+        rests = {(1,): Scalar.one(), (2, 3): c2, (4, 5): c3}
+        step = oracle._constant.__wrapped__  # one step, uncached
+        monkeypatch.setattr(oracle, "_expansion", lambda idx: rows)
+        monkeypatch.setattr(oracle, "_constant", lambda idx: rests[idx])
+        # the module docstring's sums B and A, each over one more divisor power
+        level = Scalar.sum_of_products(
+            (Scalar.monomial(a + sum(r), b + sum(r), coeff=s, e=1), rests[r])
+            for a, b, s, _, r in rows
+        )
+        assert level.is_zero
+        expected = Scalar.sum_of_products(
+            (Scalar.monomial(a, b, coeff=s, e=1), rests[r]) for a, b, s, _, r in rows
+        )
+        assert expected.e > 0
+        assert step((7, 8)) == expected
+
+    def test_exponent_bound_checked_before_any_key(self, monkeypatch):
+        # a rest whose terms explode when read: the row's bound, EXP_MAX + 1
+        # in p^(a + S_r), must stop the step first
+        class Unreadable(dict):
+            def items(self):
+                raise AssertionError("a key was built")
+
+        rest = Scalar._raw(LPoly._raw(Unreadable({0: 1}), 0), 0)
+        rows = [(EXP_MAX, 0, 1, 0, (1,)), (0, 0, -1, 0, (0,))]
+        step = oracle._constant.__wrapped__
+        monkeypatch.setattr(oracle, "_expansion", lambda idx: rows)
+        monkeypatch.setattr(oracle, "_constant", lambda idx: rest)
+        with pytest.raises(ExponentOverflow):
+            step((0, 1))
+
+    def test_exponent_overflow_on_real_indices(self, capsys):
+        # the cyclic rows of (0, 1, N) reach q^-(N + 1); the command line
+        # refuses such indices as a usage error
+        with pytest.raises(ExponentOverflow):
+            oracle._constant.__wrapped__((0, 1, EXP_MAX))
+        with pytest.raises(SystemExit) as exc:
+            main(["bracket", "--n", "3", "--indices", f"0,1,{EXP_MAX}"])
+        assert exc.value.code == 2
+        assert "pqvw: error: bracket accepts indices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_wrong_recursion_weight_disagrees_with_closed_form(self, monkeypatch, n):

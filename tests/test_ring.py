@@ -692,6 +692,56 @@ class TestPackedKeys:
         quo, removed = loc._cancel(loc.POLY(num), k)
         assert (dict(quo.terms), removed) == _ref_cancel(num, loc.UNIT, loc.STEP, k)
 
+    def test_negative_step(self):
+        # a binomial whose lower key comes first reaches _divide_binomial with
+        # a negative step: p^-1 q^3 - p^-2 q, entered low term first, has
+        # step p^-1 q^-2, unit p^-1 q^3 and lead -1, and its classes are
+        # residues modulo that negative key
+        rng = random.Random(28)
+        low, high = (-2, 1), (-1, 3)
+        divisor = {low: -1, high: 1}
+        d = LPoly(divisor)
+        (k1, _), (k0, _) = d._terms.items()
+        assert k1 - k0 < 0
+        step = tuple(x - y for x, y in zip(low, high))
+        for _ in range(40):
+            num = dict(rand_lpoly(rng, max_terms=6).terms)
+            for _ in range(rng.randint(0, 2)):
+                num = _ref_mul(num, divisor)
+            k = rng.randint(1, 3)
+            terms, removed = LPoly._divide_binomial(
+                LPoly(num)._terms, LPoly.pack(high), LPoly.pack(step), k
+            )
+            ref, ref_removed = _ref_cancel(num, high, step, k)
+            assert (dict(LPoly._raw(terms, 0).terms), removed) == (ref, ref_removed)
+            expected = ref_div(num, divisor)
+            if expected is None:
+                with pytest.raises(NotDivisible):
+                    LPoly(num).exact_div(d)
+            else:
+                assert dict(LPoly(num).exact_div(d).terms) == expected
+
+    def test_cancel_on_multi_class_mod_numerators(self):
+        # terms in several residue classes of the key of pq: different P, Q
+        # digits and different p - q
+        rng = random.Random(280)
+        divisor = {(0, 1, 0, 0): 1, (-1, 0, 0, 0): -1}
+        for _ in range(40):
+            num = {
+                tuple(rng.randint(-3, 3) for _ in range(4)): rng.choice((-3, -1, 1, 2))
+                for _ in range(rng.randint(2, 6))
+            }
+            for _ in range(rng.randint(0, 3)):
+                num = _ref_mul(num, divisor)
+            keys = MPoly(num)._terms
+            if len({key % ModScalar._STEP for key in keys}) < 2:
+                continue
+            k = rng.randint(0, 4)
+            quo, removed = ModScalar._cancel(MPoly(num), k)
+            assert (dict(quo.terms), removed) == _ref_cancel(
+                num, ModScalar.UNIT, ModScalar.STEP, k
+            )
+
 
 # ---- exponent substitutions between the rings ------------------------------
 
@@ -734,6 +784,49 @@ class TestSubstitution:
             _substitute(Scalar.monomial(0, fifth + 1), UniScalar, images)
         # a constant has bound 0, so an image out of range never enters a key
         assert mod_at_level(ModScalar.one(), 10**12) == Scalar.one()
+
+    def test_key_map_matches_exponent_map(self):
+        # every substitution of the ring against the map of exponent tuples
+        rng = random.Random(2828)
+
+        def by_exponents(c, target, images):
+            out = {}
+            for exps, v in c.num.terms.items():
+                img = [0] * len(target.POLY.VARS)
+                for e, image in zip(exps, images):
+                    if image is None:
+                        assert e == 0
+                        continue
+                    img = [x + e * y for x, y in zip(img, image)]
+                out[tuple(img)] = out.get(tuple(img), 0) + v
+            return target(target.POLY(out), c.e)
+
+        def rand_mod(level_free):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                exps = [rng.randint(-5, 5) for _ in range(4)]
+                if level_free:
+                    exps[2:] = [0, 0]
+                terms[tuple(exps)] = rng.randint(-4, 4)
+            return ModScalar(MPoly(terms), rng.randrange(3))
+
+        for _ in range(60):
+            a = Scalar(rand_lpoly(rng, max_terms=6, span=6), rng.randrange(3))
+            assert specialize_pq(a) == by_exponents(a, UniScalar, ((1,), (1,)))
+            assert mod_from_scalar(a) == by_exponents(
+                a, ModScalar, ((1, 0, 0, 0), (0, 1, 0, 0))
+            )
+            images = ((rng.randint(-3, 3),), (rng.randint(-3, 3),))
+            assert _substitute(a, UniScalar, images) == by_exponents(a, UniScalar, images)
+            c = rand_mod(level_free=False)
+            for level in (-7, -1, 0, 1, 3):
+                images = ((1, 0), (0, 1), (level, 0), (0, level))
+                assert mod_at_level(c, level) == by_exponents(c, Scalar, images)
+            c = rand_mod(level_free=True)
+            assert mod_to_scalar(c) == by_exponents(c, Scalar, ((1, 0), (0, 1), None, None))
+            assert mod_to_scalar(mod_from_scalar(a)) == a
+        with pytest.raises(ValueError, match="depends on the symbolic level"):
+            mod_to_scalar(ModScalar.monomial(2, -1, 0, 3))
 
     def test_projection_refuses_the_level(self):
         for exps in ((0, 0, 1, 0), (0, 0, 0, -1), (2, 1, 1, 1)):

@@ -10,7 +10,6 @@ from pqvw.subalgebra import (
     SubalgebraReport,
     UnexpectedSubalgebra,
     canonical_basis,
-    canonical_coeff,
     check_candidate,
     closure_check,
     fi_check_span,
@@ -105,13 +104,13 @@ class TestCanonical:
             b = sum(rows[r][1] * cols[perm[r]] for r in range(3))
             det = det + LPoly.monomial(a, b, coeff=sgn)
         expected = Scalar(det.scale(-1), 2)
-        assert canonical_coeff(3) == expected
+        assert bracketn_closed(canonical_basis(3)).coeff == expected
 
     def test_coeff_nonzero_and_matches_bracket(self):
         for n in (3, 4, 5, 6):
-            coeff = canonical_coeff(n)
+            coeff = bracketn_closed(canonical_basis(n)).coeff
             assert not coeff.is_zero
-            assert coeff == bracketn_closed(canonical_basis(n)).coeff
+            assert coeff == bracket_coeff(canonical_basis(n))
 
     def test_coeff_matches_explicit_presentations(self):
         # the paper's even and odd presentations of the canonical bracket:
@@ -130,10 +129,10 @@ class TestCanonical:
                 pref = LPoly.const(sign_of(n))
             explicit = Scalar(permutation_det(basis, rows) * pref, n - 1)
             assert explicit.e == 0
-            assert canonical_coeff(n) == explicit, n
+            assert bracketn_closed(basis).coeff == explicit, n
 
     def test_q_limit_stays_nonzero(self):
-        assert not specialize_pq(canonical_coeff(3)).is_zero
+        assert not specialize_pq(bracketn_closed(canonical_basis(3)).coeff).is_zero
 
 
 class TestIsoCanonical:
@@ -229,9 +228,8 @@ class TestSearch:
         result = search(3, 3)
         for report in result.found:
             assert report.iso_canonical
-            assert report.target == sum(report.indices)
-            assert report.ideal_at == report.target
-            assert ideal_check(report.indices, 3, report.target)
+            assert report.ideal_at == sum(report.indices)
+            assert ideal_check(report.indices, 3, report.ideal_at)
 
     def test_no_four_dimensional_passes(self):
         result = search(3, 3)
