@@ -33,13 +33,10 @@ rows sum to g(S, 0) (A - W B) / D with
 
 The quotient by g(S, 0) is free of the level exactly when B = 0, and then
 the structure constant is A / D.  So each ordered sub-tuple (memoised) costs
-one pass over its rows in p and q alone, on packed keys: packing is linear,
-so a row adds the terms of c_rest, shifted by the key of p^a q^b, into A
-and, shifted once more by S_r times the key of z, into B, after lifting a
-rest over fewer divisor powers to the most among the rows.  One exponent
-bound is checked before any key is built, a B that does not cancel to
-nothing raises NotProportional, and A, over one more divisor power, is
-normalised once.  No four-variable coefficient is built or divided.
+one pass over its rows in p and q alone, which builds A and B together,
+each over one more divisor power than the rests
+(``Scalar.sum_if_shift_cancels``): a B that does not cancel raises
+NotProportional, and no four-variable coefficient is built or divided.
 
 The full-module reference has one entry,
 ``extract_structure_constant(bracketn_def(idx))``: :func:`bracketn_def`
@@ -73,14 +70,10 @@ from .algebra import (
 )
 from .ring import (
     SCALAR_ONE,
-    LPoly,
     ModScalar,
     MPoly,
     NotDivisible,
     Scalar,
-    _checked,
-    _clean,
-    _Z,
     mod_from_scalar,
     mod_to_scalar,
 )
@@ -319,36 +312,15 @@ def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
 @lru_cache(maxsize=None)
 def _constant(idx: tuple[GenIndex, ...]) -> Scalar:
     # the structure constant of [idx], 1 for a lone generator: the module
-    # docstring's sums A and B, each over one more divisor power than the
-    # rests, placed on their keys in one pass over the rows
+    # docstring's A / D, where B, which is A with each row times z^S_r for
+    # z = pq, must cancel
     if len(idx) == 1:
         return SCALAR_ONE
-    rows = [(a, b, sign, sum(rest), _constant(rest)) for a, b, sign, _, rest in _expansion(idx)]
-    top = max(c.e for *_, c in rows)
-    bound = _checked(max(
-        max(abs(a), abs(b), abs(a + s), abs(b + s)) + c.num._bound + top - c.e
-        for a, b, _, s, c in rows
-    ))
-    total: dict[int, int] = {}
-    level: dict[int, int] = {}
-    total_get, level_get = total.get, level.get
-    for a, b, sign, s, c in rows:
-        terms = c.num._terms
-        if c.e < top:
-            terms = (c.num * Scalar._divisor_pow(top - c.e))._terms
-        # the key of p^a q^b, and that of p^(a+s) q^(b+s) = p^a q^b z^s
-        base = LPoly.pack((a, b))
-        shift = base + s * _Z
-        for k, v in terms.items():
-            if sign < 0:
-                v = -v
-            ka = base + k
-            total[ka] = total_get(ka, 0) + v
-            kb = shift + k
-            level[kb] = level_get(kb, 0) + v
-    if any(level.values()):
+    rows = [(sign, (a, b), sum(rest), _constant(rest)) for a, b, sign, _, rest in _expansion(idx)]
+    total = Scalar.sum_if_shift_cancels(rows, along=(1, 1), e=1)
+    if total is None:
         raise NotProportional(f"the rows of {idx} act with a level-dependent coefficient")
-    return Scalar(LPoly._raw(_clean(total), bound), top + 1)
+    return total
 
 
 def structure_constant(indices: Sequence[GenIndex]) -> Term:

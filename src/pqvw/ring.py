@@ -37,10 +37,10 @@ Exact division takes two kinds of divisor: a monomial, and a binomial
 c * x^u * (x^s - 1), which covers every localization divisor and every
 action coefficient the oracle divides by.  The binomial case is one
 synthetic division over the classes of terms along s.  Packing is linear,
-so a class is a residue of the keys modulo the key of x^s, and the
-quotient is a term's position in its class: no key is decoded.  A quotient
-whose coefficients are not integers raises ``NotDivisible``; any other
-divisor raises ``ValueError``.
+so a term's position along s is its key's quotient by the key of x^s, and
+a class is a run of close positions within one residue: only the key of
+x^s is decoded.  A quotient whose coefficients are not integers raises
+``NotDivisible``; any other divisor raises ``ValueError``.
 
 Normalizing a localized value means trying that division, so sums of
 products, the shape of every bracket recursion and identity residual, go
@@ -79,8 +79,9 @@ __all__ = [
 ]
 
 DIGIT_BITS = 32
-# a quarter of the digit's balanced range, so that a difference of two keys
-# stays inside one digit with room to spare
+# a quarter of the digit's balanced range: a difference of two keys stays
+# inside one digit, and the synthetic division's classes, at most 2 * EXP_MAX
+# apart in every exponent, are told apart by a gap of half the base
 EXP_MAX = (1 << (DIGIT_BITS - 3)) - 1
 _BASE = 1 << DIGIT_BITS
 _HALF = _BASE >> 1
@@ -397,17 +398,22 @@ class Poly:
         Returns (quotient terms, factors removed); with none removed the
         terms come back as they are.  Packing is linear, so the terms fall
         into classes along step by their keys alone: divmod(key, step) gives
-        the residue that names a term's class and its position t in it, the
-        power of y = x^step, for either sign of step.  Dividing a class by
-        (y - 1) leaves at position t the negated sum of the class's
-        coefficients up to t, gaps included, and is exact precisely when the
-        whole class sums to zero.  The unit and lead are divided out at the
-        end.
+        a residue and a position t, the power of y = x^step, for either sign
+        of step.  Terms of one residue whose exponents differ by t * step
+        lie within 2 * EXP_MAX / |step|_max positions of each other, and
+        terms of one residue that are not (their exponents differ by t *
+        step plus a multiple of the base in some digit) lie at least (base
+        - 2 * EXP_MAX) / |step|_max apart, so a gap of more than ``span``
+        positions starts a new class.  Dividing a class by (y - 1) leaves at
+        position t the negated sum of the class's coefficients up to t, gaps
+        included, and is exact precisely when the whole class sums to zero.
+        The unit and lead are divided out at the end.
         """
         # the divisor vanishes where every variable is 1, so a factor needs
         # a zero coefficient sum; a monomial is a unit
         if len(terms) == 1 or sum(terms.values()):
             return terms, 0
+        span = _HALF // max(map(abs, cls.unpack(step)))
         classes: dict[int, list[tuple[int, int]]] = {}
         for key, c in terms.items():
             t, r = divmod(key, step)
@@ -430,6 +436,8 @@ class Poly:
                     if run:
                         if t - last == 1:
                             quo.append((last, run))
+                        elif t - last > span:
+                            break  # a class ends without summing to zero
                         else:
                             quo += [(x, run) for x in range(last, t)]
                     run -= c
@@ -658,6 +666,54 @@ class Localized:
                 bound = max(bound, _checked(small._bound + big._bound))
         return cls(cls.POLY._raw(_clean(acc), bound), top)
 
+    @classmethod
+    def sum_if_shift_cancels(
+        cls, rows, along: tuple[int, ...], e: int = 0
+    ) -> "Localized | None":
+        """Sum over rows (coeff, exps, n, v) of coeff * x^exps * v / divisor^e.
+
+        Returns None instead unless the shifted sum, with each row times
+        (x^along)^n as well, cancels to nothing: the shape of a recursion
+        step whose part along a further variable must vanish.  Both sums sit
+        over e plus the largest divisor power among the rows, a v over fewer
+        lifted first.  Packing is linear, so each v's terms are shifted by
+        the key of x^exps, and by n times the key of x^along, straight into
+        one key dict per sum; the exponent bound is checked before any key
+        is built, and the sum is normalized once.
+        """
+        rows = list(rows)
+        top = slack = 0
+        lift = cls.DIVISOR._bound
+        reach = max(map(abs, along))
+        for _, exps, n, v in rows:
+            if type(v) is not cls:
+                raise TypeError(f"expected {cls.__name__}, got {type(v).__name__}")
+            if v.e > top:
+                top = v.e
+            # the row's exponents, lifted to top divisor powers, stay within
+            # |exps| + |n| |along| + v's bound + (top - v.e) times the lift's
+            row = max(map(abs, exps)) + abs(n) * reach + v.num._bound - v.e * lift
+            if row > slack:
+                slack = row
+        bound = _checked(slack + top * lift)
+        pack = cls.POLY.pack
+        step = pack(along)
+        total: dict[int, int] = {}
+        shift_total: dict[int, int] = {}
+        get, shift_get = total.get, shift_total.get
+        for coeff, exps, n, v in rows:
+            num = v.num if v.e == top else v.num * cls._divisor_pow(top - v.e)
+            base = pack(exps)
+            shift = base + n * step
+            for k, c in num._terms.items():
+                c *= coeff
+                ka, kb = base + k, shift + k
+                total[ka] = get(ka, 0) + c
+                shift_total[kb] = shift_get(kb, 0) + c
+        if any(shift_total.values()):
+            return None
+        return cls(cls.POLY._raw(_clean(total), bound), top + e)
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -795,8 +851,29 @@ def q_number(x: int) -> UniScalar:
 _L = TypeVar("_L", bound=Localized)
 
 
+@lru_cache(maxsize=128)
+def _key_map(
+    source: type[Localized], target: type[Localized], images: tuple[tuple[int, ...] | None, ...]
+) -> tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+    # what _substitute needs of one map: the bound's growth factor, the
+    # last variable's image key, (shift, factor) of each higher digit with a
+    # nonzero factor, and the positions of the level variables
+    shifts = target.POLY._SHIFTS
+    grow = max(
+        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
+    )
+    # linear in exact ints: an image alone may leave the exponent range
+    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
+    last = steps[-1]
+    higher = tuple(
+        (s, f) for s, step in zip(source.POLY._SHIFTS, steps[:-1]) if (f := step - (last << s))
+    )
+    absent = tuple(i for i, img in enumerate(images) if img is None)
+    return grow, last, higher, absent
+
+
 def _substitute(
-    c: Localized, target: type[_L], images: Sequence[tuple[int, ...] | None]
+    c: Localized, target: type[_L], images: tuple[tuple[int, ...] | None, ...]
 ) -> _L:
     """The image of c under an exponent substitution into target's ring.
 
@@ -813,32 +890,24 @@ def _substitute(
     summed and zero sums dropped; the target's constructor then normalizes,
     since a map that is not injective can create divisor factors.
     """
-    shifts = target.POLY._SHIFTS
-    grow = max(
-        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
-    )
+    grow, last, higher, absent = _key_map(type(c), target, images)
     bound = _checked(c.num._bound * grow)
-    # linear in exact ints: an image alone may leave the exponent range
-    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
-    last = steps[-1]
-    bias = c.POLY._BIAS
-    higher = [
-        (s, f) for s, step in zip(c.POLY._SHIFTS, steps[:-1]) if (f := step - (last << s))
-    ]
     terms = c.num._terms
-    absent = [i for i, img in enumerate(images) if img is None]
     if absent:
         unpack = c.POLY.unpack
         if any(exps[i] for exps in map(unpack, terms) for i in absent):
             raise ValueError("coefficient depends on the symbolic level")
+    bias = c.POLY._BIAS
     keys = [k * last for k in terms]
     for s, f in higher:
         keys = [
             img + ((((k + bias) >> s) & _MASK) - _HALF) * f for img, k in zip(keys, terms)
         ]
+    # most images are distinct even under a map that is not injective: keys
+    # built by comprehension and a dict built in one call take a quarter less
+    # time than summing term by term (verify limits --window 99)
     d = dict(zip(keys, terms.values()))
     if len(d) < len(terms):
-        # colliding images: sum their coefficients
         d = {}
         for k, v in zip(keys, terms.values()):
             d[k] = d.get(k, 0) + v

@@ -434,6 +434,47 @@ class TestSumOfProducts:
             Scalar.sum_of_products([()])
 
 
+class TestSumIfShiftCancels:
+    @pytest.mark.parametrize("cls, along", [(Scalar, (1, 1)), (ModScalar, (0, 1, 1, 0))],
+                             ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+    def test_matches_sum_of_products(self, cls, along):
+        # rows in pairs whose shifted terms cancel, and now and then one
+        # more row whose shifted term does not
+        rng = random.Random(len(along))
+        width = len(along)
+
+        def monomial(exps, coeff, e):
+            return cls.monomial(*exps, coeff=coeff, e=e)
+
+        for _ in range(40):
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                v = TestLocalizedSum.rand_value(rng, cls)
+                exps = tuple(rng.randint(-3, 3) for _ in range(width))
+                n, m = rng.randint(-3, 3), rng.randint(-3, 3)
+                # x^exps (x^along)^n = x^other (x^along)^m
+                other = tuple(x + (n - m) * y for x, y in zip(exps, along))
+                coeff = rng.choice((1, -1, 2))
+                rows += [(coeff, exps, n, v), (-coeff, other, m, v)]
+            if rng.random() < 0.3:
+                rows.append((1, (0,) * width, rng.randint(-2, 2), rows[0][3]))
+            shifted = cls.sum_of_products(
+                (monomial(tuple(x + n * y for x, y in zip(exps, along)), c, 1), v)
+                for c, exps, n, v in rows
+            )
+            expected = cls.sum_of_products((monomial(exps, c, 1), v) for c, exps, n, v in rows)
+            total = cls.sum_if_shift_cancels(rows, along, e=1)
+            assert total == (expected if shifted.is_zero else None)
+            if total is not None:
+                assert (total.num, total.e) == (expected.num, expected.e)
+
+    def test_bound_and_ring_checked_first(self):
+        with pytest.raises(ExponentOverflow):
+            Scalar.sum_if_shift_cancels([(1, (EXP_MAX, 0), 1, Scalar.one())], (0, 1))
+        with pytest.raises(TypeError):
+            Scalar.sum_if_shift_cancels([(1, (0, 0), 0, UniScalar.one())], (1, 1))
+
+
 class TestPqNumbers:
     def test_small_values(self):
         assert pq_number(0).is_zero
@@ -741,6 +782,49 @@ class TestPackedKeys:
             assert (dict(quo.terms), removed) == _ref_cancel(
                 num, ModScalar.UNIT, ModScalar.STEP, k
             )
+
+    def test_one_residue_several_classes(self):
+        # keys that differ by a multiple of the step's key, though their
+        # exponents do not differ by a multiple of the step: p's key is 2^32
+        # times q's, pq's is 2^64 times PQ's, and p q^-m lies 2^32 - 2m
+        # positions from q^m along q (m = EXP_MAX - 1 leaves the quotient
+        # room for the divisor's exponent)
+        p, q, one = LPoly.monomial(1, 0), LPoly.monomial(0, 1), LPoly.one()
+        pq, PQ, o = MPoly.monomial(1, 1, 0, 0), MPoly.monomial(0, 0, 1, 1), MPoly.one()
+        m = EXP_MAX - 1
+        far = LPoly.monomial(0, m) - LPoly.monomial(1, -m)
+        for num, d in ((p - one, q - one), (o - pq, o - PQ), (far, q - one)):
+            with pytest.raises(NotDivisible):
+                num.exact_div(d)
+        # the reference coefficient's divisor p^0 (1 - PQ) / (q - p^-1)
+        with pytest.raises(NotDivisible):
+            ModScalar(o - pq).exact_div(ModScalar(o - PQ, 1))
+        assert ((p - one) * (q - one)).exact_div(q - one) == p - one
+        assert ((o - pq) * (o - PQ)).exact_div(o - PQ) == o - pq
+
+    @pytest.mark.parametrize("cls, step", [
+        (LPoly, (0, 1)), (LPoly, (0, -3)), (MPoly, (0, 0, 1, 1)), (MPoly, (0, 1, 0, -2)),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+    def test_one_residue_several_classes_against_reference(self, cls, step):
+        # steps with zero higher digits put terms of different classes in
+        # one residue; numerators are multiples of the divisor, some with a
+        # zero-sum pair added
+        rng = random.Random(sum(step) + len(step))
+        origin = (0,) * len(step)
+        divisor = {step: 1, origin: -1}
+        for _ in range(60):
+            num = {
+                tuple(rng.randint(-3, 3) for _ in step): rng.choice((-3, -1, 1, 2))
+                for _ in range(rng.randint(1, 5))
+            }
+            for _ in range(rng.randint(1, 3)):
+                num = _ref_mul(num, divisor)
+            if rng.random() < 0.5:
+                a, b = (tuple(rng.randint(-3, 3) for _ in step) for _ in range(2))
+                num = _ref_add(num, {a: 1, b: -1} if a != b else {})
+            k = rng.randint(1, 4)
+            terms, removed = cls._divide_binomial(cls(num)._terms, 0, cls.pack(step), k)
+            assert (dict(cls._raw(terms, 0).terms), removed) == _ref_cancel(num, origin, step, k)
 
 
 # ---- exponent substitutions between the rings ------------------------------
