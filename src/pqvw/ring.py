@@ -403,8 +403,8 @@ class Poly:
         lie within 2 * EXP_MAX / |step|_max positions of each other, and
         terms of one residue that are not (their exponents differ by t *
         step plus a multiple of the base in some digit) lie at least (base
-        - 2 * EXP_MAX) / |step|_max apart, so a gap of more than ``span``
-        positions starts a new class.  Dividing a class by (y - 1) leaves at
+        - 2 * EXP_MAX) / |step|_max apart, so a gap of more than half the
+        base over |step|_max positions starts a new class.  Dividing a class by (y - 1) leaves at
         position t the negated sum of the class's coefficients up to t, gaps
         included, and is exact precisely when the whole class sums to zero.
         The unit and lead are divided out at the end.
@@ -511,7 +511,9 @@ class Localized:
     equality.  Sums go through one kernel, ``sum_of_products``: it adds the
     products of rows of factors into one key dict over the largest divisor
     power among the rows and normalizes the total once, so no product or
-    partial sum under it is normalized on its own.  ``+`` is its two-row
+    partial sum under it is normalized on its own.  ``sum_if_shift_cancels``
+    is the same for rows of a monomial times one value, with a second,
+    shifted sum that must cancel.  ``+`` is its two-row
     case.  A lone product normalizes itself, and skips that where a
     monomial numerator means nothing can cancel.
     """
@@ -691,7 +693,7 @@ class Localized:
             if v.e > top:
                 top = v.e
             # the row's exponents, lifted to top divisor powers, stay within
-            # |exps| + |n| |along| + v's bound + (top - v.e) times the lift's
+            # |exps| + |n| |along| + v's bound + (top - v.e) divisor bounds
             row = max(map(abs, exps)) + abs(n) * reach + v.num._bound - v.e * lift
             if row > slack:
                 slack = row
@@ -851,29 +853,8 @@ def q_number(x: int) -> UniScalar:
 _L = TypeVar("_L", bound=Localized)
 
 
-@lru_cache(maxsize=128)
-def _key_map(
-    source: type[Localized], target: type[Localized], images: tuple[tuple[int, ...] | None, ...]
-) -> tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...]]:
-    # what _substitute needs of one map: the bound's growth factor, the
-    # last variable's image key, (shift, factor) of each higher digit with a
-    # nonzero factor, and the positions of the level variables
-    shifts = target.POLY._SHIFTS
-    grow = max(
-        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
-    )
-    # linear in exact ints: an image alone may leave the exponent range
-    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
-    last = steps[-1]
-    higher = tuple(
-        (s, f) for s, step in zip(source.POLY._SHIFTS, steps[:-1]) if (f := step - (last << s))
-    )
-    absent = tuple(i for i, img in enumerate(images) if img is None)
-    return grow, last, higher, absent
-
-
 def _substitute(
-    c: Localized, target: type[_L], images: tuple[tuple[int, ...] | None, ...]
+    c: Localized, target: type[_L], images: Sequence[tuple[int, ...] | None]
 ) -> _L:
     """The image of c under an exponent substitution into target's ring.
 
@@ -890,14 +871,24 @@ def _substitute(
     summed and zero sums dropped; the target's constructor then normalizes,
     since a map that is not injective can create divisor factors.
     """
-    grow, last, higher, absent = _key_map(type(c), target, images)
+    shifts = target.POLY._SHIFTS
+    grow = max(
+        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
+    )
     bound = _checked(c.num._bound * grow)
+    # linear in exact ints: an image alone may leave the exponent range
+    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
+    last = steps[-1]
+    bias = c.POLY._BIAS
+    higher = [
+        (s, f) for s, step in zip(c.POLY._SHIFTS, steps[:-1]) if (f := step - (last << s))
+    ]
     terms = c.num._terms
+    absent = [i for i, img in enumerate(images) if img is None]
     if absent:
         unpack = c.POLY.unpack
         if any(exps[i] for exps in map(unpack, terms) for i in absent):
             raise ValueError("coefficient depends on the symbolic level")
-    bias = c.POLY._BIAS
     keys = [k * last for k in terms]
     for s, f in higher:
         keys = [
@@ -908,6 +899,7 @@ def _substitute(
     # time than summing term by term (verify limits --window 99)
     d = dict(zip(keys, terms.values()))
     if len(d) < len(terms):
+        # colliding images: sum their coefficients
         d = {}
         for k, v in zip(keys, terms.values()):
             d[k] = d.get(k, 0) + v
