@@ -49,7 +49,7 @@ land in one key dict and only the total is normalized.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import ClassVar, Iterator, TypeVar
 
@@ -853,8 +853,30 @@ def q_number(x: int) -> UniScalar:
 _L = TypeVar("_L", bound=Localized)
 
 
+@lru_cache(maxsize=128)
+def _key_map(
+    source: type[Poly], target: type[Poly], images: tuple[tuple[int, ...] | None, ...]
+) -> tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+    # what _substitute needs of one map, worked out once: the growth of the
+    # exponent bound, the last variable's image key, (shift, factor) of each
+    # higher digit with a nonzero factor (at least one, (0, 0) if none),
+    # and the positions of the level variables
+    shifts = target._SHIFTS
+    grow = max(
+        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
+    )
+    # linear in exact ints: an image alone may leave the exponent range
+    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
+    last = steps[-1]
+    higher = tuple(
+        (s, f) for s, step in zip(source._SHIFTS, steps[:-1]) if (f := step - (last << s))
+    )
+    absent = tuple(i for i, img in enumerate(images) if img is None)
+    return grow, last, higher or ((0, 0),), absent
+
+
 def _substitute(
-    c: Localized, target: type[_L], images: Sequence[tuple[int, ...] | None]
+    c: Localized, target: type[_L], images: tuple[tuple[int, ...] | None, ...]
 ) -> _L:
     """The image of c under an exponent substitution into target's ring.
 
@@ -871,32 +893,23 @@ def _substitute(
     summed and zero sums dropped; the target's constructor then normalizes,
     since a map that is not injective can create divisor factors.
     """
-    shifts = target.POLY._SHIFTS
-    grow = max(
-        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
-    )
+    grow, last, ((s, f), *higher), absent = _key_map(c.POLY, target.POLY, images)
     bound = _checked(c.num._bound * grow)
-    # linear in exact ints: an image alone may leave the exponent range
-    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
-    last = steps[-1]
-    bias = c.POLY._BIAS
-    higher = [
-        (s, f) for s, step in zip(c.POLY._SHIFTS, steps[:-1]) if (f := step - (last << s))
-    ]
     terms = c.num._terms
-    absent = [i for i, img in enumerate(images) if img is None]
     if absent:
         unpack = c.POLY.unpack
         if any(exps[i] for exps in map(unpack, terms) for i in absent):
             raise ValueError("coefficient depends on the symbolic level")
-    keys = [k * last for k in terms]
+    # the map's constants worked out once, keys built by comprehension and
+    # the dict in one call: together a quarter less time than summing term
+    # by term (verify limits --window 99); most images are distinct even
+    # under a map that is not injective
+    bias = c.POLY._BIAS
+    keys = [k * last + ((((k + bias) >> s) & _MASK) - _HALF) * f for k in terms]
     for s, f in higher:
         keys = [
             img + ((((k + bias) >> s) & _MASK) - _HALF) * f for img, k in zip(keys, terms)
         ]
-    # most images are distinct even under a map that is not injective: keys
-    # built by comprehension and a dict built in one call take a quarter less
-    # time than summing term by term (verify limits --window 99)
     d = dict(zip(keys, terms.values()))
     if len(d) < len(terms):
         # colliding images: sum their coefficients
