@@ -404,10 +404,11 @@ class Poly:
         terms of one residue that are not (their exponents differ by t *
         step plus a multiple of the base in some digit) lie at least (base
         - 2 * EXP_MAX) / |step|_max apart, so a gap of more than half the
-        base over |step|_max positions starts a new class.  Dividing a class by (y - 1) leaves at
-        position t the negated sum of the class's coefficients up to t, gaps
-        included, and is exact precisely when the whole class sums to zero.
-        The unit and lead are divided out at the end.
+        base over |step|_max positions starts a new class.  Dividing a class
+        by (y - 1) leaves at position t the negated sum of the class's
+        coefficients up to t, gaps included, and is exact precisely when the
+        whole class sums to zero.  The unit and lead are divided out at the
+        end.
         """
         # the divisor vanishes where every variable is 1, so a factor needs
         # a zero coefficient sum; a monomial is a unit
