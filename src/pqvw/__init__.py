@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ring": (
         "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
-        "Scalar", "UniScalar", "classical_value",
+        "Scalar", "UniScalar", "at_indices", "classical_value",
         "mod_at_level", "mod_from_scalar", "mod_to_scalar",
-        "pq_number", "q_number", "specialize_pq",
+        "pq_number", "pq_ring", "q_number", "specialize_pq",
     ),
     "algebra": (
         "BadArity", "GenIndex", "Term", "bracket", "bracket2",
@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "identities": (
         "IdentityReport", "Shuffle", "UnexpectedZero", "check_skew",
-        "deformed_jacobi2_residual", "fi_counterexample_even", "fi_residual",
+        "fi_counterexample_even", "fi_residual",
         "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
     ),
     "subalgebra": (

@@ -15,10 +15,12 @@ before anything is evaluated:
 * an arity above `MAX_VERIFIED_ARITY`;
 * an explicit index (`--indices`, `--y`, `--x`) with |i| > `MAX_INDEX`, or
   past the ring's packed exponent range;
-* a window or sampled sweep (`verify sh-jacobi`, `verify skew`,
-  `oracle-check --n`, `subalgebra search`, `verify jacobi2`, `verify
-  limits`) whose closed-form work estimate, in coefficient-term operations,
-  exceeds `WORK_BUDGET`.
+* a window or sampled sweep, or a residual of explicit indices (`verify
+  fi`, `verify sh-jacobi --indices`, `subalgebra check`), whose closed-form
+  work estimate, in coefficient-term operations, exceeds `WORK_BUDGET`;
+  `verify jacobi2` decides its identities formally, at any window;
+* flags the command would ignore (`--window` or `--samples` beside
+  `--indices`, `--y`, `--x` or `--expect-nonzero` beside `--counterexample`).
 
 A report that `--output` cannot write is an error with exit 2 as well.
 
@@ -34,9 +36,9 @@ import os
 import sys
 import tempfile
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, perm
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import __version__, algebra, suite
 from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, specialize_pq
@@ -47,19 +49,24 @@ from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, special
 # n = 10 (tests/test_algebra.py); a higher limit needs that check at the new n.
 MAX_VERIFIED_ARITY = 10
 
-# One work budget for every window and sampled sweep, in coefficient-term
-# operations, checked in closed form before anything is evaluated: the
-# tuples a sweep enumerates cost VISIT_COST each, and each evaluation it
-# performs costs EVAL_COST plus the coefficient terms it multiplies
-# (`_work_estimate`).  On a 2-core machine with Python 3.11 one term product
-# of the largest sweeps costs 15 to 30 ns; a visit is charged 1 000 terms'
-# time, more than a sample's draw, sort and signature lookup take (5 to
-# 10 us), and an evaluation up to about 7 000 besides its products (a step
-# of the defining recursion).
+# One work budget for every window and sampled sweep, and for the residuals
+# of explicit indices, in coefficient-term operations, checked in closed
+# form before anything is evaluated: the tuples a sweep enumerates cost
+# VISIT_COST each, and each evaluation it performs costs EVAL_COST plus the
+# coefficient terms it multiplies (`_work_estimate`).  On a 2-core machine
+# with Python 3.11 one charged term of the largest sweeps costs 15 to 30 ns,
+# since a sweep bounds its terms at its window's extremes and multiplies
+# about a tenth of them (40.8 M charged, 4.4 M multiplied at `verify
+# sh-jacobi --n 4 --window 5`); a residual of explicit indices multiplies
+# about as many as it counts, each in 120 to 230 ns, so each is charged
+# EXACT_TERM_COST.  A visit is charged 1 000 terms' time, more than a
+# sample's draw, sort and signature lookup take (5 to 10 us), and an
+# evaluation up to about 7 000 besides its products (a recursion step).
 # README's exit-code section tabulates each command's largest admitted case
 # with its estimate, fresh-process time and peak RSS.
 VISIT_COST = 1_000
 EVAL_COST = 7_000
+EXACT_TERM_COST = 8
 WORK_BUDGET = 350_000_000
 
 # Largest |index| accepted in an explicit index list: output and run time
@@ -269,6 +276,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if cfg.n < 2:
             parser.error("sh-jacobi needs n >= 2")
         if cfg.indices is not None:
+            if cfg.window is not None or cfg.samples is not None:
+                parser.error("--indices evaluates one residual: drop --window and --samples")
             if len(cfg.indices) != 2 * cfg.n - 1:
                 parser.error(f"sh-jacobi needs 2n-1 = {2 * cfg.n - 1} indices")
         elif cfg.window is None:
@@ -277,6 +286,9 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if cfg.n < 2:
             parser.error("fi needs n >= 2")
         if cfg.counterexample:
+            if cfg.y is not None or cfg.x is not None or cfg.expect_nonzero:
+                parser.error("--counterexample builds its own picks and expects a nonzero "
+                             "residual: drop --y, --x and --expect-nonzero")
             if cfg.n < 4 or cfg.n % 2:
                 parser.error("--counterexample needs even n >= 4")
         else:
@@ -297,6 +309,12 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     elif cfg.command == "subalgebra search" and 2 * cfg.window + 1 < cfg.n:
         parser.error(f"subalgebra search needs n = {cfg.n} distinct indices "
                      f"in the window, so --window >= {cfg.n // 2}")
+    elif cfg.command == "verify jacobi2":
+        # the report prints (2 window + 1)^3, and Python prints no int longer
+        # than it parses (no limit before 3.10.7, nor when it is set to 0)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and (2 * cfg.window + 1) ** 3 >= 10**limit:
+            parser.error(f"verify jacobi2 would print more than {limit} digits; lower --window")
     elif cfg.command == "subalgebra check":
         if len(set(cfg.indices)) != len(cfg.indices):
             parser.error("subalgebra check needs distinct indices")
@@ -310,17 +328,18 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         parser.error(f"{cfg.command} accepts indices |i| <= {MAX_INDEX}, got {big}")
     work = _work_estimate(cfg)
     if work is not None and work.total > WORK_BUDGET:
+        knobs = "--n, --window or --samples" if cfg.window is not None else "--n or the indices"
         parser.error(f"{cfg.command} would evaluate {work.total} coefficient terms, over "
-                     f"the budget of {WORK_BUDGET}; lower --n, --window or --samples")
+                     f"the budget of {WORK_BUDGET}; lower {knobs}")
     return cfg
 
 
 class Work(NamedTuple):
-    """A sweep's work in closed form: what it enumerates and evaluates."""
+    """A command's work in closed form: what it enumerates and evaluates."""
 
     visits: int  # tuples enumerated
     evaluations: int  # kernel calls: residuals, brackets, recursion steps
-    terms: int  # coefficient terms those evaluations multiply
+    terms: int  # coefficient terms those evaluations multiply, as charged
 
     @property
     def total(self) -> int:
@@ -368,11 +387,61 @@ def _closing_sets(n: int, window: int) -> tuple[int, int]:
     return ways[n - 1].get(0, 0) * (2 * window + 2 - n), comb(window, (n + 1) // 2)
 
 
+def _bracket_terms(t: Sequence[int]) -> int:
+    # the terms of the bracket of t, from its own sorted indices; none when
+    # an index repeats
+    s = sorted(t)
+    n = len(s)
+    return _terms(n, sum((2 * j - n + 1) * x for j, x in enumerate(s))) if len(set(s)) == n else 0
+
+
+def _product_terms(pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> int:
+    # the terms of the nested products [a] * [b] of residuals of explicit
+    # indices, until past the budget (the C(19, 10) of n = 10 take 0.8 s)
+    total = 0
+    for a, b in pairs:
+        total += _bracket_terms(a) * _bracket_terms(b)
+        if EXACT_TERM_COST * total > WORK_BUDGET:
+            break
+    return total
+
+
+def _fi_pairs(ys: tuple[int, ...], xs: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # the n + 1 nested products of `identities.fi_residual`
+    yield xs, ys + (sum(xs),)
+    for k, x in enumerate(xs):
+        yield ys + (x,), xs[:k] + (sum(ys) + x,) + xs[k + 1 :]
+
+
 def _work_estimate(cfg: argparse.Namespace) -> Work | None:
-    """The work of a window or sampled sweep, before anything runs."""
+    """The work of a window or sampled sweep or of explicit residuals, before
+    anything runs; one over the budget is charged what was counted until it was."""
     n, window = cfg.n, cfg.window or 0
     width = 2 * window + 1
-    if cfg.command == "verify sh-jacobi" and cfg.indices is None:
+    if cfg.command == "verify fi" and not cfg.counterexample:
+        return Work(0, 1, EXACT_TERM_COST * _product_terms(_fi_pairs(cfg.y, cfg.x)))
+    if cfg.command == "verify sh-jacobi" and cfg.indices is not None:
+        # the C(2n - 1, n) products [inner] * [[inner], rest], before like
+        # terms are collected
+        idx = cfg.indices
+        pairs = (
+            ((inner := tuple(idx[i] for i in slots)),
+             (sum(inner),) + tuple(x for i, x in enumerate(idx) if i not in slots))
+            for slots in combinations(range(2 * n - 1), n)
+        )
+        return Work(0, 1, EXACT_TERM_COST * _product_terms(pairs))
+    if cfg.command == "subalgebra check":
+        # the residual of every sorted pick of distinct Y and distinct X, if
+        # the set closes, which is index arithmetic
+        from . import subalgebra
+
+        idx = tuple(sorted(cfg.indices))
+        if not subalgebra.closure_check(idx, n).closed:
+            return Work(0, 0, 0)
+        picks = [(ys, xs) for ys in combinations(idx, n - 1) for xs in combinations(idx, n)]
+        pairs = (pair for ys, xs in picks for pair in _fi_pairs(ys, xs))
+        return Work(0, len(picks), EXACT_TERM_COST * _product_terms(pairs))
+    if cfg.command == "verify sh-jacobi":
         # one residual of C(2n - 1, n) shuffle products per set of 2n - 1
         # distinct indices; a sample is a visit (its draw, sort and signature
         # lookup), and the samples evaluate at most every set once.  A
@@ -409,14 +478,6 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
         closing = _closing_sets(n, window)
         residuals = closing[0] * n + closing[1] * comb(n + 1, 2) * (n + 1)
         return Work(visits, residuals, residuals * (n + 1) * _nested_terms(n, window))
-    if cfg.command == "verify jacobi2":
-        # one two-parameter residual per rotation class of the window cube,
-        # (w^3 + 2w) / 3 of them, each three rows of a two-term prefactor
-        # times 2-brackets of |k - n| <= 2 * window and |n + k - m| <= 3 *
-        # window terms; the one-parameter identity is decided formally
-        classes = (width**3 + 2 * width) // 3
-        row = 2 * _terms(2, 2 * window) * _terms(2, 3 * window)
-        return Work(width**3, classes, classes * 3 * row)
     if cfg.command == "verify limits":
         # every 2-bracket of the window, taken to both limits term by term;
         # the odd-arity checks are fixed
@@ -466,9 +527,7 @@ def _skew(cfg: argparse.Namespace) -> list[dict]:
     from . import identities
 
     window = (-cfg.window, cfg.window)
-    sweep = identities.sweep_skew(cfg.n, window)
-    inp = {"window": list(window), "tuples": sweep.checked}
-    return [suite.result(f"skew-n{cfg.n}", inp, sweep.residual, sweep.ok)]
+    return [suite.swept(f"skew-n{cfg.n}", window, identities.sweep_skew(cfg.n, window))]
 
 
 def _sh_jacobi(cfg: argparse.Namespace) -> list[dict]:
@@ -480,13 +539,9 @@ def _sh_jacobi(cfg: argparse.Namespace) -> list[dict]:
         inp = {"indices": list(cfg.indices)}
         return [suite.result(kind, inp, residual.canonical(), residual.is_zero)]
     window = (-cfg.window, cfg.window)
-    sweep = identities.sweep_sh_jacobi(
-        cfg.n, window=window, samples=cfg.samples, seed=cfg.seed
-    )
-    inp = {"window": list(window), "tuples": sweep.checked}
-    if cfg.samples:
-        inp.update({"samples": cfg.samples, "seed": cfg.seed})
-    return [suite.result(kind, inp, sweep.residual, sweep.ok)]
+    sweep = identities.sweep_sh_jacobi(cfg.n, window=window, samples=cfg.samples, seed=cfg.seed)
+    sample = {"samples": cfg.samples, "seed": cfg.seed} if cfg.samples else {}
+    return [suite.swept(kind, window, sweep, **sample)]
 
 
 def _fi(cfg: argparse.Namespace) -> list[dict]:

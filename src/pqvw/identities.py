@@ -25,19 +25,20 @@ bracket, so like terms are collected per (inner, outer) signature pair as
 integer signs before any ring product: pairs whose signs cancel are never
 multiplied, and the residual is one sum of products normalised once.
 
-The 2-bracket's two weighted Jacobi identities are swept over a window
-cube.  The two-parameter residual is evaluated once per rotation class.
-The one-parameter residual is decided formally and only formally: its
-twelve words cancel over the symbols (m, n, k), which holds at every
-triple, so its sweep evaluates none and no verdict here needs the oracle's
-word expansion.
+The 2-bracket's two weighted Jacobi identities are decided formally, over
+the symbols (m, n, k), and their sweeps evaluate no triple.  The
+two-parameter residual is one element of ``ring.pq_ring`` with a pair
+P_s = p^s, Q_s = q^s per symbol, in which it is zero; substituting integers
+is a ring map, so it is zero at every triple.  The one-parameter residual's
+twelve words cancel over the symbols, which holds at every triple too, so
+no verdict here needs the oracle's word expansion.
 """
 from __future__ import annotations
 
 import random
 from functools import lru_cache
 from itertools import combinations, product
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
@@ -45,11 +46,10 @@ from .algebra import (
     Term,
     _sorted_coeff,
     bracket,
-    bracket2,
     bracket_coeff,
     sort_with_sign,
 )
-from .ring import LPoly, Scalar
+from .ring import Localized, Scalar, pq_ring
 
 __all__ = [
     "Shuffle",
@@ -61,7 +61,6 @@ __all__ = [
     "sh_jacobi_residual",
     "fi_residual",
     "fi_counterexample_even",
-    "deformed_jacobi2_residual",
     "sweep_skew",
     "sweep_sh_jacobi",
     "sample_tuples",
@@ -96,8 +95,8 @@ class SweepResult(NamedTuple):
     sh-jacobi sweeps evaluate no residual for them (it is zero): width^k
     for a window, the sample size for a sample.  `failure` is the first
     failing tuple in product order for a window sweep, or the smallest
-    failing sample for a sampled one; the one-parameter Jacobi sweep fails,
-    if at all, at the window's first triple.  None on a pass.
+    failing sample for a sampled one; the 2-bracket's Jacobi sweeps, decided
+    formally, fail, if at all, at the window's first triple.  None on a pass.
     """
 
     checked: int
@@ -237,22 +236,37 @@ def fi_counterexample_even(
     return Y, X, res
 
 
-@lru_cache(maxsize=None)
-def _jacobi2_prefactor(a: GenIndex) -> Scalar:
-    # q^a + p^-a, which is 2 at a = 0
-    return Scalar._raw(LPoly({(0, a): 1, (-a, 0): 1}) if a else LPoly.const(2), 0)
+# the two-parameter residual's ring: p, q and P_s = p^s, Q_s = q^s for each
+# symbol s of (m, n, k); a linear form in the symbols is its coefficients
+_JACOBI2_RING = pq_ring(*(f"{v}_{s}" for s in "mnk" for v in "PQ"))
+_M, _N, _K, _ZERO = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
 
 
-def deformed_jacobi2_residual(m: GenIndex, n: GenIndex, k: GenIndex) -> Scalar:
-    """Weighted two-parameter Jacobi residual for the 2-bracket.
+def _p_inv_q(a: tuple[int, ...], b: tuple[int, ...]) -> Localized:
+    # p^-a q^b for linear forms a and b in the symbols
+    return _JACOBI2_RING.monomial(0, 0, *(e for x, y in zip(a, b) for e in (-x, y)))
 
-    (q^m + p^-m) [L_m, [L_n, L_k]] + cyclic, where both brackets carry their
-    index-dependent weights and therefore collapse to structure constants;
-    the three products are one sum normalised once.
+
+def _formal_bracket2(m: tuple[int, ...], n: tuple[int, ...]) -> Localized:
+    # the 2-bracket's coefficient -(p^-m q^n - p^-n q^m) / (q - p^-1) at
+    # linear forms m and n, which is algebra.bracket2(m, n).coeff at integers
+    return (_p_inv_q(n, m) - _p_inv_q(m, n)) * _JACOBI2_RING(1, 1)
+
+
+def _jacobi2_weight(a: tuple[int, ...]) -> Localized:
+    # q^a + p^-a, the weight of the row whose outer bracket starts at a
+    return _p_inv_q(_ZERO, a) + _p_inv_q(a, _ZERO)
+
+
+def _pq_jacobi2_formal() -> Localized:
+    """(q^a + p^-a) [L_a, [L_b, L_c]] over the rotations (a, b, c) of (m, n, k).
+
+    Three products of the weight and two formal 2-brackets, one sum
+    normalised once: zero here is zero at every integer triple.
     """
-    return Scalar.sum_of_products(
-        (_jacobi2_prefactor(a), bracket2(b, c).coeff, bracket2(a, b + c).coeff)
-        for a, b, c in ((m, n, k), (n, k, m), (k, m, n))
+    return _JACOBI2_RING.sum_of_products(
+        (_jacobi2_weight(a), _formal_bracket2(b, c), _formal_bracket2(a, tuple(map(add, b, c))))
+        for a, b, c in ((_M, _N, _K), (_N, _K, _M), (_K, _M, _N))
     )
 
 
@@ -370,27 +384,26 @@ def _sh_jacobi_worker(args: tuple[int, list[tuple[int, ...]]]):
     return _first_sh_jacobi_failure(*args)
 
 
-def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
-    """Weighted Jacobi residuals for the 2-bracket over a window cube.
+def _decided(window: tuple[int, int], residual: str | None) -> SweepResult:
+    # a formal verdict decides every triple of the window cube: a nonzero
+    # formal residual is one failure, at the window's first triple
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("empty index window")
+    failure = None if residual is None else IdentityReport((lo,) * 3, residual, False)
+    return SweepResult((hi - lo + 1) ** 3, failure)
 
-    The residual at (n, k, m) is the sum of the same three row products as
-    at (m, n, k), so it is evaluated once per rotation class, at the class's
-    first triple in product order (its smallest rotation); every triple is
-    counted, and the sweep stops at the first failing one in product order.
+
+def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
+    """Two-parameter Jacobi residuals over a window cube, decided formally.
+
+    The residual over the symbols (m, n, k) is zero, so every triple's is
+    and none is evaluated; the result counts every triple.  A nonzero
+    formal residual fails once, at the window's first triple, with the
+    formal residual as its text.
     """
-    values = _window_range(window)
-    # a triple's smallest rotation comes no later in product order, so the
-    # sweep has passed it unless the triple is that rotation itself
-    failure = next(
-        (
-            IdentityReport(t, res.canonical(), False)
-            for t in product(values, repeat=3)
-            if t == min(t, t[1:] + t[:1], t[2:] + t[:2])
-            and not (res := deformed_jacobi2_residual(*t)).is_zero
-        ),
-        None,
-    )
-    return SweepResult(len(values) ** 3, failure)
+    residual = _pq_jacobi2_formal()
+    return _decided(window, residual.canonical() if residual else None)
 
 
 def _q_jacobi2_text(words: dict[tuple[tuple[int, ...], tuple[int, int, int]], int]) -> str:
@@ -413,7 +426,5 @@ def sweep_q_jacobi2(window: tuple[int, int]) -> SweepResult:
     Should words be left over, the formal check fails: the sweep reports one
     failure, at the window's first triple, whose residual lists them.
     """
-    values = _window_range(window)
     words = _q_jacobi2_formal_sum()
-    failure = IdentityReport((values[0],) * 3, _q_jacobi2_text(words), False) if words else None
-    return SweepResult(len(values) ** 3, failure)
+    return _decided(window, _q_jacobi2_text(words) if words else None)

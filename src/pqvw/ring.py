@@ -1,22 +1,22 @@
 """Exact coefficient arithmetic: sparse Laurent polynomials and localizations.
 
 Everything downstream (brackets, the oscillator oracle, identity sweeps)
-reduces to arithmetic in a handful of Laurent rings over the integers:
+reduces to arithmetic in Laurent rings over the integers:
 
-* ``LPoly``                  -- polynomials in p^(+-1), q^(+-1)
-* ``Scalar``                 -- an LPoly divided by a power of (q - p^-1)
-* ``MPoly`` / ``ModScalar``  -- four variables p, q, P, Q, localized at
-  (q - p^-1), where P and Q stand for p^nu and q^nu at a symbolic module
-  level nu; ``Scalar`` embeds in it as the level-free values
+* ``pq_ring(*extra)``        -- one memoised family over p, q and named extra
+  variables, localized at (q - p^-1).  ``Scalar`` (``LPoly``) is its member
+  with none, ``ModScalar`` (``MPoly``) with P, Q = p^nu, q^nu at a symbolic
+  module level nu, and a member with a pair P_s, Q_s = p^s, q^s per symbol
+  s holds identities over the symbols' integer values
 * ``UPoly`` / ``UniScalar``  -- one variable q, localized at (q - q^-1)
 
 Values move between these rings by one exponent substitution,
-``_substitute``: p := q onto ``UniScalar`` (``specialize_pq``), P, Q :=
-p^nu, q^nu at a concrete level (``mod_at_level``), and the embedding of
-``Scalar`` into the four variables and its projection back
-(``mod_from_scalar``, ``mod_to_scalar``).  Each maps variables to monomials,
-so it is a ring map, and each takes the source's localization divisor to
-the target's.
+``_substitute``: p := q onto ``UniScalar`` (``specialize_pq``), each pair
+P_s, Q_s := p^i, q^i at concrete indices (``at_indices``, and
+``mod_at_level`` for the level), and the embedding of ``Scalar`` into the
+four variables and its projection back (``mod_from_scalar``,
+``mod_to_scalar``).  Each maps variables to monomials, so it is a ring map,
+and each takes the source's localization divisor to the target's.
 
 Every coefficient is a plain ``int``: the structure constants lie in
 Z[p^(+-1), q^(+-1)] over a power of the localization divisor, and a
@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from typing import ClassVar, Iterator, TypeVar
+from types import MappingProxyType
+from typing import ClassVar, Sequence, TypeVar
 
 __all__ = [
     "NotDivisible",
@@ -64,6 +65,7 @@ __all__ = [
     "UPoly",
     "MPoly",
     "Localized",
+    "pq_ring",
     "Scalar",
     "UniScalar",
     "ModScalar",
@@ -73,6 +75,7 @@ __all__ = [
     "q_number",
     "specialize_pq",
     "classical_value",
+    "at_indices",
     "mod_at_level",
     "mod_from_scalar",
     "mod_to_scalar",
@@ -144,39 +147,15 @@ def _clean(acc: dict[int, int]) -> dict[int, int]:
     return {k: c for k, c in acc.items() if c}
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial's terms keyed by exponent tuples."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: "Poly"):
-        self._poly = poly
-
-    def __getitem__(self, exps) -> int:
-        try:
-            return self._poly._terms[self._poly.pack(exps)]
-        except (ValueError, ExponentOverflow):
-            raise KeyError(exps) from None
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return map(self._poly.unpack, self._poly._terms)
-
-    def __len__(self) -> int:
-        return len(self._poly._terms)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 class Poly:
     """Sparse Laurent polynomial with a fixed variable tuple per subclass.
 
     ``_terms`` maps a packed monomial key (see the module docstring) to a
     nonzero int coefficient, and ``_bound`` bounds the absolute value
-    of every exponent.  ``terms`` is a read-only view keyed by exponent
-    tuples, decoded on access, and the public constructors take exponent
-    tuples.  The canonical text form lists terms in lexicographic exponent
-    order, which is the order of the keys.
+    of every exponent.  ``terms`` is a read-only copy keyed by exponent
+    tuples, and the public constructors take exponent tuples.  The
+    canonical text form lists terms in lexicographic exponent order, which
+    is the order of the keys.
     """
 
     VARS: ClassVar[tuple[str, ...]] = ()
@@ -236,7 +215,7 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
-        return _Terms(self)
+        return MappingProxyType(dict(zip(map(self.unpack, self._terms), self._terms.values())))
 
     @classmethod
     def zero(cls):
@@ -295,14 +274,7 @@ class Poly:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        d = dict(self._terms)
-        for k, c in other._terms.items():
-            nc = d.get(k, 0) - c
-            if nc:
-                d[k] = nc
-            else:
-                del d[k]
-        return type(self)._raw(d, max(self._bound, other._bound))
+        return self + -other
 
     def __mul__(self, other):
         cls = type(self)
@@ -476,22 +448,10 @@ class Poly:
         return f"{type(self).__name__}({self.canonical()})"
 
 
-class LPoly(Poly):
-    """Laurent polynomial in p, q: a finite sum of c * p^a * q^b."""
-
-    VARS = ("p", "q")
-
-
 class UPoly(Poly):
     """Laurent polynomial in q alone."""
 
     VARS = ("q",)
-
-
-class MPoly(Poly):
-    """Laurent polynomial in p, q, P, Q with P = p^nu, Q = q^nu symbolic."""
-
-    VARS = ("p", "q", "P", "Q")
 
 
 class Localized:
@@ -780,14 +740,6 @@ class Localized:
         return f"{type(self).__name__}({self.canonical()})"
 
 
-class Scalar(Localized):
-    """Element num / (q - p^-1)^e: the home of all structure constants."""
-
-    POLY = LPoly
-    UNIT, STEP = (-1, 0), (1, 1)  # q - p^-1 = p^-1 (pq - 1)
-    DIV_LABEL = "q-p^-1"
-
-
 class UniScalar(Localized):
     """Element num / (q - q^-1)^e of the one-variable q ring."""
 
@@ -796,12 +748,33 @@ class UniScalar(Localized):
     DIV_LABEL = "q-q^-1"
 
 
-class ModScalar(Localized):
-    """Four-variable coefficient num / (q - p^-1)^e carrying a symbolic level."""
+# the members the package names, by their extra variables: a class name is
+# part of every repr and hash, so each variable set has one class
+_MEMBER_NAMES = {(): ("LPoly", "Scalar"), ("P", "Q"): ("MPoly", "ModScalar")}
 
-    POLY = MPoly
-    UNIT, STEP = (-1, 0, 0, 0), (1, 1, 0, 0)
-    DIV_LABEL = "q-p^-1"
+
+@lru_cache(maxsize=None)
+def pq_ring(*extra: str) -> type[Localized]:
+    """The ring over p, q and the extra variables, localized at q - p^-1.
+
+    One class per variable set, whose polynomial ring is its ``POLY``; other
+    members than ``Scalar`` and ``ModScalar`` are named after their
+    variables.  The divisor q - p^-1 = p^-1 (pq - 1) involves p and q alone.
+    """
+    listed = ", ".join(extra)
+    names = _MEMBER_NAMES.get(extra) or (f"LPoly[{listed}]", f"Scalar[{listed}]")
+    common = {"__slots__": (), "__module__": __name__}
+    poly = type(names[0], (Poly,), {**common, "VARS": ("p", "q") + extra})
+    pad = (0,) * len(extra)
+    return type(names[1], (Localized,), {
+        **common, "POLY": poly, "UNIT": (-1, 0) + pad, "STEP": (1, 1) + pad, "DIV_LABEL": "q-p^-1"
+    })
+
+
+Scalar = pq_ring()  # the home of all structure constants
+LPoly = Scalar.POLY
+ModScalar = pq_ring("P", "Q")  # coefficients carrying a symbolic level
+MPoly = ModScalar.POLY
 
 
 SCALAR_ZERO = Scalar.zero()
@@ -937,9 +910,18 @@ def classical_value(u: UniScalar) -> int:
     return u.num.value_at_one()
 
 
+def at_indices(c: Localized, indices: Sequence[int]) -> Scalar:
+    """Evaluate a member of ``pq_ring`` whose extra variables are pairs
+    (P_s, Q_s) at concrete indices: the i-th pair becomes (p^i, q^i)."""
+    pairs = tuple(img for i in indices for img in ((i, 0), (0, i)))
+    if len(pairs) != len(c.POLY.VARS) - 2:
+        raise ValueError(f"{type(c).__name__} takes {len(c.POLY.VARS) // 2 - 1} indices")
+    return _substitute(c, Scalar, ((1, 0), (0, 1)) + pairs)
+
+
 def mod_at_level(c: ModScalar, level: int) -> Scalar:
     """Evaluate at a concrete level: P -> p^level, Q -> q^level."""
-    return _substitute(c, Scalar, ((1, 0), (0, 1), (level, 0), (0, level)))
+    return at_indices(c, (level,))
 
 
 def mod_from_scalar(s: Scalar) -> ModScalar:

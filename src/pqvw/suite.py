@@ -39,6 +39,12 @@ def result(kind: str, inp: dict, residual: str, ok: bool, **extra) -> dict:
     }
 
 
+def swept(kind: str, window: tuple[int, int], sweep, **inp) -> dict:
+    """Record of an identity sweep: its window, tuple count and first failure."""
+    return result(kind, {"window": list(window), "tuples": sweep.checked, **inp},
+                  sweep.residual, sweep.ok)
+
+
 def agreement(kind: str, inp: dict, bad) -> dict:
     """Record of a comparison that passes unless it found a first mismatch `bad`."""
     return result(kind, inp, "0" if bad is None else str(bad), bad is None)
@@ -75,11 +81,8 @@ def check_jacobi2(window: tuple[int, int]) -> list[dict]:
     from . import identities
 
     return [
-        result(kind, {"window": list(window), "tuples": sweep.checked}, sweep.residual, sweep.ok)
-        for kind, sweep in (
-            ("pq-jacobi2", identities.sweep_deformed_jacobi2(window)),
-            ("q-jacobi2", identities.sweep_q_jacobi2(window)),
-        )
+        swept("pq-jacobi2", window, identities.sweep_deformed_jacobi2(window)),
+        swept("q-jacobi2", window, identities.sweep_q_jacobi2(window)),
     ]
 
 
@@ -138,31 +141,16 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
 def check_sh_jacobi(cfg: dict) -> list[dict]:
     from . import identities
 
-    out = []
-    for n, window in cfg["sh_windows"].items():
-        sweep = identities.sweep_sh_jacobi(n, window=window)
-        out.append(
-            result(
-                f"sh-jacobi-n{n}",
-                {"window": list(window), "tuples": sweep.checked},
-                sweep.residual,
-                sweep.ok,
-            )
-        )
+    out = [
+        swept(f"sh-jacobi-n{n}", window, identities.sweep_sh_jacobi(n, window=window))
+        for n, window in cfg["sh_windows"].items()
+    ]
     n = cfg["sh_sampled_arity"]
     if n:
         seed = cfg["seed"]
-        sweep = identities.sweep_sh_jacobi(
-            n, window=(-2, 2), samples=SH_SAMPLE_COUNT, seed=seed
-        )
-        out.append(
-            result(
-                f"sh-jacobi-n{n}-sampled",
-                {"window": [-2, 2], "samples": SH_SAMPLE_COUNT, "seed": seed},
-                sweep.residual,
-                sweep.ok,
-            )
-        )
+        sweep = identities.sweep_sh_jacobi(n, window=(-2, 2), samples=SH_SAMPLE_COUNT, seed=seed)
+        inp = {"window": [-2, 2], "samples": SH_SAMPLE_COUNT, "seed": seed}
+        out.append(result(f"sh-jacobi-n{n}-sampled", inp, sweep.residual, sweep.ok))
     return out
 
 

@@ -16,6 +16,7 @@ from pqvw.ring import classical_value, pq_number, q_number, specialize_pq
 
 from childenv import child_env
 from determinants import closed_rows, paper_coeff, permutation_det
+from words import deformed_jacobi2_residual
 
 
 def criterion(num: int, name: str, budget_s: float):
@@ -48,7 +49,9 @@ def test_c2_two_bracket():
         ) == algebra.bracket2(m, n)
         assert algebra.bracket2(n, m).coeff == -algebra.bracket2(m, n).coeff
     for m, n, k in product(range(-3, 4), repeat=3):
-        assert identities.deformed_jacobi2_residual(m, n, k).is_zero
+        assert deformed_jacobi2_residual(m, n, k).is_zero
+    # and formally, for every integer triple
+    assert identities.sweep_deformed_jacobi2((-3, 3)) == (7**3, None)
 
 
 @criterion(3, "closed form == recursive form", 300.0)

@@ -9,8 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from pqvw import algebra, identities, oracle, subalgebra, suite
-from pqvw.cli import WORK_BUDGET, _closing_sets, _work_estimate, parse_args, run
+from pqvw import algebra, identities, oracle, ring, subalgebra, suite
+from pqvw.cli import (
+    EXACT_TERM_COST,
+    WORK_BUDGET,
+    _closing_sets,
+    _work_estimate,
+    parse_args,
+    run,
+)
 
 from childenv import child_env
 
@@ -25,10 +32,10 @@ def invoke(*args: str, timeout: int = 300) -> subprocess.CompletedProcess:
     )
 
 
-# per command, its largest sweep inside WORK_BUDGET (the rows of README's
-# calibration table) and the next step up; sh-jacobi has a failing (n = 2)
-# and a passing row for each of its window and sampled forms, since a failing
-# sweep stops at its first failure
+# per command, its largest sweep or explicit residual inside WORK_BUDGET (the
+# rows of README's calibration table) and the next step up; sh-jacobi has a
+# failing (n = 2) and a passing row for each of its window and sampled forms,
+# since a failing sweep stops at its first failure
 BUDGET_EDGES = [
     ("verify sh-jacobi --n 2 --window 24", "verify sh-jacobi --n 2 --window 25"),
     ("verify sh-jacobi --n 2 --window 50 --samples 6603",
@@ -39,13 +46,16 @@ BUDGET_EDGES = [
     ("verify skew --n 2 --window 75", "verify skew --n 2 --window 76"),
     ("oracle-check --n 3 --window 16", "oracle-check --n 3 --window 17"),
     ("subalgebra search --n 5 --window 6", "subalgebra search --n 5 --window 7"),
-    ("verify jacobi2 --window 17", "verify jacobi2 --window 18"),
     ("verify limits --window 102", "verify limits --window 103"),
+    ("verify fi --n 3 --y 0,1350 --x -1350,1,1350", "verify fi --n 3 --y 0,1351 --x -1351,1,1351"),
+    ("verify sh-jacobi --n 3 --indices -758,-379,0,379,758",
+     "verify sh-jacobi --n 3 --indices -760,-380,0,380,760"),
+    ("subalgebra check --n 3 --indices -1169,0,1169", "subalgebra check --n 3 --indices -1170,0,1170"),
 ]
 
 # per sweep, a small command and the kernel each of its evaluations calls;
 # the estimate's evaluation count must equal the calls where marked exact
-# (sets of distinct indices, rotation classes of a passing sweep) and cover
+# (sets of distinct indices, explicit residuals that pass) and cover
 # them elsewhere (n = 2 fails, and a failing sweep stops at its first failure)
 COUNTED = [
     ("verify sh-jacobi --n 3 --window 3", identities, "sh_jacobi_residual", True),
@@ -56,7 +66,10 @@ COUNTED = [
     ("verify skew --n 2 --window 3", identities, "bracket", False),
     ("oracle-check --n 3 --window 1", oracle, "_expansion", False),
     ("oracle-check --n 4 --window 2", oracle, "_expansion", False),
-    ("verify jacobi2 --window 2", identities, "deformed_jacobi2_residual", True),
+    ("verify fi --n 3 --y -2,-1 --x -2,0,1", identities, "fi_residual", True),
+    ("verify sh-jacobi --n 3 --indices -2,1,0,2,-1", identities, "sh_jacobi_residual", True),
+    ("subalgebra check --n 3 --indices -1,0,1", subalgebra, "fi_residual", True),
+    ("subalgebra check --n 3 --indices -2,2,5", subalgebra, "fi_residual", False),
     ("verify limits --window 2", algebra, "bracket2", False),
     ("subalgebra search --n 3 --window 2", subalgebra, "fi_residual", False),
     ("subalgebra search --n 4 --window 3", subalgebra, "fi_residual", False),
@@ -175,6 +188,40 @@ class TestParsing:
         evaluations = _work_estimate(cfg).evaluations
         assert len(calls) == evaluations if exact else len(calls) <= evaluations
 
+    @pytest.mark.parametrize("command, tight", [
+        ("verify fi --n 3 --y -2,-1 --x -2,0,1", True),
+        ("verify fi --n 4 --y 0,7,-9 --x -20,1,3,12", True),
+        ("verify sh-jacobi --n 3 --indices -20,1,0,9,-3", True),
+        ("verify sh-jacobi --n 4 --indices -9,1,0,2,-1,5,6", True),
+        ("subalgebra check --n 3 --indices -40,0,40", True),
+        ("subalgebra check --n 4 --indices -30,5,7,23", True),
+        # the charge is an upper bound only where terms cancel in pairs before
+        # they are multiplied (a repeated index), or where a span stops at its
+        # first nonzero residual
+        ("verify sh-jacobi --n 4 --indices -9,1,0,2,-1,5,5", False),
+        ("subalgebra check --n 4 --indices -30,-7,0,7,30", False),
+    ])
+    def test_explicit_residuals_charge_the_terms_they_multiply(
+        self, command, tight, monkeypatch
+    ):
+        # a residual of explicit indices is charged every term product of
+        # its nested brackets, from its own sorted indices: at least the
+        # terms the ring multiplies, and, with distinct indices, less than
+        # twice as many
+        multiplied = []
+        real = ring._mul_into
+
+        def counted(acc, a, b):
+            multiplied.append(len(a) * len(b))
+            real(acc, a, b)
+
+        monkeypatch.setattr(ring, "_mul_into", counted)
+        cfg = parse_args(command.split())
+        run(cfg)
+        charged = _work_estimate(cfg).terms // EXACT_TERM_COST
+        assert sum(multiplied) <= charged
+        assert charged < 2 * sum(multiplied) or not tight
+
     def test_closing_sets_match_enumeration(self):
         # the search's closing candidates, counted in closed form, against
         # the closure check on every candidate
@@ -248,6 +295,20 @@ class TestRun:
 
     def test_levels_set_the_same_keys(self):
         assert set(suite.SMOKE_CONFIG) == set(suite.DESK_CONFIG)
+
+    def test_jacobi2_negative_control_exits_1(self, monkeypatch):
+        # with the weight's p^-a half dropped the formal two-parameter
+        # residual is nonzero: one failure at the window's first triple,
+        # and exit 1, while the one-parameter record still passes
+        monkeypatch.setattr(
+            identities, "_jacobi2_weight", lambda a: identities._p_inv_q(identities._ZERO, a)
+        )
+        report, code = run(parse_args(["verify", "jacobi2", "--window", "2"]))
+        assert code == 1
+        pq, q = report.results
+        assert (pq["kind"], pq["verdict"], q["verdict"]) == ("pq-jacobi2", "fail", "pass")
+        assert pq["input"] == {"window": [-2, 2], "tuples": 125}
+        assert pq["residual"] == identities._pq_jacobi2_formal().canonical()
 
     def test_search_verdict_shared_by_cli_and_desk(self, monkeypatch):
         # a found 3-set whose ideal check fails lacks the classified shape,
@@ -329,14 +390,52 @@ class TestBlackBox:
             (("subalgebra", "search", "--n", "9", "--window", "6"), f"9318928250 {over}"),
             # charged its visits alone: the closing sets are not counted
             (("subalgebra", "search", "--n", "10", "--window", "100000"), over),
-            (("verify", "jacobi2", "--window", "1000"), f"96170826732008000 {over}"),
             (("verify", "limits", "--window", "1000"), f"40040010000 {over}"),
+            # residuals of explicit indices, charged their products up to the
+            # one past the budget: 43 s, 142 s and 56 s without the budget,
+            # and more than a minute at |i| = 10000
+            (("verify", "fi", "--n", "3", "--y", "0,3000", "--x", "-3000,1,3000"), over),
+            (("verify", "sh-jacobi", "--n", "3", "--indices", "-3000,-1500,0,1500,3000"), over),
+            (("subalgebra", "check", "--n", "3", "--indices", "-3000,0,3000"), over),
+            (("verify", "fi", "--n", "3", "--y", "0,10000", "--x", "-10000,1,10000"), over),
+            (("verify", "sh-jacobi", "--n", "3", "--indices", "-10000,-5000,0,5000,10000"),
+             over),
             # about 20 s and 75 MB of output without the limit
             (("bracket", "--n", "3", "--indices", "0,1,1000000"),
              "bracket accepts indices |i| <= 10000, got 1000000"),
         ):
             proc = invoke(*args, timeout=1)
             assert proc.returncode == 2, args
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
+        # flags a command would ignore are refused, not echoed in the report's
+        # params: an explicit sh-jacobi residual takes no window or sample,
+        # and the fi counterexample builds its own picks and expectation
+        sh = ("verify", "sh-jacobi", "--n", "3", "--indices", "0,1,2,3,4")
+        fi = ("verify", "fi", "--n", "4", "--counterexample")
+        for args, message in (
+            (sh + ("--window", "2", "--samples", "10"), "drop --window and --samples"),
+            (sh + ("--window", "2"), "drop --window and --samples"),
+            (sh + ("--samples", "10"), "drop --window and --samples"),
+            (fi + ("--y", "1,2,3"), "drop --y, --x and --expect-nonzero"),
+            (fi + ("--x", "0,1,2,3"), "drop --y, --x and --expect-nonzero"),
+            (fi + ("--expect-nonzero",), "drop --y, --x and --expect-nonzero"),
+        ):
+            proc = invoke(*args, timeout=1)
+            assert proc.returncode == 2, args
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
+        # the 2-bracket's Jacobi identities are decided formally, so a wide
+        # window costs what a narrow one does; only the printed triple count
+        # bounds it, where Python's int-to-text limit refuses it
+        proc = invoke("verify", "jacobi2", "--window", "1000", "--format", "json", timeout=1)
+        assert proc.returncode == 0, proc.stderr
+        tuples = [r["input"]["tuples"] for r in json.loads(proc.stdout)["results"]]
+        assert tuples == [2001**3, 2001**3]
+        for window, message in (("9" * 1500, "would print more than 4300 digits"),
+                                ("9" * 4301, "invalid int value")):
+            proc = invoke("verify", "jacobi2", "--window", window, timeout=1)
+            assert proc.returncode == 2
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
         # an index so large that an exponent leaves the ring's packed range is

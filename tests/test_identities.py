@@ -7,7 +7,6 @@ from pqvw import algebra, identities, oracle
 from pqvw.algebra import Term, bracket_coeff, bracketn_closed
 from pqvw.identities import (
     check_skew,
-    deformed_jacobi2_residual,
     fi_counterexample_even,
     fi_residual,
     sample_tuples,
@@ -19,10 +18,10 @@ from pqvw.identities import (
     sweep_skew,
 )
 from pqvw.oracle import NotProportional, bracketn_def, extract_structure_constant
-from pqvw.ring import LPoly, ModScalar, Scalar, classical_value
+from pqvw.ring import LPoly, ModScalar, Scalar, at_indices, classical_value
 from pqvw.subalgebra import fi_check_span
 
-from words import q_jacobi2_residual
+from words import deformed_jacobi2_residual, q_jacobi2_residual
 
 # the signed 10-term expansion of the arity-3 shuffle identity, in
 # lexicographic order of the inner block
@@ -503,6 +502,58 @@ class TestEvenCounterexample:
             fi_counterexample_even(2)
 
 
+def q_weight(a):
+    # the negative control's weight: q^a + p^-a without its p^-a half
+    return Scalar.monomial(0, a)
+
+
+def formal_q_weight(a):
+    return identities._p_inv_q(identities._ZERO, a)
+
+
+# random triples of indices in [-6, 6], repeated and negative ones included
+RANDOM_TRIPLES = [tuple(random.Random(seed).choices(range(-6, 7), k=3)) for seed in range(60)]
+RANDOM_TRIPLES += [(0, 0, 0), (2, 2, -3), (-4, 1, -4), (5, -5, 5)]
+
+
+class TestFormalJacobi2:
+    """Substituting integers for the symbols (m, n, k) is a ring map.
+
+    The formal verdict of ``sweep_deformed_jacobi2`` rests on it, so each
+    formal value here is compared, after substitution, with the concrete
+    value computed from the concrete 2-brackets.
+    """
+
+    M, N, K = identities._M, identities._N, identities._K
+
+    @pytest.mark.parametrize("triple", RANDOM_TRIPLES)
+    def test_formal_bracket2_at_indices(self, triple):
+        i, j, l = triple
+        formal = identities._formal_bracket2
+        assert at_indices(formal(self.M, self.N), triple) == algebra.bracket2(i, j).coeff
+        assert at_indices(formal(self.N, self.M), triple) == algebra.bracket2(j, i).coeff
+        # linear forms: the outer bracket's second index is a sum of symbols
+        both = tuple(map(sum, zip(self.M, self.N)))
+        assert at_indices(formal(self.K, both), triple) == algebra.bracket2(l, i + j).coeff
+
+    @pytest.mark.parametrize("triple", RANDOM_TRIPLES)
+    def test_residual_and_negative_control_at_indices(self, triple, monkeypatch):
+        assert at_indices(identities._pq_jacobi2_formal(), triple).is_zero
+        monkeypatch.setattr(identities, "_jacobi2_weight", formal_q_weight)
+        control = identities._pq_jacobi2_formal()
+        assert at_indices(control, triple) == deformed_jacobi2_residual(*triple, weight=q_weight)
+
+    def test_prototype_triples(self, monkeypatch):
+        # the negative control is nonzero at (0, 1, 2) and (3, -2, 5) and
+        # vanishes at (1, 1, -2), formally and concretely alike
+        monkeypatch.setattr(identities, "_jacobi2_weight", formal_q_weight)
+        control = identities._pq_jacobi2_formal()
+        for triple, zero in (((0, 1, 2), False), ((1, 1, -2), True), ((3, -2, 5), False)):
+            concrete = deformed_jacobi2_residual(*triple, weight=q_weight)
+            assert at_indices(control, triple) == concrete
+            assert concrete.is_zero == zero, triple
+
+
 class TestJacobiForTwoBracket:
     def test_weighted_residual_zero_exhaustive(self):
         for m, n, k in product(range(-3, 4), repeat=3):
@@ -583,7 +634,7 @@ class TestJacobiForTwoBracket:
         for m, n, k in product(range(-3, 4), repeat=3):
             assert deformed_jacobi2_residual(m, n, k) == deformed_jacobi2_residual(n, k, m)
         # and under a stand-in 2-bracket that satisfies no Jacobi identity
-        monkeypatch.setattr(identities, "bracket2", generic_bracket2)
+        monkeypatch.setattr(algebra, "bracket2", generic_bracket2)
         nonzero = 0
         for m, n, k in product(range(-3, 4), repeat=3):
             res = deformed_jacobi2_residual(m, n, k)
@@ -592,32 +643,28 @@ class TestJacobiForTwoBracket:
         assert nonzero
 
     def test_pq_sweep_matches_per_triple_reference(self, monkeypatch):
-        # a failing kernel: the first failure's tuple and residual string as
-        # the per-triple loop gives them, from one evaluation per class up to
-        # it and none after it
-        monkeypatch.setattr(identities, "bracket2", generic_bracket2)
-        reference = [
-            (t, res.canonical())
-            for t in product(range(-3, 4), repeat=3)
-            if not (res := deformed_jacobi2_residual(*t)).is_zero
-        ]
-        calls = []
-        real = identities.deformed_jacobi2_residual
-
-        def counted(*t):
-            calls.append(t)
-            return real(*t)
-
-        monkeypatch.setattr(identities, "deformed_jacobi2_residual", counted)
+        # the formal verdict passes, as every triple's concrete residual is
+        # zero; with the weight's p^-a half dropped the concrete residuals
+        # are not all zero, and the formal verdict fails once, at the
+        # window's first triple, with its six-term residual as the text
+        window = list(product(range(-3, 4), repeat=3))
+        assert all(deformed_jacobi2_residual(*t).is_zero for t in window)
+        assert sweep_deformed_jacobi2((-3, 3)) == (7**3, None)
+        assert any(not deformed_jacobi2_residual(*t, weight=q_weight).is_zero for t in window)
+        monkeypatch.setattr(identities, "_jacobi2_weight", formal_q_weight)
+        formal = identities._pq_jacobi2_formal()
+        assert len(formal.num.terms) == 6
         sweep = sweep_deformed_jacobi2((-3, 3))
         assert sweep.checked == 7**3
-        first, residual = reference[0]
-        assert sweep.failure == (first, residual, False)
-        # each call is a class's first triple in product order, up to the
-        # first failing one
-        classes = {min(t, t[1:] + t[:1], t[2:] + t[:2]) for t in product(range(-3, 4), repeat=3)}
-        assert calls == sorted(c for c in classes if c <= first)
-        assert calls[-1] == first
+        assert sweep.failure == ((-3, -3, -3), formal.canonical(), False)
+        assert sweep.residual == sweep.failure.residual
+
+    def test_pq_sweep_counts_any_window(self):
+        # the verdict is formal, so a wide window costs what a narrow one
+        # does, and an empty window is refused
+        assert sweep_deformed_jacobi2((-1000, 1000)) == (2001**3, None)
+        with pytest.raises(ValueError):
+            sweep_deformed_jacobi2((1, 0))
 
     def test_q_limit_residual_zero(self):
         for m, n, k in product(range(-2, 3), repeat=3):

@@ -80,9 +80,9 @@ def test_children_keep_the_bytecode_setting(monkeypatch, parent):
 EXPORTS = {
     "ring": [
         "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
-        "Scalar", "UniScalar", "classical_value",
+        "Scalar", "UniScalar", "at_indices", "classical_value",
         "mod_at_level", "mod_from_scalar", "mod_to_scalar",
-        "pq_number", "q_number", "specialize_pq",
+        "pq_number", "pq_ring", "q_number", "specialize_pq",
     ],
     "algebra": [
         "BadArity", "GenIndex", "Term", "bracket", "bracket2",
@@ -95,7 +95,7 @@ EXPORTS = {
     ],
     "identities": [
         "IdentityReport", "Shuffle", "UnexpectedZero", "check_skew",
-        "deformed_jacobi2_residual", "fi_counterexample_even", "fi_residual",
+        "fi_counterexample_even", "fi_residual",
         "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
     ],
     "subalgebra": [

@@ -18,11 +18,13 @@ from pqvw.ring import (
     UniScalar,
     UPoly,
     _substitute,
+    at_indices,
     classical_value,
     mod_at_level,
     mod_from_scalar,
     mod_to_scalar,
     pq_number,
+    pq_ring,
     q_number,
     specialize_pq,
 )
@@ -829,13 +831,55 @@ class TestPackedKeys:
 
 # ---- exponent substitutions between the rings ------------------------------
 
-def mod_scalars(data):
-    # small numerators, some of them multiples of the divisor, over e <= 2
-    num = data.draw(poly_terms(4))
-    divisor = {(0, 1, 0, 0): 1, (-1, 0, 0, 0): -1}
+def mod_scalars(data, ring=ModScalar):
+    # values of a member of the pq_ring family: small numerators, some of
+    # them multiples of the divisor, over e <= 2
+    pad = (0,) * (len(ring.POLY.VARS) - 2)
+    num = data.draw(poly_terms(len(pad) + 2))
+    divisor = {(0, 1) + pad: 1, (-1, 0) + pad: -1}
     for _ in range(data.draw(st.integers(0, 2))):
         num = _ref_mul(num, divisor)
-    return ModScalar(MPoly(num), data.draw(st.integers(0, 2)))
+    return ring(ring.POLY(num), data.draw(st.integers(0, 2)))
+
+
+# the family's members with one and with three index pairs
+FAMILY = {1: ModScalar, 3: pq_ring("P_m", "Q_m", "P_n", "Q_n", "P_k", "Q_k")}
+
+
+class TestRingFamily:
+    def test_one_class_per_variable_set(self):
+        # the named members keep their class names, so every repr and hash
+        # stays; any other member is named after its variables
+        assert pq_ring() is Scalar and Scalar.POLY is LPoly
+        assert pq_ring("P", "Q") is ModScalar and ModScalar.POLY is MPoly
+        assert pq_ring("P_m", "Q_m") is pq_ring("P_m", "Q_m")
+        assert repr(Scalar.monomial(1, -1)) == "Scalar(1*p^1*q^-1)"
+        assert repr(MPoly.monomial(0, 0, 1, 0)) == "MPoly(1*p^0*q^0*P^1*Q^0)"
+        assert repr(pq_ring("P_m", "Q_m").one()) == "Scalar[P_m, Q_m](1*p^0*q^0*P_m^0*Q_m^0)"
+        for ring in (Scalar, *FAMILY.values()):
+            pad = (0,) * (len(ring.POLY.VARS) - 2)
+            assert ring.DIVISOR == ring.POLY({(0, 1) + pad: 1, (-1, 0) + pad: -1})
+
+    @pytest.mark.parametrize("k", sorted(FAMILY))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_at_indices_is_a_ring_map(self, k, data):
+        # random indices, repeated and negative ones included
+        ring = FAMILY[k]
+        x, y = mod_scalars(data, ring), mod_scalars(data, ring)
+        idx = data.draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k))
+        assert at_indices(x + y, idx) == at_indices(x, idx) + at_indices(y, idx)
+        assert at_indices(x * y, idx) == at_indices(x, idx) * at_indices(y, idx)
+        if k == 1:
+            assert at_indices(x, idx) == mod_at_level(x, idx[0])
+
+    def test_at_indices_takes_one_index_per_pair(self):
+        assert at_indices(Scalar.monomial(1, 2), ()) == Scalar.monomial(1, 2)
+        assert at_indices(FAMILY[3].monomial(0, 0, 1, 0, 0, 1, 2, 0), (5, 7, -1)) == (
+            Scalar.monomial(5 - 2, 7)
+        )
+        with pytest.raises(ValueError, match="takes 3 indices"):
+            at_indices(FAMILY[3].one(), (1, 2))
 
 
 class TestSubstitution:

@@ -1,18 +1,41 @@
 """References the tests compare the package against, kept out of ``src/``.
 
-``pqvw.identities`` decides the one-parameter Jacobi identity formally: the
-twelve words of ``identities._Q_JACOBI2_WORDS`` cancel over the symbols
-(m, n, k), so its sweep evaluates no triple.  ``q_jacobi2_residual``
-substitutes one triple into the same twelve words and collapses the word sum
-through the oracle's word expansion, as the reference the tests compare the
-formal verdict against.
+``pqvw.identities`` decides the 2-bracket's two weighted Jacobi identities
+formally, over the symbols (m, n, k), so their sweeps evaluate no triple.
+``deformed_jacobi2_residual`` evaluates the two-parameter residual at one
+triple from the concrete 2-brackets, and ``q_jacobi2_residual``
+substitutes one triple into the twelve words of
+``identities._Q_JACOBI2_WORDS`` and collapses the word sum through the
+oracle's word expansion: the references the tests compare the formal
+verdicts against.
 
 ``mod_shift`` and ``number_weight`` are the level shift and the diagonal
 number-operator weight of the oscillator module, which only the tests use
 to check the oracle's generator action.
 """
-from pqvw import identities, oracle
+from pqvw import algebra, identities, oracle
 from pqvw.ring import ModScalar, Scalar, UniScalar, _substitute, specialize_pq
+
+
+def jacobi2_weight(a: int) -> Scalar:
+    """q^a + p^-a, the weight of the row whose outer bracket starts at a."""
+    return Scalar.monomial(0, a) + Scalar.monomial(-a, 0)
+
+
+def deformed_jacobi2_residual(m: int, n: int, k: int, weight=jacobi2_weight) -> Scalar:
+    """Weighted two-parameter Jacobi residual for the 2-bracket at one triple.
+
+    weight(a) [L_a, [L_b, L_c]] summed over the rotations (a, b, c) of
+    (m, n, k), where both brackets carry their index-dependent weights and so
+    collapse to structure constants (``algebra.bracket2``, read from the
+    module so a test can stand another bracket in); the three products are
+    one sum normalised once.  A weight other than ``jacobi2_weight`` gives a
+    negative control.
+    """
+    return Scalar.sum_of_products(
+        (weight(a), algebra.bracket2(b, c).coeff, algebra.bracket2(a, b + c).coeff)
+        for a, b, c in ((m, n, k), (n, k, m), (k, m, n))
+    )
 
 
 def q_jacobi2_residual(m: int, n: int, k: int) -> UniScalar:
