@@ -41,9 +41,9 @@ _EXPORTS = {
         "structure_constant", "word_act",
     ),
     "identities": (
-        "IdentityReport", "Shuffle", "UnexpectedZero", "check_skew",
+        "IdentityReport", "UnexpectedZero", "check_skew",
         "fi_counterexample_even", "fi_residual",
-        "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
+        "sh_jacobi_residual", "sweep_sh_jacobi",
     ),
     "subalgebra": (
         "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",

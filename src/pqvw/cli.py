@@ -5,8 +5,8 @@ params are the chosen command's own arguments.  Each command maps, through
 the `COMMANDS` table, to a builder that returns its result records (built by
 `suite.result`), so every command reports in the same shape.  A command
 imports only the layers it runs: this module loads ring, algebra and suite,
-which every command needs, and each builder (or suite check) imports
-identities, oracle or subalgebra on entry.
+which every command needs, and each builder (or suite check, or work
+estimate) imports identities, oracle or subalgebra on entry.
 
 Exit codes: 0 when every check passes, 1 when any check fails (the exact
 residual is printed), 2 on usage errors.  Usage errors include, checked
@@ -36,9 +36,9 @@ import os
 import sys
 import tempfile
 import time
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb, perm
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from . import __version__, algebra, suite
 from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, specialize_pq
@@ -395,22 +395,16 @@ def _bracket_terms(t: Sequence[int]) -> int:
     return _terms(n, sum((2 * j - n + 1) * x for j, x in enumerate(s))) if len(set(s)) == n else 0
 
 
-def _product_terms(pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> int:
-    # the terms of the nested products [a] * [b] of residuals of explicit
-    # indices, until past the budget (the C(19, 10) of n = 10 take 0.8 s)
+def _product_terms(products: Iterable[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> int:
+    # the terms of the nested products (sign, [a], [b]) that a residual of
+    # explicit indices walks, until past the budget (counting all C(19, 10)
+    # of n = 10 takes 1.7 s)
     total = 0
-    for a, b in pairs:
+    for _, a, b in products:
         total += _bracket_terms(a) * _bracket_terms(b)
         if EXACT_TERM_COST * total > WORK_BUDGET:
             break
     return total
-
-
-def _fi_pairs(ys: tuple[int, ...], xs: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # the n + 1 nested products of `identities.fi_residual`
-    yield xs, ys + (sum(xs),)
-    for k, x in enumerate(xs):
-        yield ys + (x,), xs[:k] + (sum(ys) + x,) + xs[k + 1 :]
 
 
 def _work_estimate(cfg: argparse.Namespace) -> Work | None:
@@ -419,28 +413,27 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
     n, window = cfg.n, cfg.window or 0
     width = 2 * window + 1
     if cfg.command == "verify fi" and not cfg.counterexample:
-        return Work(0, 1, EXACT_TERM_COST * _product_terms(_fi_pairs(cfg.y, cfg.x)))
+        from . import identities
+
+        return Work(0, 1, EXACT_TERM_COST * _product_terms(identities.fi_products(cfg.y, cfg.x)))
     if cfg.command == "verify sh-jacobi" and cfg.indices is not None:
-        # the C(2n - 1, n) products [inner] * [[inner], rest], before like
-        # terms are collected
-        idx = cfg.indices
-        pairs = (
-            ((inner := tuple(idx[i] for i in slots)),
-             (sum(inner),) + tuple(x for i, x in enumerate(idx) if i not in slots))
-            for slots in combinations(range(2 * n - 1), n)
-        )
-        return Work(0, 1, EXACT_TERM_COST * _product_terms(pairs))
+        # the C(2n - 1, n) shuffle products, before like terms are collected
+        from . import identities
+
+        products = identities.sh_jacobi_products(n, cfg.indices)
+        return Work(0, 1, EXACT_TERM_COST * _product_terms(products))
     if cfg.command == "subalgebra check":
         # the residual of every sorted pick of distinct Y and distinct X, if
         # the set closes, which is index arithmetic
-        from . import subalgebra
+        from . import identities, subalgebra
 
         idx = tuple(sorted(cfg.indices))
         if not subalgebra.closure_check(idx, n).closed:
             return Work(0, 0, 0)
-        picks = [(ys, xs) for ys in combinations(idx, n - 1) for xs in combinations(idx, n)]
-        pairs = (pair for ys, xs in picks for pair in _fi_pairs(ys, xs))
-        return Work(0, len(picks), EXACT_TERM_COST * _product_terms(pairs))
+        picks = subalgebra.fi_picks(idx, n)
+        products = (p for ys, xs in picks for p in identities.fi_products(ys, xs))
+        evaluations = comb(len(idx), n - 1) * comb(len(idx), n)
+        return Work(0, evaluations, EXACT_TERM_COST * _product_terms(products))
     if cfg.command == "verify sh-jacobi":
         # one residual of C(2n - 1, n) shuffle products per set of 2n - 1
         # distinct indices; a sample is a visit (its draw, sort and signature

@@ -19,6 +19,15 @@ vanishing on repeated indices is checked through the kernels by the tests,
 not assumed by them: the per-tuple entry points compute every residual
 directly.
 
+A residual kernel and the CLI's work estimate walk one lazy generator of
+its nested products (sign, inner, outer): ``fi_products`` the fundamental
+identity's n + 1 rows, ``sh_jacobi_products`` the C(2n-1, n) block
+shuffles, lexicographic in the first block F of 0-based slots, but those
+whose inner block repeats an index (their product is zero).  A shuffle's
+parity is in closed form, with no table or sort: slot f_j of F (j = 0, 1,
+...) passes the f_j - j rest slots below it, so it has sum(F) - n(n-1)/2
+inversions.
+
 Within one shuffle-Jacobi residual, every surviving shuffle term is a sign
 times the product of a cached sorted inner and a cached sorted outer
 bracket, so like terms are collected per (inner, outer) signature pair as
@@ -36,9 +45,8 @@ no verdict here needs the oracle's word expansion.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import combinations, product
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
@@ -51,14 +59,17 @@ from .algebra import (
 )
 from .ring import Localized, Scalar, pq_ring
 
+# a nested product of a residual: (sign, inner indices, outer indices)
+NestedProduct = tuple[int, tuple[GenIndex, ...], tuple[GenIndex, ...]]
+
 __all__ = [
-    "Shuffle",
     "IdentityReport",
     "SweepResult",
     "UnexpectedZero",
-    "shuffles",
     "check_skew",
+    "sh_jacobi_products",
     "sh_jacobi_residual",
+    "fi_products",
     "fi_residual",
     "fi_counterexample_even",
     "sweep_skew",
@@ -71,13 +82,6 @@ __all__ = [
 
 class UnexpectedZero(ArithmeticError):
     """A residual that must not vanish came out zero."""
-
-
-class Shuffle(NamedTuple):
-    """A permutation of 1..2n-1 increasing on its first n and last n-1 slots."""
-
-    sigma: tuple[int, ...]
-    parity: int
 
 
 class IdentityReport(NamedTuple):
@@ -112,20 +116,6 @@ class SweepResult(NamedTuple):
         return "0" if self.failure is None else self.failure.residual
 
 
-@lru_cache(maxsize=None)
-def shuffles(n: int) -> tuple[Shuffle, ...]:
-    """All C(2n-1, n) signed block shuffles, lexicographic in the first block."""
-    if n < 2:
-        raise ValueError("shuffles need n >= 2")
-    symbols = range(1, 2 * n)
-    out = []
-    for first in combinations(symbols, n):
-        chosen = set(first)
-        word = first + tuple(s for s in symbols if s not in chosen)
-        out.append(Shuffle(word, sort_with_sign(word)[1]))
-    return tuple(out)
-
-
 def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
     """Verify antisymmetry of the bracket on one index tuple.
 
@@ -149,17 +139,24 @@ def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
     return IdentityReport(idx, "0", True)
 
 
-@lru_cache(maxsize=None)
-def _shuffle_slots(n: int) -> tuple[tuple[itemgetter, itemgetter, int], ...]:
-    # per shuffle: getters of its inner-block and rest indices (0-based
-    # slots) and its parity; a one-slot rest (n = 2) takes a slice, so every
-    # getter returns a tuple
-    out = []
-    for sh in shuffles(n):
-        rest = [i - 1 for i in sh.sigma[n:]]
-        rest_of = itemgetter(*rest) if len(rest) > 1 else itemgetter(slice(rest[0], rest[0] + 1))
-        out.append((itemgetter(*(i - 1 for i in sh.sigma[:n])), rest_of, sh.parity))
-    return tuple(out)
+def sh_jacobi_products(n: int, indices: Sequence[GenIndex]) -> Iterator[NestedProduct]:
+    """The C(2n-1, n) nested products of the shuffle-Jacobi residual, lazily.
+
+    One (parity, inner, outer) per block shuffle, lexicographic in its first
+    block F of 0-based slots: inner holds the indices at F, outer is their
+    sum followed by the rest, and the parity is (-1)^(sum(F) - n(n-1)/2).
+    A shuffle whose inner block repeats an index has a zero product and is
+    skipped before its outer block is built; a repeating outer is yielded.
+    """
+    idx = tuple(indices)
+    if len(idx) != 2 * n - 1:
+        raise ValueError(f"need 2n-1 = {2 * n - 1} indices, got {len(idx)}")
+    slots = range(2 * n - 1)
+    base = n * (n - 1) // 2
+    for first, inner in zip(combinations(slots, n), combinations(idx, n)):
+        if len(set(inner)) == n:
+            rest = tuple(idx[i] for i in slots if i not in first)
+            yield -1 if (sum(first) - base) % 2 else 1, inner, (sum(inner),) + rest
 
 
 def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
@@ -167,23 +164,16 @@ def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
 
     All terms share the total index, so the residual is a single Scalar;
     the algebra is a shuffle-Jacobi n-algebra exactly when it vanishes.
-    A term vanishes when its inner bracket or its outer bracket
-    [[inner], rest] repeats an index; every other term is its shuffle's
-    parity times the sorting signs of both blocks times the product of the
-    two cached sorted brackets.  Like terms are collected per (sorted
-    inner, sorted outer) pair as integer signs before any ring product, so
-    only pairs with a nonzero net sign become rows of one
+    A term of ``sh_jacobi_products`` vanishes when its outer bracket
+    repeats an index; every other term is its shuffle's parity times the
+    sorting signs of both blocks times the product of the two cached
+    sorted brackets.  Like terms are collected per (sorted inner,
+    sorted outer) pair as integer signs before any ring product, so only
+    pairs with a nonzero net sign become rows of one
     ``Scalar.sum_of_products``, normalised once.
     """
-    idx = tuple(indices)
-    if len(idx) != 2 * n - 1:
-        raise ValueError(f"need 2n-1 = {2 * n - 1} indices, got {len(idx)}")
     net: dict[tuple[tuple[GenIndex, ...], tuple[GenIndex, ...]], int] = {}
-    for inner_of, rest_of, parity in _shuffle_slots(n):
-        inner = inner_of(idx)
-        if len(set(inner)) != n:
-            continue
-        outer = (sum(inner),) + rest_of(idx)
+    for parity, inner, outer in sh_jacobi_products(n, indices):
         if len(set(outer)) != n:
             continue
         si, sgn_i = sort_with_sign(inner)
@@ -195,6 +185,16 @@ def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
     )
 
 
+def fi_products(Y: Sequence[GenIndex], X: Sequence[GenIndex]) -> Iterator[NestedProduct]:
+    """The n + 1 nested products of the fundamental-identity residual: (1, X,
+    Y + (sum X,)), then (-1, Y + (X_k,), X with X_k replaced by their sum) per k."""
+    ys, xs = tuple(Y), tuple(X)
+    yield 1, xs, ys + (sum(xs),)
+    for k, x in enumerate(xs):
+        inner = ys + (x,)
+        yield -1, inner, xs[:k] + (sum(inner),) + xs[k + 1 :]
+
+
 def fi_residual(
     n: int, Y: Sequence[GenIndex], X: Sequence[GenIndex]
 ) -> Term:
@@ -202,18 +202,18 @@ def fi_residual(
 
     Works for any n >= 2 (n = 2 is the plain Jacobi identity, which the
     weighted 2-bracket does not satisfy -- expected nonzero there).  The
-    n + 1 nested products are the rows of one ``Scalar.sum_of_products``,
-    normalised once; a row whose inner or outer bracket repeats an index
-    has a zero factor and adds nothing.
+    n + 1 products of ``fi_products`` are the rows of one
+    ``Scalar.sum_of_products``, normalised once, with no like terms merged;
+    a row whose inner or outer bracket repeats an index has a zero factor
+    and adds nothing.
     """
-    ys = tuple(Y)
-    xs = tuple(X)
+    ys, xs = tuple(Y), tuple(X)
     if len(ys) != n - 1 or len(xs) != n:
         raise ValueError(f"need |Y| = {n - 1} and |X| = {n}")
-    rows = [(bracket_coeff(xs), bracket_coeff(ys + (sum(xs),)))]
-    for k in range(n):
-        inner = ys + (xs[k],)
-        rows.append((-bracket_coeff(inner), bracket_coeff(xs[:k] + (sum(inner),) + xs[k + 1 :])))
+    rows = (
+        (bracket_coeff(inner).scale(sign), bracket_coeff(outer))
+        for sign, inner, outer in fi_products(ys, xs)
+    )
     return Term(Scalar.sum_of_products(rows), sum(ys) + sum(xs))
 
 

@@ -13,9 +13,9 @@ and never simple), and no (n+1)-element set qualifies.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import GenIndex, bracketn_closed
 from .identities import fi_residual
@@ -28,6 +28,7 @@ __all__ = [
     "SubalgebraReport",
     "SearchResult",
     "closure_check",
+    "fi_picks",
     "fi_check_span",
     "canonical_basis",
     "iso_canonical_check",
@@ -156,6 +157,12 @@ def closure_check(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
     return SubalgebraReport(idx, closed=True)
 
 
+def fi_picks(idx: tuple[GenIndex, ...], n: int) -> Iterator[tuple[tuple[GenIndex, ...], ...]]:
+    """The C(k, n - 1) * C(k, n) sorted (Y, X) picks of n - 1 distinct Y and n
+    distinct X from a sorted span of k indices, yielded in product order."""
+    return product(combinations(idx, n - 1), combinations(idx, n))
+
+
 def fi_check_span(
     S: Sequence[GenIndex], n: int
 ) -> tuple[bool, tuple | None, int]:
@@ -174,14 +181,13 @@ def fi_check_span(
     """
     idx = _validate_set(S)
     k = len(idx)
-    for Y in combinations(idx, n - 1):
-        for X in combinations(idx, n):
-            res = fi_residual(n, Y, X)
-            if not res.is_zero:
-                rank = 0
-                for v in Y + X:
-                    rank = rank * k + idx.index(v)
-                return False, (Y, X, res), rank + 1
+    for Y, X in fi_picks(idx, n):
+        res = fi_residual(n, Y, X)
+        if not res.is_zero:
+            rank = 0
+            for v in Y + X:
+                rank = rank * k + idx.index(v)
+            return False, (Y, X, res), rank + 1
     return True, None, k ** (2 * n - 1)
 
 

@@ -222,6 +222,24 @@ class TestParsing:
         assert sum(multiplied) <= charged
         assert charged < 2 * sum(multiplied) or not tight
 
+    def test_repeated_explicit_indices_sort_no_word(self, monkeypatch):
+        # every product of a 10-ary residual at 19 zeros repeats an index, so
+        # neither the estimate nor the kernel sorts a block, and the shuffle
+        # parities, in closed form, sort no word either
+        sorts = []
+        real = identities.sort_with_sign
+
+        def counted(seq):
+            sorts.append(seq)
+            return real(seq)
+
+        monkeypatch.setattr(identities, "sort_with_sign", counted)
+        cfg = parse_args(["verify", "sh-jacobi", "--n", "10", "--indices", ",".join("0" * 19)])
+        report, code = run(cfg)
+        assert sorts == []
+        assert _work_estimate(cfg).terms == 0
+        assert code == 0 and report.results[0]["verdict"] == "pass"
+
     def test_closing_sets_match_enumeration(self):
         # the search's closing candidates, counted in closed form, against
         # the closure check on every candidate
@@ -400,6 +418,10 @@ class TestBlackBox:
             (("verify", "fi", "--n", "3", "--y", "0,10000", "--x", "-10000,1,10000"), over),
             (("verify", "sh-jacobi", "--n", "3", "--indices", "-10000,-5000,0,5000,10000"),
              over),
+            # 19 distinct indices: the estimate walks the shuffles lazily and
+            # counts up to the product that crosses the budget, of C(19, 10)
+            (("verify", "sh-jacobi", "--n", "10", "--indices",
+              ",".join(str(i * 37 - 300) for i in range(19))), f"897924384 {over}"),
             # about 20 s and 75 MB of output without the limit
             (("bracket", "--n", "3", "--indices", "0,1,1000000"),
              "bracket accepts indices |i| <= 10000, got 1000000"),

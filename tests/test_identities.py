@@ -11,7 +11,6 @@ from pqvw.identities import (
     fi_residual,
     sample_tuples,
     sh_jacobi_residual,
-    shuffles,
     sweep_deformed_jacobi2,
     sweep_q_jacobi2,
     sweep_sh_jacobi,
@@ -21,7 +20,7 @@ from pqvw.oracle import NotProportional, bracketn_def, extract_structure_constan
 from pqvw.ring import LPoly, ModScalar, Scalar, at_indices, classical_value
 from pqvw.subalgebra import fi_check_span
 
-from words import deformed_jacobi2_residual, q_jacobi2_residual
+from words import deformed_jacobi2_residual, q_jacobi2_residual, shuffles
 
 # the signed 10-term expansion of the arity-3 shuffle identity, in
 # lexicographic order of the inner block
@@ -77,6 +76,17 @@ class TestShuffles:
     def test_arity3_signed_pattern(self):
         got = [(sh.sigma[:3], sh.parity) for sh in shuffles(3)]
         assert got == SHUFFLE3_PATTERN
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_kernel_products_match_reference(self, n):
+        # at idx = (1, ..., 2n - 1) each index is its own 1-based slot, so the
+        # kernel's products spell out the reference's words, and its
+        # closed-form parities must be the sort-based ones
+        idx = tuple(range(1, 2 * n))
+        expected = [
+            (sh.parity, sh.sigma[:n], (sum(sh.sigma[:n]),) + sh.sigma[n:]) for sh in shuffles(n)
+        ]
+        assert list(identities.sh_jacobi_products(n, idx)) == expected
 
 
 class TestSkew:

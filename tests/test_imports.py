@@ -47,7 +47,16 @@ CASES = [
      BASE | {"pqvw.identities", "pqvw.subalgebra"}),
     (["verify", "all", "--level", "smoke"],
      BASE | {"pqvw.identities", "pqvw.subalgebra", "pqvw.oracle"}),
+    # residuals of explicit indices: the work estimate walks the kernels' own
+    # product generators, and loads no more layers than the run does
+    (["verify", "fi", "--n", "3", "--y", "-2,-1", "--x", "-2,0,1"], BASE | {"pqvw.identities"}),
+    (["verify", "sh-jacobi", "--n", "3", "--indices", "0,1,2,3,4"], BASE | {"pqvw.identities"}),
+    (["subalgebra", "check", "--n", "3", "--indices", "-1,0,1"],
+     BASE | {"pqvw.identities", "pqvw.subalgebra"}),
 ]
+
+# commands above that exit 1: their check fails, and prints its residual
+FAILING = {"verify fi --n 3 --y -2,-1 --x -2,0,1"}
 
 
 @pytest.mark.parametrize("args,expected", CASES, ids=[" ".join(a) for a, _ in CASES])
@@ -58,7 +67,7 @@ def test_command_imports_only_its_layers(args, expected):
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
-    assert child["code"] == 0
+    assert child["code"] == (1 if " ".join(args) in FAILING else 0)
     added = set(child["added"])
     assert {m for m in added if m.split(".")[0] == "pqvw"} == expected
     assert not added & {"pqvw.sweep", "dataclasses", "inspect", "fractions", "decimal"}
@@ -94,9 +103,9 @@ EXPORTS = {
         "structure_constant", "word_act",
     ],
     "identities": [
-        "IdentityReport", "Shuffle", "UnexpectedZero", "check_skew",
+        "IdentityReport", "UnexpectedZero", "check_skew",
         "fi_counterexample_even", "fi_residual",
-        "sh_jacobi_residual", "shuffles", "sweep_sh_jacobi",
+        "sh_jacobi_residual", "sweep_sh_jacobi",
     ],
     "subalgebra": [
         "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",

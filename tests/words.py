@@ -9,12 +9,42 @@ substitutes one triple into the twelve words of
 oracle's word expansion: the references the tests compare the formal
 verdicts against.
 
+``shuffles`` lists the C(2n - 1, n) signed block shuffles with each parity
+from ``algebra.sort_with_sign``: the sort-based reference that the lazy
+``identities.sh_jacobi_products``, whose parities are in closed form, is
+compared against.
+
 ``mod_shift`` and ``number_weight`` are the level shift and the diagonal
 number-operator weight of the oscillator module, which only the tests use
 to check the oracle's generator action.
 """
+from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple
+
 from pqvw import algebra, identities, oracle
 from pqvw.ring import ModScalar, Scalar, UniScalar, _substitute, specialize_pq
+
+
+class Shuffle(NamedTuple):
+    """A permutation of 1..2n-1 increasing on its first n and last n-1 slots."""
+
+    sigma: tuple[int, ...]
+    parity: int
+
+
+@lru_cache(maxsize=None)
+def shuffles(n: int) -> tuple[Shuffle, ...]:
+    """All C(2n-1, n) signed block shuffles, lexicographic in the first block."""
+    if n < 2:
+        raise ValueError("shuffles need n >= 2")
+    symbols = range(1, 2 * n)
+    out = []
+    for first in combinations(symbols, n):
+        chosen = set(first)
+        word = first + tuple(s for s in symbols if s not in chosen)
+        out.append(Shuffle(word, algebra.sort_with_sign(word)[1]))
+    return tuple(out)
 
 
 def jacobi2_weight(a: int) -> Scalar:
