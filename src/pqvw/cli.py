@@ -36,7 +36,6 @@ import os
 import sys
 import tempfile
 import time
-from itertools import permutations, product
 from math import comb, perm
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
@@ -369,24 +368,6 @@ def _nested_terms(n: int, window: int) -> int:
     return inner * _terms(n, _spread(n - 1, width) + (n - 1) * (n + 1) * window)
 
 
-def _closing_sets(n: int, window: int) -> tuple[int, int]:
-    """The n- and (n + 1)-sets of the window that pass the closure check.
-
-    An n-set closes when its sum t lies in it, so it is t and an (n - 1)-set
-    of the other window values that sums to 0.  An (n + 1)-set closes when
-    its sum minus each member lies in it, which makes it symmetric about 0:
-    (n + 1) // 2 pairs -a, a, and 0 when n is even.
-    """
-    # ways[j][s]: the j-subsets of the values so far that sum to s
-    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
-    for v in range(-window, window + 1):
-        for j in range(n - 1, 0, -1):
-            into = ways[j]
-            for s, c in ways[j - 1].items():
-                into[s + v] = into.get(s + v, 0) + c
-    return ways[n - 1].get(0, 0) * (2 * window + 2 - n), comb(window, (n + 1) // 2)
-
-
 def _bracket_terms(t: Sequence[int]) -> int:
     # the terms of the bracket of t, from its own sorted indices; none when
     # an index repeats
@@ -452,24 +433,26 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
         evaluations = perm(width, n) * (1 + n * (n - 1) // 2)
         return Work(width**n, evaluations, evaluations * _terms(n, _spread(n, width)))
     if cfg.command == "oracle-check" and n is not None:
-        # each compared tuple (every one at n = 3, distinct ones above) and
-        # each of its ordered sub-tuples of j >= 2 indices is evaluated once:
-        # two sums of j rows, each a monomial times a (j - 1)-bracket constant
+        # each tuple `suite.closed_vs_recursive_record` compares and each of
+        # its ordered sub-tuples of j >= 2 indices is evaluated once: two
+        # sums of j rows, each a monomial times a (j - 1)-bracket constant
         tuples = {j: width**j if n == 3 else perm(width, j) for j in range(2, n + 1)}
         terms = sum(k * 2 * j * _terms(j - 1, _spread(j - 1, width)) for j, k in tuples.items())
         return Work(tuples[n], sum(tuples.values()), terms)
     if cfg.command == "subalgebra search":
-        # each candidate of k = n and n + 1 indices sums its C(k, n) n-subsets
-        # and, if it closes, evaluates a residual of n + 1 nested products
-        # per distinct FI signature, C(k, n - 1) * C(k, n) of them: an upper
-        # bound, since a failing span stops at its first nonzero residual.
-        # A search refused on its visits alone is not charged its residuals,
-        # whose count takes time quadratic in the width
-        visits = sum(comb(width, k) * comb(k, n) for k in (n, n + 1))
+        # the walk of `subalgebra.closing_sets` visits every candidate of n
+        # and n + 1 indices; each one that closes, k indices, evaluates a
+        # residual of n + 1 nested products per distinct FI signature,
+        # C(k, n - 1) * C(k, n) of them: an upper bound, since a failing span
+        # stops at its first nonzero residual.  A search refused on its
+        # visits alone is never walked
+        from . import subalgebra
+
+        visits = comb(width, n) + comb(width, n + 1)
         if VISIT_COST * visits > WORK_BUDGET:
             return Work(visits, 0, 0)
-        closing = _closing_sets(n, window)
-        residuals = closing[0] * n + closing[1] * comb(n + 1, 2) * (n + 1)
+        closing, extra = subalgebra.closing_sets(window, n)
+        residuals = len(closing) * n + len(extra) * comb(n + 1, 2) * (n + 1)
         return Work(visits, residuals, residuals * (n + 1) * _nested_terms(n, window))
     if cfg.command == "verify limits":
         # every 2-bracket of the window, taken to both limits term by term;
@@ -503,16 +486,7 @@ def _bracket(cfg: argparse.Namespace) -> list[dict]:
 def _oracle_check(cfg: argparse.Namespace) -> list[dict]:
     results = suite.check_oscillator(suite.DESK_CONFIG)
     if cfg.n:
-        w = cfg.window
-        values = range(-w, w + 1)
-        count, bad = suite.closed_vs_recursive(
-            product(values, repeat=3) if cfg.n == 3 else permutations(values, cfg.n)
-        )
-        results.append(
-            suite.agreement(
-                f"closed-vs-recursive-n{cfg.n}", {"window": [-w, w], "tuples": count}, bad
-            )
-        )
+        results.append(suite.closed_vs_recursive_record(cfg.n, cfg.window, "tuples"))
     return results
 
 
@@ -575,9 +549,7 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], list[dict]]] = {
     "subalgebra search": lambda cfg: [
         suite.subalgebra_search(cfg.n, cfg.window, "extra_dim_checked")
     ],
-    "subalgebra canonical": lambda cfg: suite.check_subalgebras(
-        {**suite.DESK_CONFIG, "canonical_arities": (cfg.n,), "search_window": 0}
-    ),
+    "subalgebra canonical": lambda cfg: [suite.canonical_record(cfg.n)],
     "subalgebra check": _subalgebra_check,
 }
 

@@ -9,7 +9,9 @@ exactly from structure constants.
 The classification statement checked here: within any index window, the
 n-Lie subalgebras with generator bases are exactly the n-element sets whose
 total sum lands back in the set (each isomorphic to the canonical algebra,
-and never simple), and no (n+1)-element set qualifies.
+and never simple), and no (n+1)-element set qualifies.  Only the
+candidates that close can qualify, and which close is index arithmetic
+(`closing_sets`), so the search evaluates no other candidate.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ __all__ = [
     "filippov_matrix",
     "ideal_check",
     "check_candidate",
+    "closing_sets",
     "search",
 ]
 
@@ -285,35 +288,50 @@ def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
     )
 
 
+def closing_sets(
+    window: int, n: int
+) -> tuple[list[tuple[GenIndex, ...]], list[tuple[GenIndex, ...]]]:
+    """The n- and (n+1)-sets of [-window, window] that pass the closure check.
+
+    Each list is in lexicographic order.  An n-set's only n-subset is
+    itself, so it closes iff its sum lies in it.  An (n+1)-set closes iff
+    Σ - s lies in it for every member s, Σ its sum; then s ↦ Σ - s maps the
+    set onto itself, so the set is symmetric about Σ/2, and its sum
+    (n+1)·Σ/2 = Σ forces Σ = 0.  Conversely a set symmetric about 0 sums to
+    0 and holds every -s.  So the (n+1)-sets that close are those symmetric
+    about 0.
+    """
+    values = range(-window, window + 1)
+    return (
+        [S for S in combinations(values, n) if sum(S) in S],
+        [S for S in combinations(values, n + 1) if all(a == -b for a, b in zip(S, reversed(S)))],
+    )
+
+
 def search(window: int, n: int) -> SearchResult:
     """Decide the classification on the index window [-window, window].
 
     Every n-element subalgebra must have the classified shape
     (:attr:`SubalgebraReport.has_classified_shape`), and no
     (n+1)-element candidate may pass closure, the symmetric-matrix
-    criterion and the fundamental identity.  Either failure raises
-    UnexpectedSubalgebra naming the offending sets; otherwise the result
-    holds the n-element subalgebras found and the C(2 window + 1, n + 1)
-    (n+1)-element candidates ruled out.
+    criterion and the fundamental identity.  Only the closing candidates
+    (`closing_sets`) are evaluated; the others fail closure by the lemma
+    there.  Either failure raises UnexpectedSubalgebra naming the
+    offending sets; otherwise the result holds the n-element subalgebras
+    found and the C(2 window + 1, n + 1) (n+1)-element candidates ruled out.
     """
     if 2 * window + 1 < n:
         raise ValueError("window too small for the requested arity")
-    values = range(-window, window + 1)
+    closing, extra = closing_sets(window, n)
     found = tuple(
-        report
-        for S in combinations(values, n)
-        if (report := check_candidate(S, n)).is_subalgebra
+        report for S in closing if (report := check_candidate(S, n)).is_subalgebra
     )
     misshapen = [list(r.indices) for r in found if not r.has_classified_shape]
     if misshapen:
         raise UnexpectedSubalgebra(f"n-dimensional subalgebras of the wrong shape: {misshapen}")
     passing = [
-        list(S)
-        for S in combinations(values, n + 1)
-        if closure_check(S, n).closed
-        and filippov_matrix(S, n).symmetric
-        and fi_check_span(S, n)[0]
+        list(S) for S in extra if filippov_matrix(S, n).symmetric and fi_check_span(S, n)[0]
     ]
     if passing:
         raise UnexpectedSubalgebra(f"(n+1)-dimensional candidates passed: {passing}")
-    return SearchResult(found, comb(len(values), n + 1))
+    return SearchResult(found, comb(2 * window + 1, n + 1))

@@ -105,23 +105,26 @@ def closed_vs_recursive(tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple |
     return count, None
 
 
+def closed_vs_recursive_record(n: int, window: int, count_key: str) -> dict:
+    """Record of the closed form against the recursion on [-window, window]:
+    every n-tuple at n = 3, every tuple of distinct indices above.
+
+    `count_key` names the input field that counts the tuples compared.
+    """
+    values = range(-window, window + 1)
+    count, bad = closed_vs_recursive(
+        product(values, repeat=3) if n == 3 else permutations(values, n)
+    )
+    inp = {"window": [-window, window], count_key: count}
+    return agreement(f"closed-vs-recursive-n{n}", inp, bad)
+
+
 def check_closed_vs_recursive(cfg: dict) -> list[dict]:
     from . import oracle
 
-    out = []
-    w3 = cfg["closed_n3_window"]
-    count, bad = closed_vs_recursive(product(range(-w3, w3 + 1), repeat=3))
-    out.append(agreement("closed-vs-recursive-n3", {"window": [-w3, w3], "tuples": count}, bad))
-
-    wd = CLOSED_DISTINCT_WINDOW
-    values = range(-wd, wd + 1)
+    out = [closed_vs_recursive_record(3, cfg["closed_n3_window"], "tuples")]
     for n in cfg["closed_arities"]:
-        count, bad = closed_vs_recursive(permutations(values, n))
-        out.append(
-            agreement(
-                f"closed-vs-recursive-n{n}", {"window": [-wd, wd], "distinct_tuples": count}, bad
-            )
-        )
+        out.append(closed_vs_recursive_record(n, CLOSED_DISTINCT_WINDOW, "distinct_tuples"))
 
     for n in cfg["closed_arities"]:
         witnesses = [tuple(range(n)), tuple(range(-n + 1, 1)), tuple(range(-1, n - 1))]
@@ -229,28 +232,22 @@ def subalgebra_search(n: int, window: int, checked: str) -> dict:
     return result(kind, inp, "0", True)
 
 
-def check_subalgebras(cfg: dict) -> list[dict]:
+def canonical_record(n: int) -> dict:
+    """Record of the canonical n-dimensional subalgebra: its basis must have
+    the classified shape."""
     from . import subalgebra
 
-    out = []
-    for n in cfg["canonical_arities"]:
-        basis = subalgebra.canonical_basis(n)
-        ok = subalgebra.check_candidate(basis, n).has_classified_shape
-        out.append(
-            result(
-                f"subalgebra-canonical-n{n}",
-                {
-                    "basis": list(basis),
-                    "isomorphic_to": subalgebra.CanonicalNLie(n).describe(),
-                },
-                "0" if ok else "verdict mismatch",
-                ok,
-            )
-        )
-    W = cfg["search_window"]
-    if W:
-        out.append(subalgebra_search(3, W, "size4_checked"))
-    return out
+    basis = subalgebra.canonical_basis(n)
+    ok = subalgebra.check_candidate(basis, n).has_classified_shape
+    inp = {"basis": list(basis), "isomorphic_to": subalgebra.CanonicalNLie(n).describe()}
+    return result(f"subalgebra-canonical-n{n}", inp, "0" if ok else "verdict mismatch", ok)
+
+
+def check_subalgebras(cfg: dict) -> list[dict]:
+    return [
+        *(canonical_record(n) for n in cfg["canonical_arities"]),
+        subalgebra_search(3, cfg["search_window"], "size4_checked"),
+    ]
 
 
 def check_regression_pins(cfg: dict) -> list[dict]:

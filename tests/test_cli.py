@@ -4,7 +4,6 @@ import re
 import shlex
 import subprocess
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,6 @@ from pqvw import algebra, identities, oracle, ring, subalgebra, suite
 from pqvw.cli import (
     EXACT_TERM_COST,
     WORK_BUDGET,
-    _closing_sets,
     _work_estimate,
     parse_args,
     run,
@@ -240,18 +238,6 @@ class TestParsing:
         assert _work_estimate(cfg).terms == 0
         assert code == 0 and report.results[0]["verdict"] == "pass"
 
-    def test_closing_sets_match_enumeration(self):
-        # the search's closing candidates, counted in closed form, against
-        # the closure check on every candidate
-        for n in range(3, 7):
-            for window in range(n // 2, 7):
-                values = range(-window, window + 1)
-                closing = tuple(
-                    sum(subalgebra.closure_check(S, n).closed for S in combinations(values, k))
-                    for k in (n, n + 1)
-                )
-                assert _closing_sets(n, window) == closing, (n, window)
-
     def test_readme_commands(self):
         # every command of README's CLI block parses, so a budget change
         # cannot silently refuse one; the calibration table's rows are the
@@ -405,8 +391,8 @@ class TestBlackBox:
             (("verify", "sh-jacobi", "--n", "3", "--window", "3", "--samples", "10000000"),
              f"10000213990 {over}"),
             (("oracle-check", "--n", "8", "--window", "4"), f"5466186720 {over}"),
-            (("subalgebra", "search", "--n", "9", "--window", "6"), f"9318928250 {over}"),
-            # charged its visits alone: the closing sets are not counted
+            (("subalgebra", "search", "--n", "9", "--window", "6"), f"9316354250 {over}"),
+            # charged its visits alone: the closing sets are not walked
             (("subalgebra", "search", "--n", "10", "--window", "100000"), over),
             (("verify", "limits", "--window", "1000"), f"40040010000 {over}"),
             # residuals of explicit indices, charged their products up to the

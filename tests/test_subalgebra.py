@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from pqvw.subalgebra import (
     UnexpectedSubalgebra,
     canonical_basis,
     check_candidate,
+    closing_sets,
     closure_check,
     fi_check_span,
     filippov_matrix,
@@ -281,3 +283,56 @@ class TestSearch:
     def test_window_guard(self):
         with pytest.raises(ValueError):
             search(0, 3)
+
+    def test_closing_candidates_match_closure_filter(self):
+        # the closing candidates by the lemma, against the closure check on
+        # every candidate, in the same order
+        for n in range(3, 8):
+            for window in range(n // 2, 7):
+                values = range(-window, window + 1)
+                expected = tuple(
+                    [S for S in combinations(values, k) if closure_check(S, n).closed]
+                    for k in (n, n + 1)
+                )
+                assert closing_sets(window, n) == expected, (n, window)
+
+    def test_evaluates_only_closing_candidates(self, monkeypatch):
+        # at window 3, the 15 closing 3-sets reach closure_check through
+        # check_candidate, and only the 3 symmetric 4-sets get a matrix
+        closures, matrices = [], []
+        real_closure, real_matrix = subalgebra.closure_check, subalgebra.filippov_matrix
+
+        def closure(S, n):
+            closures.append(tuple(S))
+            return real_closure(S, n)
+
+        def matrix(S, n):
+            matrices.append(tuple(S))
+            return real_matrix(S, n)
+
+        monkeypatch.setattr(subalgebra, "closure_check", closure)
+        monkeypatch.setattr(subalgebra, "filippov_matrix", matrix)
+        search(3, 3)
+        assert len(closures) == 15 and all(len(S) == 3 for S in closures)
+        assert matrices == [(-3, -2, 2, 3), (-3, -1, 1, 3), (-2, -1, 1, 2)]
+
+    @pytest.mark.parametrize("n, window", [
+        *((3, w) for w in range(2, 7)), *((4, w) for w in range(3, 6)), (5, 3), (5, 4),
+    ])
+    def test_matches_search_over_every_candidate(self, n, window):
+        # a reference search that runs the closure check on every candidate
+        values = range(-window, window + 1)
+        found = tuple(
+            report
+            for S in combinations(values, n)
+            if (report := check_candidate(S, n)).is_subalgebra
+        )
+        passing = [
+            S
+            for S in combinations(values, n + 1)
+            if closure_check(S, n).closed
+            and filippov_matrix(S, n).symmetric
+            and fi_check_span(S, n)[0]
+        ]
+        assert all(r.has_classified_shape for r in found) and passing == []
+        assert search(window, n) == subalgebra.SearchResult(found, comb(len(values), n + 1))
