@@ -32,11 +32,11 @@ _EXPORTS = {
         "pq_number", "pq_ring", "q_number", "specialize_pq",
     ),
     "algebra": (
-        "BadArity", "GenIndex", "Term", "bracket", "bracket2",
-        "bracket_coeff", "bracketn_closed", "sign_of",
+        "BadArity", "GenIndex", "bracket", "bracket2", "bracketn_closed",
+        "sign_of",
     ),
     "oracle": (
-        "InconsistentSign", "NotProportional", "bracketn_def", "derive_sign",
+        "InconsistentSign", "NotProportional", "Term", "bracketn_def", "derive_sign",
         "extract_structure_constant", "fock_act", "osc_relations_check",
         "structure_constant", "word_act",
     ),

@@ -34,60 +34,17 @@ GenIndex = int
 
 __all__ = [
     "GenIndex",
-    "Term",
     "BadArity",
     "bracket2",
     "bracketn_closed",
     "bracket",
     "sign_of",
-    "bracket_coeff",
     "sort_with_sign",
 ]
 
 
 class BadArity(ValueError):
     """Bracket arity outside the supported range."""
-
-
-class Term:
-    """A structure constant attached to a generator: coeff * L_index.
-
-    All zero terms compare equal regardless of their index, so functions may
-    keep the grading index (sum of inputs) on vanishing brackets without
-    breaking equality tests.  Terms are hashed, so they are never mutated.
-    """
-
-    __slots__ = ("coeff", "index")
-
-    def __init__(self, coeff: Scalar, index: GenIndex) -> None:
-        self.coeff = coeff
-        self.index = index
-
-    @classmethod
-    def zero(cls) -> "Term":
-        return cls(SCALAR_ZERO, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Term):
-            return NotImplemented
-        if self.coeff.is_zero and other.coeff.is_zero:
-            return True
-        return self.index == other.index and self.coeff == other.coeff
-
-    def __hash__(self) -> int:
-        if self.coeff.is_zero:
-            return hash(("Term", "zero"))
-        return hash(("Term", self.index, self.coeff))
-
-    def canonical(self) -> str:
-        return f"({self.coeff.canonical()}) * L_{self.index}"
-
-    def __repr__(self) -> str:
-        return f"Term({self.canonical()})"
 
 
 def sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -102,16 +59,15 @@ def sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(s)), (-1 if inv & 1 else 1)
 
 
-def bracket2(m: GenIndex, n: GenIndex) -> Term:
-    """Weighted 2-bracket: [L_m, L_n] = -(q p^-1)^m [n-m]_{p,q} L_{m+n}.
+def bracket2(m: GenIndex, n: GenIndex) -> Scalar:
+    """Weighted 2-bracket coefficient: [L_m, L_n] = -(q p^-1)^m [n-m]_{p,q} L_{m+n}.
 
     The coefficient is placed on its keys as a geometric sum in z = pq, like
     the closed form for n >= 3: no ring product or division runs.
     """
-    return Term(_scaled_pq_number(n - m, -m, m, -1), m + n)
+    return _scaled_pq_number(n - m, -m, m, -1)
 
 
-@lru_cache(maxsize=None)
 def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
     """sign * p^(n-1) z^e (z - 1)^((n-1)(n-2)/2) prod_{j<k} [s_k - s_j]_z.
 
@@ -121,7 +77,7 @@ def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
     z^d - 1 = (z - 1)[d]_z, a shifted difference of the dense coefficient
     list; the n - 1 adjacent pairs keep [d]_z, a sliding-window sum.  The
     list is then placed on the keys of p^(n-1+e+k) q^(e+k); no ring product
-    or division runs.  Memoised: a sweep meets each sorted tuple many times.
+    or division runs.
     """
     n = len(st)
     e = sum((n - 1 - j) * s for j, s in enumerate(st)) - (n - 1) // 2 * sum(st)
@@ -156,65 +112,55 @@ def sign_of(n: int) -> int:
     return (-1) ** (n * (n - 1) // 2)
 
 
-def bracketn_closed(indices: Sequence[GenIndex]) -> Term:
-    """Closed-form n-bracket for n >= 3, attached to L_sum.
+@lru_cache(maxsize=None)
+def _sorted_coeff(st: tuple[GenIndex, ...]) -> Scalar:
+    """The bracket of a strictly increasing tuple st, n >= 2: the one memo.
+
+    A sweep meets each sorted tuple many times, in every arrangement; every
+    bracket of n >= 3 arguments, and every kernel that collects its terms
+    per sorted signature, reads the coefficient here.
+    """
+    if len(st) == 2:
+        return bracket2(*st)
+    return _closed_product(st, sign_of(len(st)))
+
+
+def bracketn_closed(indices: Sequence[GenIndex]) -> Scalar:
+    """Closed-form n-bracket coefficient for n >= 3; the target is L_sum.
 
     The paper's form is (-1)^(n(n-1)/2) (p q^-1)^(floor((n-1)/2) sum) times
     the Vandermonde determinant of the monomials p^(-off i) (pq)^(t i),
     off = 2 floor((n-1)/2), over (q - p^-1)^(n-1) = p^-(n-1) (pq - 1)^(n-1).
     With the indices sorted, that determinant is p^(-off sum) times
     prod_{j<k} (pq)^(s_j) ((pq)^(s_k - s_j) - 1), so the division cancels
-    and the coefficient is the parity of the sorting times (-1)^(n(n-1)/2)
-    times the product of :func:`_closed_product`.  No factor vanishes, so
+    and the coefficient is the parity of the sorting times the memoised
+    coefficient of the sorted tuple, (-1)^(n(n-1)/2) times the product of
+    :func:`_closed_product`.  So the bracket is antisymmetric by
+    construction: every arrangement of one set reads the same memo entry.
+    No factor vanishes, so
     the bracket of distinct generators never does; repeated indices give
-    the zero term.
+    zero.
     """
     t = tuple(indices)
     n = len(t)
     if n < 3:
         raise BadArity(f"closed form needs n >= 3, got {n} (use bracket2)")
-    s = sum(t)
     if len(set(t)) != n:
-        return Term(SCALAR_ZERO, s)
+        return SCALAR_ZERO
     st, parity = sort_with_sign(t)
-    return Term(_closed_product(st, parity * sign_of(n)), s)
+    c = _sorted_coeff(st)
+    return c if parity > 0 else -c
 
 
-def bracket(indices: Sequence[GenIndex]) -> Term:
-    """The bracket of generators in the given argument order, for any n >= 2.
+def bracket(indices: Sequence[GenIndex]) -> Scalar:
+    """The bracket's coefficient in the given argument order, for any n >= 2.
 
-    The 2-bracket has its own weighted formula; every larger arity goes
-    through the closed form, which sorts the indices itself and reads the
-    memoised product of the sorted tuple.  ``bracket_coeff``'s
-    sorted-signature cache is not consulted, so sweeps that check
-    antisymmetry can rely on it.
+    The target generator is L_sum(indices), fixed by the grading.  The
+    2-bracket is evaluated directly from its weighted formula, never read
+    from the memo, so the 2-bracket skew sweep compares two evaluations;
+    every larger arity goes through :func:`bracketn_closed`.
     """
     t = tuple(indices)
     if len(t) == 2:
         return bracket2(*t)
     return bracketn_closed(t)
-
-
-@lru_cache(maxsize=None)
-def _sorted_coeff(t: tuple[GenIndex, ...]) -> Scalar:
-    # t is strictly increasing with len >= 2
-    return bracket(t).coeff
-
-
-def bracket_coeff(indices: Sequence[GenIndex]) -> Scalar:
-    """Structure constant of [L_(i1), ..., L_(in)] for any argument order.
-
-    Sorts the arguments and looks up a cached coefficient, applying the
-    parity of the sorting permutation; brackets are exactly antisymmetric
-    (verified independently by the skew-symmetry sweeps), so this is an
-    exact evaluation, not an approximation.
-    """
-    t = tuple(indices)
-    if len(t) < 2:
-        raise BadArity("brackets need at least two arguments")
-    if len(set(t)) != len(t):
-        return SCALAR_ZERO
-    st, sign = sort_with_sign(t)
-    c = _sorted_coeff(st)
-    return c if sign > 0 else -c
-

@@ -463,8 +463,8 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
 
 
 def _bracket(cfg: argparse.Namespace) -> list[dict]:
-    term = algebra.bracket(cfg.indices)
-    spec = specialize_pq(term.coeff)
+    coeff = algebra.bracket(cfg.indices)
+    spec = specialize_pq(coeff)
     try:
         classical = str(classical_value(spec))
     except PoleAtOne:
@@ -475,8 +475,8 @@ def _bracket(cfg: argparse.Namespace) -> list[dict]:
             {"n": cfg.n, "indices": list(cfg.indices)},
             "0",
             True,
-            coefficient=term.coeff.canonical(),
-            index=term.index,
+            coefficient=coeff.canonical(),
+            index=sum(cfg.indices),
             q_limit=spec.canonical(),
             classical=classical,
         )
@@ -484,7 +484,7 @@ def _bracket(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _oracle_check(cfg: argparse.Namespace) -> list[dict]:
-    results = suite.check_oscillator(suite.DESK_CONFIG)
+    results = [suite.oscillator_record()]
     if cfg.n:
         results.append(suite.closed_vs_recursive_record(cfg.n, cfg.window, "tuples"))
     return results
@@ -522,7 +522,7 @@ def _fi(cfg: argparse.Namespace) -> list[dict]:
         res = identities.fi_residual(cfg.n, Y, X)
         kind, nonzero = f"fi-n{cfg.n}", cfg.expect_nonzero
     inp = {"Y": list(Y), "X": list(X), "expected": "nonzero" if nonzero else "zero"}
-    return [suite.result(kind, inp, res.coeff.canonical(), res.is_zero != nonzero)]
+    return [suite.result(kind, inp, res.canonical(), res.is_zero != nonzero)]
 
 
 def _subalgebra_check(cfg: argparse.Namespace) -> list[dict]:
@@ -542,9 +542,10 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], list[dict]]] = {
     "verify sh-jacobi": _sh_jacobi,
     "verify fi": _fi,
     "verify jacobi2": lambda cfg: suite.check_jacobi2((-cfg.window, cfg.window)),
-    "verify limits": lambda cfg: suite.check_limits(
-        {**suite.DESK_CONFIG, "limits_window": cfg.window}
-    ),
+    "verify limits": lambda cfg: [
+        suite.limits_bracket2_record(cfg.window),
+        suite.limits_odd_record(suite.DESK_CONFIG["limits_odd"]),
+    ],
     "verify all": lambda cfg: suite.run_suite(suite.LEVELS[cfg.level], seed=cfg.seed),
     "subalgebra search": lambda cfg: [
         suite.subalgebra_search(cfg.n, cfg.window, "extra_dim_checked")

@@ -7,17 +7,20 @@ small.  Failing identities ship their exact residual for inspection.
 
 Every sweep stops at its first failure and reports it with its tuple
 count; a report reads nothing else.  Sweeps work on sorted signatures of
-distinct indices.  The brackets are exactly antisymmetric (itself verified
-exhaustively by the skew sweeps, which stay per tuple), so a shuffle-Jacobi
-residual is alternating in its arguments: an arrangement's residual is its
-sorting sign times its signature's, and a tuple that repeats an index has a
-zero residual.  So window sweeps evaluate each set of distinct indices once,
-at its sorted tuple, and count every tuple of the window; sampled sweeps
-count every tuple, drop the draws that repeat an index as they are drawn,
-walk the rest in sorted order and evaluate each signature once.  The
-vanishing on repeated indices is checked through the kernels by the tests,
-not assumed by them: the per-tuple entry points compute every residual
-directly.
+distinct indices.  The brackets are exactly antisymmetric: the 2-bracket's
+weighted formula is, and the skew sweep checks it on direct evaluations; at
+n >= 3 the closed form is the sorting parity times one coefficient per
+sorted tuple, antisymmetric by construction, and the closed-vs-recursive
+checks tie it to the defining recursion over ordered tuples.  Hence a
+shuffle-Jacobi residual is alternating in its arguments: an arrangement's
+residual is its sorting sign times its signature's, and a tuple that
+repeats an index has a zero residual.  So window sweeps evaluate
+each set of distinct indices once, at its sorted tuple, and count every
+tuple of the window; sampled sweeps count every tuple, drop the draws that
+repeat an index as they are drawn, walk the rest in sorted order and
+evaluate each signature once.  The vanishing on repeated indices is checked
+through the kernels by the tests, not assumed by them: the per-tuple entry
+points compute every residual directly.
 
 A residual kernel and the CLI's work estimate walk one lazy generator of
 its nested products (sign, inner, outer): ``fi_products`` the fundamental
@@ -49,14 +52,7 @@ from itertools import combinations, product
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import (
-    GenIndex,
-    Term,
-    _sorted_coeff,
-    bracket,
-    bracket_coeff,
-    sort_with_sign,
-)
+from .algebra import GenIndex, _sorted_coeff, bracket, sort_with_sign
 from .ring import Localized, Scalar, pq_ring
 
 # a nested product of a residual: (sign, inner indices, outer indices)
@@ -119,21 +115,23 @@ class SweepResult(NamedTuple):
 def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
     """Verify antisymmetry of the bracket on one index tuple.
 
-    Every transposition must negate the directly evaluated bracket, and a
-    tuple with repeated entries must vanish; both are checked without the
-    sorted-signature cache so this sweep underwrites it.
+    Every transposition must negate the bracket, and a tuple with repeated
+    entries must vanish.  At n = 2 both sides are direct evaluations of the
+    weighted formula.  At n >= 3 both read the same sorted coefficient, so
+    the check covers only the parity bookkeeping; that the coefficient
+    belongs to the ordered tuple is the closed-vs-recursive checks' part.
     """
     idx = tuple(indices)
     n = len(idx)
     base = bracket(idx)
     if len(set(idx)) != n:
         ok = base.is_zero
-        return IdentityReport(idx, base.coeff.canonical() if not ok else "0", ok)
+        return IdentityReport(idx, base.canonical() if not ok else "0", ok)
     for i in range(n):
         for j in range(i + 1, n):
             swapped = list(idx)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            residual = bracket(swapped).coeff + base.coeff
+            residual = bracket(swapped) + base
             if not residual.is_zero:
                 return IdentityReport(idx, residual.canonical(), False)
     return IdentityReport(idx, "0", True)
@@ -195,9 +193,7 @@ def fi_products(Y: Sequence[GenIndex], X: Sequence[GenIndex]) -> Iterator[Nested
         yield -1, inner, xs[:k] + (sum(inner),) + xs[k + 1 :]
 
 
-def fi_residual(
-    n: int, Y: Sequence[GenIndex], X: Sequence[GenIndex]
-) -> Term:
+def fi_residual(n: int, Y: Sequence[GenIndex], X: Sequence[GenIndex]) -> Scalar:
     """Fundamental-identity residual [Y, [X]] - sum_k [X_1, .., [Y, X_k], .., X_n].
 
     Works for any n >= 2 (n = 2 is the plain Jacobi identity, which the
@@ -210,16 +206,14 @@ def fi_residual(
     ys, xs = tuple(Y), tuple(X)
     if len(ys) != n - 1 or len(xs) != n:
         raise ValueError(f"need |Y| = {n - 1} and |X| = {n}")
-    rows = (
-        (bracket_coeff(inner).scale(sign), bracket_coeff(outer))
-        for sign, inner, outer in fi_products(ys, xs)
+    return Scalar.sum_of_products(
+        (bracket(inner).scale(sign), bracket(outer)) for sign, inner, outer in fi_products(ys, xs)
     )
-    return Term(Scalar.sum_of_products(rows), sum(ys) + sum(xs))
 
 
 def fi_counterexample_even(
     n: int,
-) -> tuple[tuple[GenIndex, ...], tuple[GenIndex, ...], Term]:
+) -> tuple[tuple[GenIndex, ...], tuple[GenIndex, ...], Scalar]:
     """Construct the even-arity witness that kills the fundamental identity.
 
     Y = (L_-2, ..., L_-(n-1), L_{n(n-1)/2}), X = (L_0, ..., L_{n-1}); the
@@ -249,7 +243,7 @@ def _p_inv_q(a: tuple[int, ...], b: tuple[int, ...]) -> Localized:
 
 def _formal_bracket2(m: tuple[int, ...], n: tuple[int, ...]) -> Localized:
     # the 2-bracket's coefficient -(p^-m q^n - p^-n q^m) / (q - p^-1) at
-    # linear forms m and n, which is algebra.bracket2(m, n).coeff at integers
+    # linear forms m and n, which is algebra.bracket2(m, n) at integers
     return (_p_inv_q(n, m) - _p_inv_q(m, n)) * _JACOBI2_RING(1, 1)
 
 
@@ -387,11 +381,9 @@ def _sh_jacobi_worker(args: tuple[int, list[tuple[int, ...]]]):
 def _decided(window: tuple[int, int], residual: str | None) -> SweepResult:
     # a formal verdict decides every triple of the window cube: a nonzero
     # formal residual is one failure, at the window's first triple
-    lo, hi = window
-    if lo > hi:
-        raise ValueError("empty index window")
-    failure = None if residual is None else IdentityReport((lo,) * 3, residual, False)
-    return SweepResult((hi - lo + 1) ** 3, failure)
+    values = _window_range(window)
+    failure = None if residual is None else IdentityReport((values[0],) * 3, residual, False)
+    return SweepResult(len(values) ** 3, failure)
 
 
 def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:

@@ -61,15 +61,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import (
-    BadArity,
-    GenIndex,
-    Term,
-    _closed_product,
-    sort_with_sign,
-)
+from .algebra import BadArity, GenIndex, _closed_product, sort_with_sign
 from .ring import (
     SCALAR_ONE,
+    SCALAR_ZERO,
     ModScalar,
     MPoly,
     NotDivisible,
@@ -85,6 +80,7 @@ __all__ = [
     "InconsistentSign",
     "NotProportional",
     "OscillatorReport",
+    "Term",
     "nu_bracket",
     "generator_multiplier",
     "fock_act",
@@ -105,6 +101,14 @@ class InconsistentSign(ArithmeticError):
 
 class NotProportional(ArithmeticError):
     """A word sum does not act as a multiple of a single generator."""
+
+
+class Term(NamedTuple):
+    """coeff * L_index, as :func:`extract_structure_constant` reads a word sum
+    off the module: the index is evidence there, not the grading's sum."""
+
+    coeff: Scalar
+    index: GenIndex
 
 
 def nu_bracket(shift: int = 0) -> ModScalar:
@@ -294,10 +298,11 @@ def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
     coefficient is divided by the action coefficient of L_S; if the division
     fails or the quotient still depends on the symbolic level, the word sum
     is not a multiple of a single generator and NotProportional is raised.
+    A word sum that acts as zero gives the zero coefficient at index 0.
     """
     v = word_act(ws)
     if not v:
-        return Term.zero()
+        return Term(SCALAR_ZERO, 0)
     if len(v) != 1:
         raise NotProportional(f"acts on several shifts {sorted(v)}")
     (shift, coeff), = v.items()
@@ -323,21 +328,18 @@ def _constant(idx: tuple[GenIndex, ...]) -> Scalar:
     return total
 
 
-def structure_constant(indices: Sequence[GenIndex]) -> Term:
+def structure_constant(indices: Sequence[GenIndex]) -> Scalar:
     """Structure constant of the defining n-bracket, n >= 2, on the module.
 
     Runs the rows of :func:`_expansion` on level-free coefficients, as the
     module docstring derives: per ordered sub-tuple (memoised), A / D when
     the level-dependent sum B cancels, NotProportional otherwise.  The
-    result equals ``extract_structure_constant(bracketn_def(indices))``.
+    result is the coefficient of ``extract_structure_constant(bracketn_def(indices))``.
     """
     idx = tuple(indices)
     if len(idx) < 2:
         raise ValueError("a bracket needs n >= 2 indices")
-    coeff = _constant(idx)
-    if coeff.is_zero:
-        return Term.zero()
-    return Term(coeff, sum(idx))
+    return _constant(idx)
 
 
 def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
@@ -357,7 +359,7 @@ def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
         raise ValueError("witness must consist of n distinct indices")
     st, parity = sort_with_sign(key)
     closed = _closed_product(st, parity)
-    rec = structure_constant(key).coeff
+    rec = structure_constant(key)
     if rec == closed:
         return 1
     if rec == -closed:

@@ -219,10 +219,9 @@ def iso_canonical_check(S: Sequence[GenIndex], n: int) -> tuple[bool, GenIndex |
     idx = _validate_set(S)
     if len(idx) != n:
         raise ValueError(f"isomorphism check needs |S| = {n}")
-    term = bracketn_closed(idx)
-    t = term.index
+    t = sum(idx)
     ok = t in set(idx)
-    return ok, (t if ok else None), term.coeff
+    return ok, (t if ok else None), bracketn_closed(idx)
 
 
 def filippov_matrix(S: Sequence[GenIndex], n: int) -> FMatrix:
@@ -235,12 +234,11 @@ def filippov_matrix(S: Sequence[GenIndex], n: int) -> FMatrix:
     cols: list[list[Scalar]] = []
     for j, omitted in enumerate(idx):
         sub = idx[:j] + idx[j + 1 :]
-        term = bracketn_closed(sub)
         sign = -1 if (n + j) % 2 else 1  # (-1)^(n + (j+1) + 1) with 1-based j
         col = [zero] * (n + 1)
         target = total - omitted
         if target in idx:
-            col[idx.index(target)] = term.coeff.scale(sign)
+            col[idx.index(target)] = bracketn_closed(sub).scale(sign)
         cols.append(col)
     rows = tuple(
         tuple(cols[j][r] for j in range(n + 1)) for r in range(n + 1)

@@ -8,10 +8,11 @@ import pytest
 
 from childenv import child_env
 from pqvw import oracle
-from pqvw.algebra import Term, bracket2, bracketn_closed
+from pqvw.algebra import bracket2, bracketn_closed
 from pqvw.cli import main
 from pqvw.oracle import (
     NotProportional,
+    Term,
     bracketn_def,
     extract_structure_constant,
     fock_act,
@@ -34,7 +35,7 @@ from pqvw.ring import (
     mod_from_scalar,
     pq_number,
 )
-from words import mod_shift, number_weight
+from words import mod_shift, number_weight, word_coeff
 
 
 def mono(a, b, coeff=1):
@@ -201,6 +202,7 @@ class TestExtraction:
         assert extract_structure_constant(bracketn_def((0, 1))) == Term(
             Scalar(LPoly.one().scale(-1), 0), 1
         )
+        assert extract_structure_constant(bracketn_def((2, -5))) == Term(bracket2(2, -5), -3)
 
     def test_raw_product_is_not_proportional(self):
         ws = {(0, 1): Scalar(LPoly.one(), 0)}
@@ -213,32 +215,29 @@ class TestExtraction:
             extract_structure_constant(ws)
 
     def test_zero_word_sum(self):
-        assert extract_structure_constant({}) == Term.zero()
-        assert extract_structure_constant(bracketn_def((3, 3))) == bracket2(3, 3)
+        assert extract_structure_constant({}) == Term(Scalar.zero(), 0)
+        assert extract_structure_constant(bracketn_def((3, 3))) == Term(bracket2(3, 3), 0)
 
     def test_repeated_modes_collapse_to_zero(self):
         # with a repeated mode the six words already cancel formally, and
         # extraction agrees
         ws = bracketn_def((1, 1, 2))
         assert ws == {}
-        assert extract_structure_constant(ws) == Term.zero()
+        assert extract_structure_constant(ws) == Term(Scalar.zero(), 0)
 
     def test_cross_check_bracket3(self):
         for idx in product(range(-2, 3), repeat=3):
-            got = extract_structure_constant(bracketn_def(idx))
-            assert got == bracketn_closed(idx)
+            assert word_coeff(idx) == bracketn_closed(idx), idx
 
     def test_cross_check_bracket4_distinct(self):
         for idx in permutations((-1, 0, 1, 2)):
-            got = extract_structure_constant(bracketn_def(idx))
-            assert got == bracketn_closed(idx)
+            assert word_coeff(idx) == bracketn_closed(idx), idx
 
     def test_cross_check_bracket6_spots(self):
         # arity 6 backs the even-arity counterexample path, so pin it too,
         # and reach one step further with a single arity-7 tuple
         for idx in ((0, 1, 2, 3, 4, 5), (-2, -1, 0, 1, 2, 3), (0, 1, 2, 3, 4, 5, 6)):
-            got = extract_structure_constant(bracketn_def(idx))
-            assert got == bracketn_closed(idx)
+            assert word_coeff(idx) == bracketn_closed(idx), idx
 
 
 class TestStructureConstant:
@@ -248,7 +247,7 @@ class TestStructureConstant:
         tuples = [t for n in (3, 4) for t in product(range(-2, 3), repeat=n)]
         tuples += list(permutations(range(-2, 3), 5))
         for idx in tuples:
-            assert structure_constant(idx) == extract_structure_constant(bracketn_def(idx)), idx
+            assert structure_constant(idx) == word_coeff(idx), idx
 
     def test_matches_closed_form_at_higher_arity(self):
         for idx in (

@@ -991,13 +991,13 @@ def test_binomial_divisors_never_reach_long_division():
     # c * x^u * (x^s - 1); any other divisor would raise ValueError, which
     # the oracle reports as NotProportional
     from pqvw import algebra, oracle
-    from words import q_jacobi2_residual
+    from words import q_jacobi2_residual, word_coeff
 
     tuples = ((0, 1, 2), (-2, 0, 3), (-1, 0, 2, 3), (0, 1, 2, 3, 5))
     for idx in tuples:
         closed = algebra.bracket(idx)
         assert oracle.structure_constant(idx) == closed
-        assert oracle.extract_structure_constant(oracle.bracketn_def(idx)) == closed
+        assert word_coeff(idx) == closed
     for t in ((1, 2, 3), (-1, 0, 2), (2, 2, -3)):
         assert q_jacobi2_residual(*t).is_zero
     # the sign check compares with the closed form; it does not divide by it

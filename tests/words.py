@@ -14,6 +14,14 @@ from ``algebra.sort_with_sign``: the sort-based reference that the lazy
 ``identities.sh_jacobi_products``, whose parities are in closed form, is
 compared against.
 
+``word_coeff`` is the word expansion's coefficient of a bracket, with the
+target generator it reads off the module checked against the grading:
+the reference the closed form and the recursion are compared against.
+
+``bracket2_by_lookup`` builds a 2-bracket from a coefficient of sorted
+pairs, as ``algebra._sorted_coeff`` serves the n-brackets, so a stand-in
+coefficient reaches the 2-brackets that the package evaluates directly.
+
 ``mod_shift`` and ``number_weight`` are the level shift and the diagonal
 number-operator weight of the oscillator module, which only the tests use
 to check the oracle's generator action.
@@ -47,6 +55,31 @@ def shuffles(n: int) -> tuple[Shuffle, ...]:
     return tuple(out)
 
 
+def word_coeff(indices) -> Scalar:
+    """The coefficient of [indices] from the word expansion on the module.
+
+    The expansion reads its target generator off the module action, and a
+    nonzero bracket must land on L_sum(indices); a zero one lands nowhere.
+    """
+    idx = tuple(indices)
+    term = oracle.extract_structure_constant(oracle.bracketn_def(idx))
+    assert term.coeff.is_zero or term.index == sum(idx), (idx, term)
+    return term.coeff
+
+
+def bracket2_by_lookup(sorted_coeff):
+    """A 2-bracket that reads sorted_coeff at the sorted pair: zero at m = n,
+    negated when the arguments come in decreasing order."""
+
+    def bracket2(m: int, n: int) -> Scalar:
+        if m == n:
+            return Scalar.zero()
+        c = sorted_coeff((min(m, n), max(m, n)))
+        return c if m < n else -c
+
+    return bracket2
+
+
 def jacobi2_weight(a: int) -> Scalar:
     """q^a + p^-a, the weight of the row whose outer bracket starts at a."""
     return Scalar.monomial(0, a) + Scalar.monomial(-a, 0)
@@ -63,7 +96,7 @@ def deformed_jacobi2_residual(m: int, n: int, k: int, weight=jacobi2_weight) -> 
     negative control.
     """
     return Scalar.sum_of_products(
-        (weight(a), algebra.bracket2(b, c).coeff, algebra.bracket2(a, b + c).coeff)
+        (weight(a), algebra.bracket2(b, c), algebra.bracket2(a, b + c))
         for a, b, c in ((m, n, k), (n, k, m), (k, m, n))
     )
 
