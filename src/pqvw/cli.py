@@ -4,9 +4,11 @@ The parsed `argparse.Namespace` is the run's configuration, and a report's
 params are the chosen command's own arguments.  Each command maps, through
 the `COMMANDS` table, to a builder that returns its result records (built by
 `suite.result`), so every command reports in the same shape.  A command
-imports only the layers it runs: this module loads ring, algebra and suite,
-which every command needs, and each builder (or suite check, or work
-estimate) imports identities, oracle or subalgebra on entry.
+imports only the layers it runs: this module loads none at import, so
+`--version`, `--help` and a usage error found while parsing load nothing
+but the front end; each builder (or suite check, or work estimate) imports
+the layers it calls on entry, and `json` and `tempfile` load only to write
+a report.
 
 Exit codes: 0 when every check passes, 1 when any check fails (the exact
 residual is printed), 2 on usage errors.  Usage errors include, checked
@@ -31,16 +33,13 @@ and has no effect.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 import time
 from math import comb, perm
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
-from . import __version__, algebra, suite
-from .ring import EXP_MAX, ExponentOverflow, PoleAtOne, classical_value, specialize_pq
+from . import __version__
 
 
 # Largest arity any command accepts: the closed form's sign formula
@@ -72,6 +71,9 @@ WORK_BUDGET = 350_000_000
 # grow with it (`bracket --n 3 --indices 0,5000,10000` prints 0.75 MB in
 # 0.4 s, `0,1,100000` 6.9 MB in 2 s).
 MAX_INDEX = 10_000
+
+# the names of `suite.LEVELS`, spelled out so that parsing loads no layer
+LEVEL_NAMES = ("desk", "smoke")
 
 
 class SuiteReport:
@@ -218,7 +220,7 @@ _PARSER_TREE = _group("command", (
             ("--window", {"type": int, "default": 5}),
         )),
         ("all", "the full check suite", _leaf(
-            ("--level", {"choices": tuple(suite.LEVELS), "default": "desk"}),
+            ("--level", {"choices": LEVEL_NAMES, "default": "desk"}),
         )),
     ))),
     ("subalgebra", "subalgebra checks and search", _group("sub_command", (
@@ -320,10 +322,14 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if len(cfg.indices) < cfg.n:
             parser.error(f"subalgebra check needs at least n = {cfg.n} indices")
     big = max((abs(i) for idx in (cfg.indices, cfg.y, cfg.x) if idx for i in idx), default=0)
-    if big > EXP_MAX:
-        # an index is itself an exponent of its bracket's coefficient
-        parser.error(str(ExponentOverflow(big)))
     if big > MAX_INDEX:
+        # the ring's exponent range is far wider, so only an index past
+        # MAX_INDEX can break it, and only then does ring load here
+        from .ring import EXP_MAX, ExponentOverflow
+
+        if big > EXP_MAX:
+            # an index is itself an exponent of its bracket's coefficient
+            parser.error(str(ExponentOverflow(big)))
         parser.error(f"{cfg.command} accepts indices |i| <= {MAX_INDEX}, got {big}")
     work = _work_estimate(cfg)
     if work is not None and work.total > WORK_BUDGET:
@@ -429,7 +435,7 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
         return Work(sets, sets, sets * products)
     if cfg.command == "verify skew":
         # every n-tuple; one of distinct indices evaluates its bracket and one
-        # per transposition, adding each to the first
+        # per transposition, comparing each with the first's negation
         evaluations = perm(width, n) * (1 + n * (n - 1) // 2)
         return Work(width**n, evaluations, evaluations * _terms(n, _spread(n, width)))
     if cfg.command == "oracle-check" and n is not None:
@@ -463,6 +469,9 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
 
 
 def _bracket(cfg: argparse.Namespace) -> list[dict]:
+    from . import algebra, suite
+    from .ring import PoleAtOne, classical_value, specialize_pq
+
     coeff = algebra.bracket(cfg.indices)
     spec = specialize_pq(coeff)
     try:
@@ -484,6 +493,8 @@ def _bracket(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _oracle_check(cfg: argparse.Namespace) -> list[dict]:
+    from . import suite
+
     results = [suite.oscillator_record()]
     if cfg.n:
         results.append(suite.closed_vs_recursive_record(cfg.n, cfg.window, "tuples"))
@@ -491,14 +502,14 @@ def _oracle_check(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _skew(cfg: argparse.Namespace) -> list[dict]:
-    from . import identities
+    from . import identities, suite
 
     window = (-cfg.window, cfg.window)
     return [suite.swept(f"skew-n{cfg.n}", window, identities.sweep_skew(cfg.n, window))]
 
 
 def _sh_jacobi(cfg: argparse.Namespace) -> list[dict]:
-    from . import identities
+    from . import identities, suite
 
     kind = f"sh-jacobi-n{cfg.n}"
     if cfg.indices is not None:
@@ -512,7 +523,7 @@ def _sh_jacobi(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _fi(cfg: argparse.Namespace) -> list[dict]:
-    from . import identities
+    from . import identities, suite
 
     if cfg.counterexample:
         Y, X, res = identities.fi_counterexample_even(cfg.n)
@@ -526,12 +537,47 @@ def _fi(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _subalgebra_check(cfg: argparse.Namespace) -> list[dict]:
-    from . import subalgebra
+    import json
+
+    from . import subalgebra, suite
 
     report = subalgebra.check_candidate(cfg.indices, cfg.n)
     ok = report.is_subalgebra
     residual = "0" if ok else json.dumps(report.to_json(), sort_keys=True)
     return [suite.result(f"subalgebra-check-n{cfg.n}", {"indices": list(cfg.indices)}, residual, ok)]
+
+
+def _jacobi2(cfg: argparse.Namespace) -> list[dict]:
+    from . import suite
+
+    return suite.check_jacobi2((-cfg.window, cfg.window))
+
+
+def _limits(cfg: argparse.Namespace) -> list[dict]:
+    from . import suite
+
+    return [
+        suite.limits_bracket2_record(cfg.window),
+        suite.limits_odd_record(suite.DESK_CONFIG["limits_odd"]),
+    ]
+
+
+def _all(cfg: argparse.Namespace) -> list[dict]:
+    from . import suite
+
+    return suite.run_suite(suite.LEVELS[cfg.level], seed=cfg.seed)
+
+
+def _subalgebra_search(cfg: argparse.Namespace) -> list[dict]:
+    from . import suite
+
+    return [suite.subalgebra_search(cfg.n, cfg.window, "extra_dim_checked")]
+
+
+def _canonical(cfg: argparse.Namespace) -> list[dict]:
+    from . import suite
+
+    return [suite.canonical_record(cfg.n)]
 
 
 # command -> the builder of its result records
@@ -541,16 +587,11 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], list[dict]]] = {
     "verify skew": _skew,
     "verify sh-jacobi": _sh_jacobi,
     "verify fi": _fi,
-    "verify jacobi2": lambda cfg: suite.check_jacobi2((-cfg.window, cfg.window)),
-    "verify limits": lambda cfg: [
-        suite.limits_bracket2_record(cfg.window),
-        suite.limits_odd_record(suite.DESK_CONFIG["limits_odd"]),
-    ],
-    "verify all": lambda cfg: suite.run_suite(suite.LEVELS[cfg.level], seed=cfg.seed),
-    "subalgebra search": lambda cfg: [
-        suite.subalgebra_search(cfg.n, cfg.window, "extra_dim_checked")
-    ],
-    "subalgebra canonical": lambda cfg: [suite.canonical_record(cfg.n)],
+    "verify jacobi2": _jacobi2,
+    "verify limits": _limits,
+    "verify all": _all,
+    "subalgebra search": _subalgebra_search,
+    "subalgebra canonical": _canonical,
     "subalgebra check": _subalgebra_check,
 }
 
@@ -581,6 +622,8 @@ def run(cfg: argparse.Namespace) -> tuple[SuiteReport, int]:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pqvw-report-")
     try:
@@ -599,6 +642,8 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def emit(report: SuiteReport, cfg: argparse.Namespace) -> None:
+    import json
+
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if cfg.output:
         try:
@@ -624,6 +669,9 @@ def emit(report: SuiteReport, cfg: argparse.Namespace) -> None:
 
 def main(argv: Sequence[str] | None = None) -> None:
     cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
+    # only now, so that a usage error or a help text loads no layer
+    from .ring import ExponentOverflow
+
     try:
         report, code = run(cfg)
     except ExponentOverflow as exc:

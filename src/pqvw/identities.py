@@ -127,13 +127,16 @@ def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
     if len(set(idx)) != n:
         ok = base.is_zero
         return IdentityReport(idx, base.canonical() if not ok else "0", ok)
+    # normal forms are unique, so a transposition negates the bracket exactly
+    # when it equals the negated base; the sum is built only for a failure
+    negated = -base
     for i in range(n):
         for j in range(i + 1, n):
             swapped = list(idx)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            residual = bracket(swapped) + base
-            if not residual.is_zero:
-                return IdentityReport(idx, residual.canonical(), False)
+            value = bracket(swapped)
+            if value != negated:
+                return IdentityReport(idx, (value + base).canonical(), False)
     return IdentityReport(idx, "0", True)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import re
 import shlex
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from pqvw import algebra, identities, oracle, ring, subalgebra, suite
+from pqvw import __main__ as entry
+from pqvw import algebra, cli, identities, oracle, ring, subalgebra, suite
 from pqvw.cli import (
     EXACT_TERM_COST,
     WORK_BUDGET,
@@ -452,6 +454,8 @@ class TestBlackBox:
         assert proc.returncode == 2
         assert "supported range |e| <= 536870911" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # parse_args loads the ring for this check only past MAX_INDEX
+        assert ring.EXP_MAX > cli.MAX_INDEX
         # repeated or too few subalgebra indices are usage errors, not tracebacks
         for indices, message in (("0,0,1", "distinct indices"), ("0,1", "at least n = 3")):
             proc = invoke("subalgebra", "check", "--n", "3", "--indices", indices)
@@ -560,6 +564,70 @@ class TestBlackBox:
         assert result["coefficient"] == "1*p^-2*q^1 + 1*p^-1*q^2"
         assert result["index"] == 4
         assert result["classical"] == "2"
+
+
+# one command per exit path: the version, a pass, a failure and a usage error
+ENTRY_CASES = [
+    (("--version",), 0),
+    (("bracket", "--n", "3", "--indices", "0,1,2"), 0),
+    (("verify", "fi", "--n", "3", "--y", "-2,-1", "--x", "-2,0,1"), 1),
+    (("verify", "skew", "--n", "3", "--window", "-1"), 2),
+]
+ENTRY_IDS = [" ".join(args) for args, _ in ENTRY_CASES]
+
+# the ways to start a run in a fresh process: the module entry, the installed
+# script's call, and the front end alone, which freezes nothing
+ENTRIES = {
+    "module": ["-m", "pqvw"],
+    "script": ["-c", "import sys; from pqvw.__main__ import main; sys.exit(main())"],
+    "cli": ["-c", "from pqvw import cli; cli.main()"],
+}
+
+
+class TestProcessEntry:
+    """The process entry freezes the collector once its command has run, so
+    the shutdown collections skip every object then alive; `cli.main` run in
+    process leaves garbage collection as it was."""
+
+    @pytest.mark.parametrize("args,code", ENTRY_CASES, ids=ENTRY_IDS)
+    def test_in_process_main_keeps_normal_gc(self, args, code, capsys):
+        before = gc.get_freeze_count()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(args))
+        assert exc.value.code == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("args,code", ENTRY_CASES, ids=ENTRY_IDS)
+    def test_entries_keep_codes_and_output(self, args, code):
+        seen = {}
+        for name, prefix in ENTRIES.items():
+            proc = subprocess.run(
+                [sys.executable, *prefix, *args], capture_output=True, timeout=120, env=child_env(),
+            )
+            err = re.sub(rb"wall time: [0-9.]+s", b"wall time: Ts", proc.stderr)
+            seen[name] = (proc.returncode, proc.stdout, err.splitlines())
+        assert seen["module"][0] == code
+        assert seen["module"] == seen["script"] == seen["cli"]
+
+    def test_module_entry_freezes(self):
+        child = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['pqvw', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('pqvw', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    print(gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert proc.stdout.splitlines() == ["0.1.0", "True"], proc.stderr
+
+    def test_installed_script_is_the_module_entry(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        (target,) = re.findall(r'^pqvw = "([\w.]+):(\w+)"$', text, re.M)
+        assert target == (entry.__name__, entry.main.__name__)
 
 
 HELP = Path(__file__).resolve().parent / "data" / "help"

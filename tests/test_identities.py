@@ -125,6 +125,18 @@ class TestSkew:
         assert sweep == (125, check_skew(first)) and not sweep.ok
         assert calls == tuples[: tuples.index(first) + 1] and first != tuples[0]
 
+    def test_failure_reports_the_sum(self, monkeypatch):
+        # the first transposition that does not negate the bracket reports
+        # bracket(swapped) + bracket(indices), the residual that must vanish
+        real = identities.bracket
+        monkeypatch.setattr(
+            identities, "bracket",
+            lambda idx: real(idx).scale(2) if tuple(idx[:2]) == (2, 1) else real(idx),
+        )
+        report = check_skew((1, 2, 0))
+        assert not report.verdict
+        assert report.residual == (real((2, 1, 0)).scale(2) + real((1, 2, 0))).canonical()
+
     def test_what_underwrites_antisymmetry(self, monkeypatch, fresh_memo):
         # at n >= 3 both sides of a transposition read one sorted
         # coefficient: a wrong overall sign passes the skew sweep, and only

@@ -3,7 +3,8 @@
 Every verdict comes from a fresh process, so a layer a command never calls
 costs start-up time for nothing.  A child process records `sys.modules`,
 runs ``python -m pqvw ARGS`` through runpy, and reports the modules the
-command added; the exact pqvw set is pinned per command.
+command added, importing `json` to print them only after it has taken
+them; the exact pqvw set is pinned per command.
 """
 import importlib
 import json
@@ -13,11 +14,12 @@ import sys
 import pytest
 
 import pqvw
+from pqvw import cli, suite
 
 from childenv import child_env
 
 CHILD = """
-import io, json, runpy, sys
+import io, runpy, sys
 before = set(sys.modules)
 sys.argv = ["pqvw", *sys.argv[1:]]
 stdout, sys.stdout = sys.stdout, io.StringIO()
@@ -26,15 +28,24 @@ try:
 except SystemExit as exc:
     code = exc.code
 sys.stdout = stdout
-print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+added = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"code": code, "added": added}))
 """
 
-# what every command loads: the package, the front end, and the layers under
-# the record builders
-BASE = {"pqvw", "pqvw.cli", "pqvw.suite", "pqvw.algebra", "pqvw.ring"}
+# what the version, help texts and usage errors found while parsing load:
+# the package and the front end, and not even `json`
+FRONT = {"pqvw", "pqvw.cli"}
+
+# what every command that runs loads: the front end and the layers under the
+# record builders
+BASE = FRONT | {"pqvw.suite", "pqvw.algebra", "pqvw.ring"}
 
 CASES = [
-    (["--version"], BASE),
+    (["--version"], FRONT),
+    (["--help"], FRONT),
+    (["verify", "--help"], FRONT),
+    (["verify", "skew", "--n", "3", "--window", "-1"], FRONT),
     (["bracket", "--n", "3", "--indices", "0,1,2"], BASE),
     (["verify", "fi", "--n", "4", "--counterexample"], BASE | {"pqvw.identities"}),
     (["verify", "sh-jacobi", "--n", "3", "--window", "1"], BASE | {"pqvw.identities"}),
@@ -55,8 +66,9 @@ CASES = [
      BASE | {"pqvw.identities", "pqvw.subalgebra"}),
 ]
 
-# commands above that exit 1: their check fails, and prints its residual
-FAILING = {"verify fi --n 3 --y -2,-1 --x -2,0,1"}
+# commands above that exit 1, since their check fails and prints its
+# residual, or 2, on a usage error
+CODES = {"verify fi --n 3 --y -2,-1 --x -2,0,1": 1, "verify skew --n 3 --window -1": 2}
 
 
 @pytest.mark.parametrize("args,expected", CASES, ids=[" ".join(a) for a, _ in CASES])
@@ -67,10 +79,16 @@ def test_command_imports_only_its_layers(args, expected):
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
-    assert child["code"] == (1 if " ".join(args) in FAILING else 0)
+    assert child["code"] == CODES.get(" ".join(args), 0)
     added = set(child["added"])
     assert {m for m in added if m.split(".")[0] == "pqvw"} == expected
     assert not added & {"pqvw.sweep", "dataclasses", "inspect", "fractions", "decimal"}
+    if expected == FRONT:
+        assert "json" not in added
+
+
+def test_level_choices_are_the_suite_levels():
+    assert cli.LEVEL_NAMES == tuple(suite.LEVELS)
 
 
 @pytest.mark.parametrize("parent", [False, True])
