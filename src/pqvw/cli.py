@@ -1,14 +1,15 @@
 """Command-line front end: brackets, identity sweeps, subalgebra search.
 
-The parsed `argparse.Namespace` is the run's configuration, and a report's
-params are the chosen command's own arguments.  Each command maps, through
-the `COMMANDS` table, to a builder that returns its result records (built by
-`suite.result`), so every command reports in the same shape.  A command
-imports only the layers it runs: this module loads none at import, so
-`--version`, `--help` and a usage error found while parsing load nothing
-but the front end; each builder (or suite check, or work estimate) imports
-the layers it calls on entry, and `json` and `tempfile` load only to write
-a report.
+This module parses and validates a command, estimates its work, dispatches
+it and emits its report; `suite` builds every record.  The parsed
+`argparse.Namespace` is the run's configuration, and a report's params are
+the chosen command's own arguments.  The `COMMANDS` table maps each command
+to the suite builder of its records, called with the parsed arguments, so
+every command reports in the same shape.  A command imports only the layers
+it runs: this module loads none at import, so `--version`, `--help` and a
+usage error found while parsing load nothing but the front end; `run` loads
+`suite`, each suite builder (or work estimate) imports the other layers it
+calls on entry, and `json` and `tempfile` load only to write a report.
 
 Exit codes: 0 when every check passes, 1 when any check fails (the exact
 residual is printed), 2 on usage errors.  Usage errors include, checked
@@ -22,7 +23,8 @@ before anything is evaluated:
   work estimate, in coefficient-term operations, exceeds `WORK_BUDGET`;
   `verify jacobi2` decides its identities formally, at any window;
 * flags the command would ignore (`--window` or `--samples` beside
-  `--indices`, `--y`, `--x` or `--expect-nonzero` beside `--counterexample`).
+  `--indices`, `--y`, `--x` or `--expect-nonzero` beside `--counterexample`,
+  `--window` on `oracle-check` without `--n`).
 
 A report that `--output` cannot write is an error with exit 2 as well.
 
@@ -190,7 +192,7 @@ _PARSER_TREE = _group("command", (
     )),
     ("oracle-check", "oscillator relations and closed-vs-recursive sweep", _leaf(
         ("--n", {"type": int, "default": None}),
-        ("--window", {"type": int, "default": 2}),
+        ("--window", {"type": int, "default": None}),
     )),
     ("verify", "identity verification", _group("verify_command", (
         ("skew", "antisymmetry sweep", _leaf(
@@ -299,12 +301,17 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
                 parser.error(f"fi needs |Y| = {cfg.n - 1} and |X| = {cfg.n}")
     elif cfg.command == "verify skew" and cfg.n < 2:
         parser.error("skew needs n >= 2")
-    elif cfg.command == "oracle-check" and cfg.n is not None:
-        if cfg.n < 3:
-            parser.error("the recursive sweep needs n >= 3")
-        if cfg.n > 3 and 2 * cfg.window + 1 < cfg.n:
-            parser.error(f"the recursive sweep needs n = {cfg.n} distinct indices "
-                         f"in the window, so --window >= {cfg.n // 2}")
+    elif cfg.command == "oracle-check":
+        if cfg.n is None and cfg.window is not None:
+            parser.error("--window sizes the recursive sweep, which needs --n")
+        # 2 by default; the report prints it even when no sweep runs
+        cfg.window = 2 if cfg.window is None else cfg.window
+        if cfg.n is not None:
+            if cfg.n < 3:
+                parser.error("the recursive sweep needs n >= 3")
+            if cfg.n > 3 and 2 * cfg.window + 1 < cfg.n:
+                parser.error(f"the recursive sweep needs n = {cfg.n} distinct indices "
+                             f"in the window, so --window >= {cfg.n // 2}")
     elif cfg.command.startswith("subalgebra") and cfg.n < 3:
         parser.error("subalgebra checks need n >= 3")
     elif cfg.command == "subalgebra search" and 2 * cfg.window + 1 < cfg.n:
@@ -468,131 +475,22 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
     return None
 
 
-def _bracket(cfg: argparse.Namespace) -> list[dict]:
-    from . import algebra, suite
-    from .ring import PoleAtOne, classical_value, specialize_pq
-
-    coeff = algebra.bracket(cfg.indices)
-    spec = specialize_pq(coeff)
-    try:
-        classical = str(classical_value(spec))
-    except PoleAtOne:
-        classical = "pole at q=1"
-    return [
-        suite.result(
-            "bracket",
-            {"n": cfg.n, "indices": list(cfg.indices)},
-            "0",
-            True,
-            coefficient=coeff.canonical(),
-            index=sum(cfg.indices),
-            q_limit=spec.canonical(),
-            classical=classical,
-        )
-    ]
-
-
-def _oracle_check(cfg: argparse.Namespace) -> list[dict]:
-    from . import suite
-
-    results = [suite.oscillator_record()]
-    if cfg.n:
-        results.append(suite.closed_vs_recursive_record(cfg.n, cfg.window, "tuples"))
-    return results
-
-
-def _skew(cfg: argparse.Namespace) -> list[dict]:
-    from . import identities, suite
-
-    window = (-cfg.window, cfg.window)
-    return [suite.swept(f"skew-n{cfg.n}", window, identities.sweep_skew(cfg.n, window))]
-
-
-def _sh_jacobi(cfg: argparse.Namespace) -> list[dict]:
-    from . import identities, suite
-
-    kind = f"sh-jacobi-n{cfg.n}"
-    if cfg.indices is not None:
-        residual = identities.sh_jacobi_residual(cfg.n, cfg.indices)
-        inp = {"indices": list(cfg.indices)}
-        return [suite.result(kind, inp, residual.canonical(), residual.is_zero)]
-    window = (-cfg.window, cfg.window)
-    sweep = identities.sweep_sh_jacobi(cfg.n, window=window, samples=cfg.samples, seed=cfg.seed)
-    sample = {"samples": cfg.samples, "seed": cfg.seed} if cfg.samples else {}
-    return [suite.swept(kind, window, sweep, **sample)]
-
-
-def _fi(cfg: argparse.Namespace) -> list[dict]:
-    from . import identities, suite
-
-    if cfg.counterexample:
-        Y, X, res = identities.fi_counterexample_even(cfg.n)
-        kind, nonzero = f"fi-counterexample-n{cfg.n}", True
-    else:
-        Y, X = cfg.y, cfg.x
-        res = identities.fi_residual(cfg.n, Y, X)
-        kind, nonzero = f"fi-n{cfg.n}", cfg.expect_nonzero
-    inp = {"Y": list(Y), "X": list(X), "expected": "nonzero" if nonzero else "zero"}
-    return [suite.result(kind, inp, res.canonical(), res.is_zero != nonzero)]
-
-
-def _subalgebra_check(cfg: argparse.Namespace) -> list[dict]:
-    import json
-
-    from . import subalgebra, suite
-
-    report = subalgebra.check_candidate(cfg.indices, cfg.n)
-    ok = report.is_subalgebra
-    residual = "0" if ok else json.dumps(report.to_json(), sort_keys=True)
-    return [suite.result(f"subalgebra-check-n{cfg.n}", {"indices": list(cfg.indices)}, residual, ok)]
-
-
-def _jacobi2(cfg: argparse.Namespace) -> list[dict]:
-    from . import suite
-
-    return suite.check_jacobi2((-cfg.window, cfg.window))
-
-
-def _limits(cfg: argparse.Namespace) -> list[dict]:
-    from . import suite
-
-    return [
-        suite.limits_bracket2_record(cfg.window),
-        suite.limits_odd_record(suite.DESK_CONFIG["limits_odd"]),
-    ]
-
-
-def _all(cfg: argparse.Namespace) -> list[dict]:
-    from . import suite
-
-    return suite.run_suite(suite.LEVELS[cfg.level], seed=cfg.seed)
-
-
-def _subalgebra_search(cfg: argparse.Namespace) -> list[dict]:
-    from . import suite
-
-    return [suite.subalgebra_search(cfg.n, cfg.window, "extra_dim_checked")]
-
-
-def _canonical(cfg: argparse.Namespace) -> list[dict]:
-    from . import suite
-
-    return [suite.canonical_record(cfg.n)]
-
-
-# command -> the builder of its result records
-COMMANDS: dict[str, Callable[[argparse.Namespace], list[dict]]] = {
-    "bracket": _bracket,
-    "oracle-check": _oracle_check,
-    "verify skew": _skew,
-    "verify sh-jacobi": _sh_jacobi,
-    "verify fi": _fi,
-    "verify jacobi2": _jacobi2,
-    "verify limits": _limits,
-    "verify all": _all,
-    "subalgebra search": _subalgebra_search,
-    "subalgebra canonical": _canonical,
-    "subalgebra check": _subalgebra_check,
+# command -> its result records, which the suite module `s` (loaded by `run`)
+# builds from the parsed arguments `a`
+COMMANDS: dict[str, Callable[..., list[dict]]] = {
+    "bracket": lambda s, a: [s.bracket_record(a.indices)],
+    "oracle-check": lambda s, a: s.oracle_check_records(a.n, a.window),
+    "verify skew": lambda s, a: [s.skew_record(a.n, a.window)],
+    "verify sh-jacobi": lambda s, a: [
+        s.sh_jacobi_record(a.n, a.window, a.indices, a.samples, a.seed)
+    ],
+    "verify fi": lambda s, a: [s.fi_record(a.n, a.counterexample, a.y, a.x, a.expect_nonzero)],
+    "verify jacobi2": lambda s, a: s.check_jacobi2((-a.window, a.window)),
+    "verify limits": lambda s, a: s.check_limits({**s.DESK_CONFIG, "limits_window": a.window}),
+    "verify all": lambda s, a: s.run_suite(s.LEVELS[a.level], seed=a.seed),
+    "subalgebra search": lambda s, a: [s.subalgebra_search(a.n, a.window)],
+    "subalgebra canonical": lambda s, a: [s.canonical_record(a.n)],
+    "subalgebra check": lambda s, a: [s.subalgebra_check_record(a.n, a.indices)],
 }
 
 # arguments that choose a command or shape its output, not its checks
@@ -611,7 +509,9 @@ def _params(cfg: argparse.Namespace) -> dict:
 def run(cfg: argparse.Namespace) -> tuple[SuiteReport, int]:
     """Execute one parsed command; returns the report and the exit code."""
     started = time.monotonic()
-    results = COMMANDS[cfg.command](cfg)
+    from . import suite
+
+    results = COMMANDS[cfg.command](suite, cfg)
     report = SuiteReport(
         command=cfg.command,
         params=_params(cfg),

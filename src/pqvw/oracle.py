@@ -32,11 +32,12 @@ rows sum to g(S, 0) (A - W B) / D with
     A = sum of sign p^a q^b c_rest,   B = sum of sign p^(a+S_r) q^(b+S_r) c_rest.
 
 The quotient by g(S, 0) is free of the level exactly when B = 0, and then
-the structure constant is A / D.  So each ordered sub-tuple (memoised) costs
-one pass over its rows in p and q alone, which builds A and B together,
-each over one more divisor power than the rests
-(``Scalar.sum_if_shift_cancels``): a B that does not cancel raises
-NotProportional, and no four-variable coefficient is built or divided.
+the structure constant is A / D.  B shifts A's rows along z, the step of
+D = p^-1 (z - 1), so each ordered sub-tuple (memoised) costs one pass over
+its rows in p and q alone, which builds A and B together, each over one more
+divisor power than the rests (``Scalar.sum_if_shift_cancels``): a B that
+does not cancel raises NotProportional, and no four-variable coefficient is
+built or divided.
 
 The full-module reference has one entry,
 ``extract_structure_constant(bracketn_def(idx))``: :func:`bracketn_def`
@@ -322,7 +323,7 @@ def _constant(idx: tuple[GenIndex, ...]) -> Scalar:
     if len(idx) == 1:
         return SCALAR_ONE
     rows = [(sign, (a, b), sum(rest), _constant(rest)) for a, b, sign, _, rest in _expansion(idx)]
-    total = Scalar.sum_if_shift_cancels(rows, along=(1, 1), e=1)
+    total = Scalar.sum_if_shift_cancels(rows)
     if total is None:
         raise NotProportional(f"the rows of {idx} act with a level-dependent coefficient")
     return total

@@ -473,8 +473,8 @@ class Localized:
     products of rows of factors into one key dict over the largest divisor
     power among the rows and normalizes the total once, so no product or
     partial sum under it is normalized on its own.  ``sum_if_shift_cancels``
-    is the same for rows of a monomial times one value, with a second,
-    shifted sum that must cancel.  ``+`` is its two-row
+    is the same for rows of a monomial times one value, with a second sum,
+    shifted along the divisor's step, that must cancel.  ``+`` is its two-row
     case.  A lone product normalizes itself, and skips that where a
     monomial numerator means nothing can cancel.
     """
@@ -630,37 +630,34 @@ class Localized:
         return cls(cls.POLY._raw(_clean(acc), bound), top)
 
     @classmethod
-    def sum_if_shift_cancels(
-        cls, rows, along: tuple[int, ...], e: int = 0
-    ) -> "Localized | None":
-        """Sum over rows (coeff, exps, n, v) of coeff * x^exps * v / divisor^e.
+    def sum_if_shift_cancels(cls, rows) -> "Localized | None":
+        """Sum over rows (coeff, exps, n, v) of coeff * x^exps * v / divisor.
 
         Returns None instead unless the shifted sum, with each row times
-        (x^along)^n as well, cancels to nothing: the shape of a recursion
-        step whose part along a further variable must vanish.  Both sums sit
-        over e plus the largest divisor power among the rows, a v over fewer
-        lifted first.  Packing is linear, so each v's terms are shifted by
-        the key of x^exps, and by n times the key of x^along, straight into
-        one key dict per sum; the exponent bound is checked before any key
-        is built, and the sum is normalized once.
+        (x^STEP)^n as well, cancels to nothing: the shape of a recursion
+        step whose part along the divisor's own step must vanish.  Both sums
+        sit over the largest divisor power among the rows, a v over fewer
+        lifted first, and the sum over one power more.  Packing is linear, so
+        each v's terms are shifted by the key of x^exps, and by n times the
+        key of x^STEP, straight into one key dict per sum; the exponent bound
+        is checked before any key is built, and the sum is normalized once.
         """
         rows = list(rows)
         top = slack = 0
         lift = cls.DIVISOR._bound
-        reach = max(map(abs, along))
+        reach = max(map(abs, cls.STEP))
         for _, exps, n, v in rows:
             if type(v) is not cls:
                 raise TypeError(f"expected {cls.__name__}, got {type(v).__name__}")
             if v.e > top:
                 top = v.e
             # the row's exponents, lifted to top divisor powers, stay within
-            # |exps| + |n| |along| + v's bound + (top - v.e) divisor bounds
+            # |exps| + |n| |STEP| + v's bound + (top - v.e) divisor bounds
             row = max(map(abs, exps)) + abs(n) * reach + v.num._bound - v.e * lift
             if row > slack:
                 slack = row
         bound = _checked(slack + top * lift)
-        pack = cls.POLY.pack
-        step = pack(along)
+        pack, step = cls.POLY.pack, cls._STEP
         total: dict[int, int] = {}
         shift_total: dict[int, int] = {}
         get, shift_get = total.get, shift_total.get
@@ -675,7 +672,7 @@ class Localized:
                 shift_total[kb] = shift_get(kb, 0) + c
         if any(shift_total.values()):
             return None
-        return cls(cls.POLY._raw(_clean(total), bound), top + e)
+        return cls(cls.POLY._raw(_clean(total), bound), top + 1)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -829,51 +826,39 @@ _L = TypeVar("_L", bound=Localized)
 
 @lru_cache(maxsize=128)
 def _key_map(
-    source: type[Poly], target: type[Poly], images: tuple[tuple[int, ...] | None, ...]
-) -> tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+    source: type[Poly], target: type[Poly], images: tuple[tuple[int, ...], ...]
+) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     # what _substitute needs of one map, worked out once: the growth of the
-    # exponent bound, the last variable's image key, (shift, factor) of each
-    # higher digit with a nonzero factor (at least one, (0, 0) if none),
-    # and the positions of the level variables
+    # exponent bound, the last variable's image key, and (shift, factor) of
+    # each higher digit with a nonzero factor (at least one, (0, 0) if none)
     shifts = target._SHIFTS
-    grow = max(
-        sum(abs(img[j]) for img in images if img is not None) for j in range(len(shifts))
-    )
+    grow = max(sum(abs(img[j]) for img in images) for j in range(len(shifts)))
     # linear in exact ints: an image alone may leave the exponent range
-    steps = [0 if img is None else sum(x << s for x, s in zip(img, shifts)) for img in images]
+    steps = [sum(x << s for x, s in zip(img, shifts)) for img in images]
     last = steps[-1]
     higher = tuple(
         (s, f) for s, step in zip(source._SHIFTS, steps[:-1]) if (f := step - (last << s))
     )
-    absent = tuple(i for i, img in enumerate(images) if img is None)
-    return grow, last, higher or ((0, 0),), absent
+    return grow, last, higher or ((0, 0),)
 
 
-def _substitute(
-    c: Localized, target: type[_L], images: tuple[tuple[int, ...] | None, ...]
-) -> _L:
+def _substitute(c: Localized, target: type[_L], images: tuple[tuple[int, ...], ...]) -> _L:
     """The image of c under an exponent substitution into target's ring.
 
     images gives, for each variable of c's ring in order, the exponent
-    tuple in target's variables that it maps to; None marks a level
-    variable, which must not occur.  No image exponent exceeds c's bound
-    times the largest column sum of |images|, which is checked before any
-    key is built.  Packing is linear, so a term's image key is the sum of
-    its exponents times the packed images, and with place values v_i (the
-    last 1) that is its key times the last image plus each higher exponent
-    times (its image - v_i * the last image): only the digits with a
-    nonzero factor are read, and only a map with a level variable unpacks
-    a key, to check that variable.  Coefficients of colliding images are
-    summed and zero sums dropped; the target's constructor then normalizes,
-    since a map that is not injective can create divisor factors.
+    tuple in target's variables that it maps to.  No image exponent exceeds
+    c's bound times the largest column sum of |images|, which is checked
+    before any key is built.  Packing is linear, so a term's image key is
+    the sum of its exponents times the packed images, and with place values
+    v_i (the last 1) that is its key times the last image plus each higher
+    exponent times (its image - v_i * the last image): only the digits with
+    a nonzero factor are read.  Coefficients of colliding images are summed
+    and zero sums dropped; the target's constructor then normalizes, since
+    a map that is not injective can create divisor factors.
     """
-    grow, last, ((s, f), *higher), absent = _key_map(c.POLY, target.POLY, images)
+    grow, last, ((s, f), *higher) = _key_map(c.POLY, target.POLY, images)
     bound = _checked(c.num._bound * grow)
     terms = c.num._terms
-    if absent:
-        unpack = c.POLY.unpack
-        if any(exps[i] for exps in map(unpack, terms) for i in absent):
-            raise ValueError("coefficient depends on the symbolic level")
     # the map's constants worked out once, keys built by comprehension and
     # the dict in one call: together a quarter less time than summing term
     # by term (verify limits --window 99); most images are distinct even
@@ -930,5 +915,9 @@ def mod_from_scalar(s: Scalar) -> ModScalar:
 
 
 def mod_to_scalar(c: ModScalar) -> Scalar:
-    """Project back to (p, q); raises ValueError if P or Q actually occurs."""
-    return _substitute(c, Scalar, ((1, 0), (0, 1), None, None))
+    """Project back to (p, q), mapping P and Q to 1; raises ValueError if P or
+    Q actually occurs, which is when the image does not embed back to c."""
+    s = _substitute(c, Scalar, ((1, 0), (0, 1), (0, 0), (0, 0)))
+    if mod_from_scalar(s) != c:
+        raise ValueError("coefficient depends on the symbolic level")
+    return s

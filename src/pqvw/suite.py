@@ -1,26 +1,29 @@
-"""Named check suites driving the full desk-scale verification run.
+"""Every report record: the named check suites of the desk-scale run, and
+each CLI command's records, built by functions of its parsed arguments
+(`bracket_record`, `sh_jacobi_record`, ...) that the CLI's table calls.
 
-Every check, here and in the CLI, reports through `result`: one plain dict
-{"kind", "input", "residual", "verdict"} (plus any extra fields) per check,
-so reports serialize to stable JSON.  All checks are pure and deterministic
-for a fixed seed.
+Every check reports through `result`: one plain dict {"kind", "input",
+"residual", "verdict"} (plus any extra fields) per check, so reports
+serialize to stable JSON.  All checks are pure and deterministic for a fixed
+seed.
 
-A check takes one config dict.  Each suite level is one explicit config:
+A desk check takes one config dict.  Each suite level is one explicit config:
 `DESK_CONFIG` holds every key a check reads, and `SMOKE_CONFIG` the same keys
 at smaller sizes.  Checks read `cfg[key]`, so a missing key is an error, never
 a second default.
 
-Every command loads this module for `result`, so it imports at its top only
-the layers every command needs (ring and algebra); each check imports the
-other layers it runs on entry.
+Every command loads this module for its records, so it imports at its top
+only the layers every command needs (ring and algebra); each builder imports
+the other layers it runs on entry.
 """
 from __future__ import annotations
 
+import json
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable
 
 from . import algebra
-from .ring import classical_value, pq_number, q_number, specialize_pq
+from .ring import PoleAtOne, classical_value, pq_number, q_number, specialize_pq
 
 CheckFn = Callable[[dict], list[dict]]
 
@@ -50,6 +53,27 @@ def agreement(kind: str, inp: dict, bad) -> dict:
     return result(kind, inp, "0" if bad is None else str(bad), bad is None)
 
 
+def bracket_record(indices: tuple[int, ...]) -> dict:
+    """Record of one bracket: its coefficient, target index and limits."""
+    coeff = algebra.bracket(indices)
+    spec = specialize_pq(coeff)
+    try:
+        classical = str(classical_value(spec))
+    except PoleAtOne:
+        classical = "pole at q=1"
+    inp = {"n": len(indices), "indices": list(indices)}
+    return result("bracket", inp, "0", True, coefficient=coeff.canonical(), index=sum(indices),
+                  q_limit=spec.canonical(), classical=classical)
+
+
+def skew_record(n: int, window: int) -> dict:
+    """Record of the n-bracket's antisymmetry sweep on [-window, window]."""
+    from . import identities
+
+    span = (-window, window)
+    return swept(f"skew-n{n}", span, identities.sweep_skew(n, span))
+
+
 def oscillator_record() -> dict:
     """Record of the oscillator relations on the module, with the first failing residual."""
     from . import oracle
@@ -57,6 +81,12 @@ def oscillator_record() -> dict:
     report = oracle.osc_relations_check()
     worst = next((r for _, r, ok in report.entries if not ok), "0")
     return result("oscillator-relations", {"relations": len(report.entries)}, worst, report.ok)
+
+
+def oracle_check_records(n: int | None, window: int) -> list[dict]:
+    """The oscillator relations, then for an arity n the closed-vs-recursive sweep."""
+    sweep = [closed_vs_recursive_record(n, window, "tuples")] if n else []
+    return [oscillator_record(), *sweep]
 
 
 def check_oscillator(cfg: dict) -> list[dict]:
@@ -144,6 +174,23 @@ def check_closed_vs_recursive(cfg: dict) -> list[dict]:
     return out
 
 
+def sh_jacobi_record(n: int, window: int | None, indices: tuple[int, ...] | None,
+                     samples: int | None, seed: int) -> dict:
+    """Record of the shuffle Jacobi identity at arity n: the residual of the
+    indices if given, else the sweep of [-window, window] or of `samples`
+    draws from it by `seed`."""
+    from . import identities
+
+    kind = f"sh-jacobi-n{n}"
+    if indices is not None:
+        residual = identities.sh_jacobi_residual(n, indices)
+        return result(kind, {"indices": list(indices)}, residual.canonical(), residual.is_zero)
+    span = (-window, window)
+    sweep = identities.sweep_sh_jacobi(n, window=span, samples=samples, seed=seed)
+    sample = {"samples": samples, "seed": seed} if samples else {}
+    return swept(kind, span, sweep, **sample)
+
+
 def check_sh_jacobi(cfg: dict) -> list[dict]:
     from . import identities
 
@@ -158,6 +205,22 @@ def check_sh_jacobi(cfg: dict) -> list[dict]:
         inp = {"window": [-2, 2], "samples": SH_SAMPLE_COUNT, "seed": seed}
         out.append(result(f"sh-jacobi-n{n}-sampled", inp, sweep.residual, sweep.ok))
     return out
+
+
+def fi_record(n: int, counterexample: bool, y: tuple[int, ...] | None,
+              x: tuple[int, ...] | None, expect_nonzero: bool) -> dict:
+    """Record of the fundamental identity at arity n: the built-in
+    counterexample, which passes when nonzero, or the picks y and x."""
+    from . import identities
+
+    if counterexample:
+        y, x, res = identities.fi_counterexample_even(n)
+        kind, nonzero = f"fi-counterexample-n{n}", True
+    else:
+        res = identities.fi_residual(n, y, x)
+        kind, nonzero = f"fi-n{n}", expect_nonzero
+    inp = {"Y": list(y), "X": list(x), "expected": "nonzero" if nonzero else "zero"}
+    return result(kind, inp, res.canonical(), res.is_zero != nonzero)
 
 
 def check_not_n_lie(cfg: dict) -> list[dict]:
@@ -185,24 +248,23 @@ def check_not_n_lie(cfg: dict) -> list[dict]:
     return out
 
 
-def limits_bracket2_record(w: int) -> dict:
-    """Record of the 2-bracket's limits on [-w, w]^2: p -> q gives [m - n]_q,
-    and q -> 1 the classical m - n."""
+def check_limits(cfg: dict) -> list[dict]:
+    """The 2-bracket's limits on [-w, w]^2 for w = cfg["limits_window"]:
+    p -> q gives [m - n]_q, and q -> 1 the classical m - n.  Then the p -> q
+    limit of the closed form against the recursion's, on every set of n
+    distinct indices from [-w, w], for each arity n and its w in
+    cfg["limits_odd"]."""
+    from . import oracle
+
+    w = cfg["limits_window"]
     bad = None
     for m, n in product(range(-w, w + 1), repeat=2):
         spec = specialize_pq(algebra.bracket2(m, n))
         if spec != q_number(m - n) or classical_value(spec) != m - n:
             bad = (m, n)
             break
-    return agreement("limits-bracket2", {"window": [-w, w]}, bad)
-
-
-def limits_odd_record(windows: dict[int, int]) -> dict:
-    """Record of the p -> q limit of the closed form against the recursion's,
-    on every set of n distinct indices from [-w, w]; `windows` maps each
-    arity n to its w."""
-    from . import oracle
-
+    out = [agreement("limits-bracket2", {"window": [-w, w]}, bad)]
+    windows = cfg["limits_odd"]
     bad = None
     for n, w in windows.items():
         for t in combinations(range(-w, w + 1), n):
@@ -213,14 +275,11 @@ def limits_odd_record(windows: dict[int, int]) -> dict:
                 break
         if bad:
             break
-    return agreement("limits-odd-arity", {"arities": sorted(windows)}, bad)
+    out.append(agreement("limits-odd-arity", {"arities": sorted(windows)}, bad))
+    return out
 
 
-def check_limits(cfg: dict) -> list[dict]:
-    return [limits_bracket2_record(cfg["limits_window"]), limits_odd_record(cfg["limits_odd"])]
-
-
-def subalgebra_search(n: int, window: int, checked: str) -> dict:
+def subalgebra_search(n: int, window: int, checked: str = "extra_dim_checked") -> dict:
     """The record of one subalgebra search, whose verdict `search` decides.
 
     `checked` names the input field that counts the (n+1)-element
@@ -250,6 +309,17 @@ def canonical_record(n: int) -> dict:
     ok = subalgebra.check_candidate(basis, n).has_classified_shape
     inp = {"basis": list(basis), "isomorphic_to": subalgebra.CanonicalNLie(n).describe()}
     return result(f"subalgebra-canonical-n{n}", inp, "0" if ok else "verdict mismatch", ok)
+
+
+def subalgebra_check_record(n: int, indices: tuple[int, ...]) -> dict:
+    """Record of the subalgebra verdicts on an explicit index set; a set that
+    is no subalgebra prints its whole report as the residual."""
+    from . import subalgebra
+
+    report = subalgebra.check_candidate(indices, n)
+    ok = report.is_subalgebra
+    residual = "0" if ok else json.dumps(report.to_json(), sort_keys=True)
+    return result(f"subalgebra-check-n{n}", {"indices": list(indices)}, residual, ok)
 
 
 def check_subalgebras(cfg: dict) -> list[dict]:

@@ -420,10 +420,12 @@ class TestBlackBox:
             assert "Traceback" not in proc.stderr
         # flags a command would ignore are refused, not echoed in the report's
         # params: an explicit sh-jacobi residual takes no window or sample,
-        # and the fi counterexample builds its own picks and expectation
+        # the fi counterexample builds its own picks and expectation, and
+        # oracle-check without --n sweeps no window
         sh = ("verify", "sh-jacobi", "--n", "3", "--indices", "0,1,2,3,4")
         fi = ("verify", "fi", "--n", "4", "--counterexample")
         for args, message in (
+            (("oracle-check", "--window", "5"), "--window sizes the recursive sweep"),
             (sh + ("--window", "2", "--samples", "10"), "drop --window and --samples"),
             (sh + ("--window", "2"), "drop --window and --samples"),
             (sh + ("--samples", "10"), "drop --window and --samples"),

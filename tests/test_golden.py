@@ -7,7 +7,9 @@ were captured from `python -m pqvw` before the result records and the
 command table were unified, and the n = 8 and n = 10 brackets before the
 closed form's sign became a formula instead of a calibrated table, and the
 three sh-jacobi window sweeps at n = 2, 4 and 5 before the shuffle-Jacobi
-residual collected like terms, so any drift in a report's bytes fails here.
+residual collected like terms, and plain oracle-check, the zero bracket
+and the passing sampled sweep before the command table called the suite's
+record builders directly, so any drift in a report's bytes fails here.
 """
 from pathlib import Path
 
@@ -20,9 +22,11 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 CASES = {
     "verify-all-smoke": (["verify", "all", "--level", "smoke"], 0),
     "bracket-n2": (["bracket", "--n", "2", "--indices", "3,1"], 0),
+    "bracket-n3-zero": (["bracket", "--n", "3", "--indices", "1,1,2"], 0),
     "bracket-n4": (["bracket", "--n", "4", "--indices", "-2,0,1,3"], 0),
     "bracket-n8": (["bracket", "--n", "8", "--indices", "-3,-2,-1,0,1,2,3,4"], 0),
     "bracket-n10": (["bracket", "--n", "10", "--indices", "-4,-3,-2,-1,0,1,2,3,4,5"], 0),
+    "oracle-check": (["oracle-check"], 0),
     "oracle-check-n4": (["oracle-check", "--n", "4", "--window", "2"], 0),
     "verify-skew": (["verify", "skew", "--n", "3", "--window", "1"], 0),
     "verify-sh-jacobi-window": (["verify", "sh-jacobi", "--n", "3", "--window", "1"], 0),
@@ -31,6 +35,8 @@ CASES = {
     "verify-sh-jacobi-n2-window3-fail": (["verify", "sh-jacobi", "--n", "2", "--window", "3"], 1),
     "verify-sh-jacobi-n4-window3": (["verify", "sh-jacobi", "--n", "4", "--window", "3"], 0),
     "verify-sh-jacobi-n5-window2": (["verify", "sh-jacobi", "--n", "5", "--window", "2"], 0),
+    "verify-sh-jacobi-sampled": (
+        ["verify", "sh-jacobi", "--n", "3", "--window", "2", "--samples", "50", "--seed", "1"], 0),
     "verify-sh-jacobi-sampled-fail": (
         ["verify", "sh-jacobi", "--n", "2", "--window", "3", "--samples", "400"], 1),
     "verify-fi-counterexample": (["verify", "fi", "--n", "4", "--counterexample"], 0),

@@ -437,11 +437,11 @@ class TestSumOfProducts:
 
 
 class TestSumIfShiftCancels:
-    @pytest.mark.parametrize("cls, along", [(Scalar, (1, 1)), (ModScalar, (0, 1, 1, 0))],
+    @pytest.mark.parametrize("cls, along", [(Scalar, Scalar.STEP), (ModScalar, ModScalar.STEP)],
                              ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
     def test_matches_sum_of_products(self, cls, along):
-        # rows in pairs whose shifted terms cancel, and now and then one
-        # more row whose shifted term does not
+        # rows in pairs whose terms shifted along the ring's own step cancel,
+        # and now and then one more row whose shifted term does not
         rng = random.Random(len(along))
         width = len(along)
 
@@ -465,16 +465,16 @@ class TestSumIfShiftCancels:
                 for c, exps, n, v in rows
             )
             expected = cls.sum_of_products((monomial(exps, c, 1), v) for c, exps, n, v in rows)
-            total = cls.sum_if_shift_cancels(rows, along, e=1)
+            total = cls.sum_if_shift_cancels(rows)
             assert total == (expected if shifted.is_zero else None)
             if total is not None:
                 assert (total.num, total.e) == (expected.num, expected.e)
 
     def test_bound_and_ring_checked_first(self):
         with pytest.raises(ExponentOverflow):
-            Scalar.sum_if_shift_cancels([(1, (EXP_MAX, 0), 1, Scalar.one())], (0, 1))
+            Scalar.sum_if_shift_cancels([(1, (EXP_MAX, 0), 1, Scalar.one())])
         with pytest.raises(TypeError):
-            Scalar.sum_if_shift_cancels([(1, (0, 0), 0, UniScalar.one())], (1, 1))
+            Scalar.sum_if_shift_cancels([(1, (0, 0), 0, UniScalar.one())])
 
 
 class TestPqNumbers:
