@@ -137,7 +137,10 @@ class _LazySubparsers(argparse._SubParsersAction):
     Every name and help line is registered up front, so usage, help and
     invalid-choice messages read as if every parser existed; a name's
     builder stands in for its parser until argparse selects that name, and
-    only then is the parser constructed and given its arguments.
+    only then is the parser constructed and given its arguments.  The
+    chosen parser is left in the namespace as `_parser`; a nested choice
+    sets it in its own namespace, which argparse copies over this one, so
+    the innermost choice wins.
     """
 
     def add_parser(self, name, build, help):
@@ -149,6 +152,7 @@ class _LazySubparsers(argparse._SubParsersAction):
         chosen = self._parser_class(prog=f"{self._prog_prefix} {name}")
         self._name_parser_map[name](chosen)
         self._name_parser_map[name] = chosen
+        namespace._parser = chosen
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -246,7 +250,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     Only the parsers on the chosen command's path are constructed and given
     their arguments (each parser costs argparse gettext lookups and each
     argument a terminal-size query), so help and error texts are those of
-    the full parser tree at a fraction of its cost.
+    the full parser tree at a fraction of its cost.  A usage error found
+    after argparse is reported by the chosen command's own parser.
     """
     parser = argparse.ArgumentParser(
         prog="pqvw",
@@ -256,6 +261,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     _PARSER_TREE(parser)
 
     cfg = parser.parse_args(_merge_list_flags(argv))
+    # the chosen command's parser reports the usage errors found below
+    parser = vars(cfg).pop("_parser")
     if cfg.command == "verify":
         cfg.command = f"verify {cfg.verify_command}"
     elif cfg.command == "subalgebra":

@@ -33,14 +33,13 @@ that, so a difference of two keys still decodes without aliasing.  Every
 value carries an upper bound on its exponents, and an operation whose bound
 would leave the range raises ``ExponentOverflow`` before it builds a key.
 
-Exact division takes two kinds of divisor: a monomial, and a binomial
-c * x^u * (x^s - 1), which covers every localization divisor and every
-action coefficient the oracle divides by.  The binomial case is one
-synthetic division over the classes of terms along s.  Packing is linear,
-so a term's position along s is its key's quotient by the key of x^s, and
-a class is a run of close positions within one residue: only the key of
-x^s is decoded.  A quotient whose coefficients are not integers raises
-``NotDivisible``; any other divisor raises ``ValueError``.
+Exact division takes one shape of divisor, +-x^u * (x^s - 1), which covers
+every localization divisor and every action coefficient the oracle divides
+by.  It is one synthetic division over the classes of terms along s.
+Packing is linear, so a term's position along s is its key's quotient by
+the key of x^s, and a class is a run of close positions within one
+residue: only the key of x^s is decoded.  A dividend with no quotient
+raises ``NotDivisible``; any other divisor raises ``ValueError``.
 
 Normalizing a localized value means trying that division, so sums of
 products, the shape of every bracket recursion and identity residual, go
@@ -119,13 +118,6 @@ def _coeff(c: int) -> int:
     if type(c) is not int:
         raise TypeError(f"coefficients are ints, got {type(c).__name__}")
     return c
-
-
-def _cdiv(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise NotDivisible(f"{b} does not divide {a}")
-    return q
 
 
 def _mul_into(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
@@ -313,15 +305,8 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if len(self._terms) == 1:
-            # a monomial is a unit exactly when its coefficient is +-1
-            (key, c), = self._terms.items()
-            if k < 0 and c not in (1, -1):
-                raise NotDivisible(f"{self.canonical()} is not a unit")
-            bound = _checked(self._bound * abs(k))
-            return type(self)._raw({key * k: c ** abs(k)}, bound)
         if k < 0:
-            raise ValueError("negative power of a non-monomial Laurent polynomial")
+            raise ValueError("only powers k >= 0 are supported")
         result = type(self).one()
         base = self
         while k:
@@ -334,38 +319,32 @@ class Poly:
     def exact_div(self, d: "Poly") -> "Poly":
         """Exact quotient self / d; raises NotDivisible if none exists.
 
-        A monomial divisor shifts the keys and a binomial c * x^u * (x^s - 1)
-        goes through ``_divide_binomial``.  Any other divisor raises
-        ValueError: the package never divides by one.
+        d must be +-x^u * (x^s - 1), which goes through
+        ``_divide_binomial``; any other divisor raises ValueError, since the
+        package divides by no other shape.
         """
         if type(d) is not type(self):
             raise TypeError("mismatched rings")
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        if sorted(d._terms.values()) != [-1, 1]:
+            raise ValueError(f"unsupported divisor {d.canonical()}: not +-x^u*(x^s - 1)")
         if self.is_zero:
             return type(self)._raw({}, 0)
-        if len(d._terms) == 1:
-            (dk, dc), = d._terms.items()
-            bound = _checked(self._bound + d._bound)
-            return type(self)._raw(
-                {k - dk: _cdiv(c, dc) for k, c in self._terms.items()}, bound
-            )
-        if len(d._terms) == 2:
-            (k1, c1), (k0, c0) = d._terms.items()
-            if c0 == -c1:
-                # d = c1 x^k0 (x^(k1 - k0) - 1)
-                bound = _checked(self._bound + d._bound)
-                quo, removed = self._divide_binomial(self._terms, k0, k1 - k0, 1, c1)
-                if not removed:
-                    raise NotDivisible(f"{d.canonical()} does not divide {self.canonical()}")
-                return type(self)._raw(quo, bound)
-        raise ValueError(f"unsupported divisor {d.canonical()}: not c*x^u*(x^s - 1)")
+        # x^a - x^b = x^b (x^(a - b) - 1): the unit is the term of coefficient -1
+        (ka, ca), (kb, _) = d._terms.items()
+        top, unit = (kb, ka) if ca == -1 else (ka, kb)
+        bound = _checked(self._bound + d._bound)
+        quo, removed = self._divide_binomial(self._terms, unit, top - unit, 1)
+        if not removed:
+            raise NotDivisible(f"{d.canonical()} does not divide {self.canonical()}")
+        return type(self)._raw(quo, bound)
 
     @classmethod
     def _divide_binomial(
-        cls, terms: dict[int, int], unit: int, step: int, k: int, lead: int = 1
+        cls, terms: dict[int, int], unit: int, step: int, k: int
     ) -> tuple[dict[int, int], int]:
-        """Divide terms by lead * x^unit * (x^step - 1), at most k times.
+        """Divide terms by x^unit * (x^step - 1), at most k times.
 
         Returns (quotient terms, factors removed); with none removed the
         terms come back as they are.  Packing is linear, so the terms fall
@@ -379,8 +358,7 @@ class Poly:
         base over |step|_max positions starts a new class.  Dividing a class
         by (y - 1) leaves at position t the negated sum of the class's
         coefficients up to t, gaps included, and is exact precisely when the
-        whole class sums to zero.  The unit and lead are divided out at the
-        end.
+        whole class sums to zero.  The unit is divided out at the end.
         """
         # the divisor vanishes where every variable is 1, so a factor needs
         # a zero coefficient sum; a monomial is a unit
@@ -425,12 +403,11 @@ class Poly:
             break
         if not removed:
             return terms, 0
-        lead = lead**removed
         out: dict[int, int] = {}
         for r, cl in classes.items():
             base = r - removed * unit
             for t, c in cl:
-                out[base + t * step] = c if lead == 1 else _cdiv(c, lead)
+                out[base + t * step] = c
         return out, removed
 
     def value_at_one(self) -> int:
@@ -457,14 +434,14 @@ class UPoly(Poly):
 class Localized:
     """A polynomial divided by a power of the ring's localization divisor.
 
-    Every divisor here is a unit monomial times (x^STEP - 1): a subclass
-    declares the exponent tuples UNIT and STEP, and DIVISOR = x^UNIT *
-    (x^STEP - 1) is derived from them.  One synthetic division,
-    ``Poly._divide_binomial`` on the packed keys of UNIT and STEP, decides
-    and performs every cancellation of divisor factors.  In every variable
-    one of x^UNIT and x^(UNIT + STEP) has exponent <= 0 and the other >= 0,
-    so a quotient by the divisor stays inside the numerator's exponent range
-    and keeps its bound.
+    The divisor has the one shape exact division takes, x^UNIT * (x^STEP -
+    1): a subclass declares the exponent tuples UNIT and STEP, and DIVISOR
+    is derived from them.  One synthetic division, ``Poly._divide_binomial``
+    on the packed keys of UNIT and STEP, decides and performs every
+    cancellation of divisor factors.  In every variable one of x^UNIT and
+    x^(UNIT + STEP) has exponent <= 0 and the other >= 0, so a quotient by
+    the divisor stays inside the numerator's exponent range and keeps its
+    bound.
 
     Stored as (num, e) meaning num / divisor^e, normalized once when the
     value is built: as many divisor factors as divide num, at most e, are
@@ -706,24 +683,16 @@ class Localized:
     def exact_div(self, other: "Localized") -> "Localized":
         """Exact quotient in the localized ring; raises NotDivisible.
 
-        Once its divisor factors are cancelled, other's numerator must be
-        a divisor ``Poly.exact_div`` takes, or ValueError is raised.
+        other's numerator must be +-x^u * (x^s - 1), the one divisor
+        ``Poly.exact_div`` takes, or ValueError is raised; its divisor power
+        moves to the quotient, lifting the numerator where it exceeds self's.
         """
         if type(other) is not type(self):
             raise TypeError("mismatched rings")
         if other.is_zero:
             raise ZeroDivisionError("division by zero")
-        if self.is_zero:
-            return type(self).zero()
-        # strip divisor factors from the denominator's numerator, since the
-        # divisor is invertible here; a normalized numerator over e > 0 has
-        # none, and a t-term polynomial vanishes to order at most t - 1 at a
-        # point off the coordinate axes, so len(terms) bounds the rest
-        nb, j = other.num, 0
-        if not other.e:
-            nb, j = self._cancel(other.num, len(other.num._terms))
-        core = self.num.exact_div(nb)
-        k = self.e + j - other.e
+        core = self.num.exact_div(other.num)
+        k = self.e - other.e
         if k >= 0:
             return type(self)(core, k)
         return type(self)._raw(core * self._divisor_pow(-k), 0)

@@ -651,6 +651,15 @@ USAGE_ERRORS = {
     "error-bad-int": ("verify", "skew", "--n", "x"),
 }
 
+# usage errors found after argparse: (command path, further arguments, message)
+LATE_USAGE_ERRORS = [
+    (("oracle-check",), ("--window", "5"), "--window sizes the recursive sweep, which needs --n"),
+    (("verify", "skew"), ("--n", "3", "--window", "-1"), "--window must be >= 0"),
+    (("verify", "sh-jacobi"), ("--n", "4", "--window", "30"),
+     "verify sh-jacobi would evaluate 2067679185563200 coefficient terms, over the budget "
+     "of 350000000; lower --n, --window or --samples"),
+]
+
 
 @pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
@@ -680,3 +689,16 @@ class TestHelpText:
             parse_args(list(USAGE_ERRORS[name]))
         assert exc.value.code == 2
         assert capsys.readouterr().err == (HELP / f"{name}.txt").read_text()
+
+    def test_late_usage_errors_name_the_command(self, capsys, monkeypatch):
+        # a refusal found after argparse reads like argparse's own errors for
+        # the chosen command: its usage (the head of its help text) and prog
+        monkeypatch.setenv("COLUMNS", "80")
+        for path, args, message in LATE_USAGE_ERRORS:
+            with pytest.raises(SystemExit) as exc:
+                parse_args([*path, *args])
+            assert exc.value.code == 2
+            help_text = (HELP / ("-".join(("pqvw",) + path) + ".txt")).read_text()
+            usage = help_text.split("\n\n")[0]
+            prog = " ".join(("pqvw",) + path)
+            assert capsys.readouterr().err == f"{usage}\n{prog}: error: {message}\n"

@@ -367,7 +367,7 @@ class TestStructureConstant:
         with pytest.raises(SystemExit) as exc:
             main(["bracket", "--n", "3", "--indices", f"0,1,{EXP_MAX}"])
         assert exc.value.code == 2
-        assert "pqvw: error: bracket accepts indices" in capsys.readouterr().err
+        assert "pqvw bracket: error: bracket accepts indices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_wrong_recursion_weight_disagrees_with_closed_form(self, monkeypatch, n):
