@@ -104,8 +104,9 @@ def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
 def sign_of(n: int) -> int:
     """Overall sign (-1)^(n(n-1)/2) of the closed form at arity n >= 3.
 
-    Checked against the defining recursion by :func:`pqvw.oracle.derive_sign`
-    for n = 3..10, the arities the command line accepts.
+    The closed form, this sign included, is compared with the defining
+    recursion (``suite.closed_vs_recursive``) at witness tuples of every
+    n = 3..10, the arities the command line accepts.
     """
     if n < 3:
         raise BadArity(f"sign is defined for n >= 3, got {n}")

@@ -241,6 +241,11 @@ _PARSER_TREE = _group("command", (
 ))
 
 
+# the flags that size a window or sampled sweep, where they are not --n and
+# --window
+_KNOBS = {"verify sh-jacobi": "--n, --window or --samples", "verify limits": "--window"}
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse and validate one invocation; usage errors exit 2.
 
@@ -347,7 +352,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         parser.error(f"{cfg.command} accepts indices |i| <= {MAX_INDEX}, got {big}")
     work = _work_estimate(cfg)
     if work is not None and work.total > WORK_BUDGET:
-        knobs = "--n, --window or --samples" if cfg.window is not None else "--n or the indices"
+        knobs = ("--n or the indices" if cfg.window is None
+                 else _KNOBS.get(cfg.command, "--n or --window"))
         parser.error(f"{cfg.command} would evaluate {work.total} coefficient terms, over "
                      f"the budget of {WORK_BUDGET}; lower {knobs}")
     return cfg
@@ -535,6 +541,10 @@ def _atomic_write(path: str, data: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pqvw-report-")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file 0600; give it the mode open(path, "w") would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -10,10 +10,9 @@ so any product of generators acts by an exactly computable four-variable
 coefficient.  Dividing the action of a defining bracket on |nu> by the
 action coefficient of its target generator recovers the structure constant
 without ever touching the closed determinant form -- this module is the
-independent cross-check for everything in :mod:`pqvw.algebra`.  Only
-:func:`derive_sign` reads the closed form, comparing a recursive structure
-constant with its sign-free product to recover the closed form's overall
-sign.
+independent cross-check for everything in :mod:`pqvw.algebra`, and reads
+nothing of the closed form: :mod:`pqvw.suite` compares the two, sign
+included.
 
 The defining recursion is written once, as a table: ``_expansion`` gives
 an n-bracket, n >= 2, as rows (a, b, sign, head, rest) standing for
@@ -62,7 +61,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import BadArity, GenIndex, _closed_product, sort_with_sign
+from .algebra import GenIndex
 from .ring import (
     SCALAR_ONE,
     SCALAR_ZERO,
@@ -78,7 +77,6 @@ Word = tuple[GenIndex, ...]
 
 __all__ = [
     "Word",
-    "InconsistentSign",
     "NotProportional",
     "OscillatorReport",
     "Term",
@@ -92,12 +90,7 @@ __all__ = [
     "bracketn_def",
     "extract_structure_constant",
     "structure_constant",
-    "derive_sign",
 ]
-
-
-class InconsistentSign(ArithmeticError):
-    """Recursive and closed forms disagree by something other than a sign."""
 
 
 class NotProportional(ArithmeticError):
@@ -342,30 +335,3 @@ def structure_constant(indices: Sequence[GenIndex]) -> Scalar:
         raise ValueError("a bracket needs n >= 2 indices")
     return _constant(idx)
 
-
-def derive_sign(n: int, witness: Sequence[GenIndex] | None = None) -> int:
-    """Sign of the closed form at arity n, read off the defining recursion.
-
-    The recursively evaluated structure constant on one witness tuple
-    (default 0, ..., n-1) must equal plus or minus the closed form's product
-    without its overall sign (the parity of the witness's sorting kept);
-    anything else would mean the closed form does not reproduce the
-    recursion.  Nothing is divided.  Checks compare the result with
-    :func:`pqvw.algebra.sign_of`.
-    """
-    if n < 3:
-        raise BadArity(f"sign is defined for n >= 3, got {n}")
-    key = tuple(witness) if witness is not None else tuple(range(n))
-    if len(key) != n or len(set(key)) != n:
-        raise ValueError("witness must consist of n distinct indices")
-    st, parity = sort_with_sign(key)
-    closed = _closed_product(st, parity)
-    rec = structure_constant(key)
-    if rec == closed:
-        return 1
-    if rec == -closed:
-        return -1
-    raise InconsistentSign(
-        f"recursive constant at {key} is {rec.canonical()}, "
-        f"not +-({closed.canonical()})"
-    )

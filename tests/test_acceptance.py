@@ -11,7 +11,7 @@ import sys
 import time
 from itertools import combinations, permutations, product
 
-from pqvw import algebra, identities, oracle, subalgebra
+from pqvw import algebra, identities, oracle, subalgebra, suite
 from pqvw.ring import classical_value, pq_number, q_number, specialize_pq
 
 from childenv import child_env
@@ -69,7 +69,8 @@ def test_c3_closed_form():
         (4, [(0, 1, 2, 3), (-2, -1, 1, 2), (-3, 0, 1, 2)]),
         (5, [(0, 1, 2, 3, 4), (-2, -1, 0, 1, 2), (-2, 0, 1, 2, 3)]),
     ):
-        assert {oracle.derive_sign(n, w) for w in witnesses} == {algebra.sign_of(n)}
+        # closed form, sign included, against the recursion at each witness
+        assert suite.closed_vs_recursive(witnesses) == (3, None)
 
 
 @criterion(4, "shuffle Jacobi identity", 600.0)

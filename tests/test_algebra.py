@@ -1,12 +1,10 @@
 import random
-import subprocess
-import sys
 import tracemalloc
 from itertools import permutations, product
 
 import pytest
 
-from pqvw import algebra
+from pqvw import algebra, oracle, subalgebra, suite
 from pqvw.algebra import (
     BadArity,
     bracket,
@@ -15,7 +13,6 @@ from pqvw.algebra import (
     sign_of,
     sort_with_sign,
 )
-from pqvw.oracle import derive_sign
 from pqvw.ring import (
     EXP_MAX,
     ExponentOverflow,
@@ -26,7 +23,6 @@ from pqvw.ring import (
     specialize_pq,
 )
 
-from childenv import child_env
 from determinants import (
     closed_rows,
     laplace_det,
@@ -135,11 +131,9 @@ class TestVandermonde:
             assert ref_div(dict(det.terms), dict((Scalar.DIVISOR ** (n - 1)).terms)) is not None
 
     def test_arity_guard(self):
-        # the product form's sign, and the oracle's check of it, start at n = 3
+        # the product form's sign starts at n = 3
         with pytest.raises(BadArity):
             sign_of(2)
-        with pytest.raises(BadArity):
-            derive_sign(2)
 
 
 class TestBracket3:
@@ -157,45 +151,51 @@ class TestBracket3:
 class TestSignTable:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_recursion_matches_formula(self, n):
-        # the defining recursion fixes the closed form's sign at every arity
-        # the command line accepts
-        assert derive_sign(n) == sign_of(n) == (-1) ** (n * (n - 1) // 2)
+        # the defining recursion fixes the closed form, its sign included, at
+        # every arity the command line accepts: the constant is nonzero, so
+        # it equals the closed form with one sign only
+        assert sign_of(n) == (-1) ** (n * (n - 1) // 2)
+        witness = tuple(range(n))
+        assert not oracle.structure_constant(witness).is_zero
+        assert suite.closed_vs_recursive([witness]) == (1, None)
 
     def test_witness_independence(self):
-        for witness in [(0, 1, 2, 3), (-2, -1, 1, 2), (-1, 0, 2, 3)]:
-            assert derive_sign(4, witness) == 1
-        for witness in [(0, 1, 2, 3, 4), (-2, -1, 0, 1, 2)]:
-            assert derive_sign(5, witness) == 1
-
-    def test_degenerate_witness_rejected(self):
-        with pytest.raises(ValueError):
-            derive_sign(4, (0, 0, 1, 2))
+        witnesses = [(0, 1, 2, 3), (-2, -1, 1, 2), (-1, 0, 2, 3), (0, 1, 2, 3, 4), (-2, -1, 0, 1, 2)]
+        assert suite.closed_vs_recursive(witnesses) == (5, None)
 
 
 class TestIndependentOfOracle:
-    def test_closed_form_never_consults_the_oracle(self):
-        # a fresh process, so no cache filled by other tests can hide a call
-        script = """
-from pqvw import algebra, oracle, subalgebra
+    def test_closed_form_never_consults_the_oracle(self, monkeypatch):
+        # the closed form's memo is emptied, so no entry filled by other tests
+        # can hide a call
+        def refuse(*args):
+            raise AssertionError("the closed form consulted the oracle")
 
-def refuse(*args):
-    raise AssertionError("the closed form consulted the oracle")
+        monkeypatch.setattr(oracle, "structure_constant", refuse)
+        monkeypatch.setattr(oracle, "_constant", refuse)
+        algebra._sorted_coeff.cache_clear()
+        for n in range(3, 11):
+            assert not algebra.bracketn_closed(range(n)).is_zero
+        for n in range(3, 7):
+            algebra.bracketn_closed(subalgebra.canonical_basis(n))
 
-oracle.structure_constant = refuse
-oracle._constant = refuse
-for n in range(3, 11):
-    assert not algebra.bracketn_closed(range(n)).is_zero
-for n in range(3, 7):
-    algebra.bracketn_closed(subalgebra.canonical_basis(n))
-"""
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
+
+class TestRecursionIndependentOfClosedForm:
+    def test_recursion_never_consults_the_closed_form(self, monkeypatch):
+        # the recursion's constants at n = 2..5, with every closed-form entry
+        # refusing and the recursion's memo empty, equal the closed form's
+        # values taken before
+        tuples = [(2, -1), (0, 1, 2), (1, -2, 0), (-1, 0, 2, 3), (3, 0, -2, 1),
+                  (-2, 0, 1, 2, 3), (2, 1, 0, -1, -3)]
+        expected = [bracket(t) for t in tuples]
+
+        def refuse(*args):
+            raise AssertionError("the recursion consulted the closed form")
+
+        for name in ("_sorted_coeff", "_closed_product", "bracket2", "bracketn_closed", "bracket"):
+            monkeypatch.setattr(algebra, name, refuse)
+        oracle._constant.cache_clear()
+        assert [oracle.structure_constant(t) for t in tuples] == expected
 
 
 class TestBracketN:

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
+import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,14 +27,22 @@ from pqvw.cli import (
 from childenv import child_env
 
 
-def invoke(*args: str, timeout: int = 300) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "pqvw", *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=child_env(),
-    )
+def invoke(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """`pqvw ARGS` run by `cli.main` in this process, which `TestProcessEntry`
+    pins to the fresh process's exit code and output: the code and the
+    captured streams.  No exception but `SystemExit` may leave `cli.main`.
+    A `timeout` bounds the elapsed wall time."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    started = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    elapsed = time.monotonic() - started
+    assert timeout is None or elapsed < timeout, (args, elapsed)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 # per command, its largest sweep or explicit residual inside WORK_BUDGET (the
@@ -542,6 +555,20 @@ class TestBlackBox:
         assert [-1, 0, 1] in found
         assert not list(tmp_path.glob(".pqvw-report-*"))
 
+    def test_output_file_mode_follows_the_umask(self, tmp_path):
+        # the report gets the mode open(path, "w") gives a new file, 0o666
+        # less the umask, not the temporary file's 0600
+        target = tmp_path / "report.json"
+        saved = os.umask(0o022)
+        try:
+            for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+                os.umask(umask)
+                proc = invoke("bracket", "--n", "2", "--indices", "1,2", "--output", str(target))
+                assert proc.returncode == 0
+                assert stat.S_IMODE(target.stat().st_mode) == mode
+        finally:
+            os.umask(saved)
+
     def test_oracle_check_command(self):
         proc = invoke("oracle-check", "--n", "3", "--window", "1", "--format", "json")
         assert proc.returncode == 0
@@ -566,6 +593,81 @@ class TestBlackBox:
         assert result["coefficient"] == "1*p^-2*q^1 + 1*p^-1*q^2"
         assert result["index"] == 4
         assert result["classical"] == "2"
+
+
+def _flip_first_row(real):
+    # the recursion with the first row of every 3-bracket negated
+    def rows(idx):
+        out = real(idx)
+        if len(idx) == 3:
+            a, b, sign, head, rest = out[0]
+            out[0] = (a, b, -sign, head, rest)
+        return out
+
+    return rows
+
+
+def _raise_p_exponent(real):
+    # the recursion with one more power of p on every row at n >= 4
+    def rows(idx):
+        out = real(idx)
+        return [(a + 1, *row) for a, *row in out] if len(idx) >= 4 else out
+
+    return rows
+
+
+class TestWrongAnswers:
+    """A wrong answer is a failing record in a full report with exit 1,
+    never a traceback: each case breaks one layer, as a mutant would."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_recursion(self):
+        # the recursion's memo holds no constant of a broken recursion
+        # before or after a case
+        oracle._constant.cache_clear()
+        yield
+        oracle._constant.cache_clear()
+
+    def failing(self, *args):
+        # the report of a command that must exit 1, and its failing kinds
+        proc = invoke(*args, "--format", "json")
+        assert proc.returncode == 1, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        return results, {r["kind"] for r in results if r["verdict"] == "fail"}
+
+    def test_flipped_row_sign_fails_oracle_check(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_expansion", _flip_first_row(oracle._expansion))
+        results, failed = self.failing("oracle-check", "--n", "3", "--window", "1")
+        assert [r["kind"] for r in results] == ["oscillator-relations", "closed-vs-recursive-n3"]
+        assert failed == {"closed-vs-recursive-n3"}
+
+    def test_flipped_row_sign_fails_limits(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_expansion", _flip_first_row(oracle._expansion))
+        results, failed = self.failing("verify", "limits", "--window", "2")
+        assert [r["kind"] for r in results] == ["limits-bracket2", "limits-odd-arity"]
+        assert failed == {"limits-odd-arity"}
+
+    def test_raised_p_exponent_fails_the_desk(self, monkeypatch):
+        kinds = [r["kind"] for r in suite.run_suite(suite.DESK_CONFIG)]
+        oracle._constant.cache_clear()
+        monkeypatch.setattr(oracle, "_expansion", _raise_p_exponent(oracle._expansion))
+        results, failed = self.failing("verify", "all", "--level", "desk")
+        assert [r["kind"] for r in results] == kinds
+        # and the p -> q limit at n = 5
+        assert failed == {"closed-vs-recursive-n4", "closed-vs-recursive-n5",
+                          "sign-consistency-n4", "sign-consistency-n5", "limits-odd-arity"}
+        signs = [r for r in results if r["kind"] == "sign-consistency-n4"]
+        # the first witness mismatches
+        assert signs[0]["residual"] == "(0, 1, 2, 3)"
+
+    def test_zero_counterexample_residual_fails(self, monkeypatch):
+        real = identities.fi_residual
+        monkeypatch.setattr(identities, "fi_residual",
+                            lambda n, y, x: ring.Scalar.zero() if n == 4 else real(n, y, x))
+        results, failed = self.failing("verify", "fi", "--n", "4", "--counterexample")
+        (record,) = results
+        assert (record["kind"], record["residual"]) == ("fi-counterexample-n4", "0")
+        assert failed == {"fi-counterexample-n4"}
 
 
 # one command per exit path: the version, a pass, a failure and a usage error
@@ -658,6 +760,13 @@ LATE_USAGE_ERRORS = [
     (("verify", "sh-jacobi"), ("--n", "4", "--window", "30"),
      "verify sh-jacobi would evaluate 2067679185563200 coefficient terms, over the budget "
      "of 350000000; lower --n, --window or --samples"),
+    # an over-budget refusal names only the command's own flags
+    (("verify", "limits"), ("--window", "103"),
+     "verify limits would evaluate 351618894 coefficient terms, over the budget "
+     "of 350000000; lower --window"),
+    (("oracle-check",), ("--n", "3", "--window", "17"),
+     "oracle-check would evaluate 360326400 coefficient terms, over the budget "
+     "of 350000000; lower --n or --window"),
 ]
 
 

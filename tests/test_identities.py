@@ -248,6 +248,26 @@ class TestShJacobi:
         sweep_sh_jacobi(2, window=(-3, 3), samples=400, seed=0)
         assert handed == sorted(t for t in SAMPLE_400 if len(set(t)) == 3)
 
+    def test_narrow_sample_window_draws_nothing(self, monkeypatch):
+        # a window of fewer than 2n - 1 values holds no draw of distinct
+        # indices, so the sweep draws none and still counts every sample;
+        # a window of 2n - 1 values draws
+        real = identities.sample_tuples
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(identities, "sample_tuples", counted)
+        assert sweep_sh_jacobi(10, window=(-8, 8), samples=350000, seed=0) == (350000, None)
+        desk = suite.check_sh_jacobi({**suite.DESK_CONFIG, "seed": 0})[-1]
+        assert desk == suite.result("sh-jacobi-n5-sampled",
+                                    {"window": [-2, 2], "samples": 200, "seed": 0}, "0", True)
+        assert calls == []
+        assert sweep_sh_jacobi(3, window=(-2, 2), samples=10, seed=4).checked == 10
+        assert calls == [(5, (-2, 2), 10, 4)]
+
     def test_sampled_sweep_deterministic(self):
         a = list(sample_tuples(9, (-2, 2), 50, seed=7))
         b = list(sample_tuples(9, (-2, 2), 50, seed=7))

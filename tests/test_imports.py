@@ -116,12 +116,12 @@ EXPORTS = {
         "sign_of",
     ],
     "oracle": [
-        "InconsistentSign", "NotProportional", "Term", "bracketn_def", "derive_sign",
+        "NotProportional", "Term", "bracketn_def",
         "extract_structure_constant", "fock_act", "osc_relations_check",
         "structure_constant", "word_act",
     ],
     "identities": [
-        "IdentityReport", "UnexpectedZero", "check_skew",
+        "IdentityReport", "check_skew",
         "fi_counterexample_even", "fi_residual",
         "sh_jacobi_residual", "sweep_sh_jacobi",
     ],

@@ -999,7 +999,7 @@ def test_binomial_divisors_never_reach_long_division():
     # every division on these package paths is by +-x^u * (x^s - 1); any
     # other divisor would raise ValueError, which the oracle reports as
     # NotProportional
-    from pqvw import algebra, oracle
+    from pqvw import algebra, oracle, suite
     from words import q_jacobi2_residual, word_coeff
 
     tuples = ((0, 1, 2), (-2, 0, 3), (-1, 0, 2, 3), (0, 1, 2, 3, 5))
@@ -1009,8 +1009,9 @@ def test_binomial_divisors_never_reach_long_division():
         assert word_coeff(idx) == closed
     for t in ((1, 2, 3), (-1, 0, 2), (2, 2, -3)):
         assert q_jacobi2_residual(*t).is_zero
-    # the sign check compares with the closed form; it does not divide by it
-    assert oracle.derive_sign(4) == 1
+    # the sign check compares the recursion with the closed form; it does
+    # not divide by it
+    assert suite.closed_vs_recursive([(0, 1, 2, 3)]) == (1, None)
     # the guard is live: a power of the divisor has more than two terms
     with pytest.raises(ValueError, match="unsupported divisor"):
         (Scalar.DIVISOR**3).exact_div(Scalar.DIVISOR**2)
