@@ -9,7 +9,10 @@ closed form's sign became a formula instead of a calibrated table, and the
 three sh-jacobi window sweeps at n = 2, 4 and 5 before the shuffle-Jacobi
 residual collected like terms, and plain oracle-check, the zero bracket
 and the passing sampled sweep before the command table called the suite's
-record builders directly, so any drift in a report's bytes fails here.
+record builders directly, and the desk, the n = 5 canonical subalgebra, the
+n = 6 counterexample and an n = 6 bracket (the benchmark's runs) before the
+defining recursion ran on linear-form indices, so any drift in a report's
+bytes fails here.
 """
 from pathlib import Path
 
@@ -49,6 +52,10 @@ CASES = {
     "subalgebra-canonical": (["subalgebra", "canonical", "--n", "4"], 0),
     "subalgebra-check-pass": (["subalgebra", "check", "--n", "3", "--indices", "-1,0,1"], 0),
     "subalgebra-check-fail": (["subalgebra", "check", "--n", "3", "--indices", "0,1,2"], 1),
+    "verify-all-desk": (["verify", "all", "--level", "desk", "--seed", "0"], 0),
+    "subalgebra-canonical-n5": (["subalgebra", "canonical", "--n", "5"], 0),
+    "verify-fi-counterexample-n6": (["verify", "fi", "--n", "6", "--counterexample"], 0),
+    "bracket-n6": (["bracket", "--n", "6", "--indices", "2,4,-4,-2,0,-1"], 0),
 }
 
 FORMATS = {"json": ["--format", "json"], "txt": []}
