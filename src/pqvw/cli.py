@@ -444,14 +444,14 @@ def _work_estimate(cfg: argparse.Namespace) -> Work | None:
     if cfg.command == "verify sh-jacobi":
         # one residual of C(2n - 1, n) shuffle products per set of 2n - 1
         # distinct indices; a sample is a visit (its draw, sort and signature
-        # lookup), and the samples evaluate at most every set once.  A
-        # failing sweep stops at its first failure, so this bounds it from
-        # above
+        # lookup) if the window holds a set, and the samples evaluate at most
+        # every set once.  A failing sweep stops at its first failure, so
+        # this bounds it from above
         sets = comb(width, 2 * n - 1)
         products = comb(2 * n - 1, n) * _nested_terms(n, window)
         if cfg.samples:
             sets = min(cfg.samples, sets)
-            return Work(cfg.samples, sets, sets * products)
+            return Work(cfg.samples if sets else 0, sets, sets * products)
         return Work(sets, sets, sets * products)
     if cfg.command == "verify skew":
         # every n-tuple; one of distinct indices evaluates its bracket and one

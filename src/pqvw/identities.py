@@ -39,21 +39,21 @@ multiplied, and the residual is one sum of products normalised once.
 
 The 2-bracket's two weighted Jacobi identities are decided formally, over
 the symbols (m, n, k), and their sweeps evaluate no triple.  The
-two-parameter residual is one element of ``ring.pq_ring`` with a pair
-P_s = p^s, Q_s = q^s per symbol, in which it is zero; substituting integers
-is a ring map, so it is zero at every triple.  The one-parameter residual's
-twelve words cancel over the symbols, which holds at every triple too, so
-no verdict here needs the oracle's word expansion.
+two-parameter residual is one element of ``ring.symbol_ring(3)``, in which
+it is zero; substituting integers is a ring map, so it is zero at every
+triple.  Its 2-brackets are the defining recursion's at the symbols, which
+fails the certificate where it acts with no constant.  The one-parameter
+residual's twelve words cancel over the symbols, which holds at every
+triple too, so no verdict here needs the oracle's word expansion.
 """
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
-from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import GenIndex, _sorted_coeff, bracket, sort_with_sign
-from .ring import Localized, Scalar, pq_ring
+from .ring import Form, Localized, Scalar, symbol_ring, symbols
 
 # a nested product of a residual: (sign, inner indices, outer indices)
 NestedProduct = tuple[int, tuple[GenIndex, ...], tuple[GenIndex, ...]]
@@ -226,64 +226,46 @@ def fi_counterexample_even(
     return Y, X, fi_residual(n, Y, X)
 
 
-# the two-parameter residual's ring: p, q and P_s = p^s, Q_s = q^s for each
-# symbol s of (m, n, k); a linear form in the symbols is its coefficients
-_JACOBI2_RING = pq_ring(*(f"{v}_{s}" for s in "mnk" for v in "PQ"))
-_M, _N, _K, _ZERO = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+_MNK, _JACOBI2_RING = symbols(3), symbol_ring(3)  # (m, n, k) and their ring
 
 
-def _p_inv_q(a: tuple[int, ...], b: tuple[int, ...]) -> Localized:
-    # p^-a q^b for linear forms a and b in the symbols
-    return _JACOBI2_RING.monomial(0, 0, *(e for x, y in zip(a, b) for e in (-x, y)))
-
-
-def _formal_bracket2(m: tuple[int, ...], n: tuple[int, ...]) -> Localized:
-    # the 2-bracket's coefficient -(p^-m q^n - p^-n q^m) / (q - p^-1) at
-    # linear forms m and n, which is algebra.bracket2(m, n) at integers
-    return (_p_inv_q(n, m) - _p_inv_q(m, n)) * _JACOBI2_RING(1, 1)
-
-
-def _jacobi2_weight(a: tuple[int, ...]) -> Localized:
+def _jacobi2_weight(a: Form) -> Localized:
     # q^a + p^-a, the weight of the row whose outer bracket starts at a
-    return _p_inv_q(_ZERO, a) + _p_inv_q(a, _ZERO)
+    return _JACOBI2_RING.pq_monomial(0, a) + _JACOBI2_RING.pq_monomial(-a, 0)
 
 
 def _pq_jacobi2_formal() -> Localized:
     """(q^a + p^-a) [L_a, [L_b, L_c]] over the rotations (a, b, c) of (m, n, k).
 
-    Three products of the weight and two formal 2-brackets, one sum
-    normalised once: zero here is zero at every integer triple.
+    Three products of the weight and two 2-brackets of the recursion, one
+    sum normalised once: zero here is zero at every integer triple.
     """
+    from .oracle import structure_constant
+
+    m, n, k = _MNK
     return _JACOBI2_RING.sum_of_products(
-        (_jacobi2_weight(a), _formal_bracket2(b, c), _formal_bracket2(a, tuple(map(add, b, c))))
-        for a, b, c in ((_M, _N, _K), (_N, _K, _M), (_K, _M, _N))
+        (_jacobi2_weight(a), structure_constant((b, c)), structure_constant((a, b + c)))
+        for a, b, c in ((m, n, k), (n, k, m), (k, m, n))
     )
 
 
-def _q_jacobi2_table() -> tuple[tuple[tuple[int, ...], tuple[int, int, int], int], ...]:
-    # the twelve words of the one-parameter residual over the symbols
-    # (m, n, k), as rows (word, q-exponent, sign): a word is a tuple of
-    # slots of (m, n, k) and an exponent the coefficients of a linear form
-    # in them.  Per cyclic arrangement (a, b, c) the outer bracket weighs
-    # q^(+-(2a - (b + c))) and the inner q^(+-(b - c)).
-    rows = []
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        for word, outer, inner, sign in (
-            ((a, b, c), 1, 1, 1),
-            ((a, c, b), 1, -1, -1),
-            ((b, c, a), -1, 1, -1),
-            ((c, b, a), -1, -1, 1),
-        ):
-            form = [0, 0, 0]
-            form[a], form[b], form[c] = 2 * outer, inner - outer, -inner - outer
-            rows.append((word, tuple(form), sign))
-    return tuple(rows)
+# the twelve words of the one-parameter residual over the symbols (m, n, k),
+# as rows (word, q-exponent, sign): a word is a tuple of slots of (m, n, k)
+# and an exponent a form in them.  Per cyclic arrangement (a, b, c) the outer
+# bracket weighs q^(+-(2a - (b + c))) and the inner q^(+-(b - c)).
+_Q_JACOBI2_WORDS: tuple[tuple[tuple[int, ...], Form, int], ...] = tuple(
+    (word, outer * (2 * _MNK[a] - _MNK[b] - _MNK[c]) + inner * (_MNK[b] - _MNK[c]), sign)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    for word, outer, inner, sign in (
+        ((a, b, c), 1, 1, 1),
+        ((a, c, b), 1, -1, -1),
+        ((b, c, a), -1, 1, -1),
+        ((c, b, a), -1, -1, 1),
+    )
+)
 
 
-_Q_JACOBI2_WORDS = _q_jacobi2_table()
-
-
-def _q_jacobi2_formal_sum() -> dict[tuple[tuple[int, ...], tuple[int, int, int]], int]:
+def _q_jacobi2_formal_sum() -> dict[tuple[tuple[int, ...], Form], int]:
     """The one-parameter residual's twelve words merged over the symbols (m, n, k).
 
     The outer bracket weights q^(2a-(b+c)), q^((b+c)-2a) of the p -> q
@@ -294,7 +276,7 @@ def _q_jacobi2_formal_sum() -> dict[tuple[tuple[int, ...], tuple[int, int, int]]
     symbols is linear, so an empty formal sum is empty at every triple,
     coinciding indices included.
     """
-    net: dict[tuple[tuple[int, ...], tuple[int, int, int]], int] = {}
+    net: dict[tuple[tuple[int, ...], Form], int] = {}
     for word, form, sign in _Q_JACOBI2_WORDS:
         net[word, form] = net.get((word, form), 0) + sign
     return {key: c for key, c in net.items() if c}
@@ -390,18 +372,23 @@ def sweep_deformed_jacobi2(window: tuple[int, int]) -> SweepResult:
 
     The residual over the symbols (m, n, k) is zero, so every triple's is
     and none is evaluated; the result counts every triple.  A nonzero
-    formal residual fails once, at the window's first triple, with the
-    formal residual as its text.
+    formal residual, or a recursion with no constant, fails once, at the
+    window's first triple, with the residual or the recursion's error as text.
     """
-    residual = _pq_jacobi2_formal()
+    from .oracle import NotProportional
+
+    try:
+        residual = _pq_jacobi2_formal()
+    except NotProportional as exc:
+        return _decided(window, str(exc))
     return _decided(window, residual.canonical() if residual else None)
 
 
-def _q_jacobi2_text(words: dict[tuple[tuple[int, ...], tuple[int, int, int]], int]) -> str:
+def _q_jacobi2_text(words: dict[tuple[tuple[int, ...], Form], int]) -> str:
     # the uncancelled words of the formal sum in sorted order, each as its
     # net sign, q-exponent and word, e.g. "-2*q^(2*m + -2*k)*L_m*L_n*L_k"
-    def exponent(form: tuple[int, int, int]) -> str:
-        return " + ".join(f"{c}*{s}" for c, s in zip(form, "mnk") if c) or "0"
+    def exponent(form: Form) -> str:
+        return " + ".join(f"{c}*{s}" for c, s in zip(form[1:], "mnk") if c) or "0"
 
     return " + ".join(
         f"{c}*q^({exponent(form)})*" + "*".join(f"L_{'mnk'[s]}" for s in word)

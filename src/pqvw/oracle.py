@@ -36,7 +36,8 @@ D = p^-1 (z - 1), so each ordered sub-tuple (memoised) costs one pass over
 its rows in p and q alone, which builds A and B together, each over one more
 divisor power than the rests (``Scalar.sum_if_shift_cancels``): a B that
 does not cancel raises NotProportional, and no four-variable coefficient is
-built or divided.
+built or divided.  At linear-form indices (``ring.Form``) A and B are two
+sums of products in the ring of the forms' symbols, and B must be zero there.
 
 The full-module reference has one entry,
 ``extract_structure_constant(bracketn_def(idx))``: :func:`bracketn_def`
@@ -65,15 +66,20 @@ from .algebra import GenIndex
 from .ring import (
     SCALAR_ONE,
     SCALAR_ZERO,
+    Form,
+    Localized,
     ModScalar,
-    MPoly,
     NotDivisible,
     Scalar,
     mod_from_scalar,
     mod_to_scalar,
+    symbol_ring,
+    symbols,
 )
 
 Word = tuple[GenIndex, ...]
+
+(_NU,) = symbols(1)  # the symbolic module level, ModScalar's one symbol
 
 __all__ = [
     "Word",
@@ -107,19 +113,18 @@ class Term(NamedTuple):
 
 def nu_bracket(shift: int = 0) -> ModScalar:
     """[nu + shift]_{p,q} as a symbolic-level coefficient."""
-    num = MPoly({(0, shift, 0, 1): 1}) - MPoly({(-shift, 0, -1, 0): 1})
-    return ModScalar(num, 1)
+    level = _NU + shift
+    return ModScalar.pq_monomial(0, level, e=1) - ModScalar.pq_monomial(-level, 0, e=1)
 
 
 @lru_cache(maxsize=None)
 def generator_multiplier(m: GenIndex, shift: int = 0) -> ModScalar:
     """Action coefficient of L_m on |nu + shift>: -[nu + shift] p^(nu + shift + m).
 
-    Over (q - p^-1) that is p^m (1 - (pq)^shift P Q); the numerator does not
-    vanish at pq = 1, so the value is normalized as built.
+    Over (q - p^-1) that is p^m (1 - (pq)^shift P Q).
     """
-    num = MPoly({(m, 0, 0, 0): 1, (m + shift, shift, 1, 1): -1})
-    return ModScalar._raw(num, 1)
+    level = _NU + shift
+    return ModScalar.pq_monomial(m, 0, e=1) - ModScalar.pq_monomial(level + m, level, e=1)
 
 
 # The maps below move every shift by the same amount and multiply by a
@@ -163,15 +168,15 @@ def osc_relations_check(shifts: Iterable[int] = (-1, 0, 1)) -> OscillatorReport:
     structurally on a window of shifted basis vectors.
     """
     entries: list[tuple[str, str, bool]] = []
-    q_mono = ModScalar.monomial(0, 1, 0, 0)
-    pinv_mono = ModScalar.monomial(-1, 0, 0, 0)
+    q_mono = ModScalar.pq_monomial(0, 1)
+    pinv_mono = ModScalar.pq_monomial(-1, 0)
 
     for s in shifts:
         # a a+ |nu+s> = [nu+s+1] |nu+s>, a+ a |nu+s> = [nu+s] |nu+s>
         up_down = nu_bracket(s + 1)
         down_up = nu_bracket(s)
-        p_n_inv = ModScalar.monomial(-s, 0, -1, 0)  # p^-N at nu+s
-        q_n = ModScalar.monomial(0, s, 0, 1)  # q^N at nu+s
+        p_n_inv = ModScalar.pq_monomial(-(_NU + s), 0)  # p^-N at nu+s
+        q_n = ModScalar.pq_monomial(0, _NU + s)  # q^N at nu+s
 
         r1 = up_down - q_mono * down_up - p_n_inv
         entries.append((f"a a+ - q a+ a = p^-N @ nu+{s}", r1.canonical(), r1.is_zero))
@@ -322,16 +327,30 @@ def _constant(idx: tuple[GenIndex, ...]) -> Scalar:
     return total
 
 
-def structure_constant(indices: Sequence[GenIndex]) -> Scalar:
+@lru_cache(maxsize=None)
+def _formal_constant(idx: tuple[Form, ...]) -> Localized:
+    # _constant at forms: A and B over one more divisor power than the rests
+    ring = symbol_ring(len(idx[0]) - 1)
+    if len(idx) == 1:
+        return ring.one()
+    rows = [(ring.pq_monomial(a, b, coeff=sign, e=1), sum(rest), _formal_constant(rest))
+            for a, b, sign, _, rest in _expansion(idx)]
+    if ring.sum_of_products((mono, ring.pq_monomial(s, s), c) for mono, s, c in rows):
+        raise NotProportional(f"the rows of {idx} act with a level-dependent coefficient")
+    return ring.sum_of_products((mono, c) for mono, _, c in rows)
+
+
+def structure_constant(indices: Sequence[GenIndex | Form]) -> Localized:
     """Structure constant of the defining n-bracket, n >= 2, on the module.
 
     Runs the rows of :func:`_expansion` on level-free coefficients, as the
     module docstring derives: per ordered sub-tuple (memoised), A / D when
     the level-dependent sum B cancels, NotProportional otherwise.  The
-    result is the coefficient of ``extract_structure_constant(bracketn_def(indices))``.
+    result is the coefficient of ``extract_structure_constant(bracketn_def(indices))``,
+    or at forms of k symbols its member of ``ring.symbol_ring(k)``.
     """
     idx = tuple(indices)
     if len(idx) < 2:
         raise ValueError("a bracket needs n >= 2 indices")
-    return _constant(idx)
+    return _formal_constant(idx) if isinstance(idx[0], Form) else _constant(idx)
 

@@ -6,8 +6,9 @@ reduces to arithmetic in Laurent rings over the integers:
 * ``pq_ring(*extra)``        -- one memoised family over p, q and named extra
   variables, localized at (q - p^-1).  ``Scalar`` (``LPoly``) is its member
   with none, ``ModScalar`` (``MPoly``) with P, Q = p^nu, q^nu at a symbolic
-  module level nu, and a member with a pair P_s, Q_s = p^s, q^s per symbol
-  s holds identities over the symbols' integer values
+  module level nu, and ``symbol_ring(k)`` with P_j, Q_j = p^(s_j), q^(s_j)
+  holds identities at any integers for the symbols s_j of ``symbols(k)``;
+  ``pq_monomial`` places p^a q^b at ``Form`` (linear-form) exponents there
 * ``UPoly`` / ``UniScalar``  -- one variable q, localized at (q - q^-1)
 
 Values move between these rings by one exponent substitution,
@@ -530,6 +531,14 @@ class Localized:
         return cls._raw(num, e if num._terms else 0)
 
     @classmethod
+    def pq_monomial(cls, a: int | Form, b: int | Form, coeff: int = 1, e: int = 0):
+        """coeff * p^a q^b / divisor^e in a ``pq_ring`` member, at ints or
+        forms: symbol j's coefficients go on the member's j-th pair."""
+        pad = (0,) * (len(cls.POLY.VARS) // 2 - 1)
+        a, b = (x if isinstance(x, Form) else (x, *pad) for x in (a, b))
+        return cls.monomial(*(x for pair in zip(a, b) for x in pair), coeff=coeff, e=e)
+
+    @classmethod
     @lru_cache(maxsize=None)
     def _divisor_pow(cls, k: int) -> Poly:
         return cls.DIVISOR**k
@@ -735,6 +744,43 @@ def pq_ring(*extra: str) -> type[Localized]:
     return type(names[1], (Localized,), {
         **common, "POLY": poly, "UNIT": (-1, 0) + pad, "STEP": (1, 1) + pad, "DIV_LABEL": "q-p^-1"
     })
+
+
+class Form(tuple):
+    """A linear-form index: (c0, c1, ..., ck) stands for c0 + sum cj * s_j;
+    it takes +, - and int * as the defining recursion does with indices."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return Form((self[0] + other, *self[1:]))
+        return Form(x + y for x, y in zip(self, other, strict=True))
+
+    def __mul__(self, k):
+        return Form(k * x for x in self) if isinstance(k, int) else NotImplemented
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def symbols(k: int) -> tuple[Form, ...]:
+    """The symbols s_1, ..., s_k as forms."""
+    return tuple(Form(int(i == j) for i in range(k + 1)) for j in range(1, k + 1))
+
+
+def symbol_ring(k: int) -> type[Localized]:
+    """The ``pq_ring`` member of values at forms of k symbols, with symbol j's
+    pair P_j = p^(s_j), Q_j = q^(s_j), which ``at_indices`` substitutes."""
+    return pq_ring(*(f"{v}_{j}" for j in range(1, k + 1) for v in "PQ"))
 
 
 Scalar = pq_ring()  # the home of all structure constants

@@ -182,6 +182,16 @@ class TestParsing:
                 parse_args(argv)
             assert exc.value.code == 2, argv
 
+    def test_narrow_sample_window_costs_no_visit(self):
+        # a window of fewer than 2n - 1 values draws no sample, so its
+        # samples are charged nothing and one past the budget's visits runs;
+        # the wide-window sample edges are BUDGET_EDGES rows
+        proc = invoke("verify", "sh-jacobi", "--n", "10", "--window", "8",
+                      "--samples", "350001", "--format", "json", timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        (record,) = json.loads(proc.stdout)["results"]
+        assert (record["input"]["tuples"], record["verdict"]) == (350001, "pass")
+
     @pytest.mark.parametrize("command, module, kernel, exact", COUNTED, ids=[c[0] for c in COUNTED])
     def test_estimate_counts_kernel_calls(self, command, module, kernel, exact, monkeypatch):
         calls = []
@@ -320,7 +330,7 @@ class TestRun:
         # residual is nonzero: one failure at the window's first triple,
         # and exit 1, while the one-parameter record still passes
         monkeypatch.setattr(
-            identities, "_jacobi2_weight", lambda a: identities._p_inv_q(identities._ZERO, a)
+            identities, "_jacobi2_weight", lambda a: ring.symbol_ring(3).pq_monomial(0, a)
         )
         report, code = run(parse_args(["verify", "jacobi2", "--window", "2"]))
         assert code == 1
@@ -595,11 +605,11 @@ class TestBlackBox:
         assert result["classical"] == "2"
 
 
-def _flip_first_row(real):
-    # the recursion with the first row of every 3-bracket negated
+def _flip_first_row(real, n=3):
+    # the recursion with the first row of every n-bracket negated
     def rows(idx):
         out = real(idx)
-        if len(idx) == 3:
+        if len(idx) == n:
             a, b, sign, head, rest = out[0]
             out[0] = (a, b, -sign, head, rest)
         return out
@@ -622,11 +632,13 @@ class TestWrongAnswers:
 
     @pytest.fixture(autouse=True)
     def fresh_recursion(self):
-        # the recursion's memo holds no constant of a broken recursion
+        # the recursion's memos hold no constant of a broken recursion
         # before or after a case
         oracle._constant.cache_clear()
+        oracle._formal_constant.cache_clear()
         yield
         oracle._constant.cache_clear()
+        oracle._formal_constant.cache_clear()
 
     def failing(self, *args):
         # the report of a command that must exit 1, and its failing kinds
@@ -646,6 +658,16 @@ class TestWrongAnswers:
         results, failed = self.failing("verify", "limits", "--window", "2")
         assert [r["kind"] for r in results] == ["limits-bracket2", "limits-odd-arity"]
         assert failed == {"limits-odd-arity"}
+
+    def test_flipped_2_bracket_row_fails_jacobi2(self, monkeypatch):
+        # the certificate's 2-brackets come from the recursion at the
+        # symbols, so they act with no constant and only pq-jacobi2 fails
+        monkeypatch.setattr(oracle, "_expansion", _flip_first_row(oracle._expansion, 2))
+        results, failed = self.failing("verify", "jacobi2", "--window", "1")
+        assert [r["kind"] for r in results] == ["pq-jacobi2", "q-jacobi2"]
+        assert failed == {"pq-jacobi2"}
+        assert results[0]["input"] == {"window": [-1, 1], "tuples": 27}
+        assert "level-dependent coefficient" in results[0]["residual"]
 
     def test_raised_p_exponent_fails_the_desk(self, monkeypatch):
         kinds = [r["kind"] for r in suite.run_suite(suite.DESK_CONFIG)]

@@ -17,7 +17,7 @@ from pqvw.identities import (
     sweep_skew,
 )
 from pqvw.oracle import NotProportional, bracketn_def, extract_structure_constant
-from pqvw.ring import LPoly, ModScalar, Scalar, at_indices, classical_value
+from pqvw.ring import LPoly, ModScalar, Scalar, at_indices, classical_value, symbol_ring, symbols
 from pqvw.subalgebra import fi_check_span
 
 from words import bracket2_by_lookup, deformed_jacobi2_residual, q_jacobi2_residual, shuffles
@@ -575,7 +575,7 @@ def q_weight(a):
 
 
 def formal_q_weight(a):
-    return identities._p_inv_q(identities._ZERO, a)
+    return symbol_ring(3).pq_monomial(0, a)
 
 
 # random triples of indices in [-6, 6], repeated and negative ones included
@@ -588,19 +588,23 @@ class TestFormalJacobi2:
 
     The formal verdict of ``sweep_deformed_jacobi2`` rests on it, so each
     formal value here is compared, after substitution, with the concrete
-    value computed from the concrete 2-brackets.
+    value computed from the concrete 2-brackets.  The formal 2-brackets are
+    the defining recursion's at the symbols.
     """
 
-    M, N, K = identities._M, identities._N, identities._K
+    M, N, K = symbols(3)
 
     @pytest.mark.parametrize("triple", RANDOM_TRIPLES)
     def test_formal_bracket2_at_indices(self, triple):
         i, j, l = triple
-        formal = identities._formal_bracket2
+
+        def formal(a, b):
+            return oracle.structure_constant((a, b))
+
         assert at_indices(formal(self.M, self.N), triple) == algebra.bracket2(i, j)
         assert at_indices(formal(self.N, self.M), triple) == algebra.bracket2(j, i)
         # linear forms: the outer bracket's second index is a sum of symbols
-        both = tuple(map(sum, zip(self.M, self.N)))
+        both = self.M + self.N
         assert at_indices(formal(self.K, both), triple) == algebra.bracket2(l, i + j)
 
     @pytest.mark.parametrize("triple", RANDOM_TRIPLES)

@@ -51,7 +51,8 @@ CASES = [
     (["verify", "sh-jacobi", "--n", "3", "--window", "1"], BASE | {"pqvw.identities"}),
     (["subalgebra", "canonical", "--n", "3"], BASE | {"pqvw.identities", "pqvw.subalgebra"}),
     (["oracle-check", "--n", "3", "--window", "1"], BASE | {"pqvw.oracle"}),
-    (["verify", "jacobi2", "--window", "1"], BASE | {"pqvw.identities"}),
+    # the two-parameter certificate takes its 2-brackets from the recursion
+    (["verify", "jacobi2", "--window", "1"], BASE | {"pqvw.identities", "pqvw.oracle"}),
     (["verify", "limits", "--window", "1"], BASE | {"pqvw.oracle"}),
     (["verify", "skew", "--n", "3", "--window", "1"], BASE | {"pqvw.identities"}),
     (["subalgebra", "search", "--n", "3", "--window", "2"],

@@ -31,9 +31,12 @@ from pqvw.ring import (
     ModScalar,
     MPoly,
     Scalar,
+    at_indices,
     mod_at_level,
     mod_from_scalar,
     pq_number,
+    symbol_ring,
+    symbols,
 )
 from words import mod_shift, number_weight, word_coeff
 
@@ -428,3 +431,33 @@ for n in range(3, 7):
         with pytest.raises(ValueError):
             structure_constant((0,))
         assert structure_constant((0, 1)) == bracket2(0, 1)
+
+
+class TestFormalRecursion:
+    """The recursion at linear-form indices, in the ring of their symbols."""
+
+    @pytest.mark.parametrize("pair", ["mn", "nm", "k,m+n"])
+    def test_bracket2_is_the_paper_quotient(self, pair):
+        # -(p^-a q^b - p^-b q^a) / (q - p^-1), written by hand as the
+        # 2-bracket's Jacobi certificate once did
+        m, n, k = symbols(3)
+        ring = symbol_ring(3)
+        a, b = {"mn": (m, n), "nm": (n, m), "k,m+n": (k, m + n)}[pair]
+
+        def p_inv_q(x, y):
+            return ring.pq_monomial(-x, y)
+
+        assert structure_constant((a, b)) == (p_inv_q(b, a) - p_inv_q(a, b)) * ring(1, 1)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_at_indices_is_the_concrete_recursion(self, n):
+        # distinct indices at n >= 4, where a repeated one leaves no
+        # constant; repeated and negative ones at n <= 3
+        formal = structure_constant(symbols(n))
+        rng = random.Random(n)
+        for _ in range(40):
+            t = tuple(rng.sample(range(-6, 7), n) if n >= 4 else rng.choices(range(-4, 5), k=n))
+            assert at_indices(formal, t) == structure_constant(t), t
+        if n <= 3:
+            for t in ((0,) * n, (-2,) * (n - 1) + (3,)):
+                assert at_indices(formal, t) == structure_constant(t), t

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pqvw.ring import (
     EXP_MAX,
     ExponentOverflow,
+    Form,
     LPoly,
     MPoly,
     ModScalar,
@@ -27,6 +28,8 @@ from pqvw.ring import (
     pq_ring,
     q_number,
     specialize_pq,
+    symbol_ring,
+    symbols,
 )
 
 from determinants import ref_div
@@ -889,6 +892,75 @@ class TestRingFamily:
         )
         with pytest.raises(ValueError, match="takes 3 indices"):
             at_indices(FAMILY[3].one(), (1, 2))
+
+
+def form_at(f, t):
+    # the integer a linear form stands for at the symbols' values t
+    return f if isinstance(f, int) else f[0] + sum(c * x for c, x in zip(f[1:], t))
+
+
+class TestForms:
+    """Linear-form indices, and the monomials ``pq_monomial`` places at them."""
+
+    def test_arithmetic(self):
+        m, n, k = symbols(3)
+        assert (m, n, k) == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert type(m + n) is Form and m + n == (0, 1, 1, 0)
+        # an int on either side moves the constant
+        assert m + 2 == 2 + m == (2, 1, 0, 0)
+        assert m - 2 == (-2, 1, 0, 0) and 2 - m == (2, -1, 0, 0)
+        assert m - n == -(n - m) == (0, 1, -1, 0)
+        assert 3 * m == m * 3 == (0, 3, 0, 0) and type(3 * m) is Form
+        # sum starts from the int 0
+        assert sum((m, n, k)) == (0, 1, 1, 1) and type(sum((m, n, k))) is Form
+        with pytest.raises(ValueError):
+            m + symbols(2)[0]
+        with pytest.raises(TypeError):
+            m * n
+        with pytest.raises(TypeError):
+            m + 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_arithmetic_is_linear(self, data):
+        # every operation on forms, evaluated at integers, is that operation
+        # on the evaluated ints
+        ints = st.integers(-9, 9)
+        t = data.draw(st.lists(ints, min_size=3, max_size=3))
+        f, g = (Form(data.draw(st.lists(ints, min_size=4, max_size=4))) for _ in range(2))
+        c = data.draw(ints)
+        x, y = form_at(f, t), form_at(g, t)
+        for form, value in (
+            (f + g, x + y), (f - g, x - y), (-f, -x), (c * f, c * x),
+            (c + f, c + x), (f - c, x - c), (c - f, c - x), (sum((f, g, f)), 2 * x + y),
+        ):
+            assert form_at(form, t) == value
+
+    def test_symbol_ring_pairs(self):
+        assert symbol_ring(2).POLY.VARS == ("p", "q", "P_1", "Q_1", "P_2", "Q_2")
+        assert symbol_ring(2) is pq_ring("P_1", "Q_1", "P_2", "Q_2")
+        # ints need no symbol: the monomial of a ring with none, or padded
+        assert Scalar.pq_monomial(2, -3, coeff=5, e=1) == Scalar.monomial(2, -3, coeff=5, e=1)
+        assert ModScalar.pq_monomial(2, -3) == ModScalar.monomial(2, -3, 0, 0)
+        (nu,) = symbols(1)
+        assert ModScalar.pq_monomial(-(nu + 1), nu) == ModScalar.monomial(-1, 0, -1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pq_monomial_at_indices(self, data):
+        # at_indices of a monomial at forms (or ints) is the monomial at the
+        # evaluated exponents
+        ints = st.integers(-6, 6)
+        k = data.draw(st.integers(1, 4))
+        t = data.draw(st.lists(ints, min_size=k, max_size=k))
+        forms = st.lists(ints, min_size=k + 1, max_size=k + 1).map(Form)
+        a, b = data.draw(st.one_of(ints, forms)), data.draw(forms)
+        if data.draw(st.booleans()):
+            a, b = b, a
+        coeff, e = data.draw(st.integers(-3, 3)), data.draw(st.integers(0, 2))
+        assert at_indices(symbol_ring(k).pq_monomial(a, b, coeff=coeff, e=e), t) == (
+            Scalar.monomial(form_at(a, t), form_at(b, t), coeff=coeff, e=e)
+        )
 
 
 class TestSubstitution:

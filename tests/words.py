@@ -118,7 +118,7 @@ def q_jacobi2_residual(m: int, n: int, k: int) -> UniScalar:
     ws: dict[tuple[int, ...], Scalar] = {}
     for word, form, sign in identities._Q_JACOBI2_WORDS:
         key = tuple(idx[s] for s in word)
-        e = sum(f * i for f, i in zip(form, idx))
+        e = form[0] + sum(f * i for f, i in zip(form[1:], idx))
         acc = ws.pop(key, Scalar.zero()) + Scalar.monomial(0, e, coeff=sign)
         if not acc.is_zero:
             ws[key] = acc

@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Paired timing of the in-process desk suite, one checkout against another.
+
+    python tools/desk_pairs.py PARENT_SRC CHANGE_SRC [--pairs N]
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  Each
+pair runs `suite.run_suite(suite.DESK_CONFIG)` once per side, each in a
+fresh interpreter, and the side that runs first alternates from pair to
+pair, so a drift of the machine's speed weighs on both sides alike.  A run
+times the call alone: the layers it loads on first use are inside the
+timing, the interpreter's start-up and the import of `pqvw.suite` are not.
+One run per side before the pairs, not counted, writes each checkout's
+bytecode cache.  The report gives each side's median and quartiles and the
+pairs each side won; a tie counts for neither.  Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+
+CHILD = """
+import time
+from pqvw import suite
+start = time.perf_counter()
+suite.run_suite(suite.DESK_CONFIG)
+print(time.perf_counter() - start)
+"""
+
+
+def desk_seconds(src: str) -> float:
+    """One fresh interpreter's time for the desk suite, importing pqvw from src."""
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    return float(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", metavar="PARENT_SRC")
+    parser.add_argument("change", metavar="CHANGE_SRC")
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2, for quartiles")
+    sides = {"parent": args.parent, "change": args.change}
+    for src in sides.values():
+        desk_seconds(src)
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    wins = dict.fromkeys(sides, 0)
+    for i in range(args.pairs):
+        order = list(sides) if i % 2 == 0 else list(reversed(sides))
+        pair = {side: desk_seconds(sides[side]) for side in order}
+        for side, seconds in pair.items():
+            times[side].append(seconds)
+        if pair["parent"] != pair["change"]:
+            wins[min(pair, key=pair.get)] += 1
+    for side, runs in times.items():
+        q1, _, q3 = statistics.quantiles(runs, n=4)
+        print(f"{side}: median {statistics.median(runs) * 1e3:.1f} ms, quartiles "
+              f"{q1 * 1e3:.1f} to {q3 * 1e3:.1f} ms, won {wins[side]} of {args.pairs} pairs")
+
+
+if __name__ == "__main__":
+    main()
