@@ -20,15 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .ring import (
-    EXP_MAX,
-    ExponentOverflow,
-    LPoly,
-    SCALAR_ZERO,
-    Scalar,
-    _Z,
-    _scaled_pq_number,
-)
+from .ring import SCALAR_ZERO, Scalar, _checked, _scaled_pq_number, _z_run
 
 GenIndex = int
 
@@ -76,17 +68,16 @@ def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
     (n-1)(n-2)/2 pairs k >= j + 2 takes one factor z - 1 along, as
     z^d - 1 = (z - 1)[d]_z, a shifted difference of the dense coefficient
     list; the n - 1 adjacent pairs keep [d]_z, a sliding-window sum.  The
-    list is then placed on the keys of p^(n-1+e+k) q^(e+k); no ring product
-    or division runs.
+    list is then the run along z from p^(n-1+e) q^e; no ring product or
+    division runs.
     """
     n = len(st)
     e = sum((n - 1 - j) * s for j, s in enumerate(st)) - (n - 1) // 2 * sum(st)
     # every exponent lies between e (q at the bottom) and e + sum of the
-    # gaps (p at the top), and the end coefficients are +-1
+    # gaps (p at the top), and the end coefficients are +-1: checked before
+    # a huge gap builds a huge list
     top = e + sum((2 * j - n + 1) * s for j, s in enumerate(st))
-    bound = max(abs(e), abs(top))
-    if bound > EXP_MAX:
-        raise ExponentOverflow(bound)
+    bound = _checked(max(abs(e), abs(top)))
     coeffs = [sign]
     for j in range(n - 1):
         for k in range(j + 1, n):
@@ -96,9 +87,7 @@ def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
                 coeffs = [a - b for a, b in zip(run, [0] * d + run)]
             else:
                 coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
-    base = LPoly.pack((n - 1 + e, e))
-    terms = {base + k * _Z: c for k, c in enumerate(coeffs) if c}
-    return Scalar._raw(LPoly._raw(terms, bound), 0)
+    return _z_run(n - 1 + e, e, coeffs, bound)
 
 
 def sign_of(n: int) -> int:

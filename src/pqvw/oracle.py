@@ -32,12 +32,12 @@ rows sum to g(S, 0) (A - W B) / D with
 
 The quotient by g(S, 0) is free of the level exactly when B = 0, and then
 the structure constant is A / D.  B shifts A's rows along z, the step of
-D = p^-1 (z - 1), so each ordered sub-tuple (memoised) costs one pass over
-its rows in p and q alone, which builds A and B together, each over one more
-divisor power than the rests (``Scalar.sum_if_shift_cancels``): a B that
-does not cancel raises NotProportional, and no four-variable coefficient is
-built or divided.  At linear-form indices (``ring.Form``) A and B are two
-sums of products in the ring of the forms' symbols, and B must be zero there.
+D = p^-1 (z - 1), so each ordered sub-tuple (one memo) costs one pass over
+its rows, which builds A and B together, each over one more divisor power
+than the rests (``sum_if_shift_cancels``): a B that does not cancel raises
+NotProportional, and no four-variable coefficient is built or divided.  The
+pass runs in p and q alone (``Scalar``) at ints, and at linear-form indices
+(``ring.Form``) of k symbols in ``ring.symbol_ring(k)``.
 
 The full-module reference has one entry,
 ``extract_structure_constant(bracketn_def(idx))``: :func:`bracketn_def`
@@ -64,7 +64,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import GenIndex
 from .ring import (
-    SCALAR_ONE,
     SCALAR_ZERO,
     Form,
     Localized,
@@ -314,30 +313,18 @@ def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
 
 
 @lru_cache(maxsize=None)
-def _constant(idx: tuple[GenIndex, ...]) -> Scalar:
-    # the structure constant of [idx], 1 for a lone generator: the module
-    # docstring's A / D, where B, which is A with each row times z^S_r for
-    # z = pq, must cancel
+def _constant(idx: tuple[GenIndex | Form, ...]) -> Localized:
+    # the structure constant of [idx], 1 for a lone generator, at ints or at
+    # forms: the module docstring's A / D, where B, which is A with each row
+    # times z^S_r for z = pq, must cancel
+    ring = symbol_ring(len(idx[0]) - 1) if isinstance(idx[0], Form) else Scalar
     if len(idx) == 1:
-        return SCALAR_ONE
-    rows = [(sign, (a, b), sum(rest), _constant(rest)) for a, b, sign, _, rest in _expansion(idx)]
-    total = Scalar.sum_if_shift_cancels(rows)
+        return ring.one()
+    rows = [(sign, a, b, sum(rest), _constant(rest)) for a, b, sign, _, rest in _expansion(idx)]
+    total = ring.sum_if_shift_cancels(rows)
     if total is None:
         raise NotProportional(f"the rows of {idx} act with a level-dependent coefficient")
     return total
-
-
-@lru_cache(maxsize=None)
-def _formal_constant(idx: tuple[Form, ...]) -> Localized:
-    # _constant at forms: A and B over one more divisor power than the rests
-    ring = symbol_ring(len(idx[0]) - 1)
-    if len(idx) == 1:
-        return ring.one()
-    rows = [(ring.pq_monomial(a, b, coeff=sign, e=1), sum(rest), _formal_constant(rest))
-            for a, b, sign, _, rest in _expansion(idx)]
-    if ring.sum_of_products((mono, ring.pq_monomial(s, s), c) for mono, s, c in rows):
-        raise NotProportional(f"the rows of {idx} act with a level-dependent coefficient")
-    return ring.sum_of_products((mono, c) for mono, _, c in rows)
 
 
 def structure_constant(indices: Sequence[GenIndex | Form]) -> Localized:
@@ -346,11 +333,11 @@ def structure_constant(indices: Sequence[GenIndex | Form]) -> Localized:
     Runs the rows of :func:`_expansion` on level-free coefficients, as the
     module docstring derives: per ordered sub-tuple (memoised), A / D when
     the level-dependent sum B cancels, NotProportional otherwise.  The
-    result is the coefficient of ``extract_structure_constant(bracketn_def(indices))``,
-    or at forms of k symbols its member of ``ring.symbol_ring(k)``.
+    result is the coefficient of ``extract_structure_constant(bracketn_def(indices))``
+    at ints, and at forms of k symbols its member of ``ring.symbol_ring(k)``.
     """
     idx = tuple(indices)
     if len(idx) < 2:
         raise ValueError("a bracket needs n >= 2 indices")
-    return _formal_constant(idx) if isinstance(idx[0], Form) else _constant(idx)
+    return _constant(idx)
 

@@ -8,7 +8,7 @@ reduces to arithmetic in Laurent rings over the integers:
   with none, ``ModScalar`` (``MPoly``) with P, Q = p^nu, q^nu at a symbolic
   module level nu, and ``symbol_ring(k)`` with P_j, Q_j = p^(s_j), q^(s_j)
   holds identities at any integers for the symbols s_j of ``symbols(k)``;
-  ``pq_monomial`` places p^a q^b at ``Form`` (linear-form) exponents there
+  ``pq_exps`` places p^a q^b at int or ``Form`` (linear-form) exponents
 * ``UPoly`` / ``UniScalar``  -- one variable q, localized at (q - q^-1)
 
 Values move between these rings by one exponent substitution,
@@ -45,12 +45,15 @@ raises ``NotDivisible``; any other divisor raises ``ValueError``.
 Normalizing a localized value means trying that division, so sums of
 products, the shape of every bracket recursion and identity residual, go
 through one kernel, ``Localized.sum_of_products``: the products of all rows
-land in one key dict and only the total is normalized.
+land in one key dict and only the total is normalized.  The defining
+recursion's step has one of its own, ``sum_if_shift_cancels``, at ints and
+forms alike, and a run along z = pq is placed on its keys (``_z_run``).
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
+from itertools import repeat
 from types import MappingProxyType
 from typing import ClassVar, Sequence, TypeVar
 
@@ -451,10 +454,10 @@ class Localized:
     products of rows of factors into one key dict over the largest divisor
     power among the rows and normalizes the total once, so no product or
     partial sum under it is normalized on its own.  ``sum_if_shift_cancels``
-    is the same for rows of a monomial times one value, with a second sum,
-    shifted along the divisor's step, that must cancel.  ``+`` is its two-row
-    case.  A lone product normalizes itself, and skips that where a
-    monomial numerator means nothing can cancel.
+    is the same for rows of p^a q^b times one value, with a second sum,
+    shifted along z = pq, that must cancel.  ``+`` is the two-row case of
+    ``sum_of_products``.  A lone product normalizes itself, and skips that
+    where a monomial numerator means nothing can cancel.
     """
 
     POLY: ClassVar[type[Poly]]
@@ -531,12 +534,17 @@ class Localized:
         return cls._raw(num, e if num._terms else 0)
 
     @classmethod
-    def pq_monomial(cls, a: int | Form, b: int | Form, coeff: int = 1, e: int = 0):
-        """coeff * p^a q^b / divisor^e in a ``pq_ring`` member, at ints or
+    def pq_exps(cls, a: int | Form, b: int | Form) -> tuple[int, ...]:
+        """The exponent tuple of p^a q^b in a ``pq_ring`` member, at ints or
         forms: symbol j's coefficients go on the member's j-th pair."""
         pad = (0,) * (len(cls.POLY.VARS) // 2 - 1)
         a, b = (x if isinstance(x, Form) else (x, *pad) for x in (a, b))
-        return cls.monomial(*(x for pair in zip(a, b) for x in pair), coeff=coeff, e=e)
+        return tuple(x for pair in zip(a, b) for x in pair)
+
+    @classmethod
+    def pq_monomial(cls, a: int | Form, b: int | Form, coeff: int = 1, e: int = 0):
+        """coeff * p^a q^b / divisor^e in a ``pq_ring`` member, at ints or forms."""
+        return cls.monomial(*cls.pq_exps(a, b), coeff=coeff, e=e)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -617,29 +625,33 @@ class Localized:
 
     @classmethod
     def sum_if_shift_cancels(cls, rows) -> "Localized | None":
-        """Sum over rows (coeff, exps, n, v) of coeff * x^exps * v / divisor.
+        """Sum over rows (sign, a, b, s, v) of sign * p^a q^b * v / divisor in
+        a ``pq_ring`` member, at int or form exponents.
 
         Returns None instead unless the shifted sum, with each row times
-        (x^STEP)^n as well, cancels to nothing: the shape of a recursion
-        step whose part along the divisor's own step must vanish.  Both sums
+        (pq)^s as well, cancels to nothing: the shape of a recursion step
+        whose part along the divisor's step z = pq must vanish.  Both sums
         sit over the largest divisor power among the rows, a v over fewer
         lifted first, and the sum over one power more.  Packing is linear, so
-        each v's terms are shifted by the key of x^exps, and by n times the
-        key of x^STEP, straight into one key dict per sum; the exponent bound
-        is checked before any key is built, and the sum is normalized once.
+        each v's terms are shifted by the key of p^a q^b, and by that of
+        p^(a+s) q^(b+s), straight into one key dict per sum; the exponent
+        bound is checked before any key is built, and the sum is normalized
+        once.  Exponents go through ``pq_exps``, but for ints in ``Scalar``.
         """
         rows = list(rows)
+        narrow = len(cls.POLY.VARS) == 2
         top = slack = 0
         lift = cls.DIVISOR._bound
-        reach = max(map(abs, cls.STEP))
-        for _, exps, n, v in rows:
+        for _, a, b, s, v in rows:
             if type(v) is not cls:
                 raise TypeError(f"expected {cls.__name__}, got {type(v).__name__}")
             if v.e > top:
                 top = v.e
+            reach = (max(abs(a), abs(b)) + abs(s) if narrow
+                     else max(map(abs, cls.pq_exps(a, b) + cls.pq_exps(a + s, b + s))))
             # the row's exponents, lifted to top divisor powers, stay within
-            # |exps| + |n| |STEP| + v's bound + (top - v.e) divisor bounds
-            row = max(map(abs, exps)) + abs(n) * reach + v.num._bound - v.e * lift
+            # reach + v's bound + (top - v.e) divisor bounds
+            row = reach + v.num._bound - v.e * lift
             if row > slack:
                 slack = row
         bound = _checked(slack + top * lift)
@@ -647,12 +659,12 @@ class Localized:
         total: dict[int, int] = {}
         shift_total: dict[int, int] = {}
         get, shift_get = total.get, shift_total.get
-        for coeff, exps, n, v in rows:
+        for sign, a, b, s, v in rows:
             num = v.num if v.e == top else v.num * cls._divisor_pow(top - v.e)
-            base = pack(exps)
-            shift = base + n * step
+            base = pack((a, b) if narrow else cls.pq_exps(a, b))
+            shift = base + s * step if narrow else pack(cls.pq_exps(a + s, b + s))
             for k, c in num._terms.items():
-                c *= coeff
+                c *= sign
                 ka, kb = base + k, shift + k
                 total[ka] = get(ka, 0) + c
                 shift_total[kb] = shift_get(kb, 0) + c
@@ -796,23 +808,28 @@ SCALAR_ONE = Scalar.one()
 _Z = LPoly.pack((1, 1))  # key step of one factor z = pq
 
 
+def _z_run(a: int, b: int, coeffs: Iterable[int], bound: int) -> Scalar:
+    """sum_k coeffs[k] * p^(a+k) q^(b+k), its terms stepping by the key of
+    z = pq: nothing is multiplied or divided.  bound, which must bound every
+    exponent, is checked before a coefficient is read."""
+    _checked(bound)
+    # no pack: a zero first coefficient's base is no term, and may leave range
+    base = (a << DIGIT_BITS) + b
+    terms = {base + k * _Z: c for k, c in enumerate(coeffs) if c}
+    return Scalar._raw(LPoly._raw(terms, bound), 0)
+
+
 def _scaled_pq_number(x: int, a: int = 0, b: int = 0, sign: int = 1) -> Scalar:
     """sign * p^a q^b * [x]_{p,q}, placed on its keys.
 
     [x]_{p,q} = (q^x - p^-x) / (q - p^-1) is the geometric sum of
     p^(k-x+1) q^k over 0 <= k < x, or minus that sum over x <= k < 0, so its
-    terms step by z = pq from the key of p^(a-x+1) q^b.  Nothing is
-    multiplied or divided, and the exponent bound is checked before any
-    term is built.
+    terms are a run of |x| equal coefficients from the k = min(x, 0) term.
     """
-    bound = _checked(max(abs(a), abs(b)) + abs(x))
+    bound = max(abs(a), abs(b)) + abs(x)
     if x < 0:
-        sign, ks = -sign, range(x, 0)
-    else:
-        ks = range(x)
-    # no pack: the base itself need not be a term, so it may leave the range
-    base = ((a - x + 1) << DIGIT_BITS) + b
-    return Scalar._raw(LPoly._raw({base + k * _Z: sign for k in ks}, bound), 0)
+        return _z_run(a + 1, b + x, repeat(-sign, -x), bound)
+    return _z_run(a - x + 1, b, repeat(sign, x), bound)
 
 
 def pq_number(x: int) -> Scalar:

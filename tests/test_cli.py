@@ -632,13 +632,11 @@ class TestWrongAnswers:
 
     @pytest.fixture(autouse=True)
     def fresh_recursion(self):
-        # the recursion's memos hold no constant of a broken recursion
+        # the recursion's memo holds no constant of a broken recursion
         # before or after a case
         oracle._constant.cache_clear()
-        oracle._formal_constant.cache_clear()
         yield
         oracle._constant.cache_clear()
-        oracle._formal_constant.cache_clear()
 
     def failing(self, *args):
         # the report of a command that must exit 1, and its failing kinds

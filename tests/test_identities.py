@@ -20,7 +20,9 @@ from pqvw.oracle import NotProportional, bracketn_def, extract_structure_constan
 from pqvw.ring import LPoly, ModScalar, Scalar, at_indices, classical_value, symbol_ring, symbols
 from pqvw.subalgebra import fi_check_span
 
-from words import bracket2_by_lookup, deformed_jacobi2_residual, q_jacobi2_residual, shuffles
+from words import (
+    bracket2_by_lookup, deformed_jacobi2_residual, form_value, q_jacobi2_residual, shuffles,
+)
 
 # the signed 10-term expansion of the arity-3 shuffle identity, in
 # lexicographic order of the inner block
@@ -673,6 +675,23 @@ class TestJacobiForTwoBracket:
         # arises twice with equal q-exponent forms and opposite signs
         assert len(identities._Q_JACOBI2_WORDS) == 12
         assert identities._q_jacobi2_formal_sum() == {}
+
+    def test_q_exponents_at_a_triple(self):
+        # every word's q-exponent, placed at a triple as the per-triple
+        # reference places it, against the table's rule: per rotation
+        # (a, b, c) the outer bracket weighs q^(+-(2a - (b + c))) and the
+        # inner q^(+-(b - c)).  The words cancel pairwise whatever their
+        # exponents, so only this pins them
+        triple = (2, 5, 11)
+        expected = []
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            outer = 2 * triple[a] - (triple[b] + triple[c])
+            inner = triple[b] - triple[c]
+            expected += [((a, b, c), outer + inner), ((a, c, b), outer - inner),
+                         ((b, c, a), -outer + inner), ((c, b, a), -outer - inner)]
+        placed = [(word, form_value(form, triple))
+                  for word, form, _ in identities._Q_JACOBI2_WORDS]
+        assert placed == expected
 
     def test_q_sweep_evaluates_no_triple(self, monkeypatch):
         calls = []

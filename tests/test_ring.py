@@ -33,7 +33,7 @@ from pqvw.ring import (
 )
 
 from determinants import ref_div
-from words import mod_shift
+from words import form_value, mod_shift
 
 P = LPoly.monomial(1, 0)
 Q = LPoly.monomial(0, 1)
@@ -449,45 +449,91 @@ class TestSumOfProducts:
             Scalar.sum_of_products([()])
 
 
+class Unreadable(dict):
+    # the terms of a value that no kernel may read: building a key from
+    # them fails the test
+    def items(self):
+        raise AssertionError("a key was built")
+
+
+def unreadable(cls):
+    return cls._raw(cls.POLY._raw(Unreadable({0: 1}), 0), 0)
+
+
+def two_sums(ring, rows):
+    """The reference for the kernel: A and B as two sums of products, as the
+    recursion at forms once built them, and None unless B is zero."""
+    rows = [(ring.pq_monomial(a, b, coeff=sign, e=1), s, v) for sign, a, b, s, v in rows]
+    if ring.sum_of_products((mono, ring.pq_monomial(s, s), v) for mono, s, v in rows):
+        return None
+    return ring.sum_of_products((mono, v) for mono, _, v in rows)
+
+
 class TestSumIfShiftCancels:
-    @pytest.mark.parametrize("cls, along", [(Scalar, Scalar.STEP), (ModScalar, ModScalar.STEP)],
-                             ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
-    def test_matches_sum_of_products(self, cls, along):
-        # rows in pairs whose terms shifted along the ring's own step cancel,
-        # and now and then one more row whose shifted term does not
-        rng = random.Random(len(along))
-        width = len(along)
+    """The recursion's kernel on rows (sign, a, b, s, v): the sum of
+    sign p^a q^b v / D, and None unless the sum with each row times (pq)^s
+    as well cancels.  Int rows in Scalar and padded into ModScalar, and
+    form rows, with an int among them now and then, in symbol rings."""
 
-        def monomial(exps, coeff, e):
-            return cls.monomial(*exps, coeff=coeff, e=e)
+    @pytest.mark.parametrize("ring, k", [(Scalar, 0), (ModScalar, 0), (symbol_ring(1), 1),
+                                         (symbol_ring(3), 3)],
+                             ids=["Scalar", "ModScalar", "symbols1", "symbols3"])
+    def test_matches_two_sums_of_products(self, ring, k):
+        # rows in pairs whose shifted terms cancel, as p^a q^b (pq)^s is
+        # p^(a+d) q^(b+d) (pq)^(s-d), and now and then one more row whose
+        # shifted term may not
+        rng = random.Random(k)
 
-        for _ in range(40):
+        def exponent():
+            if not k or rng.random() < 0.2:
+                return rng.randint(-3, 3)
+            return Form(rng.randint(-3, 3) for _ in range(k + 1))
+
+        nones = 0
+        for _ in range(60):
             rows = []
             for _ in range(rng.randint(1, 3)):
-                v = TestLocalizedSum.rand_value(rng, cls)
-                exps = tuple(rng.randint(-3, 3) for _ in range(width))
-                n, m = rng.randint(-3, 3), rng.randint(-3, 3)
-                # x^exps (x^along)^n = x^other (x^along)^m
-                other = tuple(x + (n - m) * y for x, y in zip(exps, along))
-                coeff = rng.choice((1, -1, 2))
-                rows += [(coeff, exps, n, v), (-coeff, other, m, v)]
+                v = TestLocalizedSum.rand_value(rng, ring)
+                a, b, s, d = (exponent() for _ in range(4))
+                sign = rng.choice((1, -1, 2))
+                rows += [(sign, a, b, s, v), (-sign, a + d, b + d, s - d, v)]
             if rng.random() < 0.3:
-                rows.append((1, (0,) * width, rng.randint(-2, 2), rows[0][3]))
-            shifted = cls.sum_of_products(
-                (monomial(tuple(x + n * y for x, y in zip(exps, along)), c, 1), v)
-                for c, exps, n, v in rows
-            )
-            expected = cls.sum_of_products((monomial(exps, c, 1), v) for c, exps, n, v in rows)
-            total = cls.sum_if_shift_cancels(rows)
-            assert total == (expected if shifted.is_zero else None)
-            if total is not None:
+                rows.append((1, 0, 0, exponent(), rows[0][4]))
+            expected = two_sums(ring, rows)
+            total = ring.sum_if_shift_cancels(rows)
+            assert total == expected
+            if total is None:
+                nones += 1
+            else:
                 assert (total.num, total.e) == (expected.num, expected.e)
+        assert 0 < nones < 60
+
+    def test_shift_that_does_not_cancel(self):
+        # A cancels but B does not: two rows that differ in s alone
+        for ring, (a, b, s) in ((Scalar, (2, -1, 3)), (symbol_ring(3), symbols(3))):
+            v = ring.pq_monomial(1, 0, e=1)
+            assert ring.sum_if_shift_cancels([(1, a, b, s, v)]) is None
+            rows = [(1, a, b, s, v), (-1, a, b, s + 1, v)]
+            assert two_sums(ring, rows) is None
+            assert ring.sum_if_shift_cancels(rows) is None
+            # and with s equal, both sums cancel: zero, not None
+            assert ring.sum_if_shift_cancels([(1, a, b, s, v), (-1, a, b, s, v)]) == 0
 
     def test_bound_and_ring_checked_first(self):
+        # p^EXP_MAX shifted once, and a P_1 exponent past the range: the
+        # bound stops the step before a term of the value is read
+        m, n = symbols(2)
         with pytest.raises(ExponentOverflow):
-            Scalar.sum_if_shift_cancels([(1, (EXP_MAX, 0), 1, Scalar.one())])
+            Scalar.sum_if_shift_cancels([(1, EXP_MAX, 0, 1, unreadable(Scalar))])
+        ring = symbol_ring(2)
+        with pytest.raises(ExponentOverflow):
+            ring.sum_if_shift_cancels([(1, (EXP_MAX + 1) * m, n, 0, unreadable(ring))])
+        with pytest.raises(ExponentOverflow):
+            ring.sum_if_shift_cancels([(1, EXP_MAX * m, n, m, unreadable(ring))])
         with pytest.raises(TypeError):
-            Scalar.sum_if_shift_cancels([(1, (0, 0), 0, UniScalar.one())])
+            Scalar.sum_if_shift_cancels([(1, 0, 0, 0, UniScalar.one())])
+        with pytest.raises(TypeError):
+            ring.sum_if_shift_cancels([(1, m, n, 0, symbol_ring(1).one())])
 
 
 class TestPqNumbers:
@@ -894,11 +940,6 @@ class TestRingFamily:
             at_indices(FAMILY[3].one(), (1, 2))
 
 
-def form_at(f, t):
-    # the integer a linear form stands for at the symbols' values t
-    return f if isinstance(f, int) else f[0] + sum(c * x for c, x in zip(f[1:], t))
-
-
 class TestForms:
     """Linear-form indices, and the monomials ``pq_monomial`` places at them."""
 
@@ -929,12 +970,12 @@ class TestForms:
         t = data.draw(st.lists(ints, min_size=3, max_size=3))
         f, g = (Form(data.draw(st.lists(ints, min_size=4, max_size=4))) for _ in range(2))
         c = data.draw(ints)
-        x, y = form_at(f, t), form_at(g, t)
+        x, y = form_value(f, t), form_value(g, t)
         for form, value in (
             (f + g, x + y), (f - g, x - y), (-f, -x), (c * f, c * x),
             (c + f, c + x), (f - c, x - c), (c - f, c - x), (sum((f, g, f)), 2 * x + y),
         ):
-            assert form_at(form, t) == value
+            assert form_value(form, t) == value
 
     def test_symbol_ring_pairs(self):
         assert symbol_ring(2).POLY.VARS == ("p", "q", "P_1", "Q_1", "P_2", "Q_2")
@@ -959,7 +1000,7 @@ class TestForms:
             a, b = b, a
         coeff, e = data.draw(st.integers(-3, 3)), data.draw(st.integers(0, 2))
         assert at_indices(symbol_ring(k).pq_monomial(a, b, coeff=coeff, e=e), t) == (
-            Scalar.monomial(form_at(a, t), form_at(b, t), coeff=coeff, e=e)
+            Scalar.monomial(form_value(a, t), form_value(b, t), coeff=coeff, e=e)
         )
 
 

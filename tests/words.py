@@ -7,7 +7,8 @@ triple from the concrete 2-brackets, and ``q_jacobi2_residual``
 substitutes one triple into the twelve words of
 ``identities._Q_JACOBI2_WORDS`` and collapses the word sum through the
 oracle's word expansion: the references the tests compare the formal
-verdicts against.
+verdicts against.  ``form_value`` is the one placement of a linear form at
+integer values, each word's q-exponent among them.
 
 ``shuffles`` lists the C(2n - 1, n) signed block shuffles with each parity
 from ``algebra.sort_with_sign``: the sort-based reference that the lazy
@@ -118,11 +119,18 @@ def q_jacobi2_residual(m: int, n: int, k: int) -> UniScalar:
     ws: dict[tuple[int, ...], Scalar] = {}
     for word, form, sign in identities._Q_JACOBI2_WORDS:
         key = tuple(idx[s] for s in word)
-        e = form[0] + sum(f * i for f, i in zip(form[1:], idx))
-        acc = ws.pop(key, Scalar.zero()) + Scalar.monomial(0, e, coeff=sign)
+        acc = ws.pop(key, Scalar.zero()) + Scalar.monomial(0, form_value(form, idx), coeff=sign)
         if not acc.is_zero:
             ws[key] = acc
     return specialize_pq(oracle.extract_structure_constant(ws).coeff)
+
+
+def form_value(form, values) -> int:
+    """The integer a linear form (c0, c1, ..., ck) stands for at the symbols'
+    values, c0 + sum cj * values[j - 1]; an int stands for itself."""
+    if isinstance(form, int):
+        return form
+    return form[0] + sum(f * i for f, i in zip(form[1:], values, strict=True))
 
 
 def mod_shift(c: ModScalar, m: int) -> ModScalar:

@@ -10,32 +10,49 @@ pair, so a drift of the machine's speed weighs on both sides alike.  A run
 times the call alone: the layers it loads on first use are inside the
 timing, the interpreter's start-up and the import of `pqvw.suite` are not.
 One run per side before the pairs, not counted, writes each checkout's
-bytecode cache.  The report gives each side's median and quartiles and the
-pairs each side won; a tie counts for neither.  Standard library only.
+bytecode cache, and the two runs' records must be equal, so that both sides
+time the same work: if they differ, nothing is timed and the tool exits 1,
+naming the first record kind that differs.  The report gives each side's
+median and quartiles and the pairs each side won; a tie counts for neither.
+Standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
 import sys
 
 CHILD = """
-import time
+import json, time
 from pqvw import suite
 start = time.perf_counter()
-suite.run_suite(suite.DESK_CONFIG)
+records = suite.run_suite(suite.DESK_CONFIG)
 print(time.perf_counter() - start)
+print(json.dumps(records))
 """
 
 
-def desk_seconds(src: str) -> float:
-    """One fresh interpreter's time for the desk suite, importing pqvw from src."""
+def desk_run(src: str) -> tuple[float, list[dict]]:
+    """One fresh interpreter's time for the desk suite, importing pqvw from
+    src, and the suite's records."""
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
                           text=True, check=True, timeout=300)
-    return float(done.stdout)
+    seconds, records = done.stdout.splitlines()
+    return float(seconds), json.loads(records)
+
+
+def first_difference(parent: list[dict], change: list[dict]) -> str | None:
+    """The kind of the first record that differs between two runs, or of the
+    first record only one run has; None when the runs agree."""
+    for a, b in zip(parent, change):
+        if a != b:
+            return a["kind"]
+    extra = parent[len(change):] or change[len(parent):]
+    return extra[0]["kind"] if extra else None
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -47,13 +64,14 @@ def main(argv: list[str] | None = None) -> None:
     if args.pairs < 2:
         parser.error("--pairs must be >= 2, for quartiles")
     sides = {"parent": args.parent, "change": args.change}
-    for src in sides.values():
-        desk_seconds(src)
+    kind = first_difference(*(desk_run(src)[1] for src in sides.values()))
+    if kind is not None:
+        sys.exit(f"the two sides' desk records differ, first at {kind}: nothing timed")
     times: dict[str, list[float]] = {side: [] for side in sides}
     wins = dict.fromkeys(sides, 0)
     for i in range(args.pairs):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
-        pair = {side: desk_seconds(sides[side]) for side in order}
+        pair = {side: desk_run(sides[side])[0] for side in order}
         for side, seconds in pair.items():
             times[side].append(seconds)
         if pair["parent"] != pair["change"]:
