@@ -22,10 +22,7 @@ from typing import Sequence
 
 from .ring import SCALAR_ZERO, Scalar, _checked, _scaled_pq_number, _z_run
 
-GenIndex = int
-
 __all__ = [
-    "GenIndex",
     "BadArity",
     "bracket2",
     "bracketn_closed",
@@ -51,7 +48,7 @@ def sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(s)), (-1 if inv & 1 else 1)
 
 
-def bracket2(m: GenIndex, n: GenIndex) -> Scalar:
+def bracket2(m: int, n: int) -> Scalar:
     """Weighted 2-bracket coefficient: [L_m, L_n] = -(q p^-1)^m [n-m]_{p,q} L_{m+n}.
 
     The coefficient is placed on its keys as a geometric sum in z = pq, like
@@ -60,7 +57,7 @@ def bracket2(m: GenIndex, n: GenIndex) -> Scalar:
     return _scaled_pq_number(n - m, -m, m, -1)
 
 
-def _closed_product(st: tuple[GenIndex, ...], sign: int) -> Scalar:
+def _closed_product(st: tuple[int, ...], sign: int) -> Scalar:
     """sign * p^(n-1) z^e (z - 1)^((n-1)(n-2)/2) prod_{j<k} [s_k - s_j]_z.
 
     Here z = pq, [d]_z = 1 + z + ... + z^(d-1), st = (s_0 < ... < s_(n-1))
@@ -103,7 +100,7 @@ def sign_of(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sorted_coeff(st: tuple[GenIndex, ...]) -> Scalar:
+def _sorted_coeff(st: tuple[int, ...]) -> Scalar:
     """The bracket of a strictly increasing tuple st, n >= 2: the one memo.
 
     A sweep meets each sorted tuple many times, in every arrangement; every
@@ -115,7 +112,7 @@ def _sorted_coeff(st: tuple[GenIndex, ...]) -> Scalar:
     return _closed_product(st, sign_of(len(st)))
 
 
-def bracketn_closed(indices: Sequence[GenIndex]) -> Scalar:
+def bracketn_closed(indices: Sequence[int]) -> Scalar:
     """Closed-form n-bracket coefficient for n >= 3; the target is L_sum.
 
     The paper's form is (-1)^(n(n-1)/2) (p q^-1)^(floor((n-1)/2) sum) times
@@ -142,7 +139,7 @@ def bracketn_closed(indices: Sequence[GenIndex]) -> Scalar:
     return c if parity > 0 else -c
 
 
-def bracket(indices: Sequence[GenIndex]) -> Scalar:
+def bracket(indices: Sequence[int]) -> Scalar:
     """The bracket's coefficient in the given argument order, for any n >= 2.
 
     The target generator is L_sum(indices), fixed by the grading.  The
@@ -151,6 +148,8 @@ def bracket(indices: Sequence[GenIndex]) -> Scalar:
     every larger arity goes through :func:`bracketn_closed`.
     """
     t = tuple(indices)
+    if len(t) < 2:
+        raise BadArity(f"a bracket needs n >= 2 indices, got {len(t)}")
     if len(t) == 2:
         return bracket2(*t)
     return bracketn_closed(t)

@@ -52,11 +52,11 @@ import random
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import GenIndex, _sorted_coeff, bracket, sort_with_sign
+from .algebra import _sorted_coeff, bracket, sort_with_sign
 from .ring import Form, Localized, Scalar, symbol_ring, symbols
 
 # a nested product of a residual: (sign, inner indices, outer indices)
-NestedProduct = tuple[int, tuple[GenIndex, ...], tuple[GenIndex, ...]]
+NestedProduct = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 __all__ = [
     "IdentityReport",
@@ -78,7 +78,7 @@ __all__ = [
 class IdentityReport(NamedTuple):
     """Verdict for one identity instance; pass means residual exactly zero."""
 
-    indices: tuple[GenIndex, ...]
+    indices: tuple[int, ...]
     residual: str
     verdict: bool
 
@@ -107,7 +107,7 @@ class SweepResult(NamedTuple):
         return "0" if self.failure is None else self.failure.residual
 
 
-def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
+def check_skew(indices: Sequence[int]) -> IdentityReport:
     """Verify antisymmetry of the bracket on one index tuple.
 
     Every transposition must negate the bracket, and a tuple with repeated
@@ -135,7 +135,7 @@ def check_skew(indices: Sequence[GenIndex]) -> IdentityReport:
     return IdentityReport(idx, "0", True)
 
 
-def sh_jacobi_products(n: int, indices: Sequence[GenIndex]) -> Iterator[NestedProduct]:
+def sh_jacobi_products(n: int, indices: Sequence[int]) -> Iterator[NestedProduct]:
     """The C(2n-1, n) nested products of the shuffle-Jacobi residual, lazily.
 
     One (parity, inner, outer) per block shuffle, lexicographic in its first
@@ -155,7 +155,7 @@ def sh_jacobi_products(n: int, indices: Sequence[GenIndex]) -> Iterator[NestedPr
             yield -1 if (sum(first) - base) % 2 else 1, inner, (sum(inner),) + rest
 
 
-def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
+def sh_jacobi_residual(n: int, indices: Sequence[int]) -> Scalar:
     """Signed shuffle sum of nested brackets on 2n-1 generators.
 
     All terms share the total index, so the residual is a single Scalar;
@@ -168,7 +168,7 @@ def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
     pairs with a nonzero net sign become rows of one
     ``Scalar.sum_of_products``, normalised once.
     """
-    net: dict[tuple[tuple[GenIndex, ...], tuple[GenIndex, ...]], int] = {}
+    net: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for parity, inner, outer in sh_jacobi_products(n, indices):
         if len(set(outer)) != n:
             continue
@@ -181,7 +181,7 @@ def sh_jacobi_residual(n: int, indices: Sequence[GenIndex]) -> Scalar:
     )
 
 
-def fi_products(Y: Sequence[GenIndex], X: Sequence[GenIndex]) -> Iterator[NestedProduct]:
+def fi_products(Y: Sequence[int], X: Sequence[int]) -> Iterator[NestedProduct]:
     """The n + 1 nested products of the fundamental-identity residual: (1, X,
     Y + (sum X,)), then (-1, Y + (X_k,), X with X_k replaced by their sum) per k."""
     ys, xs = tuple(Y), tuple(X)
@@ -191,7 +191,7 @@ def fi_products(Y: Sequence[GenIndex], X: Sequence[GenIndex]) -> Iterator[Nested
         yield -1, inner, xs[:k] + (sum(inner),) + xs[k + 1 :]
 
 
-def fi_residual(n: int, Y: Sequence[GenIndex], X: Sequence[GenIndex]) -> Scalar:
+def fi_residual(n: int, Y: Sequence[int], X: Sequence[int]) -> Scalar:
     """Fundamental-identity residual [Y, [X]] - sum_k [X_1, .., [Y, X_k], .., X_n].
 
     Works for any n >= 2 (n = 2 is the plain Jacobi identity, which the
@@ -211,7 +211,7 @@ def fi_residual(n: int, Y: Sequence[GenIndex], X: Sequence[GenIndex]) -> Scalar:
 
 def fi_counterexample_even(
     n: int,
-) -> tuple[tuple[GenIndex, ...], tuple[GenIndex, ...], Scalar]:
+) -> tuple[tuple[int, ...], tuple[int, ...], Scalar]:
     """Construct the even-arity witness that kills the fundamental identity.
 
     Y = (L_-2, ..., L_-(n-1), L_{n(n-1)/2}), X = (L_0, ..., L_{n-1}), and

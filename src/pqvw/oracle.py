@@ -11,8 +11,8 @@ coefficient.  Dividing the action of a defining bracket on |nu> by the
 action coefficient of its target generator recovers the structure constant
 without ever touching the closed determinant form -- this module is the
 independent cross-check for everything in :mod:`pqvw.algebra`, and reads
-nothing of the closed form: :mod:`pqvw.suite` compares the two, sign
-included.
+nothing of the closed form (it imports :mod:`pqvw.ring` alone):
+:mod:`pqvw.suite` compares the two, sign included.
 
 The defining recursion is written once, as a table: ``_expansion`` gives
 an n-bracket, n >= 2, as rows (a, b, sign, head, rest) standing for
@@ -62,7 +62,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import GenIndex
 from .ring import (
     SCALAR_ZERO,
     Form,
@@ -76,7 +75,7 @@ from .ring import (
     symbols,
 )
 
-Word = tuple[GenIndex, ...]
+Word = tuple[int, ...]
 
 (_NU,) = symbols(1)  # the symbolic module level, ModScalar's one symbol
 
@@ -107,7 +106,7 @@ class Term(NamedTuple):
     off the module: the index is evidence there, not the grading's sum."""
 
     coeff: Scalar
-    index: GenIndex
+    index: int
 
 
 def nu_bracket(shift: int = 0) -> ModScalar:
@@ -117,7 +116,7 @@ def nu_bracket(shift: int = 0) -> ModScalar:
 
 
 @lru_cache(maxsize=None)
-def generator_multiplier(m: GenIndex, shift: int = 0) -> ModScalar:
+def generator_multiplier(m: int, shift: int = 0) -> ModScalar:
     """Action coefficient of L_m on |nu + shift>: -[nu + shift] p^(nu + shift + m).
 
     Over (q - p^-1) that is p^m (1 - (pq)^shift P Q).
@@ -129,7 +128,7 @@ def generator_multiplier(m: GenIndex, shift: int = 0) -> ModScalar:
 # The maps below move every shift by the same amount and multiply by a
 # nonzero coefficient, so no two entries collide and none becomes zero.
 
-def fock_act(m: GenIndex, v: dict[int, ModScalar]) -> dict[int, ModScalar]:
+def fock_act(m: int, v: dict[int, ModScalar]) -> dict[int, ModScalar]:
     """Apply L_m, extending linearly: |nu + s> picks up shift m."""
     return {s + m: generator_multiplier(m, s) * c for s, c in v.items()}
 
@@ -234,7 +233,7 @@ def _add_word(out: dict[Word, Scalar], word: Word, weight: Scalar) -> None:
         out[word] = acc
 
 
-def _expansion(idx: tuple[GenIndex, ...]) -> list[tuple[int, int, int, GenIndex, Word]]:
+def _expansion(idx: tuple[int, ...]) -> list[tuple[int, int, int, int, Word]]:
     """The defining n-bracket, n >= 2, as rows (a, b, sign, head, rest).
 
     A row stands for sign * p^a q^b * L_head [rest], where a one-index rest
@@ -264,7 +263,7 @@ def _expansion(idx: tuple[GenIndex, ...]) -> list[tuple[int, int, int, GenIndex,
 
 
 @lru_cache(maxsize=None)
-def _bracketn_def(idx: tuple[GenIndex, ...]) -> dict[Word, Scalar]:
+def _bracketn_def(idx: tuple[int, ...]) -> dict[Word, Scalar]:
     # a lone generator is the one word (k,) of weight 1
     if len(idx) == 1:
         return {idx: 1}
@@ -276,7 +275,7 @@ def _bracketn_def(idx: tuple[GenIndex, ...]) -> dict[Word, Scalar]:
     return out
 
 
-def bracketn_def(indices: Sequence[GenIndex]) -> dict[Word, Scalar]:
+def bracketn_def(indices: Sequence[int]) -> dict[Word, Scalar]:
     """Defining n-bracket, n >= 2, as a fully expanded word sum.
 
     The rows of :func:`_expansion`, expanded down to single generators: the
@@ -313,7 +312,7 @@ def extract_structure_constant(ws: dict[Word, Scalar]) -> Term:
 
 
 @lru_cache(maxsize=None)
-def _constant(idx: tuple[GenIndex | Form, ...]) -> Localized:
+def _constant(idx: tuple[int | Form, ...]) -> Localized:
     # the structure constant of [idx], 1 for a lone generator, at ints or at
     # forms: the module docstring's A / D, where B, which is A with each row
     # times z^S_r for z = pq, must cancel
@@ -327,7 +326,7 @@ def _constant(idx: tuple[GenIndex | Form, ...]) -> Localized:
     return total
 
 
-def structure_constant(indices: Sequence[GenIndex | Form]) -> Localized:
+def structure_constant(indices: Sequence[int | Form]) -> Localized:
     """Structure constant of the defining n-bracket, n >= 2, on the module.
 
     Runs the rows of :func:`_expansion` on level-free coefficients, as the
@@ -335,9 +334,13 @@ def structure_constant(indices: Sequence[GenIndex | Form]) -> Localized:
     the level-dependent sum B cancels, NotProportional otherwise.  The
     result is the coefficient of ``extract_structure_constant(bracketn_def(indices))``
     at ints, and at forms of k symbols its member of ``ring.symbol_ring(k)``.
+    Indices that mix ints and forms, or forms of different symbol counts,
+    raise ValueError before anything is evaluated.
     """
     idx = tuple(indices)
     if len(idx) < 2:
         raise ValueError("a bracket needs n >= 2 indices")
+    if len({len(i) if isinstance(i, Form) else 0 for i in idx}) > 1:
+        raise ValueError(f"indices must be all ints or all forms of one symbol count, got {idx}")
     return _constant(idx)
 

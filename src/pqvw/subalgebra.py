@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import GenIndex, bracketn_closed
+from .algebra import bracketn_closed
 from .identities import fi_residual
 from .ring import Scalar
 
@@ -66,7 +66,7 @@ class FMatrix(NamedTuple):
     symmetric.
     """
 
-    indices: tuple[GenIndex, ...]
+    indices: tuple[int, ...]
     rows: tuple[tuple[Scalar, ...], ...]
 
     @property
@@ -87,13 +87,13 @@ class SubalgebraReport(NamedTuple):
     `ideal_at`) only on a closed n-element candidate.
     """
 
-    indices: tuple[GenIndex, ...]
+    indices: tuple[int, ...]
     closed: bool
-    offending: tuple[GenIndex, ...] | None = None
+    offending: tuple[int, ...] | None = None
     fi_pass: bool | None = None
     iso_canonical: bool | None = None
     coeff: Scalar | None = None
-    ideal_at: GenIndex | None = None
+    ideal_at: int | None = None
 
     @property
     def is_subalgebra(self) -> bool:
@@ -137,14 +137,14 @@ class SearchResult(NamedTuple):
     extra_checked: int
 
 
-def _validate_set(S: Sequence[GenIndex]) -> tuple[GenIndex, ...]:
+def _validate_set(S: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(S)
     if len(set(idx)) != len(idx):
         raise ValueError("index set must consist of distinct generators")
     return tuple(sorted(idx))
 
 
-def closure_check(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
+def closure_check(S: Sequence[int], n: int) -> SubalgebraReport:
     """Does every n-bracket of distinct members land in the span?
 
     No bracket of distinct generators vanishes, so it lands on L_sum(T)
@@ -160,14 +160,14 @@ def closure_check(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
     return SubalgebraReport(idx, closed=True)
 
 
-def fi_picks(idx: tuple[GenIndex, ...], n: int) -> Iterator[tuple[tuple[GenIndex, ...], ...]]:
+def fi_picks(idx: tuple[int, ...], n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The C(k, n - 1) * C(k, n) sorted (Y, X) picks of n - 1 distinct Y and n
     distinct X from a sorted span of k indices, yielded in product order."""
     return product(combinations(idx, n - 1), combinations(idx, n))
 
 
 def fi_check_span(
-    S: Sequence[GenIndex], n: int
+    S: Sequence[int], n: int
 ) -> tuple[bool, tuple | None, int]:
     """Fundamental identity over all (Y, X) picks from the span, repetition allowed.
 
@@ -194,7 +194,7 @@ def fi_check_span(
     return True, None, k ** (2 * n - 1)
 
 
-def canonical_basis(n: int) -> tuple[GenIndex, ...]:
+def canonical_basis(n: int) -> tuple[int, ...]:
     """The symmetric index window that closes on itself.
 
     Even n = 2k gives {-k+1, ..., k} with total k; odd n = 2k+1 gives
@@ -209,7 +209,7 @@ def canonical_basis(n: int) -> tuple[GenIndex, ...]:
     return tuple(range(-k, k + 1))
 
 
-def iso_canonical_check(S: Sequence[GenIndex], n: int) -> tuple[bool, GenIndex | None, Scalar]:
+def iso_canonical_check(S: Sequence[int], n: int) -> tuple[bool, int | None, Scalar]:
     """Is the span an n-dimensional algebra with one bracket onto a basis line?
 
     For |S| = n the only bracket is [all of S] = c L_t with c != 0; the span
@@ -224,7 +224,7 @@ def iso_canonical_check(S: Sequence[GenIndex], n: int) -> tuple[bool, GenIndex |
     return ok, (t if ok else None), bracketn_closed(idx)
 
 
-def filippov_matrix(S: Sequence[GenIndex], n: int) -> FMatrix:
+def filippov_matrix(S: Sequence[int], n: int) -> FMatrix:
     """Matrix of omit-one brackets over an (n+1)-element candidate set."""
     idx = _validate_set(S)
     if len(idx) != n + 1:
@@ -246,7 +246,7 @@ def filippov_matrix(S: Sequence[GenIndex], n: int) -> FMatrix:
     return FMatrix(idx, rows)
 
 
-def ideal_check(S: Sequence[GenIndex], n: int, t: GenIndex) -> bool:
+def ideal_check(S: Sequence[int], n: int, t: int) -> bool:
     """Is the line spanned by L_t an ideal of the span?
 
     Every bracket with at least one argument L_t and the rest drawn from S
@@ -261,7 +261,7 @@ def ideal_check(S: Sequence[GenIndex], n: int, t: GenIndex) -> bool:
     return all(sum(rest) == 0 for rest in combinations(others, n - 1))
 
 
-def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
+def check_candidate(S: Sequence[int], n: int) -> SubalgebraReport:
     """Full verdict chain for one candidate set: closure, FI, shape, ideal.
 
     The report is built once.  An open set stops at closure; a closed one
@@ -288,7 +288,7 @@ def check_candidate(S: Sequence[GenIndex], n: int) -> SubalgebraReport:
 
 def closing_sets(
     window: int, n: int
-) -> tuple[list[tuple[GenIndex, ...]], list[tuple[GenIndex, ...]]]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The n- and (n+1)-sets of [-window, window] that pass the closure check.
 
     Each list is in lexicographic order.  An n-set's only n-subset is

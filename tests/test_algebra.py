@@ -232,6 +232,12 @@ class TestBracketN:
         with pytest.raises(BadArity):
             bracketn_closed((0, 1))
 
+    @pytest.mark.parametrize("idx", [(), (0,)])
+    def test_bracket_needs_two_indices(self, idx):
+        # below the 2-bracket the message names the bracket's own bound
+        with pytest.raises(BadArity, match=f"a bracket needs n >= 2 indices, got {len(idx)}$"):
+            bracket(idx)
+
     def test_distinct_brackets_never_vanish(self):
         # no factor of the product form vanishes, and the 2-bracket's
         # [n - m]_{p,q} vanishes only at m = n

@@ -1,4 +1,4 @@
-"""Each command imports only the pqvw layers it runs, and the package API is intact.
+"""Each command imports only the pqvw layers it runs, and the two engines load apart.
 
 Every verdict comes from a fresh process, so a layer a command never calls
 costs start-up time for nothing.  A child process records `sys.modules`,
@@ -6,14 +6,12 @@ runs ``python -m pqvw ARGS`` through runpy, and reports the modules the
 command added, importing `json` to print them only after it has taken
 them; the exact pqvw set is pinned per command.
 """
-import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-import pqvw
 from pqvw import cli, suite
 
 from childenv import child_env
@@ -104,45 +102,22 @@ def test_children_keep_the_bytecode_setting(monkeypatch, parent):
     assert proc.stdout.strip() == str(parent)
 
 
-# the package's public names, by the layer that defines them
-EXPORTS = {
-    "ring": [
-        "ExponentOverflow", "LPoly", "ModScalar", "NotDivisible", "PoleAtOne",
-        "Scalar", "UniScalar", "at_indices", "classical_value",
-        "mod_at_level", "mod_from_scalar", "mod_to_scalar",
-        "pq_number", "pq_ring", "q_number", "specialize_pq",
-    ],
-    "algebra": [
-        "BadArity", "GenIndex", "bracket", "bracket2", "bracketn_closed",
-        "sign_of",
-    ],
-    "oracle": [
-        "NotProportional", "Term", "bracketn_def",
-        "extract_structure_constant", "fock_act", "osc_relations_check",
-        "structure_constant", "word_act",
-    ],
-    "identities": [
-        "IdentityReport", "check_skew",
-        "fi_counterexample_even", "fi_residual",
-        "sh_jacobi_residual", "sweep_sh_jacobi",
-    ],
-    "subalgebra": [
-        "CanonicalNLie", "FMatrix", "SubalgebraReport", "UnexpectedSubalgebra",
-        "canonical_basis", "closure_check", "fi_check_span", "filippov_matrix",
-        "ideal_check", "iso_canonical_check", "search",
-    ],
-}
+# one child imports these in turn and reports what each import added
+CHILD_STEPS = """
+import json, sys
+added = []
+for name in ("pqvw", "pqvw.oracle", "pqvw.algebra"):
+    before = set(sys.modules)
+    __import__(name)
+    added.append(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "pqvw"))
+print(json.dumps(added))
+"""
 
 
-def test_package_api():
-    assert pqvw.__all__ == sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
-    for layer, names in EXPORTS.items():
-        module = importlib.import_module(f"pqvw.{layer}")
-        assert getattr(pqvw, layer) is module
-        for name in names:
-            assert getattr(pqvw, name) is getattr(module, name), name
-    star: dict = {}
-    exec("from pqvw import *", star)
-    assert set(pqvw.__all__) <= set(star)
-    with pytest.raises(AttributeError):
-        pqvw.no_such_name
+def test_engines_load_apart():
+    # the package loads no layer, and the recursion loads nothing of the
+    # closed form, nor the closed form anything of the recursion
+    proc = subprocess.run([sys.executable, "-c", CHILD_STEPS], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["pqvw"], ["pqvw.oracle", "pqvw.ring"], ["pqvw.algebra"]]

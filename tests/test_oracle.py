@@ -461,3 +461,14 @@ class TestFormalRecursion:
         if n <= 3:
             for t in ((0,) * n, (-2,) * (n - 1) + (3,)):
                 assert at_indices(formal, t) == structure_constant(t), t
+
+    @pytest.mark.parametrize("mix", ["form-int", "int-form", "widths"])
+    def test_mixed_indices_are_refused(self, mix):
+        # refused at the entry, before the memo runs any of the recursion
+        (s_1,) = symbols(1)
+        _, t = symbols(2)
+        idx = {"form-int": (s_1, 0), "int-form": (0, s_1), "widths": (s_1, t)}[mix]
+        misses = oracle._constant.cache_info().misses
+        with pytest.raises(ValueError, match="all ints or all forms"):
+            structure_constant(idx)
+        assert oracle._constant.cache_info().misses == misses

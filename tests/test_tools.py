@@ -3,6 +3,7 @@
 Each side is a stub `src` directory whose `pqvw.suite.run_suite` returns
 fixed records at once, so a run costs an interpreter's start-up alone.
 """
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,10 @@ def desk_pairs(tmp_path: Path, change: list[dict]) -> subprocess.CompletedProces
 def test_equal_records_are_timed(tmp_path):
     proc = desk_pairs(tmp_path, RECORDS)
     assert proc.returncode == 0, proc.stderr
-    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == ["parent", "change"]
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["parent", "change", "change/parent"]
+    assert re.fullmatch(r"change/parent: median \d+\.\d{3}, quartiles \d+\.\d{3} to "
+                        r"\d+\.\d{3}, over 2 pairs", lines[2])
 
 
 def test_differing_records_are_refused(tmp_path):

@@ -13,7 +13,10 @@ One run per side before the pairs, not counted, writes each checkout's
 bytecode cache, and the two runs' records must be equal, so that both sides
 time the same work: if they differ, nothing is timed and the tool exits 1,
 naming the first record kind that differs.  The report gives each side's
-median and quartiles and the pairs each side won; a tie counts for neither.
+median and quartiles and the pairs each side won, a tie counting for
+neither, and then the median and quartiles of the per-pair ratio
+change/parent: run on one checkout as both sides (an A/A run), that spread
+is the noise against which a comparison of two checkouts is read.
 Standard library only.
 """
 from __future__ import annotations
@@ -80,6 +83,10 @@ def main(argv: list[str] | None = None) -> None:
         q1, _, q3 = statistics.quantiles(runs, n=4)
         print(f"{side}: median {statistics.median(runs) * 1e3:.1f} ms, quartiles "
               f"{q1 * 1e3:.1f} to {q3 * 1e3:.1f} ms, won {wins[side]} of {args.pairs} pairs")
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    print(f"change/parent: median {statistics.median(ratios):.3f}, quartiles "
+          f"{q1:.3f} to {q3:.3f}, over {args.pairs} pairs")
 
 
 if __name__ == "__main__":
